@@ -10,6 +10,8 @@ import numpy as np
 
 from . import verify as verify_mod
 from .harness import (
+    OPTIMISMS,
+    SCHEMES,
     ExperimentConfig,
     VariantSpec,
     costs_to_tsv,
@@ -30,8 +32,8 @@ def _build_parser():
 
     p_solve = sub.add_parser("solve", help="run one problem once")
     p_solve.add_argument("--problem", required=True)
-    p_solve.add_argument("--variant", choices=["ada", "ls"], required=True)
-    p_solve.add_argument("--optimism", choices=["opt", "pes"], required=True)
+    p_solve.add_argument("--variant", choices=list(SCHEMES), required=True)
+    p_solve.add_argument("--optimism", choices=list(OPTIMISMS), required=True)
     p_solve.add_argument("--eps-f", type=float, required=True)
     p_solve.add_argument("--eps-c", type=float, required=True)
     p_solve.add_argument("--seed", type=int, required=True)

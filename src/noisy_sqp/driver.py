@@ -10,7 +10,6 @@ never feed the solver path.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -94,6 +93,8 @@ class SolverParams:
             raise ValueError("sigma_tau must be in (0,1)")
         if self.max_iters < 1 or self.max_weighted_evals < 1:
             raise ValueError("budgets must be positive")
+        if not self.tol_d >= 0.0:
+            raise ValueError("tol_d must be >= 0")
         return self
 
     @classmethod
@@ -108,13 +109,6 @@ class SolverParams:
 
     def resolved_eps_o(self) -> float:
         return self.noise.eps_c if self.optimism == "optimistic" else 0.0
-
-    def hash(self) -> str:
-        text = repr((self.noise, self.variant, self.optimism, self.exactness,
-                     self.kappa_u, self.kappa_v, self.tests, self.tau0,
-                     self.sigma_tau, self.adaptive, self.ls, self.max_iters,
-                     self.max_weighted_evals, self.tol_d))
-        return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 @dataclass
@@ -155,9 +149,9 @@ class RunTrace:
     status: str
     counters: object
     seed: int
-    params_hash: str
     eps_o: float
     variant: str
+    H: np.ndarray  # curvature matrix the solver used
     tau_history: list = field(default_factory=list)
     adaptive_state: stepsize.AdaptiveState | None = None
 
@@ -168,11 +162,6 @@ class RunTrace:
     @property
     def cg_iters(self) -> int:
         return sum(r.bundle.cg_iters for r in self.records if r.bundle is not None)
-
-
-def handle_degenerate(d_norm_inf: float, tol_d: float) -> bool:
-    """True when the assembled direction is numerically zero and the run must stop."""
-    return d_norm_inf <= tol_d
 
 
 def solve(problem: ProblemSpec, params: SolverParams, seed: int,
@@ -237,28 +226,12 @@ def solve(problem: ProblemSpec, params: SolverParams, seed: int,
                 counters_delta=(after[0] - before[0], after[1] - before[1]),
                 **extra)
 
-        if c_norm <= branch_gate:
-            branch = FEASIBLE_BRANCH
-            v = np.zeros(n)
+        feasible = c_norm <= branch_gate
+        branch = FEASIBLE_BRANCH if feasible else INFEASIBLE_BRANCH
+        if feasible:
+            v, cg_iters = np.zeros(n), 0
             tau_state.keep(k)
-            try:
-                bundle = steps.tangential_step(
-                    H, noisy.J_bar, noisy.g_bar, v, noisy.c_bar, tau_prev,
-                    params.tests, eps_o, params.kappa_u, noise.eps_f,
-                    noise.eps_c, exact=exact_mode, feasible=True)
-            except steps.TestUnsatisfiable:
-                records.append(make_record(None, tau_prev, 0.0, branch))
-                status = TEST_UNSATISFIABLE
-                break
-            tau_k = tau_prev
-            delta_l = merit.model_reduction(
-                tau_k, noisy.g_bar, noisy.c_bar, noisy.J_bar, bundle.d)
-            if delta_l <= eps_o:
-                records.append(make_record(bundle, tau_k, 0.0, branch, delta_l=delta_l))
-                status = EARLY_STATIONARY
-                break
         else:
-            branch = INFEASIBLE_BRANCH
             if norm_inf(noisy.J_bar.T @ noisy.c_bar) <= steps.tol_Jc(noisy.c_bar):
                 records.append(make_record(None, tau_prev, 0.0, branch))
                 status = EARLY_INFEASIBLE
@@ -266,30 +239,34 @@ def solve(problem: ProblemSpec, params: SolverParams, seed: int,
             v, cg_iters = steps.normal_step(
                 noisy.c_bar, noisy.J_bar, params.tests, params.kappa_v,
                 noise.eps_f, noise.eps_c, exact=exact_mode)
-            try:
-                bundle = steps.tangential_step(
-                    H, noisy.J_bar, noisy.g_bar, v, noisy.c_bar, tau_prev,
-                    params.tests, eps_o, params.kappa_u, noise.eps_f,
-                    noise.eps_c, exact=exact_mode, feasible=False)
-            except steps.TestUnsatisfiable:
-                records.append(make_record(None, tau_prev, 0.0, branch))
-                status = TEST_UNSATISFIABLE
-                break
-            bundle.cg_iters = cg_iters
-            outcome = bundle.fallback_case if bundle.test == steps.EXACT_FALLBACK else bundle.test
-            if outcome in (steps.TT2_COND1, "cond1"):
-                trial = merit.tau_trial(
-                    noisy.g_bar, bundle.d, bundle.u, H, c_norm,
-                    norm2(noisy.c_bar + noisy.J_bar @ bundle.v + bundle.r),
-                    params.tests)
-                merit.tau_update(tau_state, trial, params.sigma_tau, k)
-            else:
-                tau_state.keep(k)
-            tau_k = tau_state.tau
-            delta_l = merit.model_reduction(
-                tau_k, noisy.g_bar, noisy.c_bar, noisy.J_bar, bundle.d)
+        try:
+            bundle = steps.tangential_step(
+                H, noisy.J_bar, noisy.g_bar, v, noisy.c_bar, tau_prev,
+                params.tests, eps_o, params.kappa_u, noise.eps_f,
+                noise.eps_c, exact=exact_mode, feasible=feasible)
+        except steps.TestUnsatisfiable:
+            records.append(make_record(None, tau_prev, 0.0, branch))
+            status = TEST_UNSATISFIABLE
+            break
+        bundle.cg_iters = cg_iters
+        outcome = bundle.fallback_case or bundle.test
+        if outcome == steps.TT2_COND1:
+            trial = merit.tau_trial(
+                noisy.g_bar, bundle.d, bundle.u, H, c_norm,
+                norm2(noisy.c_bar + noisy.J_bar @ bundle.v + bundle.r),
+                params.tests)
+            merit.tau_update(tau_state, trial, params.sigma_tau, k)
+        elif not feasible:
+            tau_state.keep(k)
+        tau_k = tau_state.tau
+        delta_l = merit.model_reduction(
+            tau_k, noisy.g_bar, noisy.c_bar, noisy.J_bar, bundle.d)
+        if feasible and delta_l <= eps_o:
+            records.append(make_record(bundle, tau_k, 0.0, branch, delta_l=delta_l))
+            status = EARLY_STATIONARY
+            break
 
-        if handle_degenerate(norm_inf(bundle.d), params.tol_d):
+        if norm_inf(bundle.d) <= params.tol_d:
             records.append(make_record(bundle, tau_k, 0.0, branch, delta_l=delta_l))
             status = DEGENERATE
             break
@@ -335,5 +312,5 @@ def solve(problem: ProblemSpec, params: SolverParams, seed: int,
     return RunTrace(
         problem=problem.name, n=problem.n, m=problem.m, records=records,
         status=status, counters=oracle.counters, seed=seed,
-        params_hash=params.hash(), eps_o=eps_o, variant=params.variant,
+        eps_o=eps_o, variant=params.variant, H=H,
         tau_history=list(tau_state.history), adaptive_state=adapt)

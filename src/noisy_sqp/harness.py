@@ -16,7 +16,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .driver import EARLY_STATIONARY, SolverParams, solve
+from .driver import (
+    ADAPTIVE,
+    EARLY_INFEASIBLE,
+    EARLY_STATIONARY,
+    LINE_SEARCH,
+    SolverParams,
+    solve,
+)
 from .linalg import least_squares_multiplier, norm_inf
 from .noise import NoiseSpec, derive_gradient_noise
 from .problems import duplicate_last_constraint, get_problem
@@ -28,15 +35,28 @@ CSV_COLUMNS = [
     "terminated_early", "solved",
 ]
 
-EARLY_STATUSES = (EARLY_STATIONARY, "early_infeasible_stationary")
+EARLY_STATUSES = (EARLY_STATIONARY, EARLY_INFEASIBLE)
+
+# grid and CSV variant names -> solver names
+SCHEMES = {"ada": ADAPTIVE, "ls": LINE_SEARCH}
+OPTIMISMS = {"opt": "optimistic", "pes": "pessimistic"}
+EXACTNESS = ("exact", "inexact")
 
 
 @dataclass
 class VariantSpec:
-    scheme: str = "ada"            # ada | ls
-    optimism: str = "opt"          # opt | pes
-    exactness: str = "inexact"     # exact | inexact
+    scheme: str = "ada"            # a key of SCHEMES
+    optimism: str = "opt"          # a key of OPTIMISMS
+    exactness: str = "inexact"     # one of EXACTNESS
     kappa: float = 1e-2
+
+    def __post_init__(self):
+        for field_name, allowed in (("scheme", SCHEMES), ("optimism", OPTIMISMS),
+                                    ("exactness", EXACTNESS)):
+            value = getattr(self, field_name)
+            if value not in allowed:
+                raise ValueError(f"bad {field_name} {value!r}; expected one of "
+                                 f"{', '.join(allowed)}")
 
     @property
     def label(self) -> str:
@@ -45,8 +65,8 @@ class VariantSpec:
     def solver_params(self, noise: NoiseSpec, budgets) -> SolverParams:
         return SolverParams.benchmark_defaults(
             noise=noise,
-            variant="adaptive" if self.scheme == "ada" else "line_search",
-            optimism="optimistic" if self.optimism == "opt" else "pessimistic",
+            variant=SCHEMES[self.scheme],
+            optimism=OPTIMISMS[self.optimism],
             exactness=self.exactness,
             kappa=self.kappa,
             max_iters=budgets[0],

@@ -16,10 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 
-class SingularSystem(Exception):
-    """Regularized dense factorization still failed."""
-
-
 def as_vector(x, name: str = "vector") -> np.ndarray:
     """Return a 1-D float64 copy of ``x``; reject NaN/Inf entries."""
     v = np.asarray(x, dtype=float)
@@ -28,16 +24,6 @@ def as_vector(x, name: str = "vector") -> np.ndarray:
     if not np.all(np.isfinite(v)):
         raise ValueError(f"{name} has non-finite entries")
     return v.copy()
-
-
-def as_matrix(A, name: str = "matrix") -> np.ndarray:
-    """Return a 2-D float64 copy of ``A``; reject NaN/Inf entries."""
-    M = np.asarray(A, dtype=float)
-    if M.ndim != 2:
-        raise ValueError(f"{name} must be 2-D, got shape {M.shape}")
-    if not np.all(np.isfinite(M)):
-        raise ValueError(f"{name} has non-finite entries")
-    return M.copy()
 
 
 def norm2(x) -> float:
@@ -217,64 +203,18 @@ def least_squares_multiplier(J: np.ndarray, g: np.ndarray) -> np.ndarray:
     return np.linalg.solve(M, rhs)
 
 
-def jacobi_eigenvalues(S: np.ndarray, tol: float = 1e-14, max_sweeps: int = 60) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix via cyclic Jacobi rotations.
-
-    Deterministic row-major sweep order; converged once the off-diagonal
-    Frobenius mass falls below ``tol`` relative to the matrix scale.
-    """
-    A = np.array(S, dtype=float)
-    n = A.shape[0]
-    if n == 1:
-        return A.diagonal().copy()
-    scale = max(1.0, norm2(A))
-    for _ in range(max_sweeps):
-        off = np.sqrt(max(np.sum(A * A) - np.sum(A.diagonal() ** 2), 0.0))
-        if off <= tol * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if abs(apq) <= 1e-300:
-                    continue
-                theta = (A[q, q] - A[p, p]) / (2.0 * apq)
-                if abs(theta) > 1e100:
-                    t = 0.5 / theta
-                elif theta == 0.0:
-                    t = 1.0
-                else:
-                    t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                rot = np.array([[c, s], [-s, c]])
-                rows = A[[p, q], :]
-                A[[p, q], :] = rot.T @ rows
-                cols = A[:, [p, q]]
-                A[:, [p, q]] = cols @ rot
-                A[p, q] = A[q, p] = 0.0
-    return np.sort(A.diagonal())
-
-
 def smallest_singular_value(J: np.ndarray) -> float:
-    """Smallest singular value of J via Jacobi eigen-decomposition of its Gram matrix.
-
-    The Gram matrix is taken on the smaller side (J J' for wide J), so the
-    result is the least of the min(m, n) singular values; used by the
-    harness to audit LICQ status.
-    """
-    J = np.asarray(J, dtype=float)
-    m, n = J.shape
-    G = J @ J.T if m <= n else J.T @ J
-    w = jacobi_eigenvalues(G)
-    return float(np.sqrt(max(w[0], 0.0)))
+    """Least of the min(m, n) singular values of J; used to audit LICQ status."""
+    return float(np.linalg.svd(np.asarray(J, dtype=float), compute_uv=False)[-1])
 
 
 def dense_kkt_solve(H: np.ndarray, J: np.ndarray, rhs_top: np.ndarray):
     """Exact solve of [[H, J'], [J, 0]] [u; y] = [-rhs_top; 0].
 
     Verification / fallback oracle.  When J is rank deficient the (2,2)
-    block is regularized with -1e-12-scale diagonal so the factorization is
-    total; the u component stays unique per the saddle-system structure.
+    block is regularized with -1e-12-scale diagonal, up front or after a
+    failed first factorization; the u component stays unique per the
+    saddle-system structure.  A failure after the ridge raises LinAlgError.
     """
     H = np.asarray(H, dtype=float)
     J = np.asarray(J, dtype=float)
@@ -294,12 +234,8 @@ def dense_kkt_solve(H: np.ndarray, J: np.ndarray, rhs_top: np.ndarray):
     try:
         z = np.linalg.solve(K, rhs)
     except np.linalg.LinAlgError:
-        if not rank_deficient:
-            K[n:, n:] -= (1e-12 * (1.0 + norm_inf(J @ J.T))) * np.eye(m)
-            try:
-                z = np.linalg.solve(K, rhs)
-            except np.linalg.LinAlgError as exc:
-                raise SingularSystem("regularized KKT factorization failed") from exc
-        else:
-            raise SingularSystem("regularized KKT factorization failed")
+        if rank_deficient:
+            raise
+        K[n:, n:] -= (1e-12 * (1.0 + norm_inf(J @ J.T))) * np.eye(m)
+        z = np.linalg.solve(K, rhs)
     return z[:n], z[n:]

@@ -22,21 +22,13 @@ from .problems import evaluate
 
 @dataclass
 class NoiseSpec:
-    """Noise bounds; eps_o is the optimistic feasibility threshold in [0, eps_c].
-
-    ``refresh`` controls whether repeated evaluation at the same point draws
-    fresh noise (the default) or replays the first draw; ``duplicate_shares_noise``
-    controls whether duplicated constraint rows copy the noise of the row
-    they duplicate.
-    """
+    """Noise bounds; eps_o is the optimistic feasibility threshold in [0, eps_c]."""
 
     eps_f: float = 0.0
     eps_g: float = 0.0
     eps_c: float = 0.0
     eps_J: float = 0.0
     eps_o: float = 0.0
-    refresh: bool = True
-    duplicate_shares_noise: bool = True
 
     def __post_init__(self):
         for name in ("eps_f", "eps_g", "eps_c", "eps_J", "eps_o"):
@@ -86,15 +78,12 @@ class NoisyOracle:
         self.spec = spec
         self.rng = rng
         self.counters = EvalCounters()
-        self._replay = {}  # (x bytes, part) -> draw, used when refresh is off
 
     def sample(self, x, want: str = "both") -> NoisyEvaluation:
         if want not in ("value", "derivative", "both"):
             raise ValueError(f"bad want {want!r}")
         exact = evaluate(self.problem, x)
         e_f, e_g, e_c, e_J = self._perturbations(exact, want)
-        if not self.spec.refresh:
-            e_f, e_g, e_c, e_J = self._replayed(x, want, (e_f, e_g, e_c, e_J))
         f_bar = g_bar = c_bar = J_bar = None
         if want in ("value", "both"):
             f_bar = exact.f + e_f
@@ -106,15 +95,6 @@ class NoisyOracle:
             self.counters.gradient_evals += 1
         return NoisyEvaluation(f_bar, g_bar, c_bar, J_bar)
 
-    def _replayed(self, x, want, fresh):
-        key = np.asarray(x, dtype=float).tobytes()
-        e_f, e_g, e_c, e_J = fresh
-        if want in ("value", "both"):
-            e_f, e_c = self._replay.setdefault((key, "value"), (e_f, e_c))
-        if want in ("derivative", "both"):
-            e_g, e_J = self._replay.setdefault((key, "derivative"), (e_g, e_J))
-        return e_f, e_g, e_c, e_J
-
     def _perturbations(self, exact, want):
         """Draw the uniform errors; override point for crafted test fixtures.
 
@@ -125,7 +105,7 @@ class NoisyOracle:
         spec = self.spec
         n = self.problem.n
         m = self.problem.m
-        shared = self.problem.shared_noise_rows if spec.duplicate_shares_noise else ()
+        shared = self.problem.shared_noise_rows
         e_f = e_g = e_c = e_J = 0.0
         if want in ("value", "both"):
             e_f = float(self.rng.uniform(-spec.eps_f, spec.eps_f)) if spec.eps_f > 0 else 0.0
@@ -153,11 +133,6 @@ class NoisyOracle:
 
 
 def sample_noisy(problem, spec: NoiseSpec, x, rng: np.random.Generator,
-                 want: str = "both", counters: EvalCounters | None = None) -> NoisyEvaluation:
+                 want: str = "both") -> NoisyEvaluation:
     """One-shot draw with the same stream layout as NoisyOracle.sample."""
-    oracle = NoisyOracle(problem, spec, rng)
-    out = oracle.sample(x, want)
-    if counters is not None:
-        counters.function_evals += oracle.counters.function_evals
-        counters.gradient_evals += oracle.counters.gradient_evals
-    return out
+    return NoisyOracle(problem, spec, rng).sample(x, want)

@@ -143,7 +143,7 @@ def parse_problem_json(text) -> ProblemSpec:
     return _quadratic(name, Qs, q, A, b, x0)
 
 
-def _quadratic(name, Q, q, A, b, x0, known_kkt="solve"):
+def _quadratic(name, Q, q, A, b, x0):
     n = Q.shape[0]
     m = A.shape[0]
 
@@ -155,17 +155,16 @@ def _quadratic(name, Q, q, A, b, x0, known_kkt="solve"):
             J=A,
         )
 
-    if known_kkt == "solve":
-        # equality-constrained QP: KKT point from one dense solve
-        K = np.zeros((n + m, n + m))
-        K[:n, :n] = Q
-        K[:n, n:] = A.T
-        K[n:, :n] = A
-        try:
-            z = np.linalg.solve(K, np.concatenate([-q, b]))
-            known_kkt = (z[:n], z[n:])
-        except np.linalg.LinAlgError:
-            known_kkt = None
+    # equality-constrained QP: KKT point from one dense solve
+    K = np.zeros((n + m, n + m))
+    K[:n, :n] = Q
+    K[:n, n:] = A.T
+    K[n:, :n] = A
+    try:
+        z = np.linalg.solve(K, np.concatenate([-q, b]))
+        known_kkt = (z[:n], z[n:])
+    except np.linalg.LinAlgError:
+        known_kkt = None
     full_rank = smallest_singular_value(A) > 1e-8
     return ProblemSpec(name, n, m, x0, ev, known_kkt=known_kkt, full_rank=full_rank)
 

@@ -28,12 +28,8 @@ TT2_COND1 = "TT2_cond1"
 EXACT_FALLBACK = "exact_fallback"
 
 
-class ZeroInfeasibleStationarity(Exception):
-    """||J'c|| is numerically zero; caller must take the infeasible-stationary exit."""
-
-
 class TestUnsatisfiable(Exception):
-    """Even the exact tangential solution fails both termination tests."""
+    """Even the exact tangential solution fails the branch's termination test."""
 
 
 @dataclass
@@ -83,7 +79,7 @@ class StepBundle:
     test: str
     minres_iters: int = 0
     cg_iters: int = 0
-    fallback_case: str | None = None  # test outcome behind an exact_fallback tag
+    fallback_case: str | None = None  # tag of the test behind an exact_fallback
 
 
 def tol_Jc(c_bar) -> float:
@@ -99,8 +95,6 @@ def cauchy_normal_step(c_bar, J_bar, sigma_Jc: float):
     c_bar = np.asarray(c_bar, dtype=float)
     J_bar = np.asarray(J_bar, dtype=float)
     Jtc = J_bar.T @ c_bar
-    if norm_inf(Jtc) <= tol_Jc(c_bar):
-        raise ZeroInfeasibleStationarity("||J'c||_inf at numerical zero")
     v_c = -Jtc
     JJtc = J_bar @ Jtc
     denom = float(JJtc @ JJtc)
@@ -111,53 +105,35 @@ def cauchy_normal_step(c_bar, J_bar, sigma_Jc: float):
     return v_c, alpha_c
 
 
-def cauchy_decrease_holds(c_bar, J_bar, v, gamma_c: float, sigma_Jc: float,
-                          slack: float = 1e-12) -> bool:
-    """||c|| - ||c + Jv||  >=  gamma_c (||c|| - ||c + alpha_c J v_c||), with round-off slack."""
-    c_bar = np.asarray(c_bar)
-    v_c, alpha_c = cauchy_normal_step(c_bar, J_bar, sigma_Jc)
-    lhs = norm2(c_bar) - norm2(c_bar + J_bar @ v)
-    rhs = gamma_c * (norm2(c_bar) - norm2(c_bar + alpha_c * (J_bar @ v_c)))
-    return lhs >= rhs - slack * max(1.0, norm2(c_bar))
-
-
 def normal_step(c_bar, J_bar, params: TestParams, kappa_v: float,
                 eps_f: float, eps_c: float, exact: bool = False):
     """Inexact normal component via trust-region CG on 1/2 ||c + Jv||^2.
 
     CG runs in the Krylov space of J'c, hence v stays in Range(J').  It stops
-    at the trust-region boundary or once the Cauchy decrease condition holds
-    and the residual J'Jv + J'c passes the noise-scaled gate.
+    at the trust-region boundary or once the residual J'Jv + J'c passes the
+    noise-scaled gate.  The caller has already taken the infeasible-stationary
+    exit when J'c is numerically zero (`tol_Jc`).
     """
     c_bar = np.asarray(c_bar, dtype=float)
     J_bar = np.asarray(J_bar, dtype=float)
-    Jtc = J_bar.T @ c_bar
-    if norm_inf(Jtc) <= tol_Jc(c_bar):
-        raise ZeroInfeasibleStationarity("||J'c||_inf at numerical zero")
+    v_c, alpha_c = cauchy_normal_step(c_bar, J_bar, params.sigma_Jc)
+    Jtc = -v_c
+    v_cauchy = alpha_c * v_c
+    c_norm = norm2(c_bar)
+    cauchy_target = params.gamma_c * (c_norm - norm2(c_bar + J_bar @ v_cauchy))
     radius = params.sigma_Jc * norm2(Jtc)
     coef = 1e-10 if exact else kappa_v * min(eps_c, eps_f)
     threshold = coef * max(1.0, norm_inf(Jtc))
 
-    v_c, alpha_c = cauchy_normal_step(c_bar, J_bar, params.sigma_Jc)
-    cauchy_target = params.gamma_c * (norm2(c_bar) - norm2(c_bar + alpha_c * (J_bar @ v_c)))
-    c_norm = norm2(c_bar)
-
     def apply_H(p):
         return J_bar.T @ (J_bar @ p)
 
-    def stop(resid):
-        if norm_inf(resid) > threshold:
-            return False
-        # the residual gate alone is not enough; Cauchy decrease must hold too
-        return True
-
-    v, hit_boundary, iters = cg_steihaug(apply_H, Jtc, radius, stop=stop)
+    v, _, iters = cg_steihaug(apply_H, Jtc, radius,
+                              stop=lambda resid: norm_inf(resid) <= threshold)
     # CG's first iterate is the Cauchy point, so the decrease condition holds
-    # at exit by monotonicity; assert it defensively.
-    lhs = c_norm - norm2(c_bar + J_bar @ v)
-    if lhs < cauchy_target - 1e-10 * max(1.0, c_norm):
-        v = alpha_c * v_c
-        return v, iters
+    # at exit by monotonicity; fall back to the Cauchy point defensively.
+    if c_norm - norm2(c_bar + J_bar @ v) < cauchy_target - 1e-10 * max(1.0, c_norm):
+        v = v_cauchy
     return v, iters
 
 
@@ -191,10 +167,10 @@ def check_tt1(H, g_bar, c_bar, J_bar, u, rho, r, tau_prev: float,
 
 
 def check_tt2(H, g_bar, c_bar, J_bar, v, u, rho, r, tau_prev: float,
-              params: TestParams) -> str:
-    """Termination Test 2 (infeasible branch); returns 'case2', 'cond1', or 'fail'.
+              params: TestParams) -> str | None:
+    """Termination Test 2 (infeasible branch); returns TT2_CASE2, TT2_COND1 or None.
 
-    'case2' has priority because it keeps the merit parameter unchanged.
+    Case 2 has priority because it keeps the merit parameter unchanged.
     """
     u = np.asarray(u)
     v = np.asarray(v)
@@ -210,14 +186,14 @@ def check_tt2(H, g_bar, c_bar, J_bar, v, u, rho, r, tau_prev: float,
     slack = _round_off_slack(g_bar, c_bar)
     res_gate = params.lambda_rho_r * min(max(u_nrm, Jtc_norm), params.kappa_rho_r)
     if max(norm2(rho), norm2(r)) > res_gate:
-        return "fail"
+        return None
 
     if u_nrm > params.lambda_uv * v_nrm:
         curvature_ok = uHu >= params.lambda_u * u_nrm * u_nrm - slack
         slope = float((np.asarray(g_bar) + H @ v) @ u)
         weight = max(0.5, 1.0 - Jtc_norm)
         if not (curvature_ok and slope + weight * uHu <= params.lambda_v * v_nrm + slack):
-            return "fail"
+            return None
 
     d = v + u
     c_norm = norm2(c_bar)
@@ -226,26 +202,25 @@ def check_tt2(H, g_bar, c_bar, J_bar, v, u, rho, r, tau_prev: float,
     dl = model_reduction(tau_prev, g_bar, c_bar, J_bar, d)
     if dl >= tau_prev * params.sigma_u * max(uHu, params.lambda_u * u_nrm * u_nrm) \
             + params.sigma_c * (c_norm - c_v_norm) - slack:
-        return "case2"
+        return TT2_CASE2
     if (c_norm - c_v_norm > 0.0
             and c_norm - c_vr_norm >= params.sigma_r * (c_norm - c_v_norm) - slack):
-        return "cond1"
-    return "fail"
+        return TT2_COND1
+    return None
 
 
 def tangential_step(H, J_bar, g_bar, v, c_bar, tau_prev: float,
                     params: TestParams, eps_o: float, kappa_u: float,
-                    eps_f: float, eps_c: float, exact: bool = False,
-                    max_iters: int | None = None,
-                    feasible: bool | None = None) -> StepBundle:
+                    eps_f: float, eps_c: float, exact: bool = False, *,
+                    feasible: bool) -> StepBundle:
     """Inexact tangential component via the symmetric Krylov solver.
 
-    Iterates of the saddle system are checked against the applicable
-    termination test and the noise-scaled residual gate after every step.
-    When 2(n+m) steps pass without acceptance, the dense solve takes over
-    and the tests are re-checked on the exact solution (tag exact_fallback).
-    ``feasible`` selects the test branch; by default it reproduces the
-    ||c|| <= eps_o routing of the main loop.
+    Iterates of the saddle system are checked against the branch's
+    termination test (TT1 when ``feasible``, else TT2) and the noise-scaled
+    residual gate after every step.  When the solver breaks down (at the
+    latest after 2(n+m) steps) without acceptance, the dense solve takes
+    over and the test is re-checked on the exact solution (tag
+    exact_fallback, with the passing test's tag in ``fallback_case``).
     """
     H = np.asarray(H, dtype=float)
     J_bar = np.asarray(J_bar, dtype=float)
@@ -253,7 +228,6 @@ def tangential_step(H, J_bar, g_bar, v, c_bar, tau_prev: float,
     v = np.asarray(v, dtype=float)
     c_bar = np.asarray(c_bar, dtype=float)
     m, n = J_bar.shape
-    feasible_branch = norm2(c_bar) <= eps_o if feasible is None else feasible
 
     K = np.zeros((n + m, n + m))
     K[:n, :n] = H
@@ -263,55 +237,42 @@ def tangential_step(H, J_bar, g_bar, v, c_bar, tau_prev: float,
 
     coef = 1e-10 if exact else kappa_u * min(eps_c, eps_f)
     Jtc_inf = norm_inf(J_bar.T @ c_bar)
-    if max_iters is None:
-        max_iters = 2 * (n + m)
+
+    def passed_test(z, resid):
+        """Tag of the branch's termination test at candidate z, or None."""
+        u, rho, r = z[:n], resid[:n], resid[n:]
+        if not feasible:
+            return check_tt2(H, g_bar, c_bar, J_bar, v, u, rho, r, tau_prev, params)
+        if check_tt1(H, g_bar, c_bar, J_bar, u, rho, r, tau_prev, params, eps_o):
+            return TT1
+        return None
 
     def accept(z):
-        u = z[:n]
-        y = z[n:]
         resid = K @ z + b
-        rho = resid[:n]
-        r = resid[n:]
-        gate = coef * max(min(max(norm_inf(u), Jtc_inf), 1e2), 1e-2)
+        gate = coef * max(min(max(norm_inf(z[:n]), Jtc_inf), 1e2), 1e-2)
         if norm_inf(resid) > gate:
-            return None
-        if feasible_branch:
-            if check_tt1(H, g_bar, c_bar, J_bar, u, rho, r, tau_prev, params, eps_o):
-                return u, y, rho, r, TT1, None
-            return None
-        case = check_tt2(H, g_bar, c_bar, J_bar, v, u, rho, r, tau_prev, params)
-        if case == "fail":
-            return None
-        return u, y, rho, r, (TT2_CASE2 if case == "case2" else TT2_COND1), None
+            return None, resid
+        return passed_test(z, resid), resid
 
     state = None
     z = np.zeros(n + m)
-    hit = accept(z)
+    tag, resid = accept(z)
     iters = 0
-    while hit is None and iters < max_iters:
+    while tag is None and (state is None or not state.breakdown):
         z, state = minres_iterate(lambda p: K @ p, -b, state)
         iters += 1
-        hit = accept(z)
-        if state.breakdown and hit is None:
-            break
+        tag, resid = accept(z)
 
-    if hit is not None:
-        u, y, rho, r, tag, _ = hit
-        return StepBundle(v=v, u=u, d=v + u, y=y, rho=rho, r=r,
-                          test=tag, minres_iters=iters)
-
-    # dense fallback; residuals vanish up to round-off
-    u, y = dense_kkt_solve(H, J_bar, g_bar + H @ v)
-    z = np.concatenate([u, y])
-    resid = K @ z + b
-    rho, r = resid[:n], resid[n:]
-    if feasible_branch:
-        if not check_tt1(H, g_bar, c_bar, J_bar, u, rho, r, tau_prev, params, eps_o):
-            raise TestUnsatisfiable("exact solution fails Termination Test 1")
-        case = "tt1"
-    else:
-        case = check_tt2(H, g_bar, c_bar, J_bar, v, u, rho, r, tau_prev, params)
-        if case == "fail":
-            raise TestUnsatisfiable("exact solution fails Termination Test 2")
-    return StepBundle(v=v, u=u, d=v + u, y=y, rho=rho, r=r,
-                      test=EXACT_FALLBACK, minres_iters=iters, fallback_case=case)
+    fallback_case = None
+    if tag is None:
+        # dense fallback; residuals vanish up to round-off
+        z = np.concatenate(dense_kkt_solve(H, J_bar, g_bar + H @ v))
+        resid = K @ z + b
+        fallback_case = passed_test(z, resid)
+        if fallback_case is None:
+            raise TestUnsatisfiable(
+                f"exact solution fails Termination Test {1 if feasible else 2}")
+        tag = EXACT_FALLBACK
+    u = z[:n]
+    return StepBundle(v=v, u=u, d=v + u, y=z[n:], rho=resid[:n], r=resid[n:],
+                      test=tag, minres_iters=iters, fallback_case=fallback_case)

@@ -5,7 +5,8 @@ estimates; it tracks three sequences (chi nondecreasing, zeta and xi
 nonincreasing) that separate tangentially from normally dominated steps and
 projects a sufficient-decrease step size onto a safeguard interval.  The
 line search accepts the first backtracked step passing an Armijo condition
-relaxed by a noise-dependent slack.
+relaxed by a noise-dependent slack.  Both controllers take a nonzero
+direction: the driver stops on a numerically zero one first.
 """
 
 from __future__ import annotations
@@ -19,10 +20,6 @@ from .linalg import norm2
 
 class BacktrackExhausted(Exception):
     """No trial step satisfied the relaxed Armijo condition."""
-
-
-class DegenerateDirection(Exception):
-    """||d|| = 0 reached the controller; the solver should have exited."""
 
 
 @dataclass
@@ -115,8 +112,6 @@ def xi_update(state: AdaptiveState, delta_l: float, tau: float, u, v, d) -> Adap
     """Lower xi toward the observed ratio of model reduction to step length squared."""
     d = np.asarray(d)
     dd = float(d @ d)
-    if dd == 0.0:
-        raise DegenerateDirection("xi update with ||d|| = 0")
     tangential = float(np.asarray(u) @ np.asarray(u)) >= state.chi * float(np.asarray(v) @ np.asarray(v))
     trial = delta_l / (tau * dd) if tangential else delta_l / dd
     if state.xi > trial:
@@ -132,8 +127,6 @@ def adaptive_alpha(state: AdaptiveState, delta_l: float, tau: float, u, v, d):
     """
     d = np.asarray(d)
     dd = float(d @ d)
-    if dd == 0.0:
-        raise DegenerateDirection("step size with ||d|| = 0")
     denom = tau * state.L_est + state.Gamma_est
     two1meta = 2.0 * (1.0 - state.eta) * state.beta
     alpha_suff = min(two1meta * delta_l / (denom * dd), 1.0)

@@ -206,7 +206,7 @@ def assert_trace_invariants(trace, params) -> list:
     for i, r in enumerate(trace.records):
         if r.bundle is None:
             continue
-        msg = _recheck_bundle(r, tp, eps_o, params)
+        msg = _recheck_bundle(r, tp, eps_o, trace.H)
         if msg:
             violations.append(f"k={r.k}: {msg}")
         if i + 1 < len(trace.records):
@@ -217,12 +217,10 @@ def assert_trace_invariants(trace, params) -> list:
     return violations
 
 
-def _recheck_bundle(record, tp, eps_o, params) -> str | None:
+def _recheck_bundle(record, tp, eps_o, H) -> str | None:
     """From-scratch re-evaluation of the declared termination test and step bounds."""
     b = record.bundle
     noisy = record.noisy
-    n = record.x.size
-    H = np.eye(n) if params.H is None else np.asarray(params.H, dtype=float)
     g, c, J = noisy.g_bar, noisy.c_bar, noisy.J_bar
     tau_prev = record.tau_prev
     u, v, r, rho = b.u, b.v, b.r, b.rho
@@ -242,7 +240,7 @@ def _recheck_bundle(record, tp, eps_o, params) -> str | None:
     if test == "exact_fallback":
         if max(nrm(rho), nrm(r)) > 1e-9 * (1.0 + np.max(np.abs(g + H @ v))):
             return "fallback residual not at round-off level"
-        test = {"tt1": "TT1", "case2": "TT2_case2", "cond1": "TT2_cond1"}[b.fallback_case]
+        test = b.fallback_case
 
     if test == "TT1":
         if nrm(v) != 0.0:

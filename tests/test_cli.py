@@ -74,6 +74,22 @@ def test_grid_bad_config_is_io_error(tmp_path, capsys):
     assert code == 2
 
 
+def test_grid_unknown_variant_is_config_error(tmp_path, capsys):
+    config = {
+        "problems": ["unit-circle"],
+        "noise_grid": [[1e-2, 1e-2]],
+        "variants": [{"scheme": "adaptive", "optimism": "optimistic"}],
+        "seeds": [0],
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    out_dir = tmp_path / "results"
+    code = main(["grid", "--config", str(cfg_path), "--out", str(out_dir)])
+    assert code == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (out_dir / "results.csv").exists()
+
+
 def test_verify_subcommand(tmp_path, capsys):
     report_path = tmp_path / "verify.json"
     code = main(["verify", "--suite", "all", "--out", str(report_path)])

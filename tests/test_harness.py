@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -251,6 +253,17 @@ class TestConfigJson:
         cfg = ExperimentConfig.from_json(text)
         assert cfg.licq_mode == "duplicated"
         assert cfg.variants[0].label == "ada-opt-inexact"
+
+    @pytest.mark.parametrize("variant", [
+        {"scheme": "adaptive", "optimism": "opt"},
+        {"scheme": "ada", "optimism": "optimistic"},
+        {"scheme": "ls", "optimism": "pes", "exactness": "approximate"},
+    ])
+    def test_unknown_variant_names_rejected(self, variant):
+        text = json.dumps({"problems": ["unit-circle"], "noise_grid": [[0.01, 0.01]],
+                           "variants": [variant], "seeds": [0]})
+        with pytest.raises(ValueError):
+            ExperimentConfig.from_json(text)
 
     def test_bad_noise_rejected(self):
         cfg = ExperimentConfig(problems=["unit-circle"], noise_grid=[(0.0, 1e-2)],

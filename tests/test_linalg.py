@@ -4,7 +4,6 @@ import pytest
 from noisy_sqp.linalg import (
     cg_steihaug,
     dense_kkt_solve,
-    jacobi_eigenvalues,
     least_squares_multiplier,
     minres_iterate,
     minres_solve,
@@ -163,14 +162,6 @@ class TestSmallestSingularValue:
             mine = smallest_singular_value(J)
             oracle = np.linalg.svd(J, compute_uv=False)[-1]
             assert abs(mine - oracle) <= 1e-8
-
-    def test_jacobi_eigenvalues_match_eigh(self):
-        rng = np.random.default_rng(13)
-        for _ in range(10):
-            S = random_symmetric(rng, int(rng.integers(2, 8)))
-            mine = jacobi_eigenvalues(S)
-            oracle = np.linalg.eigvalsh(S)
-            assert np.max(np.abs(mine - oracle)) <= 1e-10
 
 
 class TestDenseKktSolve:

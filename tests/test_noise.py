@@ -75,17 +75,6 @@ class TestSampling:
         f2 = oracle.sample(p.x0, "value").f_bar
         assert f1 != f2
 
-    def test_refresh_off_replays_per_point(self):
-        p = registry_by_name()["quad-linear"]
-        spec = NoiseSpec(eps_f=0.1, eps_g=0.1, eps_c=0.1, eps_J=0.1, refresh=False)
-        oracle = make_oracle(p, spec, seed=1)
-        a = oracle.sample(p.x0)
-        b = oracle.sample(p.x0)
-        assert a.f_bar == b.f_bar
-        assert np.array_equal(a.J_bar, b.J_bar)
-        other = oracle.sample(p.x0 + 1.0)
-        assert other.f_bar != a.f_bar
-
     def test_norm_bounds_hold_exactly(self):
         p = registry_by_name()["quad-ellipse"]
         spec = NoiseSpec(eps_f=0.3, eps_g=0.2, eps_c=0.1, eps_J=0.05)
@@ -141,11 +130,3 @@ class TestDuplicatedNoiseSharing:
             noisy = oracle.sample(p.x0)
             assert np.linalg.norm(noisy.c_bar - exact.c) <= spec.eps_c
             assert np.linalg.norm(noisy.J_bar - exact.J) <= spec.eps_J
-
-    def test_sharing_can_be_disabled(self):
-        p = duplicate_last_constraint(registry_by_name()["unit-circle"])
-        spec = NoiseSpec(eps_c=0.1, eps_J=0.1, duplicate_shares_noise=False)
-        oracle = make_oracle(p, spec, seed=5)
-        distinct = any(oracle.sample(p.x0).c_bar[0] != oracle.sample(p.x0).c_bar[1]
-                       for _ in range(10))
-        assert distinct

@@ -9,7 +9,6 @@ from noisy_sqp.steps import (
     TT2_CASE2,
     TT2_COND1,
     TestParams,
-    ZeroInfeasibleStationarity,
     cauchy_normal_step,
     check_tt1,
     check_tt2,
@@ -53,10 +52,6 @@ class TestCauchyNormalStep:
         J = np.array([[1.0, 2.0]])
         _, alpha = cauchy_normal_step(np.array([1.0]), J, 0.05)
         assert alpha == pytest.approx(0.05)
-
-    def test_zero_infeasible_stationarity(self):
-        with pytest.raises(ZeroInfeasibleStationarity):
-            cauchy_normal_step(np.array([1.0]), np.zeros((1, 2)), 100.0)
 
 
 class TestNormalStep:
@@ -205,7 +200,7 @@ class TestCheckTT2:
         ev, v = self._fixture()
         case = check_tt2(np.eye(2), ev.g, ev.c, ev.J, v, np.zeros(2),
                          np.zeros(2), np.zeros(1), 1.0, PARAMS)
-        assert case in ("case2", "cond1")
+        assert case in (TT2_CASE2, TT2_COND1)
 
     def test_exact_normal_solve_satisfies_residual_branch(self):
         ev, v = self._fixture()
@@ -213,7 +208,7 @@ class TestCheckTT2:
         rho = np.eye(2) @ u + ev.J.T @ y + ev.g + v
         r = ev.J @ u
         case = check_tt2(np.eye(2), ev.g, ev.c, ev.J, v, u, rho, r, 1.0, PARAMS)
-        assert case != "fail"
+        assert case is not None
         dec_v = norm2(ev.c) - norm2(ev.c + ev.J @ v)
         dec_vr = norm2(ev.c) - norm2(ev.c + ev.J @ v + r)
         assert dec_v > 0 and dec_vr >= PARAMS.sigma_r * dec_v - 1e-12
@@ -222,7 +217,7 @@ class TestCheckTT2:
         ev, v = self._fixture()
         case = check_tt2(np.eye(2), ev.g, ev.c, ev.J, v, np.zeros(2),
                          np.array([50.0, 0.0]), np.zeros(1), 1.0, PARAMS)
-        assert case == "fail"
+        assert case is None
 
 
 class TestBundleRepassesDeclaredTest:
@@ -242,11 +237,8 @@ class TestBundleRepassesDeclaredTest:
             bundle = tangential_step(H, J, g, v, c, 1.0, PARAMS, eps_o=0.0,
                                      kappa_u=1e-2, eps_f=1e-2, eps_c=1e-2,
                                      feasible=False)
-            test = bundle.test
-            if test == EXACT_FALLBACK:
-                test = {"case2": TT2_CASE2, "cond1": TT2_COND1}[bundle.fallback_case]
+            test = bundle.fallback_case or bundle.test
             case = check_tt2(H, g, c, J, bundle.v, bundle.u, bundle.rho,
                              bundle.r, 1.0, PARAMS)
-            assert case != "fail"
-            expected = TT2_CASE2 if case == "case2" else TT2_COND1
-            assert test == expected
+            assert case is not None
+            assert test == case

@@ -5,7 +5,12 @@ import pytest
 
 from noisy_sqp.driver import SolverParams, solve
 from noisy_sqp.noise import NoiseSpec, derive_gradient_noise
-from noisy_sqp.problems import duplicate_last_constraint, registry_by_name
+from noisy_sqp.problems import (
+    ExactEvaluation,
+    ProblemSpec,
+    duplicate_last_constraint,
+    registry_by_name,
+)
 from noisy_sqp.verify import (
     FixtureInvalid,
     assert_trace_invariants,
@@ -119,6 +124,29 @@ class TestTraceInvariants:
         for variant in ("adaptive", "line_search"):
             trace, params = self._trace_and_params(variant)
             assert assert_trace_invariants(trace, params) == []
+
+    def test_recheck_uses_the_problems_curvature_matrix(self):
+        # the solver takes H from the problem when the params leave it unset;
+        # the re-check must use that H, not the identity
+        Q = np.diag([1.0, 2.0, 3.0])
+        A = np.array([[1.0, 1.0, 0.0]])
+        q = np.array([0.0, 0.0, 1.0])
+
+        def ev(x):
+            return ExactEvaluation(f=0.5 * float(x @ Q @ x) + float(q @ x),
+                                   g=Q @ x + q, c=A @ x, J=A)
+
+        p = ProblemSpec("shaped-H", 3, 1, np.array([1.0, -1.0, 2.0]), ev, H=0.01 * Q)
+        eps_g, eps_J = derive_gradient_noise(1e-4, 1e-4)
+        noise = NoiseSpec(eps_f=1e-4, eps_g=eps_g, eps_c=1e-4, eps_J=eps_J)
+        for variant in ("adaptive", "line_search"):
+            for optimism in ("optimistic", "pessimistic"):
+                params = SolverParams.benchmark_defaults(
+                    noise, variant=variant, optimism=optimism, max_iters=40)
+                assert params.H is None
+                trace = solve(p, params, 0)
+                assert assert_trace_invariants(trace, params) == []
+                assert np.array_equal(trace.H, p.H)
 
     def test_corrupted_tau_flagged(self):
         trace, params = self._trace_and_params()
