@@ -21,7 +21,7 @@ from .harness import (
     run_grid,
     run_single,
 )
-from .problems import builtin_registry, get_problem
+from .problems import DimensionMismatch, ParseError, builtin_registry, get_problem
 from .driver import SolverParams, solve
 from .noise import NoiseSpec, derive_gradient_noise
 
@@ -58,14 +58,31 @@ def _build_parser():
     return parser
 
 
+# bad problem names, paths and files
+INPUT_ERRORS = (OSError, KeyError, ParseError, DimensionMismatch)
+
+
+def _error(kind: str, exc: Exception) -> int:
+    """Print one ``kind: message`` line for a user error; exit status 2."""
+    # str() of a KeyError quotes its message
+    message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+    print(f"{kind}: {message}", file=sys.stderr)
+    return 2
+
+
 def _cmd_solve(args) -> int:
-    variant = VariantSpec(
-        scheme=args.variant, optimism=args.optimism,
-        exactness="exact" if args.exact else "inexact", kappa=args.kappa)
-    record = run_single(
-        args.problem, variant, args.eps_f, args.eps_c, args.seed,
-        "duplicated" if args.duplicated else "original",
-        budgets=(args.max_iters, args.max_weighted_evals))
+    try:
+        variant = VariantSpec(
+            scheme=args.variant, optimism=args.optimism,
+            exactness="exact" if args.exact else "inexact", kappa=args.kappa)
+        record = run_single(
+            args.problem, variant, args.eps_f, args.eps_c, args.seed,
+            "duplicated" if args.duplicated else "original",
+            budgets=(args.max_iters, args.max_weighted_evals))
+    except INPUT_ERRORS as exc:
+        return _error("input error", exc)
+    except ValueError as exc:
+        return _error("config error", exc)
     print(f"problem            {record.problem}")
     print(f"status             {record.status}")
     print(f"iterations         {record.iters}")
@@ -87,8 +104,7 @@ def _cmd_grid(args) -> int:
         config.out_dir = args.out
         records, path = run_grid(config)
     except (OSError, ValueError, KeyError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+        return _error("config error", exc)
     solved = sum(1 for r in records if r.solved)
     print(f"{len(records)} runs -> {path} ({solved} solved)")
     return 0
@@ -99,10 +115,9 @@ def _cmd_profile(args) -> int:
     try:
         with open(args.infile) as fh:
             records = records_from_csv(fh.read())
-    except OSError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    table = performance_profile(records, cost_field=cost_field)
+        table = performance_profile(records, cost_field=cost_field)
+    except (OSError, KeyError, ValueError) as exc:
+        return _error("input error", exc)
     with open(args.out, "w") as fh:
         fh.write(profile_to_tsv(table))
     costs_path = os.path.splitext(args.out)[0] + ".costs.tsv"

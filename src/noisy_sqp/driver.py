@@ -10,6 +10,7 @@ never feed the solver path.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,6 +27,7 @@ EARLY_INFEASIBLE = "early_infeasible_stationary"
 DEGENERATE = "degenerate_direction"
 LINE_SEARCH_FAILURE = "line_search_failure"
 TEST_UNSATISFIABLE = "test_unsatisfiable"
+NONFINITE = "nonfinite_evaluation"
 
 FEASIBLE_BRANCH = "feasible_branch"
 INFEASIBLE_BRANCH = "infeasible_branch"
@@ -164,6 +166,17 @@ class RunTrace:
         return sum(r.bundle.cg_iters for r in self.records if r.bundle is not None)
 
 
+def _finite_sample(noisy) -> bool:
+    """True when a full oracle sample holds no NaN or Inf."""
+    # one isfinite pass over the concatenation costs less than one per part
+    parts = np.concatenate((noisy.g_bar, noisy.c_bar, noisy.J_bar.ravel()))
+    return math.isfinite(noisy.f_bar) and bool(np.isfinite(parts).all())
+
+
+class _NonFiniteTrial(Exception):
+    """A line-search trial point gave a NaN or Inf merit value."""
+
+
 def solve(problem: ProblemSpec, params: SolverParams, seed: int,
           oracle: NoisyOracle | None = None, record_exact: bool = True) -> RunTrace:
     """Run the solver on one problem; never raises for algorithmic outcomes.
@@ -202,111 +215,122 @@ def solve(problem: ProblemSpec, params: SolverParams, seed: int,
             sigma_chi=seeds.sigma_chi, sigma_zeta=seeds.sigma_zeta,
             sigma_xi=seeds.sigma_xi)
 
-    x = problem.x0.copy()
+    counters = oracle.counters
+    x = problem.x0.copy()  # rebound every step, never mutated in place
     status = None
     k = 0
+
+    # reads the current iteration's locals when called
+    def make_record(bundle, tau, alpha, **extra):
+        after = counters.snapshot()
+        return IterRecord(
+            k=k, x=x, noisy=noisy, exact=exact, bundle=bundle,
+            tau_prev=tau_prev, tau=tau, alpha=alpha, branch=branch,
+            counters_delta=(after[0] - before[0], after[1] - before[1]),
+            **extra)
+
     while True:
         if k >= params.max_iters:
             status = BUDGET_ITERS
             break
-        if oracle.counters.weighted_total >= params.max_weighted_evals:
+        if counters.weighted_total >= params.max_weighted_evals:
             status = BUDGET_EVALS
             break
-        before = oracle.counters.snapshot()
+        before = counters.snapshot()
         noisy = oracle.sample(x, want="both")
         exact = evaluate(problem, x) if record_exact else None
         tau_prev = tau_state.tau
-        c_norm = norm2(noisy.c_bar)
-
-        def make_record(bundle, tau, alpha, branch, **extra):
-            after = oracle.counters.snapshot()
-            return IterRecord(
-                k=k, x=x.copy(), noisy=noisy, exact=exact, bundle=bundle,
-                tau_prev=tau_prev, tau=tau, alpha=alpha, branch=branch,
-                counters_delta=(after[0] - before[0], after[1] - before[1]),
-                **extra)
-
+        g_bar, c_bar, J_bar = noisy.g_bar, noisy.c_bar, noisy.J_bar
+        c_norm = norm2(c_bar)
         feasible = c_norm <= branch_gate
         branch = FEASIBLE_BRANCH if feasible else INFEASIBLE_BRANCH
+        if not _finite_sample(noisy):
+            records.append(make_record(None, tau_prev, 0.0))
+            status = NONFINITE
+            break
+        Jtc = J_bar.T @ c_bar
         if feasible:
             v, cg_iters = np.zeros(n), 0
             tau_state.keep(k)
         else:
-            if norm_inf(noisy.J_bar.T @ noisy.c_bar) <= steps.tol_Jc(noisy.c_bar):
-                records.append(make_record(None, tau_prev, 0.0, branch))
+            if norm_inf(Jtc) <= steps.tol_Jc(c_bar):
+                records.append(make_record(None, tau_prev, 0.0))
                 status = EARLY_INFEASIBLE
                 break
             v, cg_iters = steps.normal_step(
-                noisy.c_bar, noisy.J_bar, params.tests, params.kappa_v,
-                noise.eps_f, noise.eps_c, exact=exact_mode)
+                c_bar, J_bar, params.tests, params.kappa_v,
+                noise.eps_f, noise.eps_c, exact=exact_mode, Jtc=Jtc)
         try:
             bundle = steps.tangential_step(
-                H, noisy.J_bar, noisy.g_bar, v, noisy.c_bar, tau_prev,
+                H, J_bar, g_bar, v, c_bar, tau_prev,
                 params.tests, eps_o, params.kappa_u, noise.eps_f,
-                noise.eps_c, exact=exact_mode, feasible=feasible)
+                noise.eps_c, exact=exact_mode, feasible=feasible, Jtc=Jtc)
         except steps.TestUnsatisfiable:
-            records.append(make_record(None, tau_prev, 0.0, branch))
+            records.append(make_record(None, tau_prev, 0.0))
             status = TEST_UNSATISFIABLE
             break
         bundle.cg_iters = cg_iters
         outcome = bundle.fallback_case or bundle.test
         if outcome == steps.TT2_COND1:
             trial = merit.tau_trial(
-                noisy.g_bar, bundle.d, bundle.u, H, c_norm,
-                norm2(noisy.c_bar + noisy.J_bar @ bundle.v + bundle.r),
-                params.tests)
+                g_bar, bundle.d, bundle.u, H, c_norm,
+                norm2(c_bar + J_bar @ bundle.v + bundle.r), params.tests)
             merit.tau_update(tau_state, trial, params.sigma_tau, k)
         elif not feasible:
             tau_state.keep(k)
         tau_k = tau_state.tau
-        delta_l = merit.model_reduction(
-            tau_k, noisy.g_bar, noisy.c_bar, noisy.J_bar, bundle.d)
+        d = bundle.d
+        delta_l = merit.model_reduction(tau_k, g_bar, c_bar, J_bar, d)
         if feasible and delta_l <= eps_o:
-            records.append(make_record(bundle, tau_k, 0.0, branch, delta_l=delta_l))
+            records.append(make_record(bundle, tau_k, 0.0, delta_l=delta_l))
             status = EARLY_STATIONARY
             break
 
-        if norm_inf(bundle.d) <= params.tol_d:
-            records.append(make_record(bundle, tau_k, 0.0, branch, delta_l=delta_l))
+        if norm_inf(d) <= params.tol_d:
+            records.append(make_record(bundle, tau_k, 0.0, delta_l=delta_l))
             status = DEGENERATE
             break
 
-        if params.variant == ADAPTIVE:
-            stepsize.update_chi_zeta(adapt, bundle.u, bundle.v, bundle.d, H)
-            stepsize.xi_update(adapt, delta_l, tau_k, bundle.u, bundle.v, bundle.d)
+        if adapt is not None:
+            u, v = bundle.u, bundle.v
+            stepsize.update_chi_zeta(adapt, u, v, d, H)
+            stepsize.xi_update(adapt, delta_l, tau_k, u, v, d)
             alpha, a_suff, a_min, a_max = stepsize.adaptive_alpha(
-                adapt, delta_l, tau_k, bundle.u, bundle.v, bundle.d)
+                adapt, delta_l, tau_k, u, v, d)
             records.append(make_record(
-                bundle, tau_k, alpha, branch, delta_l=delta_l,
+                bundle, tau_k, alpha, delta_l=delta_l,
                 chi=adapt.chi, zeta=adapt.zeta, xi=adapt.xi,
                 alpha_suff=a_suff, alpha_min=a_min, alpha_max=a_max))
         else:
-            phi0 = merit.merit_value(tau_k, noisy.f_bar, noisy.c_bar)
+            phi0 = merit.merit_value(tau_k, noisy.f_bar, c_bar)
             relax = stepsize.epsilon_Ak(
                 tau_k, noise.eps_f, noise.eps_c, noise.eps_g, noise.eps_J,
-                params.ls.alpha_u, norm2(bundle.d))
+                params.ls.alpha_u, norm2(d))
             trial_values = []
 
             def merit_eval(a):
-                trial = oracle.sample(x + a * bundle.d, want="value")
+                trial = oracle.sample(x + a * d, want="value")
                 val = merit.merit_value(tau_k, trial.f_bar, trial.c_bar)
                 trial_values.append(val)
+                if not math.isfinite(val):
+                    raise _NonFiniteTrial
                 return val
 
             try:
                 alpha, backtracks = stepsize.line_search_alpha(
                     merit_eval, phi0, delta_l, relax, params.ls)
-            except stepsize.BacktrackExhausted:
+            except (stepsize.BacktrackExhausted, _NonFiniteTrial) as exc:
                 records.append(make_record(
-                    bundle, tau_k, 0.0, branch, delta_l=delta_l, phi0=phi0,
-                    relax=relax, backtracks=params.ls.max_backtracks))
-                status = LINE_SEARCH_FAILURE
+                    bundle, tau_k, 0.0, delta_l=delta_l, phi0=phi0,
+                    relax=relax, backtracks=len(trial_values) - 1))
+                status = (NONFINITE if isinstance(exc, _NonFiniteTrial)
+                          else LINE_SEARCH_FAILURE)
                 break
             records.append(make_record(
-                bundle, tau_k, alpha, branch, delta_l=delta_l, phi0=phi0,
+                bundle, tau_k, alpha, delta_l=delta_l, phi0=phi0,
                 phi_accept=trial_values[-1], relax=relax, backtracks=backtracks))
 
-        x = x + alpha * bundle.d
+        x = x + alpha * d
         k += 1
 
     return RunTrace(

@@ -142,26 +142,28 @@ def best_iterate(trace, eps_c: float, eps_f: float):
     least-squares multipliers) the one with the lowest stationarity error
     wins; with no qualifying iterate, the lowest feasibility error wins.
     Iterates after an early termination never participate; ties break to
-    the smallest index.
+    the smallest index, and a NaN error (from a non-finite evaluation)
+    never beats a number.  The multipliers of all iterates come from one
+    stacked `least_squares_multiplier` call.
     """
-    records = [r for r in trace.records if r.exact is not None]
-    if not records:
+    exact = [r.exact for r in trace.records if r.exact is not None]
+    if not exact:
         raise ValueError("trace has no exact snapshots")
-    feas_gate = 2.0 * max(eps_c, eps_f)
-    rows = []
-    for idx, rec in enumerate(records):
-        ex = rec.exact
-        y = least_squares_multiplier(ex.J, ex.g)
-        feas = norm_inf(ex.c)
-        stat = norm_inf(ex.g + ex.J.T @ y)
-        infeas_stat = norm_inf(ex.J.T @ ex.c)
-        rows.append((idx, feas, stat, infeas_stat, norm_inf(y)))
-    qualified = [row for row in rows if row[1] <= feas_gate]
-    if qualified:
-        best = min(qualified, key=lambda row: (row[2], row[0]))
+    J = np.stack([ex.J for ex in exact])
+    g = np.stack([ex.g for ex in exact])
+    c = np.stack([ex.c for ex in exact])
+    y = least_squares_multiplier(J, g)
+    feas = abs(c).max(axis=1)
+    stat = abs(g + (J.transpose(0, 2, 1) @ y[:, :, None])[:, :, 0]).max(axis=1)
+    qualified = np.flatnonzero(feas <= 2.0 * max(eps_c, eps_f))
+    if qualified.size:
+        key, among = stat[qualified], qualified
     else:
-        best = min(rows, key=lambda row: (row[1], row[0]))
-    return best[0], best[1], best[2], best[3], best[4]
+        key, among = feas, np.arange(len(exact))
+    # argmin returns the first minimum
+    idx = int(among[np.argmin(np.where(np.isnan(key), np.inf, key))])
+    infeas_stat = norm_inf(J[idx].T @ c[idx])
+    return idx, float(feas[idx]), float(stat[idx]), infeas_stat, norm_inf(y[idx])
 
 
 def success(feas_err: float, stat_err: float, y_inf_norm: float,

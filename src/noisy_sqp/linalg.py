@@ -11,6 +11,7 @@ of raising.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,21 +22,28 @@ def as_vector(x, name: str = "vector") -> np.ndarray:
     v = np.asarray(x, dtype=float)
     if v.ndim != 1:
         raise ValueError(f"{name} must be 1-D, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError(f"{name} has non-finite entries")
     return v.copy()
 
 
 def norm2(x) -> float:
-    x = np.asarray(x)
+    """Euclidean norm of a vector; Frobenius norm of a matrix."""
+    if type(x) is not np.ndarray:
+        x = np.asarray(x)
     if x.ndim == 1:
-        return float(np.sqrt(x @ x))
+        return math.sqrt(x.dot(x))
     return float(np.linalg.norm(x))
 
 
 def norm_inf(x) -> float:
-    x = np.asarray(x)
-    return float(np.abs(x).max()) if x.size else 0.0
+    """Largest absolute entry (0 for an empty array).
+
+    For a matrix this is the max-abs entry, not the induced row-sum norm.
+    """
+    if type(x) is not np.ndarray:
+        x = np.asarray(x)
+    return float(abs(x).max()) if x.size else 0.0
 
 
 @dataclass
@@ -83,42 +91,45 @@ def minres_iterate(apply_A, b: np.ndarray, state: MinresState | None = None):
     the zero vector as iterate 0; a breakdown (zero Lanczos vector) means
     b = 0 or the Krylov space is exhausted, i.e. the candidate is already
     exact up to round-off.  Breakdown is reported on the state, not raised.
+    The candidate is the state's iterate: rebound by every step, never
+    mutated in place.
     """
     if state is None:
         state = MinresState(np.asarray(b, dtype=float))
     if state.breakdown:
-        return state.x.copy(), state
+        return state.x, state
 
-    v = state.r2 / state.beta
-    y = np.asarray(apply_A(v), dtype=float)
+    beta = state.beta
+    v = state.r2 / beta
+    y = apply_A(v)
     if state.iterations >= 1:
-        y = y - (state.beta / state.oldb) * state.r1
-    alfa = float(v @ y)
-    y = y - (alfa / state.beta) * state.r2
-    state.r1 = state.r2
-    state.r2 = y
-    state.oldb = state.beta
-    state.beta = norm2(y)
+        y = y - (beta / state.oldb) * state.r1
+    alfa = float(v.dot(y))
+    y = y - (alfa / beta) * state.r2
+    state.r1, state.r2, state.oldb = state.r2, y, beta
+    beta = norm2(y)
 
+    cs, sn, dbar = state.cs, state.sn, state.dbar
     oldeps = state.epsln
-    delta = state.cs * state.dbar + state.sn * alfa
-    gbar = state.sn * state.dbar - state.cs * alfa
-    state.epsln = state.sn * state.beta
-    state.dbar = -state.cs * state.beta
-    gamma = max(np.hypot(gbar, state.beta), 1e-300)
-    state.cs = gbar / gamma
-    state.sn = state.beta / gamma
-    phi = state.cs * state.phibar
-    state.phibar = state.sn * state.phibar
+    delta = cs * dbar + sn * alfa
+    gbar = sn * dbar - cs * alfa
+    state.epsln = sn * beta
+    state.dbar = -cs * beta
+    # np.hypot, not math.hypot: the two differ in the last bit on some pairs
+    gamma = max(float(np.hypot(gbar, beta)), 1e-300)
+    cs = gbar / gamma
+    sn = beta / gamma
+    phi = cs * state.phibar
+    state.phibar = sn * state.phibar
+    state.beta, state.cs, state.sn = beta, cs, sn
 
-    w1 = state.w2
-    state.w2 = state.w
-    state.w = (v - oldeps * w1 - delta * state.w2) / gamma
-    state.x = state.x + phi * state.w
+    w = (v - oldeps * state.w2 - delta * state.w) / gamma
+    state.w2, state.w = state.w, w
+    state.x = state.x + phi * w
     state.iterations += 1
-    if state.beta <= 1e-14 * max(1.0, state.beta1) or state.iterations >= 2 * state.n:
+    if beta <= 1e-14 * max(1.0, state.beta1) or state.iterations >= 2 * state.n:
         state.breakdown = True
-    return state.x.copy(), state
+    return state.x, state
 
 
 def minres_solve(apply_A, b: np.ndarray, tol: float = 1e-10,
@@ -131,7 +142,7 @@ def minres_solve(apply_A, b: np.ndarray, tol: float = 1e-10,
     state = None
     while True:
         x, state = minres_iterate(apply_A, b, state)
-        res = norm_inf(np.asarray(apply_A(x)) - b)
+        res = norm_inf(apply_A(x) - b)
         if res <= tol or state.breakdown or state.iterations >= max_iters:
             return SymSolveReport(x, res, state.iterations)
 
@@ -150,13 +161,14 @@ def cg_steihaug(apply_H, g: np.ndarray, radius: float, stop=None):
     z = np.zeros(n)
     r = g.copy()
     d = -r
-    rr = float(r @ r)
+    rr = float(r.dot(r))
     if rr == 0.0:
         return z, False, 0
+    rr_floor = 1e-30 * max(1.0, float(g.dot(g)))
     max_iters = 2 * n + 10
     for it in range(1, max_iters + 1):
-        Hd = np.asarray(apply_H(d), dtype=float)
-        dHd = float(d @ Hd)
+        Hd = apply_H(d)
+        dHd = float(d.dot(Hd))
         if dHd <= 0.0:
             tau = _boundary_step(z, d, radius)
             return z + tau * d, True, it
@@ -167,10 +179,10 @@ def cg_steihaug(apply_H, g: np.ndarray, radius: float, stop=None):
             return z + tau * d, True, it
         z = z_next
         r = r + alpha * Hd
-        rr_next = float(r @ r)
+        rr_next = float(r.dot(r))
         if stop is not None and stop(r):
             return z, False, it
-        if rr_next <= 1e-30 * max(1.0, float(g @ g)):
+        if rr_next <= rr_floor:
             return z, False, it
         d = -r + (rr_next / rr) * d
         rr = rr_next
@@ -179,9 +191,9 @@ def cg_steihaug(apply_H, g: np.ndarray, radius: float, stop=None):
 
 def _boundary_step(z, d, radius):
     # positive root of ||z + tau d||^2 = radius^2
-    dd = float(d @ d)
-    zd = float(z @ d)
-    zz = float(z @ z)
+    dd = float(d.dot(d))
+    zd = float(z.dot(d))
+    zz = float(z.dot(z))
     disc = max(zd * zd - dd * (zz - radius * radius), 0.0)
     return (-zd + np.sqrt(disc)) / dd
 
@@ -189,18 +201,28 @@ def _boundary_step(z, d, radius):
 def least_squares_multiplier(J: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Multiplier y minimizing ||g + J'y||_2 via regularized normal equations.
 
-    The Gram matrix J J' gets a ridge of 1e-12 * (1 + ||JJ'||_inf) when rank
-    deficient, which makes the solve total and returns the minimum-norm
-    minimizer of the regularized system.
+    Takes one (m, n) Jacobian with g of shape (n,), or a stack (k, m, n)
+    with g of shape (k, n) and then returns the k multipliers as (k, m),
+    each equal bit for bit to its own unstacked call.  A rank-deficient
+    Gram matrix M = JJ' gets a ridge of 1e-12 * (1 + max|M_ij|), which
+    makes the solve total and returns the minimum-norm minimizer of the
+    regularized system.
     """
     J = np.asarray(J, dtype=float)
     g = np.asarray(g, dtype=float)
-    M = J @ J.T
-    rhs = -J @ g
+    stacked = J.ndim == 3
+    if not stacked:
+        J, g = J[None], g[None]
+    M = J @ J.transpose(0, 2, 1)
+    rhs = -J @ g[:, :, None]
     w = np.linalg.eigvalsh(M)
-    if w[0] <= 1e-12 * max(1.0, w[-1]):
-        M = M + (1e-12 * (1.0 + norm_inf(M))) * np.eye(M.shape[0])
-    return np.linalg.solve(M, rhs)
+    ridged = w[:, 0] <= 1e-12 * np.maximum(1.0, w[:, -1])
+    if ridged.any():
+        M_r = M[ridged]
+        ridge = 1e-12 * (1.0 + abs(M_r).max(axis=(1, 2)))
+        M[ridged] = M_r + ridge[:, None, None] * np.eye(M.shape[-1])
+    y = np.linalg.solve(M, rhs)[:, :, 0]
+    return y if stacked else y[0]
 
 
 def smallest_singular_value(J: np.ndarray) -> float:
@@ -212,9 +234,10 @@ def dense_kkt_solve(H: np.ndarray, J: np.ndarray, rhs_top: np.ndarray):
     """Exact solve of [[H, J'], [J, 0]] [u; y] = [-rhs_top; 0].
 
     Verification / fallback oracle.  When J is rank deficient the (2,2)
-    block is regularized with -1e-12-scale diagonal, up front or after a
-    failed first factorization; the u component stays unique per the
-    saddle-system structure.  A failure after the ridge raises LinAlgError.
+    block is regularized with a diagonal of -1e-12 * (1 + max|(JJ')_ij|),
+    up front or after a failed first factorization; the u component stays
+    unique per the saddle-system structure.  A failure after the ridge
+    raises LinAlgError.
     """
     H = np.asarray(H, dtype=float)
     J = np.asarray(J, dtype=float)

@@ -38,10 +38,8 @@ def merit_value(tau: float, f: float, c) -> float:
 
 
 def model_reduction(tau: float, g_bar, c_bar, J_bar, d) -> float:
-    """Reduction of the merit model:  -tau g'd + ||c|| - ||c + Jd||."""
-    c_bar = np.asarray(c_bar)
-    return float(-tau * (np.asarray(g_bar) @ np.asarray(d))
-                 + norm2(c_bar) - norm2(c_bar + np.asarray(J_bar) @ np.asarray(d)))
+    """Reduction of the merit model:  -tau g'd + ||c|| - ||c + Jd||  (float arrays)."""
+    return float(-tau * g_bar.dot(d) + norm2(c_bar) - norm2(c_bar + J_bar.dot(d)))
 
 
 def tau_trial(g_bar, d, u, H, c_norm: float, c_vr_norm: float, params) -> float:

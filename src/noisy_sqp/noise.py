@@ -13,6 +13,7 @@ evaluation; the weighted total counts gradients double.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,7 +111,7 @@ class NoisyOracle:
         if want in ("value", "both"):
             e_f = float(self.rng.uniform(-spec.eps_f, spec.eps_f)) if spec.eps_f > 0 else 0.0
             if spec.eps_c > 0:
-                a = spec.eps_c / np.sqrt(m)
+                a = spec.eps_c / math.sqrt(m)
                 e_c = self.rng.uniform(-a, a, size=m)
                 for src, dst in shared:
                     e_c[dst] = e_c[src]
@@ -118,12 +119,12 @@ class NoisyOracle:
                 e_c = np.zeros(m)
         if want in ("derivative", "both"):
             if spec.eps_g > 0:
-                a = spec.eps_g / np.sqrt(n)
+                a = spec.eps_g / math.sqrt(n)
                 e_g = self.rng.uniform(-a, a, size=n)
             else:
                 e_g = np.zeros(n)
             if spec.eps_J > 0:
-                a = spec.eps_J / np.sqrt(m * n)
+                a = spec.eps_J / math.sqrt(m * n)
                 e_J = self.rng.uniform(-a, a, size=(m, n))
                 for src, dst in shared:
                     e_J[dst, :] = e_J[src, :]

@@ -87,26 +87,30 @@ def tol_Jc(c_bar) -> float:
     return 1e-12 * max(1.0, norm_inf(c_bar))
 
 
-def cauchy_normal_step(c_bar, J_bar, sigma_Jc: float):
+# The functions below take float ndarrays.  ``Jtc`` is J'c when the caller
+# has it already (the driver forms it once per iteration); it is formed
+# here otherwise.
+
+
+def cauchy_normal_step(c_bar, J_bar, sigma_Jc: float, *, Jtc=None):
     """Steepest-descent direction -J'c with its capped optimal step size.
 
     Returns (v_c, alpha_c) with alpha_c = min{sigma_Jc, ||J'c||^2 / ||JJ'c||^2}.
     """
-    c_bar = np.asarray(c_bar, dtype=float)
-    J_bar = np.asarray(J_bar, dtype=float)
-    Jtc = J_bar.T @ c_bar
+    if Jtc is None:
+        Jtc = J_bar.T @ c_bar
     v_c = -Jtc
-    JJtc = J_bar @ Jtc
-    denom = float(JJtc @ JJtc)
+    JJtc = J_bar.dot(Jtc)
+    denom = float(JJtc.dot(JJtc))
     if denom == 0.0:
         alpha_c = sigma_Jc
     else:
-        alpha_c = min(sigma_Jc, float(Jtc @ Jtc) / denom)
+        alpha_c = min(sigma_Jc, float(Jtc.dot(Jtc)) / denom)
     return v_c, alpha_c
 
 
 def normal_step(c_bar, J_bar, params: TestParams, kappa_v: float,
-                eps_f: float, eps_c: float, exact: bool = False):
+                eps_f: float, eps_c: float, exact: bool = False, *, Jtc=None):
     """Inexact normal component via trust-region CG on 1/2 ||c + Jv||^2.
 
     CG runs in the Krylov space of J'c, hence v stays in Range(J').  It stops
@@ -114,51 +118,46 @@ def normal_step(c_bar, J_bar, params: TestParams, kappa_v: float,
     noise-scaled gate.  The caller has already taken the infeasible-stationary
     exit when J'c is numerically zero (`tol_Jc`).
     """
-    c_bar = np.asarray(c_bar, dtype=float)
-    J_bar = np.asarray(J_bar, dtype=float)
-    v_c, alpha_c = cauchy_normal_step(c_bar, J_bar, params.sigma_Jc)
-    Jtc = -v_c
+    Jt = J_bar.T
+    if Jtc is None:
+        Jtc = Jt @ c_bar
+    v_c, alpha_c = cauchy_normal_step(c_bar, J_bar, params.sigma_Jc, Jtc=Jtc)
     v_cauchy = alpha_c * v_c
     c_norm = norm2(c_bar)
-    cauchy_target = params.gamma_c * (c_norm - norm2(c_bar + J_bar @ v_cauchy))
+    cauchy_target = params.gamma_c * (c_norm - norm2(c_bar + J_bar.dot(v_cauchy)))
     radius = params.sigma_Jc * norm2(Jtc)
     coef = 1e-10 if exact else kappa_v * min(eps_c, eps_f)
     threshold = coef * max(1.0, norm_inf(Jtc))
 
-    def apply_H(p):
-        return J_bar.T @ (J_bar @ p)
-
-    v, _, iters = cg_steihaug(apply_H, Jtc, radius,
-                              stop=lambda resid: norm_inf(resid) <= threshold)
+    v, _, iters = cg_steihaug(lambda p: Jt.dot(J_bar.dot(p)), Jtc, radius,
+                              stop=lambda resid: abs(resid).max() <= threshold)
     # CG's first iterate is the Cauchy point, so the decrease condition holds
     # at exit by monotonicity; fall back to the Cauchy point defensively.
-    if c_norm - norm2(c_bar + J_bar @ v) < cauchy_target - 1e-10 * max(1.0, c_norm):
+    if c_norm - norm2(c_bar + J_bar.dot(v)) < cauchy_target - 1e-10 * max(1.0, c_norm):
         v = v_cauchy
     return v, iters
 
 
-def _round_off_slack(g_bar, c_bar) -> float:
+def _round_off_slack(g_norm: float, c_norm: float) -> float:
     # the tests are stated for exact arithmetic; near convergence the solver
     # residual round-off dominates u'Hu, so the inequalities get a tiny
     # scale-aware slack
-    return 1e-13 * max(1.0, norm2(g_bar), norm2(c_bar))
+    return 1e-13 * max(1.0, g_norm, c_norm)
 
 
 def check_tt1(H, g_bar, c_bar, J_bar, u, rho, r, tau_prev: float,
-              params: TestParams, eps_o: float) -> bool:
+              params: TestParams, eps_o: float, *, Jtc=None) -> bool:
     """Termination Test 1 (feasible branch, v = 0); all four conditions, 2-norms."""
-    u = np.asarray(u)
-    Hu = np.asarray(H) @ u
-    uHu = float(u @ Hu)
-    u_nrm2 = float(u @ u)
-    Jtc_norm = norm2(np.asarray(J_bar).T @ np.asarray(c_bar))
-    slack = _round_off_slack(g_bar, c_bar)
+    uHu = float(u.dot(H.dot(u)))
+    u_nrm2 = float(u.dot(u))
+    Jtc_norm = norm2(J_bar.T @ c_bar if Jtc is None else Jtc)
+    slack = _round_off_slack(norm2(g_bar), norm2(c_bar))
     res_gate = params.lambda_rho_r * min(max(norm2(u), Jtc_norm), params.kappa_rho_r)
     if max(norm2(rho), norm2(r)) > res_gate:
         return False
     if uHu < params.lambda_u * u_nrm2 - eps_o - slack:
         return False
-    if float(np.asarray(g_bar) @ u) + 0.5 * uHu > eps_o + slack:
+    if float(g_bar.dot(u)) + 0.5 * uHu > eps_o + slack:
         return False
     dl = model_reduction(tau_prev, g_bar, c_bar, J_bar, u)
     if dl < tau_prev * params.sigma_u * max(uHu, params.lambda_u * u_nrm2) - eps_o - slack:
@@ -167,38 +166,33 @@ def check_tt1(H, g_bar, c_bar, J_bar, u, rho, r, tau_prev: float,
 
 
 def check_tt2(H, g_bar, c_bar, J_bar, v, u, rho, r, tau_prev: float,
-              params: TestParams) -> str | None:
+              params: TestParams, *, Jtc=None) -> str | None:
     """Termination Test 2 (infeasible branch); returns TT2_CASE2, TT2_COND1 or None.
 
     Case 2 has priority because it keeps the merit parameter unchanged.
     """
-    u = np.asarray(u)
-    v = np.asarray(v)
-    H = np.asarray(H)
-    c_bar = np.asarray(c_bar)
-    J_bar = np.asarray(J_bar)
-    Hu = H @ u
-    uHu = float(u @ Hu)
+    uHu = float(u.dot(H.dot(u)))
     u_nrm = norm2(u)
     v_nrm = norm2(v)
-    Jtc_norm = norm2(J_bar.T @ c_bar)
+    Jtc_norm = norm2(J_bar.T @ c_bar if Jtc is None else Jtc)
 
-    slack = _round_off_slack(g_bar, c_bar)
+    c_norm = norm2(c_bar)
+    slack = _round_off_slack(norm2(g_bar), c_norm)
     res_gate = params.lambda_rho_r * min(max(u_nrm, Jtc_norm), params.kappa_rho_r)
     if max(norm2(rho), norm2(r)) > res_gate:
         return None
 
     if u_nrm > params.lambda_uv * v_nrm:
         curvature_ok = uHu >= params.lambda_u * u_nrm * u_nrm - slack
-        slope = float((np.asarray(g_bar) + H @ v) @ u)
+        slope = float((g_bar + H.dot(v)).dot(u))
         weight = max(0.5, 1.0 - Jtc_norm)
         if not (curvature_ok and slope + weight * uHu <= params.lambda_v * v_nrm + slack):
             return None
 
     d = v + u
-    c_norm = norm2(c_bar)
-    c_v_norm = norm2(c_bar + J_bar @ v)
-    c_vr_norm = norm2(c_bar + J_bar @ v + np.asarray(r))
+    c_v = c_bar + J_bar.dot(v)
+    c_v_norm = norm2(c_v)
+    c_vr_norm = norm2(c_v + r)
     dl = model_reduction(tau_prev, g_bar, c_bar, J_bar, d)
     if dl >= tau_prev * params.sigma_u * max(uHu, params.lambda_u * u_nrm * u_nrm) \
             + params.sigma_c * (c_norm - c_v_norm) - slack:
@@ -212,62 +206,69 @@ def check_tt2(H, g_bar, c_bar, J_bar, v, u, rho, r, tau_prev: float,
 def tangential_step(H, J_bar, g_bar, v, c_bar, tau_prev: float,
                     params: TestParams, eps_o: float, kappa_u: float,
                     eps_f: float, eps_c: float, exact: bool = False, *,
-                    feasible: bool) -> StepBundle:
+                    feasible: bool, Jtc=None) -> StepBundle:
     """Inexact tangential component via the symmetric Krylov solver.
 
-    Iterates of the saddle system are checked against the branch's
-    termination test (TT1 when ``feasible``, else TT2) and the noise-scaled
-    residual gate after every step.  When the solver breaks down (at the
-    latest after 2(n+m) steps) without acceptance, the dense solve takes
-    over and the test is re-checked on the exact solution (tag
+    Iterates of the saddle system are checked against the noise-scaled
+    residual gate and, once that passes, the branch's termination test (TT1
+    when ``feasible``, else TT2) after every step.  When the solver breaks
+    down (at the latest after 2(n+m) steps) without acceptance, the dense
+    solve takes over and the test is re-checked on the exact solution (tag
     exact_fallback, with the passing test's tag in ``fallback_case``).
     """
-    H = np.asarray(H, dtype=float)
-    J_bar = np.asarray(J_bar, dtype=float)
-    g_bar = np.asarray(g_bar, dtype=float)
-    v = np.asarray(v, dtype=float)
-    c_bar = np.asarray(c_bar, dtype=float)
     m, n = J_bar.shape
-
+    Jt = J_bar.T
+    if Jtc is None:
+        Jtc = Jt @ c_bar
     K = np.zeros((n + m, n + m))
     K[:n, :n] = H
-    K[:n, n:] = J_bar.T
+    K[:n, n:] = Jt
     K[n:, :n] = J_bar
-    b = np.concatenate([g_bar + H @ v, np.zeros(m)])
+    b = np.concatenate((g_bar + H.dot(v), np.zeros(m)))
+    apply_K = K.dot
 
     coef = 1e-10 if exact else kappa_u * min(eps_c, eps_f)
-    Jtc_inf = norm_inf(J_bar.T @ c_bar)
+    Jtc_inf = norm_inf(Jtc)
 
     def passed_test(z, resid):
         """Tag of the branch's termination test at candidate z, or None."""
         u, rho, r = z[:n], resid[:n], resid[n:]
         if not feasible:
-            return check_tt2(H, g_bar, c_bar, J_bar, v, u, rho, r, tau_prev, params)
-        if check_tt1(H, g_bar, c_bar, J_bar, u, rho, r, tau_prev, params, eps_o):
+            return check_tt2(H, g_bar, c_bar, J_bar, v, u, rho, r, tau_prev, params,
+                             Jtc=Jtc)
+        if check_tt1(H, g_bar, c_bar, J_bar, u, rho, r, tau_prev, params, eps_o,
+                     Jtc=Jtc):
             return TT1
         return None
 
-    def accept(z):
-        resid = K @ z + b
-        gate = coef * max(min(max(norm_inf(z[:n]), Jtc_inf), 1e2), 1e-2)
-        if norm_inf(resid) > gate:
-            return None, resid
-        return passed_test(z, resid), resid
-
+    minus_b = -b
     state = None
     z = np.zeros(n + m)
-    tag, resid = accept(z)
     iters = 0
-    while tag is None and (state is None or not state.breakdown):
-        z, state = minres_iterate(lambda p: K @ p, -b, state)
+    tag = None
+    # the residual gate is coef * clip(min(max|u|, ||J'c||_inf), 1e-2, 1e2);
+    # most candidates fail it at the upper clip already, before max|u| is
+    # needed ("not >" lets a NaN residual through, as "<=" would not)
+    gate_cap = coef * 1e2
+    while True:
+        resid = apply_K(z) + b
+        resid_inf = abs(resid).max()
+        if not resid_inf > gate_cap:
+            gate = coef * max(min(max(abs(z[:n]).max(), Jtc_inf), 1e2), 1e-2)
+            if not resid_inf > gate:
+                tag = passed_test(z, resid)
+                if tag is not None:
+                    break
+        if state is not None and state.breakdown:
+            break
+        z, state = minres_iterate(apply_K, minus_b, state)
         iters += 1
-        tag, resid = accept(z)
 
     fallback_case = None
     if tag is None:
         # dense fallback; residuals vanish up to round-off
-        z = np.concatenate(dense_kkt_solve(H, J_bar, g_bar + H @ v))
-        resid = K @ z + b
+        z = np.concatenate(dense_kkt_solve(H, J_bar, b[:n]))
+        resid = apply_K(z) + b
         fallback_case = passed_test(z, resid)
         if fallback_case is None:
             raise TestUnsatisfiable(

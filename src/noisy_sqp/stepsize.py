@@ -97,12 +97,9 @@ def clamp_beta_admissible(L: float, Gamma: float, beta: float, eta: float,
 
 def update_chi_zeta(state: AdaptiveState, u, v, d, H) -> AdaptiveState:
     """Grow chi / shrink zeta when the step is tangentially dominated with low curvature."""
-    u = np.asarray(u)
-    v = np.asarray(v)
-    d = np.asarray(d)
-    dHd = float(d @ (np.asarray(H) @ d))
-    if (float(u @ u) >= state.chi * float(v @ v)
-            and 0.5 * dHd < 0.25 * state.zeta * float(u @ u)):
+    uu = float(u.dot(u))
+    dHd = float(d.dot(H.dot(d)))
+    if uu >= state.chi * float(v.dot(v)) and 0.5 * dHd < 0.25 * state.zeta * uu:
         state.chi = (1.0 + state.sigma_chi) * state.chi
         state.zeta = (1.0 - state.sigma_zeta) * state.zeta
     return state
@@ -110,9 +107,8 @@ def update_chi_zeta(state: AdaptiveState, u, v, d, H) -> AdaptiveState:
 
 def xi_update(state: AdaptiveState, delta_l: float, tau: float, u, v, d) -> AdaptiveState:
     """Lower xi toward the observed ratio of model reduction to step length squared."""
-    d = np.asarray(d)
-    dd = float(d @ d)
-    tangential = float(np.asarray(u) @ np.asarray(u)) >= state.chi * float(np.asarray(v) @ np.asarray(v))
+    dd = float(d.dot(d))
+    tangential = float(u.dot(u)) >= state.chi * float(v.dot(v))
     trial = delta_l / (tau * dd) if tangential else delta_l / dd
     if state.xi > trial:
         state.xi = min((1.0 - state.sigma_xi) * state.xi, trial)
@@ -125,12 +121,11 @@ def adaptive_alpha(state: AdaptiveState, delta_l: float, tau: float, u, v, d):
     Returns (alpha, alpha_suff, alpha_min, alpha_max); the projection never
     increases the step size beyond alpha_suff <= 1.
     """
-    d = np.asarray(d)
-    dd = float(d @ d)
+    dd = float(d.dot(d))
     denom = tau * state.L_est + state.Gamma_est
     two1meta = 2.0 * (1.0 - state.eta) * state.beta
     alpha_suff = min(two1meta * delta_l / (denom * dd), 1.0)
-    tangential = float(np.asarray(u) @ np.asarray(u)) >= state.chi * float(np.asarray(v) @ np.asarray(v))
+    tangential = float(u.dot(u)) >= state.chi * float(v.dot(v))
     alpha_min = two1meta * state.xi * (tau if tangential else 1.0) / denom
     alpha_max = alpha_min + state.theta * state.beta
     alpha = min(max(alpha_suff, alpha_min), alpha_max)

@@ -90,6 +90,49 @@ def test_grid_unknown_variant_is_config_error(tmp_path, capsys):
     assert not (out_dir / "results.csv").exists()
 
 
+SOLVE_ARGS = ["--variant", "ada", "--optimism", "opt", "--eps-f", "1e-2",
+              "--eps-c", "1e-2", "--seed", "0"]
+
+
+def one_error_line(capsys, kind):
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"{kind}: ")
+    assert "Traceback" not in captured.err
+    return lines[0]
+
+
+def test_solve_unknown_problem_is_input_error(capsys):
+    code = main(["solve", "--problem", "nope", *SOLVE_ARGS])
+    assert code == 2
+    assert one_error_line(capsys, "input error") == "input error: unknown problem 'nope'"
+
+
+def test_solve_zero_iteration_budget_is_config_error(capsys):
+    code = main(["solve", "--problem", "unit-circle", *SOLVE_ARGS, "--max-iters", "0"])
+    assert code == 2
+    assert "budgets must be positive" in one_error_line(capsys, "config error")
+
+
+def test_profile_of_one_variant_is_input_error(tmp_path, capsys):
+    config = {
+        "problems": ["unit-circle"],
+        "noise_grid": [[1e-2, 1e-2]],
+        "variants": [{"scheme": "ada", "optimism": "opt"}],
+        "seeds": [0],
+        "budgets": [20, 2000],
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    assert main(["grid", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    code = main(["profile", "--in", str(tmp_path / "results.csv"),
+                 "--out", str(tmp_path / "profile.tsv")])
+    assert code == 2
+    assert "needs >= 2 solvers" in one_error_line(capsys, "input error")
+    assert not (tmp_path / "profile.tsv").exists()
+
+
 def test_verify_subcommand(tmp_path, capsys):
     report_path = tmp_path / "verify.json"
     code = main(["verify", "--suite", "all", "--out", str(report_path)])

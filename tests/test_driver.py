@@ -8,12 +8,15 @@ from noisy_sqp.driver import (
     EARLY_INFEASIBLE,
     EARLY_STATIONARY,
     LINE_SEARCH_FAILURE,
+    NONFINITE,
     SolverParams,
     solve,
 )
+from noisy_sqp.harness import best_iterate
 from noisy_sqp.linalg import norm2, norm_inf
 from noisy_sqp.noise import NoiseSpec, NoisyOracle, derive_gradient_noise
 from noisy_sqp.problems import ExactEvaluation, ProblemSpec, registry_by_name
+from noisy_sqp.verify import assert_trace_invariants
 
 
 def kkt_start_problem():
@@ -280,3 +283,69 @@ class TestLoopMechanics:
                 continue
             dd = float(rec.bundle.d @ rec.bundle.d)
             assert rec.delta_l >= rec.tau * tp.sigma_u * tp.lambda_u / 2 * dd - 1e-10
+
+
+def circle_problem(name, f=None, g=None, J=None):
+    """unit-circle with optional replacements of f, its gradient and the Jacobian."""
+    def ev(x):
+        return ExactEvaluation(
+            f=x[0] + x[1] if f is None else f(x),
+            g=np.array([1.0, 1.0]) if g is None else g(x),
+            c=np.array([x[0] ** 2 + x[1] ** 2 - 1.0]),
+            J=np.array([[2.0 * x[0], 2.0 * x[1]]]) if J is None else J(x))
+    return ProblemSpec(name, 2, 1, np.array([0.9, -0.3]), ev)
+
+
+class TestNonFiniteEvaluation:
+    """A NaN or Inf from the problem ends the run with a status, never an
+    exception, and the trace stays auditable."""
+
+    def nan_gradient_problem(self):
+        # the gradient turns NaN once the iterates move past x[0] = 0.5
+        return circle_problem(
+            "nan-gradient",
+            g=lambda x: np.array([1.0, 1.0]) if x[0] >= 0.5 else np.array([np.nan, 1.0]))
+
+    def run(self, problem, variant):
+        params = SolverParams.benchmark_defaults(noise_for(1e-3, 1e-2), variant=variant)
+        trace = solve(problem, params, 0)
+        assert trace.status == NONFINITE
+        assert assert_trace_invariants(trace, params) == []
+        last = trace.records[-1]
+        assert last.alpha == 0.0
+        for rec in trace.records[:-1]:
+            assert rec.alpha > 0.0
+            assert np.isfinite(rec.noisy.g_bar).all() and np.isfinite(rec.noisy.f_bar)
+        best_iterate(trace, 1e-2, 1e-3)  # the terminal record does not break selection
+        return trace, last
+
+    @pytest.mark.parametrize("variant", ["adaptive", "line_search"])
+    def test_nan_gradient_sample_ends_the_run(self, variant):
+        trace, last = self.run(self.nan_gradient_problem(), variant)
+        assert last.bundle is None
+        assert np.isnan(last.noisy.g_bar[0])
+        assert last.x[0] < 0.5
+
+    def test_inf_jacobian_sample_ends_the_run(self):
+        problem = circle_problem(
+            "inf-jacobian",
+            J=lambda x: np.array([[2.0 * x[0], 2.0 * x[1] if x[0] >= 0.5 else np.inf]]))
+        trace, last = self.run(problem, "adaptive")
+        assert np.isinf(last.noisy.J_bar[0, 1])
+
+    def test_nan_trial_merit_ends_the_line_search(self):
+        # the objective is NaN left of x[0] = 0; the first trial point gets there
+        problem = circle_problem("nan-objective",
+                                 f=lambda x: x[0] + x[1] if x[0] >= 0.0 else np.nan)
+        trace, last = self.run(problem, "line_search")
+        assert last.bundle is not None
+        assert last.phi_accept is None
+        assert last.backtracks == 0
+        assert np.isfinite(last.phi0)
+
+    def test_nan_objective_sample_stops_adaptive(self):
+        # the adaptive controller never reads f; the sample check still does
+        problem = circle_problem("nan-objective",
+                                 f=lambda x: x[0] + x[1] if x[0] >= 0.0 else np.nan)
+        trace, last = self.run(problem, "adaptive")
+        assert np.isnan(last.noisy.f_bar)

@@ -18,8 +18,9 @@ from noisy_sqp.harness import (
     run_single,
     success,
 )
+from noisy_sqp.linalg import least_squares_multiplier, norm_inf
 from noisy_sqp.noise import NoiseSpec, derive_gradient_noise
-from noisy_sqp.problems import registry_by_name
+from noisy_sqp.problems import duplicate_last_constraint, registry_by_name
 
 
 def make_record(**kw):
@@ -127,6 +128,55 @@ class TestBestIterate:
         assert trace.status == "early_stationary"
         idx, *_ = best_iterate(trace, 1e-2, 1e-2)
         assert idx <= trace.records[-1].k
+
+
+def per_record_best_iterate(trace, eps_c, eps_f):
+    """The selection rule one record at a time, as a reference."""
+    rows = []
+    for idx, rec in enumerate(r for r in trace.records if r.exact is not None):
+        ex = rec.exact
+        y = least_squares_multiplier(ex.J, ex.g)
+        rows.append((idx, norm_inf(ex.c), norm_inf(ex.g + ex.J.T @ y),
+                     norm_inf(ex.J.T @ ex.c), norm_inf(y)))
+    qualified = [row for row in rows if row[1] <= 2.0 * max(eps_c, eps_f)]
+    if qualified:
+        return min(qualified, key=lambda row: (row[2], row[0]))
+    return min(rows, key=lambda row: (row[1], row[0]))
+
+
+class TestStackedBestIterate:
+    """The stacked selection returns exactly what per-record selection does."""
+
+    def _trace(self):
+        # duplicated constraint: every Gram matrix takes the ridge path
+        p = duplicate_last_constraint(registry_by_name()["unit-circle"])
+        noise = NoiseSpec(eps_f=1e-2, eps_g=1e-1, eps_c=1e-2, eps_J=1e-1)
+        params = SolverParams.benchmark_defaults(noise, variant="adaptive", max_iters=60)
+        return solve(p, params, 3)
+
+    def test_qualified_winner(self):
+        trace = self._trace()
+        got = best_iterate(trace, 1e-2, 1e-2)
+        assert got == per_record_best_iterate(trace, 1e-2, 1e-2)
+        assert got[1] <= 2e-2
+
+    def test_no_qualified_fallback(self):
+        trace = self._trace()
+        got = best_iterate(trace, 0.0, 0.0)
+        assert got == per_record_best_iterate(trace, 0.0, 0.0)
+        assert got[1] > 0.0
+
+    def test_exact_stationarity_tie_goes_to_smaller_index(self):
+        from types import SimpleNamespace
+        trace = self._trace()
+        base = trace.records[5].exact
+        # records 1 and 3 qualify with bitwise-equal stationarity errors
+        unqualified = SimpleNamespace(c=base.c + 10.0, g=base.g, J=base.J)
+        records = [SimpleNamespace(exact=e) for e in (unqualified, base, unqualified, base)]
+        tie = SimpleNamespace(records=records)
+        got = best_iterate(tie, 1.0, 1.0)
+        assert got == per_record_best_iterate(tie, 1.0, 1.0)
+        assert got[0] == 1
 
 
 class TestSuccess:

@@ -148,6 +148,25 @@ class TestLeastSquaresMultiplier:
             assert res <= cloud + 1e-8
 
 
+    def test_stack_equals_per_matrix_calls_bitwise(self):
+        # a stack mixing full-rank Jacobians with rank-deficient ones
+        # (duplicated and zero rows) that take the ridge path
+        rng = np.random.default_rng(11)
+        for m, n in ((1, 2), (2, 3), (3, 10), (4, 6)):
+            k = 40
+            J = rng.standard_normal((k, m, n)) * 10.0 ** rng.uniform(-3, 3, (k, 1, 1))
+            g = rng.standard_normal((k, n))
+            for i in range(0, k, 3):
+                J[i, -1] = J[i, 0] if m > 1 else 0.0
+            w = np.linalg.eigvalsh(J @ J.transpose(0, 2, 1))
+            ridged = w[:, 0] <= 1e-12 * np.maximum(1.0, w[:, -1])
+            assert ridged.any() and not ridged.all()
+            Y = least_squares_multiplier(J, g)
+            assert Y.shape == (k, m)
+            for i in range(k):
+                assert Y[i].tobytes() == least_squares_multiplier(J[i], g[i]).tobytes()
+
+
 class TestSmallestSingularValue:
     def test_identity(self):
         assert smallest_singular_value(np.eye(2)) == pytest.approx(1.0, abs=1e-12)
