@@ -26,6 +26,10 @@ from .driver import SolverParams, solve
 from .noise import NoiseSpec, derive_gradient_noise
 
 
+# `verify --suite` values; "all" runs every check
+VERIFY_SUITES = ("all", "fd", "cauchy", "tangential", "invariants")
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(prog="noisy-sqp")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -53,7 +57,7 @@ def _build_parser():
     p_prof.add_argument("--out", required=True)
 
     p_verify = sub.add_parser("verify", help="run the independent verification suite")
-    p_verify.add_argument("--suite", default="all")
+    p_verify.add_argument("--suite", choices=VERIFY_SUITES, default="all")
     p_verify.add_argument("--out", default=None)
     return parser
 
@@ -130,38 +134,45 @@ def _cmd_profile(args) -> int:
 def _cmd_verify(args) -> int:
     reports = []
     registry = builtin_registry()
+    quad = get_problem("quad-linear")
+
+    def chosen(suite):
+        return args.suite in ("all", suite)
 
     ok = True
-    for problem in registry:
-        grad_err, jac_err = verify_mod.fd_check(problem, problem.x0, 1e-6)
-        good = grad_err <= 1e-5 and jac_err <= 1e-5
-        ok &= good
-        print(f"fd_check {problem.name:<20} grad {grad_err:.2e}  jac {jac_err:.2e}  "
-              f"{'pass' if good else 'FAIL'}")
+    if chosen("fd"):
+        for problem in registry:
+            grad_err, jac_err = verify_mod.fd_check(problem, problem.x0, 1e-6)
+            good = grad_err <= 1e-5 and jac_err <= 1e-5
+            ok &= good
+            print(f"fd_check {problem.name:<20} grad {grad_err:.2e}  jac {jac_err:.2e}  "
+                  f"{'pass' if good else 'FAIL'}")
 
-    quad = get_problem("quad-linear")
-    report = verify_mod.cauchy_perturbation_scan(quad, quad.x0)
-    reports.append(report)
-    ok &= report.passed
-    print(f"cauchy_perturbation_scan {'pass' if report.passed else 'FAIL'}")
+    if chosen("cauchy"):
+        report = verify_mod.cauchy_perturbation_scan(quad, quad.x0)
+        reports.append(report)
+        ok &= report.passed
+        print(f"cauchy_perturbation_scan {'pass' if report.passed else 'FAIL'}")
 
-    report = verify_mod.tangential_gap_scan(quad, np.zeros(quad.n))
-    reports.append(report)
-    ok &= report.passed
-    print(f"tangential_gap_scan      {'pass' if report.passed else 'FAIL'}")
+    if chosen("tangential"):
+        report = verify_mod.tangential_gap_scan(quad, np.zeros(quad.n))
+        reports.append(report)
+        ok &= report.passed
+        print(f"tangential_gap_scan      {'pass' if report.passed else 'FAIL'}")
 
-    eps_g, eps_J = derive_gradient_noise(1e-4, 1e-4)
-    noise = NoiseSpec(eps_f=1e-4, eps_g=eps_g, eps_c=1e-4, eps_J=eps_J)
-    params_list = [
-        SolverParams.benchmark_defaults(noise, variant="adaptive", max_iters=60),
-        SolverParams.benchmark_defaults(noise, variant="line_search", max_iters=60),
-    ]
-    sweep_problems = [p for p in registry if p.full_rank][:4]
-    report = verify_mod.trace_invariant_sweep(
-        sweep_problems, params_list, seeds=range(3), solve_fn=solve)
-    reports.append(report)
-    ok &= report.passed
-    print(f"trace_invariant_sweep    {'pass' if report.passed else 'FAIL'}")
+    if chosen("invariants"):
+        eps_g, eps_J = derive_gradient_noise(1e-4, 1e-4)
+        noise = NoiseSpec(eps_f=1e-4, eps_g=eps_g, eps_c=1e-4, eps_J=eps_J)
+        params_list = [
+            SolverParams.benchmark_defaults(noise, variant="adaptive", max_iters=60),
+            SolverParams.benchmark_defaults(noise, variant="line_search", max_iters=60),
+        ]
+        sweep_problems = [p for p in registry if p.full_rank][:4]
+        report = verify_mod.trace_invariant_sweep(
+            sweep_problems, params_list, seeds=range(3), solve_fn=solve)
+        reports.append(report)
+        ok &= report.passed
+        print(f"trace_invariant_sweep    {'pass' if report.passed else 'FAIL'}")
 
     if args.out:
         with open(args.out, "w") as fh:

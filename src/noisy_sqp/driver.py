@@ -183,11 +183,15 @@ def solve(problem: ProblemSpec, params: SolverParams, seed: int,
 
     A caller-supplied oracle takes over noisy sampling (used by crafted
     fixtures); by default a fresh uniformly-perturbing oracle is seeded from
-    ``seed``.  ``record_exact=False`` drops the ground-truth snapshots,
-    which must not change the iterates.
+    ``seed``.  The ground-truth snapshot of each iterate is the evaluation
+    the default oracle made for that iterate's sample (``oracle.exact``);
+    with a caller-supplied oracle it is a separate ``evaluate(problem, x)``,
+    so a crafted oracle never supplies it.  ``record_exact=False`` drops
+    the snapshots, which must not change the iterates.
     """
     params.validate()
-    if oracle is None:
+    own_oracle = oracle is None
+    if own_oracle:
         oracle = NoisyOracle(problem, params.noise, np.random.default_rng(seed))
     eps_o = params.resolved_eps_o()
     # numerical meaning of "||c|| <= eps_o" at eps_o = 0: the branch gate gets
@@ -238,7 +242,12 @@ def solve(problem: ProblemSpec, params: SolverParams, seed: int,
             break
         before = counters.snapshot()
         noisy = oracle.sample(x, want="both")
-        exact = evaluate(problem, x) if record_exact else None
+        if not record_exact:
+            exact = None
+        elif own_oracle:
+            exact = oracle.exact
+        else:
+            exact = evaluate(problem, x)
         tau_prev = tau_state.tau
         g_bar, c_bar, J_bar = noisy.g_bar, noisy.c_bar, noisy.J_bar
         c_norm = norm2(c_bar)
@@ -248,23 +257,26 @@ def solve(problem: ProblemSpec, params: SolverParams, seed: int,
             records.append(make_record(None, tau_prev, 0.0))
             status = NONFINITE
             break
-        Jtc = J_bar.T @ c_bar
+        Jtc = J_bar.T.dot(c_bar)
+        Jtc_inf = norm_inf(Jtc)
         if feasible:
             v, cg_iters = np.zeros(n), 0
             tau_state.keep(k)
         else:
-            if norm_inf(Jtc) <= steps.tol_Jc(c_bar):
+            if Jtc_inf <= steps.tol_Jc(c_bar):
                 records.append(make_record(None, tau_prev, 0.0))
                 status = EARLY_INFEASIBLE
                 break
             v, cg_iters = steps.normal_step(
                 c_bar, J_bar, params.tests, params.kappa_v,
-                noise.eps_f, noise.eps_c, exact=exact_mode, Jtc=Jtc)
+                noise.eps_f, noise.eps_c, exact=exact_mode, Jtc=Jtc,
+                Jtc_inf=Jtc_inf, c_norm=c_norm)
         try:
             bundle = steps.tangential_step(
                 H, J_bar, g_bar, v, c_bar, tau_prev,
                 params.tests, eps_o, params.kappa_u, noise.eps_f,
-                noise.eps_c, exact=exact_mode, feasible=feasible, Jtc=Jtc)
+                noise.eps_c, exact=exact_mode, feasible=feasible, Jtc=Jtc,
+                Jtc_inf=Jtc_inf, c_norm=c_norm)
         except steps.TestUnsatisfiable:
             records.append(make_record(None, tau_prev, 0.0))
             status = TEST_UNSATISFIABLE
@@ -280,7 +292,11 @@ def solve(problem: ProblemSpec, params: SolverParams, seed: int,
             tau_state.keep(k)
         tau_k = tau_state.tau
         d = bundle.d
-        delta_l = merit.model_reduction(tau_k, g_bar, c_bar, J_bar, d)
+        if tau_k == tau_prev and bundle.tt2_delta_l is not None:
+            delta_l = bundle.tt2_delta_l  # the same reduction, formed by TT2
+        else:
+            delta_l = merit.model_reduction(tau_k, g_bar, c_bar, J_bar, d,
+                                            c_norm=c_norm)
         if feasible and delta_l <= eps_o:
             records.append(make_record(bundle, tau_k, 0.0, delta_l=delta_l))
             status = EARLY_STATIONARY

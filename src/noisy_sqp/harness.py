@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import logging
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -36,6 +37,14 @@ CSV_COLUMNS = [
 ]
 
 EARLY_STATUSES = (EARLY_STATIONARY, EARLY_INFEASIBLE)
+
+logger = logging.getLogger(__name__)
+
+# status of a grid cell whose run raised; its counts are 0 and its errors inf
+ERROR = "error"
+
+# exact snapshots stacked per least_squares_multiplier call in best_iterate
+BEST_ITERATE_CHUNK = 256
 
 # grid and CSV variant names -> solver names
 SCHEMES = {"ada": ADAPTIVE, "ls": LINE_SEARCH}
@@ -143,18 +152,23 @@ def best_iterate(trace, eps_c: float, eps_f: float):
     wins; with no qualifying iterate, the lowest feasibility error wins.
     Iterates after an early termination never participate; ties break to
     the smallest index, and a NaN error (from a non-finite evaluation)
-    never beats a number.  The multipliers of all iterates come from one
-    stacked `least_squares_multiplier` call.
+    never beats a number.  The multipliers come from stacked
+    `least_squares_multiplier` calls over at most BEST_ITERATE_CHUNK
+    iterates each, which bounds the memory the stacks take.
     """
     exact = [r.exact for r in trace.records if r.exact is not None]
     if not exact:
         raise ValueError("trace has no exact snapshots")
-    J = np.stack([ex.J for ex in exact])
-    g = np.stack([ex.g for ex in exact])
-    c = np.stack([ex.c for ex in exact])
-    y = least_squares_multiplier(J, g)
-    feas = abs(c).max(axis=1)
-    stat = abs(g + (J.transpose(0, 2, 1) @ y[:, :, None])[:, :, 0]).max(axis=1)
+    ys, feas, stat = [], [], []
+    for start in range(0, len(exact), BEST_ITERATE_CHUNK):
+        chunk = exact[start:start + BEST_ITERATE_CHUNK]
+        J = np.stack([ex.J for ex in chunk])
+        g = np.stack([ex.g for ex in chunk])
+        y = least_squares_multiplier(J, g)
+        ys.append(y)
+        feas.append(abs(np.stack([ex.c for ex in chunk])).max(axis=1))
+        stat.append(abs(g + (J.transpose(0, 2, 1) @ y[:, :, None])[:, :, 0]).max(axis=1))
+    feas, stat = np.concatenate(feas), np.concatenate(stat)
     qualified = np.flatnonzero(feas <= 2.0 * max(eps_c, eps_f))
     if qualified.size:
         key, among = stat[qualified], qualified
@@ -162,8 +176,10 @@ def best_iterate(trace, eps_c: float, eps_f: float):
         key, among = feas, np.arange(len(exact))
     # argmin returns the first minimum
     idx = int(among[np.argmin(np.where(np.isnan(key), np.inf, key))])
-    infeas_stat = norm_inf(J[idx].T @ c[idx])
-    return idx, float(feas[idx]), float(stat[idx]), infeas_stat, norm_inf(y[idx])
+    best = exact[idx]
+    y_best = ys[idx // BEST_ITERATE_CHUNK][idx % BEST_ITERATE_CHUNK]
+    infeas_stat = norm_inf(best.J.T @ best.c)
+    return idx, float(feas[idx]), float(stat[idx]), infeas_stat, norm_inf(y_best)
 
 
 def success(feas_err: float, stat_err: float, y_inf_norm: float,
@@ -205,14 +221,28 @@ def run_single(problem_name: str, variant: VariantSpec, eps_f: float,
 
 
 def _run_cell(task):
-    return run_single(*task)
+    """One grid cell; a run that raises is logged and becomes an ``error`` row."""
+    try:
+        return run_single(*task)
+    except Exception:
+        problem_name, variant, eps_f, eps_c, seed, licq_mode, _ = task
+        logger.exception("grid cell %s %s eps=(%g, %g) seed %d %s raised",
+                         problem_name, variant.label, eps_f, eps_c, seed, licq_mode)
+        inf = float("inf")
+        return RunRecord(
+            problem=problem_name, variant=variant.scheme, optimism=variant.optimism,
+            exactness=variant.exactness, eps_f=eps_f, eps_c=eps_c, seed=seed,
+            licq_mode=licq_mode, status=ERROR, iters=0, weighted_evals=0,
+            minres_iters=0, cg_iters=0, best_feas_err=inf, best_stat_err=inf,
+            best_infeas_stat_err=inf, terminated_early=False, solved=False)
 
 
 def run_grid(config: ExperimentConfig, max_workers: int | None = None):
     """Run the full grid concurrently, write results.csv, return the records.
 
     One record per (problem x variant x noise x seed); per-run failures are
-    recorded as statuses and never abort the grid.
+    recorded as statuses, and a run that raises as an ``error`` row, so no
+    cell aborts the grid.
     """
     config.validate()
     for name in config.problems:

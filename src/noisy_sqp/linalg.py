@@ -43,7 +43,7 @@ def norm_inf(x) -> float:
     """
     if type(x) is not np.ndarray:
         x = np.asarray(x)
-    return float(abs(x).max()) if x.size else 0.0
+    return float(np.maximum.reduce(abs(x), axis=None)) if x.size else 0.0
 
 
 @dataclass
@@ -69,10 +69,11 @@ class MinresState:
         self.beta1 = norm2(b)
         self.breakdown = self.beta1 == 0.0
         self.iterations = 0
+        # the recurrence rebinds its vectors and never writes into them, so
+        # the start values can share b and one zero vector
         self.x = np.zeros(self.n)
         if not self.breakdown:
-            self.r1 = b.copy()
-            self.r2 = b.copy()
+            self.r1 = self.r2 = b
             self.beta = self.beta1
             self.oldb = 0.0
             self.dbar = 0.0
@@ -80,8 +81,7 @@ class MinresState:
             self.phibar = self.beta1
             self.cs = -1.0
             self.sn = 0.0
-            self.w = np.zeros(self.n)
-            self.w2 = np.zeros(self.n)
+            self.w = self.w2 = self.x
 
 
 def minres_iterate(apply_A, b: np.ndarray, state: MinresState | None = None):
@@ -107,7 +107,7 @@ def minres_iterate(apply_A, b: np.ndarray, state: MinresState | None = None):
     alfa = float(v.dot(y))
     y = y - (alfa / beta) * state.r2
     state.r1, state.r2, state.oldb = state.r2, y, beta
-    beta = norm2(y)
+    beta = math.sqrt(y.dot(y))  # norm2(y), without the call
 
     cs, sn, dbar = state.cs, state.sn, state.dbar
     oldeps = state.epsln
@@ -184,7 +184,7 @@ def cg_steihaug(apply_H, g: np.ndarray, radius: float, stop=None):
             return z, False, it
         if rr_next <= rr_floor:
             return z, False, it
-        d = -r + (rr_next / rr) * d
+        d = (rr_next / rr) * d - r  # = -r + (...) * d: IEEE a - b is a + (-b)
         rr = rr_next
     return z, False, max_iters
 

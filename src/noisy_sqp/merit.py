@@ -37,9 +37,14 @@ def merit_value(tau: float, f: float, c) -> float:
     return tau * f + norm2(c)
 
 
-def model_reduction(tau: float, g_bar, c_bar, J_bar, d) -> float:
-    """Reduction of the merit model:  -tau g'd + ||c|| - ||c + Jd||  (float arrays)."""
-    return float(-tau * g_bar.dot(d) + norm2(c_bar) - norm2(c_bar + J_bar.dot(d)))
+def model_reduction(tau: float, g_bar, c_bar, J_bar, d, *, c_norm=None) -> float:
+    """Reduction of the merit model:  -tau g'd + ||c|| - ||c + Jd||  (float arrays).
+
+    ``c_norm`` is ||c|| when the caller has it already.
+    """
+    if c_norm is None:
+        c_norm = norm2(c_bar)
+    return float(-tau * g_bar.dot(d) + c_norm - norm2(c_bar + J_bar.dot(d)))
 
 
 def tau_trial(g_bar, d, u, H, c_norm: float, c_vr_norm: float, params) -> float:

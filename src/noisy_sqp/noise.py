@@ -9,6 +9,12 @@ Jacobian) of each error stays within its bound:
 Draws are fresh on every call (no caching at repeated points).  A value
 request costs one function evaluation, a derivative request one gradient
 evaluation; the weighted total counts gradients double.
+
+A sample's errors all come from one ``rng.random(k)`` call, scaled entry by
+entry as ``low + (high - low) * u``.  ``Generator.uniform`` applies that
+same formula to each double it takes from the stream, so the one call gives
+the same numbers, and leaves the generator in the same state, as one
+``uniform`` call per error in the order (e_f, e_c, e_g, e_J).
 """
 
 from __future__ import annotations
@@ -72,18 +78,23 @@ class EvalCounters:
 
 
 class NoisyOracle:
-    """Owns the rng and the counters for one run; not shared across runs."""
+    """Owns the rng and the counters for one run; not shared across runs.
+
+    ``exact`` is the exact evaluation behind the latest sample.
+    """
 
     def __init__(self, problem, spec: NoiseSpec, rng: np.random.Generator):
         self.problem = problem
         self.spec = spec
         self.rng = rng
         self.counters = EvalCounters()
+        self.exact = None
+        self._layouts = {}  # want -> (low, span, slices), see _layout
 
     def sample(self, x, want: str = "both") -> NoisyEvaluation:
         if want not in ("value", "derivative", "both"):
             raise ValueError(f"bad want {want!r}")
-        exact = evaluate(self.problem, x)
+        exact = self.exact = evaluate(self.problem, x)
         e_f, e_g, e_c, e_J = self._perturbations(exact, want)
         f_bar = g_bar = c_bar = J_bar = None
         if want in ("value", "both"):
@@ -96,40 +107,58 @@ class NoisyOracle:
             self.counters.gradient_evals += 1
         return NoisyEvaluation(f_bar, g_bar, c_bar, J_bar)
 
+    def _layout(self, want):
+        """Bounds of one request's drawn entries: (low, high - low, slices).
+
+        ``slices`` maps each drawn error ("f", "c", "g", "J") to its entries
+        of the one draw; an error whose eps is 0 is not drawn.  Each entry of
+        an error of size s lies in U(-a, a) with a = eps / sqrt(s).
+        """
+        m, n = self.problem.m, self.problem.n
+        names = {"value": "fc", "derivative": "gJ", "both": "fcgJ"}[want]
+        sizes = {"f": 1, "c": m, "g": n, "J": m * n}
+        low, span, slices = [], [], {}
+        for name in names:
+            eps = getattr(self.spec, "eps_" + name)
+            if eps > 0:
+                size = sizes[name]
+                a = eps / math.sqrt(size)
+                slices[name] = slice(len(low), len(low) + size)
+                low += [-a] * size
+                span += [a - (-a)] * size
+        if not all(map(math.isfinite, span)):
+            raise OverflowError("high - low range exceeds valid bounds")
+        return np.array(low), np.array(span), slices
+
     def _perturbations(self, exact, want):
         """Draw the uniform errors; override point for crafted test fixtures.
 
         Draw order is fixed (e_f, e_c, e_g, e_J) so streams are reproducible
-        per seed.  Rows listed in the problem's shared_noise_rows receive the
-        noise of the row they duplicate.
+        per seed, and one ``rng.random`` call draws them all (see the module
+        docstring); an error whose eps is 0 takes no draw and is zero.  Rows
+        listed in the problem's shared_noise_rows receive the noise of the
+        row they duplicate.
         """
-        spec = self.spec
-        n = self.problem.n
-        m = self.problem.m
+        layout = self._layouts.get(want)
+        if layout is None:
+            layout = self._layouts[want] = self._layout(want)
+        low, span, at = layout
+        if at:
+            draws = low + span * self.rng.random(low.size)
+        m, n = self.problem.m, self.problem.n
         shared = self.problem.shared_noise_rows
         e_f = e_g = e_c = e_J = 0.0
         if want in ("value", "both"):
-            e_f = float(self.rng.uniform(-spec.eps_f, spec.eps_f)) if spec.eps_f > 0 else 0.0
-            if spec.eps_c > 0:
-                a = spec.eps_c / math.sqrt(m)
-                e_c = self.rng.uniform(-a, a, size=m)
-                for src, dst in shared:
-                    e_c[dst] = e_c[src]
-            else:
-                e_c = np.zeros(m)
+            if "f" in at:
+                e_f = float(draws[0])
+            e_c = draws[at["c"]] if "c" in at else np.zeros(m)
+            for src, dst in shared:
+                e_c[dst] = e_c[src]
         if want in ("derivative", "both"):
-            if spec.eps_g > 0:
-                a = spec.eps_g / math.sqrt(n)
-                e_g = self.rng.uniform(-a, a, size=n)
-            else:
-                e_g = np.zeros(n)
-            if spec.eps_J > 0:
-                a = spec.eps_J / math.sqrt(m * n)
-                e_J = self.rng.uniform(-a, a, size=(m, n))
-                for src, dst in shared:
-                    e_J[dst, :] = e_J[src, :]
-            else:
-                e_J = np.zeros((m, n))
+            e_g = draws[at["g"]] if "g" in at else np.zeros(n)
+            e_J = draws[at["J"]].reshape(m, n) if "J" in at else np.zeros((m, n))
+            for src, dst in shared:
+                e_J[dst] = e_J[src]
         return e_f, e_g, e_c, e_J
 
 

@@ -90,7 +90,7 @@ def duplicate_last_constraint(problem: ProblemSpec) -> ProblemSpec:
         c = np.atleast_1d(np.asarray(ev.c, dtype=float))
         J = np.asarray(ev.J, dtype=float).reshape(problem.m, problem.n)
         c2 = np.concatenate([c, c[-1:]])
-        J2 = np.vstack([J, J[-1:, :]])
+        J2 = np.concatenate((J, J[-1:]))
         return ExactEvaluation(ev.f, ev.g, c2, J2)
 
     shared = problem.shared_noise_rows + ((problem.m - 1, problem.m),)
@@ -149,9 +149,9 @@ def _quadratic(name, Q, q, A, b, x0):
 
     def ev(x):
         return ExactEvaluation(
-            f=0.5 * float(x @ Q @ x) + float(q @ x),
-            g=Q @ x + q,
-            c=A @ x - b,
+            f=0.5 * float(x.dot(Q).dot(x)) + float(q.dot(x)),
+            g=Q.dot(x) + q,
+            c=A.dot(x) - b,
             J=A,
         )
 

@@ -80,6 +80,8 @@ class StepBundle:
     minres_iters: int = 0
     cg_iters: int = 0
     fallback_case: str | None = None  # tag of the test behind an exact_fallback
+    # model reduction at tau_prev along d that the accepting TT2 check formed
+    tt2_delta_l: float | None = None
 
 
 def tol_Jc(c_bar) -> float:
@@ -87,8 +89,9 @@ def tol_Jc(c_bar) -> float:
     return 1e-12 * max(1.0, norm_inf(c_bar))
 
 
-# The functions below take float ndarrays.  ``Jtc`` is J'c when the caller
-# has it already (the driver forms it once per iteration); it is formed
+# The functions below take float ndarrays.  The keywords ``Jtc`` (J'c),
+# ``Jtc_inf`` (max|J'c|) and ``c_norm`` (||c||) pass quantities the caller
+# has already (the driver forms them once per iteration); each is formed
 # here otherwise.
 
 
@@ -110,7 +113,8 @@ def cauchy_normal_step(c_bar, J_bar, sigma_Jc: float, *, Jtc=None):
 
 
 def normal_step(c_bar, J_bar, params: TestParams, kappa_v: float,
-                eps_f: float, eps_c: float, exact: bool = False, *, Jtc=None):
+                eps_f: float, eps_c: float, exact: bool = False, *, Jtc=None,
+                Jtc_inf=None, c_norm=None):
     """Inexact normal component via trust-region CG on 1/2 ||c + Jv||^2.
 
     CG runs in the Krylov space of J'c, hence v stays in Range(J').  It stops
@@ -123,14 +127,17 @@ def normal_step(c_bar, J_bar, params: TestParams, kappa_v: float,
         Jtc = Jt @ c_bar
     v_c, alpha_c = cauchy_normal_step(c_bar, J_bar, params.sigma_Jc, Jtc=Jtc)
     v_cauchy = alpha_c * v_c
-    c_norm = norm2(c_bar)
+    if c_norm is None:
+        c_norm = norm2(c_bar)
     cauchy_target = params.gamma_c * (c_norm - norm2(c_bar + J_bar.dot(v_cauchy)))
     radius = params.sigma_Jc * norm2(Jtc)
     coef = 1e-10 if exact else kappa_v * min(eps_c, eps_f)
-    threshold = coef * max(1.0, norm_inf(Jtc))
+    if Jtc_inf is None:
+        Jtc_inf = norm_inf(Jtc)
+    threshold = coef * max(1.0, Jtc_inf)
 
     v, _, iters = cg_steihaug(lambda p: Jt.dot(J_bar.dot(p)), Jtc, radius,
-                              stop=lambda resid: abs(resid).max() <= threshold)
+                              stop=lambda resid: np.maximum.reduce(abs(resid)) <= threshold)
     # CG's first iterate is the Cauchy point, so the decrease condition holds
     # at exit by monotonicity; fall back to the Cauchy point defensively.
     if c_norm - norm2(c_bar + J_bar.dot(v)) < cauchy_target - 1e-10 * max(1.0, c_norm):
@@ -146,12 +153,14 @@ def _round_off_slack(g_norm: float, c_norm: float) -> float:
 
 
 def check_tt1(H, g_bar, c_bar, J_bar, u, rho, r, tau_prev: float,
-              params: TestParams, eps_o: float, *, Jtc=None) -> bool:
+              params: TestParams, eps_o: float, *, Jtc=None, c_norm=None) -> bool:
     """Termination Test 1 (feasible branch, v = 0); all four conditions, 2-norms."""
     uHu = float(u.dot(H.dot(u)))
     u_nrm2 = float(u.dot(u))
     Jtc_norm = norm2(J_bar.T @ c_bar if Jtc is None else Jtc)
-    slack = _round_off_slack(norm2(g_bar), norm2(c_bar))
+    if c_norm is None:
+        c_norm = norm2(c_bar)
+    slack = _round_off_slack(norm2(g_bar), c_norm)
     res_gate = params.lambda_rho_r * min(max(norm2(u), Jtc_norm), params.kappa_rho_r)
     if max(norm2(rho), norm2(r)) > res_gate:
         return False
@@ -159,24 +168,28 @@ def check_tt1(H, g_bar, c_bar, J_bar, u, rho, r, tau_prev: float,
         return False
     if float(g_bar.dot(u)) + 0.5 * uHu > eps_o + slack:
         return False
-    dl = model_reduction(tau_prev, g_bar, c_bar, J_bar, u)
+    dl = model_reduction(tau_prev, g_bar, c_bar, J_bar, u, c_norm=c_norm)
     if dl < tau_prev * params.sigma_u * max(uHu, params.lambda_u * u_nrm2) - eps_o - slack:
         return False
     return True
 
 
 def check_tt2(H, g_bar, c_bar, J_bar, v, u, rho, r, tau_prev: float,
-              params: TestParams, *, Jtc=None) -> str | None:
+              params: TestParams, *, Jtc=None, c_norm=None,
+              dl_out: list | None = None) -> str | None:
     """Termination Test 2 (infeasible branch); returns TT2_CASE2, TT2_COND1 or None.
 
     Case 2 has priority because it keeps the merit parameter unchanged.
+    When given, ``dl_out`` receives the model reduction at ``tau_prev``
+    along d = v + u once the test has formed it.
     """
     uHu = float(u.dot(H.dot(u)))
     u_nrm = norm2(u)
     v_nrm = norm2(v)
     Jtc_norm = norm2(J_bar.T @ c_bar if Jtc is None else Jtc)
 
-    c_norm = norm2(c_bar)
+    if c_norm is None:
+        c_norm = norm2(c_bar)
     slack = _round_off_slack(norm2(g_bar), c_norm)
     res_gate = params.lambda_rho_r * min(max(u_nrm, Jtc_norm), params.kappa_rho_r)
     if max(norm2(rho), norm2(r)) > res_gate:
@@ -193,7 +206,9 @@ def check_tt2(H, g_bar, c_bar, J_bar, v, u, rho, r, tau_prev: float,
     c_v = c_bar + J_bar.dot(v)
     c_v_norm = norm2(c_v)
     c_vr_norm = norm2(c_v + r)
-    dl = model_reduction(tau_prev, g_bar, c_bar, J_bar, d)
+    dl = model_reduction(tau_prev, g_bar, c_bar, J_bar, d, c_norm=c_norm)
+    if dl_out is not None:
+        dl_out.append(dl)
     if dl >= tau_prev * params.sigma_u * max(uHu, params.lambda_u * u_nrm * u_nrm) \
             + params.sigma_c * (c_norm - c_v_norm) - slack:
         return TT2_CASE2
@@ -206,7 +221,8 @@ def check_tt2(H, g_bar, c_bar, J_bar, v, u, rho, r, tau_prev: float,
 def tangential_step(H, J_bar, g_bar, v, c_bar, tau_prev: float,
                     params: TestParams, eps_o: float, kappa_u: float,
                     eps_f: float, eps_c: float, exact: bool = False, *,
-                    feasible: bool, Jtc=None) -> StepBundle:
+                    feasible: bool, Jtc=None, Jtc_inf=None,
+                    c_norm=None) -> StepBundle:
     """Inexact tangential component via the symmetric Krylov solver.
 
     Iterates of the saddle system are checked against the noise-scaled
@@ -215,6 +231,8 @@ def tangential_step(H, J_bar, g_bar, v, c_bar, tau_prev: float,
     down (at the latest after 2(n+m) steps) without acceptance, the dense
     solve takes over and the test is re-checked on the exact solution (tag
     exact_fallback, with the passing test's tag in ``fallback_case``).
+    Under TT2 the bundle keeps the model reduction the accepting check
+    formed (``tt2_delta_l``).
     """
     m, n = J_bar.shape
     Jt = J_bar.T
@@ -228,16 +246,18 @@ def tangential_step(H, J_bar, g_bar, v, c_bar, tau_prev: float,
     apply_K = K.dot
 
     coef = 1e-10 if exact else kappa_u * min(eps_c, eps_f)
-    Jtc_inf = norm_inf(Jtc)
+    if Jtc_inf is None:
+        Jtc_inf = norm_inf(Jtc)
+    reductions = []  # model reductions formed by the TT2 checks, in order
 
     def passed_test(z, resid):
         """Tag of the branch's termination test at candidate z, or None."""
         u, rho, r = z[:n], resid[:n], resid[n:]
         if not feasible:
             return check_tt2(H, g_bar, c_bar, J_bar, v, u, rho, r, tau_prev, params,
-                             Jtc=Jtc)
+                             Jtc=Jtc, c_norm=c_norm, dl_out=reductions)
         if check_tt1(H, g_bar, c_bar, J_bar, u, rho, r, tau_prev, params, eps_o,
-                     Jtc=Jtc):
+                     Jtc=Jtc, c_norm=c_norm):
             return TT1
         return None
 
@@ -252,9 +272,9 @@ def tangential_step(H, J_bar, g_bar, v, c_bar, tau_prev: float,
     gate_cap = coef * 1e2
     while True:
         resid = apply_K(z) + b
-        resid_inf = abs(resid).max()
+        resid_inf = np.maximum.reduce(abs(resid))
         if not resid_inf > gate_cap:
-            gate = coef * max(min(max(abs(z[:n]).max(), Jtc_inf), 1e2), 1e-2)
+            gate = coef * max(min(max(np.maximum.reduce(abs(z[:n])), Jtc_inf), 1e2), 1e-2)
             if not resid_inf > gate:
                 tag = passed_test(z, resid)
                 if tag is not None:
@@ -275,5 +295,7 @@ def tangential_step(H, J_bar, g_bar, v, c_bar, tau_prev: float,
                 f"exact solution fails Termination Test {1 if feasible else 2}")
         tag = EXACT_FALLBACK
     u = z[:n]
+    # the accepting check was the last one and formed its reduction
     return StepBundle(v=v, u=u, d=v + u, y=z[n:], rho=resid[:n], r=resid[n:],
-                      test=tag, minres_iters=iters, fallback_case=fallback_case)
+                      test=tag, minres_iters=iters, fallback_case=fallback_case,
+                      tt2_delta_l=None if feasible else reductions[-1])

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from noisy_sqp.cli import main
 
 
@@ -143,3 +145,17 @@ def test_verify_subcommand(tmp_path, capsys):
     assert {r["check"] for r in reports} >= {
         "cauchy_perturbation_scan", "tangential_gap_scan", "trace_invariant_sweep"}
     assert all(r["pass"] for r in reports)
+
+
+def test_verify_suite_runs_only_the_chosen_checks(capsys):
+    code = main(["verify", "--suite", "fd"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert lines and all(line.startswith("fd_check ") for line in lines)
+
+
+def test_verify_unknown_suite_exits_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "nope"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'nope'" in capsys.readouterr().err

@@ -349,3 +349,65 @@ class TestNonFiniteEvaluation:
                                  f=lambda x: x[0] + x[1] if x[0] >= 0.0 else np.nan)
         trace, last = self.run(problem, "adaptive")
         assert np.isnan(last.noisy.f_bar)
+
+
+def same_evaluation(a, b):
+    return (a.f == b.f and a.g.tobytes() == b.g.tobytes()
+            and a.c.tobytes() == b.c.tobytes() and a.J.tobytes() == b.J.tobytes())
+
+
+class TestExactSnapshots:
+    """Where each record's ground-truth snapshot comes from."""
+
+    def _count_driver_evaluate(self, monkeypatch):
+        from noisy_sqp import driver
+        calls = []
+        evaluate = driver.evaluate
+
+        def counted(problem, x):
+            calls.append(x)
+            return evaluate(problem, x)
+
+        monkeypatch.setattr(driver, "evaluate", counted)
+        return calls
+
+    @pytest.mark.parametrize("variant", ["adaptive", "line_search"])
+    def test_default_oracle_snapshot_equals_fresh_evaluation(self, variant, monkeypatch):
+        from noisy_sqp.problems import duplicate_last_constraint, evaluate
+        calls = self._count_driver_evaluate(monkeypatch)
+        p = duplicate_last_constraint(registry_by_name()["quad-ellipse"])
+        params = SolverParams.benchmark_defaults(
+            noise_for(1e-2, 1e-2), variant=variant, optimism="pessimistic", max_iters=80)
+        trace = solve(p, params, 4)
+        assert len(trace.records) == 80
+        for rec in trace.records:
+            assert same_evaluation(rec.exact, evaluate(p, rec.x))
+        assert calls == []  # taken from the oracle's own evaluation
+
+    def test_caller_oracle_snapshot_is_evaluated_by_the_driver(self, monkeypatch):
+        from noisy_sqp.problems import evaluate
+        calls = self._count_driver_evaluate(monkeypatch)
+        p = registry_by_name()["unit-circle"]
+        noise = noise_for(1e-2, 1e-2)
+        params = SolverParams.benchmark_defaults(noise, variant="line_search",
+                                                 optimism="pessimistic", max_iters=40)
+        oracle = CountingOracle(p, noise, np.random.default_rng(2))
+        trace = solve(p, params, 2, oracle=oracle)
+        assert len(calls) == len(trace.records) == 40
+        for rec, x in zip(trace.records, calls):
+            assert x is rec.x
+            assert same_evaluation(rec.exact, evaluate(p, rec.x))
+
+    def test_delta_l_is_the_model_reduction_at_the_final_tau(self):
+        from noisy_sqp import merit
+        p = registry_by_name()["quad-linear-10"]
+        for variant in ("adaptive", "line_search"):
+            params = SolverParams.benchmark_defaults(
+                noise_for(1e-2, 1e-2), variant=variant, optimism="pessimistic",
+                max_iters=120)
+            trace = solve(p, params, 5)
+            for rec in trace.records:
+                nz = rec.noisy
+                fresh = merit.model_reduction(rec.tau, nz.g_bar, nz.c_bar, nz.J_bar,
+                                              rec.bundle.d)
+                assert rec.delta_l.hex() == fresh.hex()

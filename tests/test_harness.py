@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from noisy_sqp import harness
 from noisy_sqp.driver import SolverParams, solve
 from noisy_sqp.harness import (
     ExperimentConfig,
@@ -177,6 +178,78 @@ class TestStackedBestIterate:
         got = best_iterate(tie, 1.0, 1.0)
         assert got == per_record_best_iterate(tie, 1.0, 1.0)
         assert got[0] == 1
+
+
+class TestChunkedBestIterate:
+    """Stacking in chunks selects exactly what one stack of the whole trace does."""
+
+    def _trace(self, max_iters):
+        p = duplicate_last_constraint(registry_by_name()["quad-ellipse"])
+        noise = NoiseSpec(eps_f=1e-2, eps_g=1e-1, eps_c=1e-2, eps_J=1e-1)
+        params = SolverParams.benchmark_defaults(
+            noise, variant="adaptive", optimism="pessimistic", max_iters=max_iters)
+        return solve(p, params, 8)
+
+    def _both(self, monkeypatch, trace, eps, chunk):
+        monkeypatch.setattr(harness, "BEST_ITERATE_CHUNK", len(trace.records))
+        one_stack = best_iterate(trace, eps, eps)
+        monkeypatch.setattr(harness, "BEST_ITERATE_CHUNK", chunk)
+        return best_iterate(trace, eps, eps), one_stack
+
+    def test_trace_longer_than_the_default_chunk(self):
+        trace = self._trace(harness.BEST_ITERATE_CHUNK + 50)
+        assert len(trace.records) > harness.BEST_ITERATE_CHUNK
+        for eps in (1e-2, 0.0):
+            got = best_iterate(trace, eps, eps)
+            assert got == per_record_best_iterate(trace, eps, eps)
+
+    @pytest.mark.parametrize("eps", [1e-2, 0.0])
+    def test_small_chunks_equal_one_stack(self, monkeypatch, eps):
+        trace = self._trace(60)
+        got, one_stack = self._both(monkeypatch, trace, eps, chunk=7)
+        assert got == one_stack
+
+    def test_tie_across_a_chunk_boundary_goes_to_smaller_index(self, monkeypatch):
+        from types import SimpleNamespace
+        base = self._trace(10).records[5].exact
+        unqualified = SimpleNamespace(c=base.c + 10.0, g=base.g, J=base.J)
+        # with chunks of 4, the tied records 2 and 6 lie in different chunks
+        exact = [unqualified] * 2 + [base] + [unqualified] * 3 + [base, unqualified]
+        tie = SimpleNamespace(records=[SimpleNamespace(exact=e) for e in exact])
+        got, one_stack = self._both(monkeypatch, tie, 1.0, chunk=4)
+        assert got == one_stack
+        assert got[0] == 2
+
+
+class TestGridCellIsolation:
+    def test_raising_cell_becomes_an_error_row(self, tmp_path, monkeypatch, caplog):
+        run_single = harness.run_single
+
+        def flaky(problem_name, *args):
+            if problem_name == "unit-circle":
+                raise RuntimeError("cell failure")
+            return run_single(problem_name, *args)
+
+        monkeypatch.setattr(harness, "run_single", flaky)
+        config = ExperimentConfig(
+            problems=["quad-linear", "unit-circle"], noise_grid=[(1e-2, 1e-2)],
+            variants=[VariantSpec("ada", "opt")], seeds=[0, 1], budgets=(40, 2000),
+            out_dir=str(tmp_path))
+        records, path = run_grid(config, max_workers=1)
+        errors = [r for r in records if r.status == harness.ERROR]
+        assert [(r.problem, r.seed) for r in errors] == [("unit-circle", 0), ("unit-circle", 1)]
+        for r in errors:
+            assert (r.iters, r.weighted_evals, r.minres_iters, r.cg_iters) == (0, 0, 0, 0)
+            assert r.best_feas_err == r.best_stat_err == r.best_infeas_stat_err == np.inf
+            assert not r.solved and not r.terminated_early
+            assert (r.variant, r.optimism, r.exactness, r.licq_mode) == (
+                "ada", "opt", "inexact", "original")
+        normal = [r for r in records if r.problem == "quad-linear"]
+        assert len(normal) == 2 and all(r.status != harness.ERROR for r in normal)
+        assert caplog.text.count("RuntimeError: cell failure") == 2
+        text = open(path).read()
+        assert text.splitlines()[0] == ",".join(harness.CSV_COLUMNS)
+        assert records_from_csv(text) == records
 
 
 class TestSuccess:

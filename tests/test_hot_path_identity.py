@@ -6,7 +6,9 @@ keep each floating-point operation and its order.  These runs pin two
 digests recorded before the hot path was slimmed: one over the grid CSV
 rows, one over every iterate, step size, merit parameter, accepting test
 and step vector.  A one-ulp change anywhere (say ``math.hypot`` for
-``np.hypot`` in MINRES) changes them.
+``np.hypot`` in MINRES) changes them.  A third digest, recorded before the
+exact snapshots were taken from the oracle's own evaluation, covers every
+record's ground-truth ``f``, ``g``, ``c`` and ``J``.
 
 The runs cover both step-size controllers, optimistic and pessimistic
 gates, exact and inexact solves, duplicated constraint rows, the built-in
@@ -43,6 +45,7 @@ BUDGETS = (150, 10000)
 
 CSV_SHA256 = "47b89e3a8cebe48ea0edb3aa32dc328ef32698a179f9ea3f10a4f0497c64f0b5"
 TRACE_SHA256 = "80b9ec25b6b501012231e4c9dec7c328b8efc24d8d605fdbceba1ae59bdad732"
+EXACT_SHA256 = "30e10b810f39bde60acacb987f1caf9cb600e276b9a9b3ff03f2c9d15a1e0e2a"
 
 
 def _feed(h, value):
@@ -68,6 +71,13 @@ def trace_digest(trace, h):
             for value in (b.test, b.fallback_case, b.minres_iters, b.cg_iters,
                           b.v, b.u, b.d, b.y, b.rho, b.r):
                 _feed(h, value)
+
+
+def exact_digest(trace, h):
+    for rec in trace.records:
+        ex = rec.exact
+        for value in (ex.f, ex.g, ex.c, ex.J):
+            _feed(h, value)
 
 
 @pytest.fixture(scope="module")
@@ -107,3 +117,11 @@ def test_csv_and_traces_are_byte_identical(runs):
     for trace in traces:
         trace_digest(trace, h)
     assert (csv_sha, h.hexdigest()) == (CSV_SHA256, TRACE_SHA256)
+
+
+def test_exact_snapshots_are_byte_identical(runs):
+    _, traces = runs
+    h = hashlib.sha256()
+    for trace in traces:
+        exact_digest(trace, h)
+    assert h.hexdigest() == EXACT_SHA256

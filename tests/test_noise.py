@@ -130,3 +130,102 @@ class TestDuplicatedNoiseSharing:
             noisy = oracle.sample(p.x0)
             assert np.linalg.norm(noisy.c_bar - exact.c) <= spec.eps_c
             assert np.linalg.norm(noisy.J_bar - exact.J) <= spec.eps_J
+
+
+def four_uniform_draws(problem, spec, rng, want):
+    """One ``Generator.uniform`` call per drawn error, in the order e_f, e_c, e_g, e_J."""
+    m, n = problem.m, problem.n
+    e_f = e_g = e_c = e_J = 0.0
+    if want in ("value", "both"):
+        e_f = float(rng.uniform(-spec.eps_f, spec.eps_f)) if spec.eps_f > 0 else 0.0
+        if spec.eps_c > 0:
+            a = spec.eps_c / np.sqrt(m)
+            e_c = rng.uniform(-a, a, size=m)
+        else:
+            e_c = np.zeros(m)
+        for src, dst in problem.shared_noise_rows:
+            e_c[dst] = e_c[src]
+    if want in ("derivative", "both"):
+        if spec.eps_g > 0:
+            a = spec.eps_g / np.sqrt(n)
+            e_g = rng.uniform(-a, a, size=n)
+        else:
+            e_g = np.zeros(n)
+        if spec.eps_J > 0:
+            a = spec.eps_J / np.sqrt(m * n)
+            e_J = rng.uniform(-a, a, size=(m, n))
+        else:
+            e_J = np.zeros((m, n))
+        for src, dst in problem.shared_noise_rows:
+            e_J[dst, :] = e_J[src, :]
+    return e_f, e_g, e_c, e_J
+
+
+class TestOneDrawStream:
+    """One ``rng.random`` call per sample reproduces four ``uniform`` calls."""
+
+    SPECS = [
+        NoiseSpec(eps_f=1e-2, eps_g=1e-1, eps_c=1e-2, eps_J=1e-1),
+        NoiseSpec(eps_f=0.3, eps_g=0.0, eps_c=0.2, eps_J=0.05),
+        NoiseSpec(eps_f=0.0, eps_g=0.2, eps_c=0.1, eps_J=0.0),
+        NoiseSpec(eps_f=1e-4, eps_g=1e-2, eps_c=0.0, eps_J=1e-2),
+        NoiseSpec(),
+    ]
+
+    @pytest.mark.parametrize("name", ["quad-linear", "quad-linear-10", "sphere-dup",
+                                      "unit-circle+dup"])
+    @pytest.mark.parametrize("spec_index", range(len(SPECS)))
+    def test_bitwise_equal_to_four_uniform_calls(self, name, spec_index):
+        if name.endswith("+dup"):
+            problem = duplicate_last_constraint(registry_by_name()[name[:-4]])
+        else:
+            problem = registry_by_name()[name]
+        spec = self.SPECS[spec_index]
+        exact = evaluate(problem, problem.x0)
+        for seed in range(5):
+            oracle = make_oracle(problem, spec, seed)
+            rng = np.random.default_rng(seed)
+            for want in ("both", "value", "derivative", "both", "value"):
+                got = oracle._perturbations(exact, want)
+                ref = four_uniform_draws(problem, spec, rng, want)
+                for g, r in zip(got, ref):
+                    assert type(g) is type(r)
+                    assert np.asarray(g).shape == np.asarray(r).shape
+                    assert np.asarray(g).tobytes() == np.asarray(r).tobytes()
+                assert (oracle.rng.bit_generator.state == rng.bit_generator.state)
+
+    def test_shared_rows_are_copies(self):
+        problem = duplicate_last_constraint(registry_by_name()["quad-linear"])
+        oracle = make_oracle(problem, self.SPECS[0], seed=7)
+        _, _, e_c, e_J = oracle._perturbations(evaluate(problem, problem.x0), "both")
+        (src, dst), = problem.shared_noise_rows
+        assert e_c[dst] == e_c[src]
+        assert np.array_equal(e_J[dst], e_J[src])
+        assert e_c[0] != e_c[src]
+
+    def test_zero_noise_takes_no_draw(self):
+        p = registry_by_name()["quad-linear"]
+        oracle = make_oracle(p, NoiseSpec(), seed=3)
+        before = oracle.rng.bit_generator.state
+        oracle.sample(p.x0)
+        assert oracle.rng.bit_generator.state == before
+
+    def test_unbounded_range_raises_like_uniform(self):
+        p = registry_by_name()["unit-circle"]
+        oracle = make_oracle(p, NoiseSpec(eps_f=1e308))
+        with pytest.raises(OverflowError):
+            np.random.default_rng(0).uniform(-1e308, 1e308)
+        with pytest.raises(OverflowError):
+            oracle.sample(p.x0, "value")
+        oracle.sample(p.x0, "derivative")  # e_f is not drawn here
+
+    def test_sample_keeps_its_exact_evaluation(self):
+        p = registry_by_name()["quad-ellipse"]
+        oracle = make_oracle(p, self.SPECS[0], seed=1)
+        x = p.x0 + 0.5
+        oracle.sample(x)
+        ex = evaluate(p, x)
+        assert oracle.exact.f == ex.f
+        for got, ref in ((oracle.exact.g, ex.g), (oracle.exact.c, ex.c),
+                         (oracle.exact.J, ex.J)):
+            assert got.tobytes() == ref.tobytes()
