@@ -178,7 +178,7 @@ class _NonFiniteTrial(Exception):
 
 
 def solve(problem: ProblemSpec, params: SolverParams, seed: int,
-          oracle: NoisyOracle | None = None, record_exact: bool = True) -> RunTrace:
+          oracle: NoisyOracle | None = None) -> RunTrace:
     """Run the solver on one problem; never raises for algorithmic outcomes.
 
     A caller-supplied oracle takes over noisy sampling (used by crafted
@@ -186,8 +186,7 @@ def solve(problem: ProblemSpec, params: SolverParams, seed: int,
     ``seed``.  The ground-truth snapshot of each iterate is the evaluation
     the default oracle made for that iterate's sample (``oracle.exact``);
     with a caller-supplied oracle it is a separate ``evaluate(problem, x)``,
-    so a crafted oracle never supplies it.  ``record_exact=False`` drops
-    the snapshots, which must not change the iterates.
+    so a crafted oracle never supplies it.
     """
     params.validate()
     own_oracle = oracle is None
@@ -242,51 +241,39 @@ def solve(problem: ProblemSpec, params: SolverParams, seed: int,
             break
         before = counters.snapshot()
         noisy = oracle.sample(x, want="both")
-        if not record_exact:
-            exact = None
-        elif own_oracle:
-            exact = oracle.exact
-        else:
-            exact = evaluate(problem, x)
+        exact = oracle.exact if own_oracle else evaluate(problem, x)
         tau_prev = tau_state.tau
-        g_bar, c_bar, J_bar = noisy.g_bar, noisy.c_bar, noisy.J_bar
-        c_norm = norm2(c_bar)
-        feasible = c_norm <= branch_gate
+        # built ahead of the finiteness test: that exit's record carries the branch
+        lin = merit.Linearization(noisy.g_bar, noisy.c_bar, noisy.J_bar)
+        feasible = lin.c_norm <= branch_gate
         branch = FEASIBLE_BRANCH if feasible else INFEASIBLE_BRANCH
         if not _finite_sample(noisy):
             records.append(make_record(None, tau_prev, 0.0))
             status = NONFINITE
             break
-        Jtc = J_bar.T.dot(c_bar)
-        Jtc_inf = norm_inf(Jtc)
         if feasible:
-            v, cg_iters = np.zeros(n), 0
+            normal = steps.NormalStep(np.zeros(n), lin.c, lin.c_norm)
             tau_state.keep(k)
         else:
-            if Jtc_inf <= steps.tol_Jc(c_bar):
+            if lin.Jtc_inf <= steps.tol_Jc(lin.c):
                 records.append(make_record(None, tau_prev, 0.0))
                 status = EARLY_INFEASIBLE
                 break
-            v, cg_iters = steps.normal_step(
-                c_bar, J_bar, params.tests, params.kappa_v,
-                noise.eps_f, noise.eps_c, exact=exact_mode, Jtc=Jtc,
-                Jtc_inf=Jtc_inf, c_norm=c_norm)
+            normal = steps.normal_step(lin, params.tests, params.kappa_v,
+                                       noise.eps_f, noise.eps_c, exact=exact_mode)
         try:
             bundle = steps.tangential_step(
-                H, J_bar, g_bar, v, c_bar, tau_prev,
-                params.tests, eps_o, params.kappa_u, noise.eps_f,
-                noise.eps_c, exact=exact_mode, feasible=feasible, Jtc=Jtc,
-                Jtc_inf=Jtc_inf, c_norm=c_norm)
+                H, lin, normal, tau_prev, params.tests, eps_o, params.kappa_u,
+                noise.eps_f, noise.eps_c, exact=exact_mode, feasible=feasible)
         except steps.TestUnsatisfiable:
             records.append(make_record(None, tau_prev, 0.0))
             status = TEST_UNSATISFIABLE
             break
-        bundle.cg_iters = cg_iters
         outcome = bundle.fallback_case or bundle.test
         if outcome == steps.TT2_COND1:
             trial = merit.tau_trial(
-                g_bar, bundle.d, bundle.u, H, c_norm,
-                norm2(c_bar + J_bar @ bundle.v + bundle.r), params.tests)
+                lin.g, bundle.d, bundle.u, H, lin.c_norm,
+                norm2(normal.c_v + bundle.r), params.tests)
             merit.tau_update(tau_state, trial, params.sigma_tau, k)
         elif not feasible:
             tau_state.keep(k)
@@ -295,33 +282,34 @@ def solve(problem: ProblemSpec, params: SolverParams, seed: int,
         if tau_k == tau_prev and bundle.tt2_delta_l is not None:
             delta_l = bundle.tt2_delta_l  # the same reduction, formed by TT2
         else:
-            delta_l = merit.model_reduction(tau_k, g_bar, c_bar, J_bar, d,
-                                            c_norm=c_norm)
+            delta_l = merit.model_reduction(tau_k, lin, d)
         if feasible and delta_l <= eps_o:
             records.append(make_record(bundle, tau_k, 0.0, delta_l=delta_l))
             status = EARLY_STATIONARY
             break
 
-        if norm_inf(d) <= params.tol_d:
+        dd = float(d.dot(d))
+        if norm_inf(d) <= params.tol_d or dd == 0.0:
             records.append(make_record(bundle, tau_k, 0.0, delta_l=delta_l))
             status = DEGENERATE
             break
 
         if adapt is not None:
             u, v = bundle.u, bundle.v
-            stepsize.update_chi_zeta(adapt, u, v, d, H)
-            stepsize.xi_update(adapt, delta_l, tau_k, u, v, d)
+            uu, vv = float(u.dot(u)), float(v.dot(v))
+            stepsize.update_chi_zeta(adapt, uu, vv, float(d.dot(H.dot(d))))
+            stepsize.xi_update(adapt, delta_l, tau_k, uu, vv, dd)
             alpha, a_suff, a_min, a_max = stepsize.adaptive_alpha(
-                adapt, delta_l, tau_k, u, v, d)
+                adapt, delta_l, tau_k, uu, vv, dd)
             records.append(make_record(
                 bundle, tau_k, alpha, delta_l=delta_l,
                 chi=adapt.chi, zeta=adapt.zeta, xi=adapt.xi,
                 alpha_suff=a_suff, alpha_min=a_min, alpha_max=a_max))
         else:
-            phi0 = merit.merit_value(tau_k, noisy.f_bar, c_bar)
+            phi0 = merit.merit_value(tau_k, noisy.f_bar, lin.c)
             relax = stepsize.epsilon_Ak(
                 tau_k, noise.eps_f, noise.eps_c, noise.eps_g, noise.eps_J,
-                params.ls.alpha_u, norm2(d))
+                params.ls.alpha_u, math.sqrt(dd))
             trial_values = []
 
             def merit_eval(a):

@@ -156,9 +156,9 @@ def best_iterate(trace, eps_c: float, eps_f: float):
     `least_squares_multiplier` calls over at most BEST_ITERATE_CHUNK
     iterates each, which bounds the memory the stacks take.
     """
-    exact = [r.exact for r in trace.records if r.exact is not None]
+    exact = [r.exact for r in trace.records]
     if not exact:
-        raise ValueError("trace has no exact snapshots")
+        raise ValueError("trace has no records")
     ys, feas, stat = [], [], []
     for start in range(0, len(exact), BEST_ITERATE_CHUNK):
         chunk = exact[start:start + BEST_ITERATE_CHUNK]
@@ -200,7 +200,7 @@ def run_single(problem_name: str, variant: VariantSpec, eps_f: float,
     noise = NoiseSpec(eps_f=eps_f, eps_g=eps_g, eps_c=eps_c, eps_J=eps_J)
     params = variant.solver_params(noise, budgets)
     trace = solve(problem, params, seed)
-    if any(r.exact is not None for r in trace.records):
+    if trace.records:
         _, feas, stat, infeas_stat, y_inf = best_iterate(trace, eps_c, eps_f)
     else:
         # budget exhausted before the first full iteration

@@ -1,8 +1,11 @@
-"""Merit function, model reduction, and merit-parameter update logic.
+"""Noisy linearization, merit function, model reduction and merit-parameter updates.
 
-The merit function is the exact l2 penalty  phi(x, tau) = tau f + ||c||_2,
-and progress is measured by the reduction of its first-order model along a
-step.  The merit parameter only ever decreases.
+Every step of an iteration is built from one noisy linearization (g, c, J);
+`Linearization` holds it with the products the steps and tests read, each
+formed once.  The merit function is the exact l2 penalty
+phi(x, tau) = tau f + ||c||_2, and progress is measured by the reduction of
+its first-order model along a step.  The merit parameter only ever
+decreases.
 """
 
 from __future__ import annotations
@@ -12,7 +15,23 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import norm2
+from .linalg import norm2, norm_inf
+
+
+class Linearization:
+    """Noisy gradient g, constraints c and Jacobian J at one iterate (float
+    arrays) with J'c, ||J'c||^2, ||J'c||, max|J'c|, ||c|| and ||g||."""
+
+    __slots__ = ("g", "c", "J", "Jtc", "Jtc_sq", "Jtc_norm", "Jtc_inf", "c_norm", "g_norm")
+
+    def __init__(self, g, c, J):
+        self.g, self.c, self.J = g, c, J
+        Jtc = self.Jtc = J.T.dot(c)
+        self.Jtc_sq = float(Jtc.dot(Jtc))
+        self.Jtc_norm = math.sqrt(self.Jtc_sq)  # norm2's formula on the same dot
+        self.Jtc_inf = norm_inf(Jtc)
+        self.c_norm = norm2(c)
+        self.g_norm = norm2(g)
 
 
 @dataclass
@@ -37,14 +56,9 @@ def merit_value(tau: float, f: float, c) -> float:
     return tau * f + norm2(c)
 
 
-def model_reduction(tau: float, g_bar, c_bar, J_bar, d, *, c_norm=None) -> float:
-    """Reduction of the merit model:  -tau g'd + ||c|| - ||c + Jd||  (float arrays).
-
-    ``c_norm`` is ||c|| when the caller has it already.
-    """
-    if c_norm is None:
-        c_norm = norm2(c_bar)
-    return float(-tau * g_bar.dot(d) + c_norm - norm2(c_bar + J_bar.dot(d)))
+def model_reduction(tau: float, lin: Linearization, d) -> float:
+    """Reduction of the merit model:  -tau g'd + ||c|| - ||c + Jd||."""
+    return float(-tau * lin.g.dot(d) + lin.c_norm - norm2(lin.c + lin.J.dot(d)))
 
 
 def tau_trial(g_bar, d, u, H, c_norm: float, c_vr_norm: float, params) -> float:

@@ -5,11 +5,17 @@ proportional to ||J'c|| and must retain a fixed fraction of the Cauchy
 point's decrease.  The tangential component comes from a symmetric Krylov
 solve of the saddle system whose iterates are accepted as soon as one of
 the two termination tests holds together with a noise-scaled residual gate.
+
+Each function reads the iteration's noisy linearization from one
+`merit.Linearization` (g, c and J with J'c, ||J'c|| and max|J'c|, ||c|| and
+||g||, each formed once), and the tangential step and TT2 read the normal
+step's c + Jv and ||c + Jv|| from its `NormalStep`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,7 +26,7 @@ from .linalg import (
     norm2,
     norm_inf,
 )
-from .merit import model_reduction
+from .merit import Linearization, model_reduction
 
 TT1 = "TT1"
 TT2_CASE2 = "TT2_case2"
@@ -84,37 +90,36 @@ class StepBundle:
     tt2_delta_l: float | None = None
 
 
+class NormalStep(NamedTuple):
+    """Normal component v with c + Jv and ||c + Jv||, and its CG iterations."""
+
+    v: np.ndarray
+    c_v: np.ndarray
+    c_v_norm: float
+    cg_iters: int = 0
+
+
 def tol_Jc(c_bar) -> float:
     """Numerical meaning of ||J'c|| = 0 on the infeasible-stationary line."""
     return 1e-12 * max(1.0, norm_inf(c_bar))
 
 
-# The functions below take float ndarrays.  The keywords ``Jtc`` (J'c),
-# ``Jtc_inf`` (max|J'c|) and ``c_norm`` (||c||) pass quantities the caller
-# has already (the driver forms them once per iteration); each is formed
-# here otherwise.
-
-
-def cauchy_normal_step(c_bar, J_bar, sigma_Jc: float, *, Jtc=None):
+def cauchy_normal_step(lin: Linearization, sigma_Jc: float):
     """Steepest-descent direction -J'c with its capped optimal step size.
 
     Returns (v_c, alpha_c) with alpha_c = min{sigma_Jc, ||J'c||^2 / ||JJ'c||^2}.
     """
-    if Jtc is None:
-        Jtc = J_bar.T @ c_bar
-    v_c = -Jtc
-    JJtc = J_bar.dot(Jtc)
+    JJtc = lin.J.dot(lin.Jtc)
     denom = float(JJtc.dot(JJtc))
     if denom == 0.0:
         alpha_c = sigma_Jc
     else:
-        alpha_c = min(sigma_Jc, float(Jtc.dot(Jtc)) / denom)
-    return v_c, alpha_c
+        alpha_c = min(sigma_Jc, lin.Jtc_sq / denom)
+    return -lin.Jtc, alpha_c
 
 
-def normal_step(c_bar, J_bar, params: TestParams, kappa_v: float,
-                eps_f: float, eps_c: float, exact: bool = False, *, Jtc=None,
-                Jtc_inf=None, c_norm=None):
+def normal_step(lin: Linearization, params: TestParams, kappa_v: float,
+                eps_f: float, eps_c: float, exact: bool = False) -> NormalStep:
     """Inexact normal component via trust-region CG on 1/2 ||c + Jv||^2.
 
     CG runs in the Krylov space of J'c, hence v stays in Range(J').  It stops
@@ -122,27 +127,26 @@ def normal_step(c_bar, J_bar, params: TestParams, kappa_v: float,
     noise-scaled gate.  The caller has already taken the infeasible-stationary
     exit when J'c is numerically zero (`tol_Jc`).
     """
-    Jt = J_bar.T
-    if Jtc is None:
-        Jtc = Jt @ c_bar
-    v_c, alpha_c = cauchy_normal_step(c_bar, J_bar, params.sigma_Jc, Jtc=Jtc)
+    c, J = lin.c, lin.J
+    Jt = J.T
+    v_c, alpha_c = cauchy_normal_step(lin, params.sigma_Jc)
     v_cauchy = alpha_c * v_c
-    if c_norm is None:
-        c_norm = norm2(c_bar)
-    cauchy_target = params.gamma_c * (c_norm - norm2(c_bar + J_bar.dot(v_cauchy)))
-    radius = params.sigma_Jc * norm2(Jtc)
+    c_cauchy = c + J.dot(v_cauchy)
+    c_cauchy_norm = norm2(c_cauchy)
+    cauchy_target = params.gamma_c * (lin.c_norm - c_cauchy_norm)
+    radius = params.sigma_Jc * lin.Jtc_norm
     coef = 1e-10 if exact else kappa_v * min(eps_c, eps_f)
-    if Jtc_inf is None:
-        Jtc_inf = norm_inf(Jtc)
-    threshold = coef * max(1.0, Jtc_inf)
+    threshold = coef * max(1.0, lin.Jtc_inf)
 
-    v, _, iters = cg_steihaug(lambda p: Jt.dot(J_bar.dot(p)), Jtc, radius,
+    v, _, iters = cg_steihaug(lambda p: Jt.dot(J.dot(p)), lin.Jtc, radius,
                               stop=lambda resid: np.maximum.reduce(abs(resid)) <= threshold)
+    c_v = c + J.dot(v)
+    c_v_norm = norm2(c_v)
     # CG's first iterate is the Cauchy point, so the decrease condition holds
     # at exit by monotonicity; fall back to the Cauchy point defensively.
-    if c_norm - norm2(c_bar + J_bar.dot(v)) < cauchy_target - 1e-10 * max(1.0, c_norm):
-        v = v_cauchy
-    return v, iters
+    if lin.c_norm - c_v_norm < cauchy_target - 1e-10 * max(1.0, lin.c_norm):
+        return NormalStep(v_cauchy, c_cauchy, c_cauchy_norm, iters)
+    return NormalStep(v, c_v, c_v_norm, iters)
 
 
 def _round_off_slack(g_norm: float, c_norm: float) -> float:
@@ -152,77 +156,68 @@ def _round_off_slack(g_norm: float, c_norm: float) -> float:
     return 1e-13 * max(1.0, g_norm, c_norm)
 
 
-def check_tt1(H, g_bar, c_bar, J_bar, u, rho, r, tau_prev: float,
-              params: TestParams, eps_o: float, *, Jtc=None, c_norm=None) -> bool:
+def check_tt1(H, lin: Linearization, u, rho, r, tau_prev: float,
+              params: TestParams, eps_o: float) -> bool:
     """Termination Test 1 (feasible branch, v = 0); all four conditions, 2-norms."""
     uHu = float(u.dot(H.dot(u)))
     u_nrm2 = float(u.dot(u))
-    Jtc_norm = norm2(J_bar.T @ c_bar if Jtc is None else Jtc)
-    if c_norm is None:
-        c_norm = norm2(c_bar)
-    slack = _round_off_slack(norm2(g_bar), c_norm)
-    res_gate = params.lambda_rho_r * min(max(norm2(u), Jtc_norm), params.kappa_rho_r)
+    slack = _round_off_slack(lin.g_norm, lin.c_norm)
+    res_gate = params.lambda_rho_r * min(max(norm2(u), lin.Jtc_norm), params.kappa_rho_r)
     if max(norm2(rho), norm2(r)) > res_gate:
         return False
     if uHu < params.lambda_u * u_nrm2 - eps_o - slack:
         return False
-    if float(g_bar.dot(u)) + 0.5 * uHu > eps_o + slack:
+    if float(lin.g.dot(u)) + 0.5 * uHu > eps_o + slack:
         return False
-    dl = model_reduction(tau_prev, g_bar, c_bar, J_bar, u, c_norm=c_norm)
+    dl = model_reduction(tau_prev, lin, u)
     if dl < tau_prev * params.sigma_u * max(uHu, params.lambda_u * u_nrm2) - eps_o - slack:
         return False
     return True
 
 
-def check_tt2(H, g_bar, c_bar, J_bar, v, u, rho, r, tau_prev: float,
-              params: TestParams, *, Jtc=None, c_norm=None,
-              dl_out: list | None = None) -> str | None:
-    """Termination Test 2 (infeasible branch); returns TT2_CASE2, TT2_COND1 or None.
+def check_tt2(H, lin: Linearization, normal: NormalStep, u, rho, r,
+              tau_prev: float, params: TestParams):
+    """Termination Test 2 (infeasible branch) at the normal step and u.
 
+    Returns (tag, d, model reduction at ``tau_prev`` along d = v + u) when
+    the test passes, tag TT2_CASE2 or TT2_COND1, else (None, None, None).
     Case 2 has priority because it keeps the merit parameter unchanged.
-    When given, ``dl_out`` receives the model reduction at ``tau_prev``
-    along d = v + u once the test has formed it.
     """
+    v = normal.v
     uHu = float(u.dot(H.dot(u)))
     u_nrm = norm2(u)
     v_nrm = norm2(v)
-    Jtc_norm = norm2(J_bar.T @ c_bar if Jtc is None else Jtc)
-
-    if c_norm is None:
-        c_norm = norm2(c_bar)
-    slack = _round_off_slack(norm2(g_bar), c_norm)
+    Jtc_norm = lin.Jtc_norm
+    c_norm = lin.c_norm
+    slack = _round_off_slack(lin.g_norm, c_norm)
     res_gate = params.lambda_rho_r * min(max(u_nrm, Jtc_norm), params.kappa_rho_r)
     if max(norm2(rho), norm2(r)) > res_gate:
-        return None
+        return None, None, None
 
     if u_nrm > params.lambda_uv * v_nrm:
         curvature_ok = uHu >= params.lambda_u * u_nrm * u_nrm - slack
-        slope = float((g_bar + H.dot(v)).dot(u))
+        slope = float((lin.g + H.dot(v)).dot(u))
         weight = max(0.5, 1.0 - Jtc_norm)
         if not (curvature_ok and slope + weight * uHu <= params.lambda_v * v_nrm + slack):
-            return None
+            return None, None, None
 
     d = v + u
-    c_v = c_bar + J_bar.dot(v)
-    c_v_norm = norm2(c_v)
-    c_vr_norm = norm2(c_v + r)
-    dl = model_reduction(tau_prev, g_bar, c_bar, J_bar, d, c_norm=c_norm)
-    if dl_out is not None:
-        dl_out.append(dl)
+    c_v_norm = normal.c_v_norm
+    c_vr_norm = norm2(normal.c_v + r)
+    dl = model_reduction(tau_prev, lin, d)
     if dl >= tau_prev * params.sigma_u * max(uHu, params.lambda_u * u_nrm * u_nrm) \
             + params.sigma_c * (c_norm - c_v_norm) - slack:
-        return TT2_CASE2
+        return TT2_CASE2, d, dl
     if (c_norm - c_v_norm > 0.0
             and c_norm - c_vr_norm >= params.sigma_r * (c_norm - c_v_norm) - slack):
-        return TT2_COND1
-    return None
+        return TT2_COND1, d, dl
+    return None, None, None
 
 
-def tangential_step(H, J_bar, g_bar, v, c_bar, tau_prev: float,
+def tangential_step(H, lin: Linearization, normal: NormalStep, tau_prev: float,
                     params: TestParams, eps_o: float, kappa_u: float,
                     eps_f: float, eps_c: float, exact: bool = False, *,
-                    feasible: bool, Jtc=None, Jtc_inf=None,
-                    c_norm=None) -> StepBundle:
+                    feasible: bool) -> StepBundle:
     """Inexact tangential component via the symmetric Krylov solver.
 
     Iterates of the saddle system are checked against the noise-scaled
@@ -231,35 +226,29 @@ def tangential_step(H, J_bar, g_bar, v, c_bar, tau_prev: float,
     down (at the latest after 2(n+m) steps) without acceptance, the dense
     solve takes over and the test is re-checked on the exact solution (tag
     exact_fallback, with the passing test's tag in ``fallback_case``).
-    Under TT2 the bundle keeps the model reduction the accepting check
-    formed (``tt2_delta_l``).
+    Under TT2 the bundle keeps the d and the model reduction the accepting
+    check formed (``tt2_delta_l``).
     """
+    J_bar = lin.J
     m, n = J_bar.shape
-    Jt = J_bar.T
-    if Jtc is None:
-        Jtc = Jt @ c_bar
+    v = normal.v
     K = np.zeros((n + m, n + m))
     K[:n, :n] = H
-    K[:n, n:] = Jt
+    K[:n, n:] = J_bar.T
     K[n:, :n] = J_bar
-    b = np.concatenate((g_bar + H.dot(v), np.zeros(m)))
+    b = np.concatenate((lin.g + H.dot(v), np.zeros(m)))
     apply_K = K.dot
 
     coef = 1e-10 if exact else kappa_u * min(eps_c, eps_f)
-    if Jtc_inf is None:
-        Jtc_inf = norm_inf(Jtc)
-    reductions = []  # model reductions formed by the TT2 checks, in order
 
     def passed_test(z, resid):
-        """Tag of the branch's termination test at candidate z, or None."""
+        """(tag, d, TT2 model reduction) of the branch's test at z; tag None on failure."""
         u, rho, r = z[:n], resid[:n], resid[n:]
         if not feasible:
-            return check_tt2(H, g_bar, c_bar, J_bar, v, u, rho, r, tau_prev, params,
-                             Jtc=Jtc, c_norm=c_norm, dl_out=reductions)
-        if check_tt1(H, g_bar, c_bar, J_bar, u, rho, r, tau_prev, params, eps_o,
-                     Jtc=Jtc, c_norm=c_norm):
-            return TT1
-        return None
+            return check_tt2(H, lin, normal, u, rho, r, tau_prev, params)
+        if check_tt1(H, lin, u, rho, r, tau_prev, params, eps_o):
+            return TT1, v + u, None
+        return None, None, None
 
     minus_b = -b
     state = None
@@ -274,9 +263,9 @@ def tangential_step(H, J_bar, g_bar, v, c_bar, tau_prev: float,
         resid = apply_K(z) + b
         resid_inf = np.maximum.reduce(abs(resid))
         if not resid_inf > gate_cap:
-            gate = coef * max(min(max(np.maximum.reduce(abs(z[:n])), Jtc_inf), 1e2), 1e-2)
+            gate = coef * max(min(max(np.maximum.reduce(abs(z[:n])), lin.Jtc_inf), 1e2), 1e-2)
             if not resid_inf > gate:
-                tag = passed_test(z, resid)
+                tag, d, dl = passed_test(z, resid)
                 if tag is not None:
                     break
         if state is not None and state.breakdown:
@@ -289,13 +278,11 @@ def tangential_step(H, J_bar, g_bar, v, c_bar, tau_prev: float,
         # dense fallback; residuals vanish up to round-off
         z = np.concatenate(dense_kkt_solve(H, J_bar, b[:n]))
         resid = apply_K(z) + b
-        fallback_case = passed_test(z, resid)
+        fallback_case, d, dl = passed_test(z, resid)
         if fallback_case is None:
             raise TestUnsatisfiable(
                 f"exact solution fails Termination Test {1 if feasible else 2}")
         tag = EXACT_FALLBACK
-    u = z[:n]
-    # the accepting check was the last one and formed its reduction
-    return StepBundle(v=v, u=u, d=v + u, y=z[n:], rho=resid[:n], r=resid[n:],
-                      test=tag, minres_iters=iters, fallback_case=fallback_case,
-                      tt2_delta_l=None if feasible else reductions[-1])
+    return StepBundle(v=v, u=z[:n], d=d, y=z[n:], rho=resid[:n], r=resid[n:],
+                      test=tag, minres_iters=iters, cg_iters=normal.cg_iters,
+                      fallback_case=fallback_case, tt2_delta_l=dl)

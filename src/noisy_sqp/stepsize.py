@@ -6,7 +6,9 @@ nonincreasing) that separate tangentially from normally dominated steps and
 projects a sufficient-decrease step size onto a safeguard interval.  The
 line search accepts the first backtracked step passing an Armijo condition
 relaxed by a noise-dependent slack.  Both controllers take a nonzero
-direction: the driver stops on a numerically zero one first.
+direction: the driver stops on a numerically zero one, or one whose d'd
+underflows to 0, first.  The adaptive controller reads the step's products
+u'u, v'v, d'd and d'Hd, which the driver forms once per iteration.
 """
 
 from __future__ import annotations
@@ -62,6 +64,10 @@ class AdaptiveState:
         if not 0.0 < self.eta < 1.0:
             raise ValueError("eta must be in (0,1)")
 
+    def tangential(self, uu: float, vv: float) -> bool:
+        """Tangential dominance u'u >= chi v'v at the current chi."""
+        return uu >= self.chi * vv
+
 
 def estimate_lipschitz(oracle, x0, n_dirs: int = 10, delta: float = 1e-2,
                        floor: float = 1e-4):
@@ -95,38 +101,37 @@ def clamp_beta_admissible(L: float, Gamma: float, beta: float, eta: float,
     return L, Gamma
 
 
-def update_chi_zeta(state: AdaptiveState, u, v, d, H) -> AdaptiveState:
-    """Grow chi / shrink zeta when the step is tangentially dominated with low curvature."""
-    uu = float(u.dot(u))
-    dHd = float(d.dot(H.dot(d)))
-    if uu >= state.chi * float(v.dot(v)) and 0.5 * dHd < 0.25 * state.zeta * uu:
+def update_chi_zeta(state: AdaptiveState, uu: float, vv: float, dHd: float) -> AdaptiveState:
+    """Grow chi / shrink zeta when the step is tangentially dominated with low curvature.
+
+    ``uu``, ``vv`` and ``dHd`` are u'u, v'v and d'Hd of the step d = v + u.
+    """
+    if state.tangential(uu, vv) and 0.5 * dHd < 0.25 * state.zeta * uu:
         state.chi = (1.0 + state.sigma_chi) * state.chi
         state.zeta = (1.0 - state.sigma_zeta) * state.zeta
     return state
 
 
-def xi_update(state: AdaptiveState, delta_l: float, tau: float, u, v, d) -> AdaptiveState:
-    """Lower xi toward the observed ratio of model reduction to step length squared."""
-    dd = float(d.dot(d))
-    tangential = float(u.dot(u)) >= state.chi * float(v.dot(v))
-    trial = delta_l / (tau * dd) if tangential else delta_l / dd
+def xi_update(state: AdaptiveState, delta_l: float, tau: float, uu: float,
+              vv: float, dd: float) -> AdaptiveState:
+    """Lower xi toward the observed ratio of model reduction to d'd (``dd`` > 0)."""
+    trial = delta_l / (tau * dd) if state.tangential(uu, vv) else delta_l / dd
     if state.xi > trial:
         state.xi = min((1.0 - state.sigma_xi) * state.xi, trial)
     return state
 
 
-def adaptive_alpha(state: AdaptiveState, delta_l: float, tau: float, u, v, d):
+def adaptive_alpha(state: AdaptiveState, delta_l: float, tau: float, uu: float,
+                   vv: float, dd: float):
     """Project the sufficient-decrease step size onto the safeguard interval.
 
     Returns (alpha, alpha_suff, alpha_min, alpha_max); the projection never
     increases the step size beyond alpha_suff <= 1.
     """
-    dd = float(d.dot(d))
     denom = tau * state.L_est + state.Gamma_est
     two1meta = 2.0 * (1.0 - state.eta) * state.beta
     alpha_suff = min(two1meta * delta_l / (denom * dd), 1.0)
-    tangential = float(u.dot(u)) >= state.chi * float(v.dot(v))
-    alpha_min = two1meta * state.xi * (tau if tangential else 1.0) / denom
+    alpha_min = two1meta * state.xi * (tau if state.tangential(uu, vv) else 1.0) / denom
     alpha_max = alpha_min + state.theta * state.beta
     alpha = min(max(alpha_suff, alpha_min), alpha_max)
     return alpha, alpha_suff, alpha_min, alpha_max

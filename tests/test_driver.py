@@ -143,6 +143,27 @@ class TestDegenerateDirection:
         trace = solve(p, params, 0)
         assert trace.status == DEGENERATE
 
+    @pytest.mark.parametrize("variant", ["adaptive", "line_search"])
+    def test_underflowing_step_stops_at_zero_tol_d(self, variant):
+        # H = 1e170 I shrinks the tangential step to ||d||_inf = 1e-170, above
+        # tol_d = 0, but d'd underflows to 0 (adaptive used to divide by it)
+        A = np.array([[1.0, 0.0]])
+
+        def ev(x):
+            return ExactEvaluation(f=float(x[1]), g=np.array([0.0, 1.0]), c=A @ x, J=A)
+
+        p = ProblemSpec("tiny-step", 2, 1, np.zeros(2), ev, H=1e170 * np.eye(2))
+        params = SolverParams.benchmark_defaults(
+            NoiseSpec(), variant=variant, optimism="pessimistic", tol_d=0.0, max_iters=5)
+        trace = solve(p, params, 0)
+        assert trace.status == DEGENERATE
+        assert len(trace.records) == 1
+        last = trace.records[-1]
+        assert last.alpha == 0.0
+        d = last.bundle.d
+        assert norm_inf(d) > 0.0 and d @ d == 0.0
+        assert assert_trace_invariants(trace, params) == []
+
 
 class TestLoopMechanics:
     def test_iterate_update_identity(self):
@@ -187,17 +208,6 @@ class TestLoopMechanics:
         assert trace.counters.gradient_evals == oracle.tally["derivative"]
         assert trace.counters.weighted_total == (
             oracle.tally["value"] + 2 * oracle.tally["derivative"])
-
-    def test_exact_snapshots_never_feed_the_solver(self):
-        p = registry_by_name()["unit-circle"]
-        noise = noise_for(1e-2, 1e-2)
-        params = SolverParams.benchmark_defaults(noise, variant="adaptive", max_iters=25)
-        with_exact = solve(p, params, 9, record_exact=True)
-        without = solve(p, params, 9, record_exact=False)
-        assert len(with_exact.records) == len(without.records)
-        for a, b in zip(with_exact.records, without.records):
-            assert np.array_equal(a.x, b.x)
-            assert a.alpha == b.alpha
 
     def test_line_search_failure_status(self):
         # adversarial oracle: the merit increases at every trial point
@@ -398,6 +408,34 @@ class TestExactSnapshots:
             assert x is rec.x
             assert same_evaluation(rec.exact, evaluate(p, rec.x))
 
+    @pytest.mark.parametrize("variant", ["adaptive", "line_search"])
+    def test_nan_snapshots_never_feed_the_solver(self, variant, monkeypatch):
+        from noisy_sqp import driver
+        p = registry_by_name()["unit-circle"]
+        noise = noise_for(1e-2, 1e-2)
+        params = SolverParams.benchmark_defaults(noise, variant=variant,
+                                                 optimism="pessimistic", max_iters=25)
+
+        def run():
+            oracle = NoisyOracle(p, noise, np.random.default_rng(9))
+            return solve(p, params, 9, oracle=oracle)
+
+        reference = run()
+
+        def nan_snapshot(problem, x):
+            n, m = problem.n, problem.m
+            return ExactEvaluation(f=np.nan, g=np.full(n, np.nan), c=np.full(m, np.nan),
+                                   J=np.full((m, n), np.nan))
+
+        monkeypatch.setattr(driver, "evaluate", nan_snapshot)
+        patched = run()
+        assert all(np.isnan(rec.exact.f) for rec in patched.records)
+        assert patched.status == reference.status
+        assert len(patched.records) == len(reference.records) == 25
+        for a, b in zip(reference.records, patched.records):
+            assert a.x.tobytes() == b.x.tobytes()
+            assert a.alpha.hex() == b.alpha.hex()
+
     def test_delta_l_is_the_model_reduction_at_the_final_tau(self):
         from noisy_sqp import merit
         p = registry_by_name()["quad-linear-10"]
@@ -408,6 +446,6 @@ class TestExactSnapshots:
             trace = solve(p, params, 5)
             for rec in trace.records:
                 nz = rec.noisy
-                fresh = merit.model_reduction(rec.tau, nz.g_bar, nz.c_bar, nz.J_bar,
-                                              rec.bundle.d)
+                lin = merit.Linearization(nz.g_bar, nz.c_bar, nz.J_bar)
+                fresh = merit.model_reduction(rec.tau, lin, rec.bundle.d)
                 assert rec.delta_l.hex() == fresh.hex()

@@ -3,7 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from noisy_sqp.merit import TauState, merit_value, model_reduction, tau_trial, tau_update
+from noisy_sqp.linalg import norm2, norm_inf
+from noisy_sqp.merit import (
+    Linearization,
+    TauState,
+    merit_value,
+    model_reduction,
+    tau_trial,
+    tau_update,
+)
 from noisy_sqp.steps import TestParams
 
 
@@ -18,20 +26,35 @@ class TestMeritValue:
         assert merit_value(0.5, 0.0, np.array([1.0])) == pytest.approx(1.0)
 
 
+class TestLinearization:
+    def test_products_equal_their_formulas_bitwise(self):
+        rng = np.random.default_rng(3)
+        for m, n in ((1, 2), (2, 5), (4, 7)):
+            g, c, J = rng.standard_normal(n), rng.standard_normal(m), rng.standard_normal((m, n))
+            lin = Linearization(g, c, J)
+            assert lin.g is g and lin.c is c and lin.J is J
+            assert np.array_equal(lin.Jtc, J.T @ c)
+            assert lin.Jtc_sq == float((J.T @ c) @ (J.T @ c))
+            assert lin.Jtc_norm == norm2(J.T @ c)
+            assert lin.Jtc_inf == norm_inf(J.T @ c)
+            assert lin.c_norm == norm2(c) and lin.g_norm == norm2(g)
+
+
 class TestModelReduction:
     def test_zero_displacement(self):
-        assert model_reduction(1.0, np.ones(2), np.ones(1), np.ones((1, 2)), np.zeros(2)) == 0.0
+        assert model_reduction(1.0, Linearization(np.ones(2), np.ones(1), np.ones((1, 2))),
+                               np.zeros(2)) == 0.0
 
     def test_direct_evaluation(self):
-        val = model_reduction(1.0, np.array([1.0, 0.0]), np.array([1.0]),
-                              np.array([[1.0, 0.0]]), np.array([-1.0, 0.0]))
+        lin = Linearization(np.array([1.0, 0.0]), np.array([1.0]), np.array([[1.0, 0.0]]))
+        val = model_reduction(1.0, lin, np.array([-1.0, 0.0]))
         assert val == pytest.approx(2.0)
 
     def test_full_linearized_feasibility_step(self):
         c = np.array([3.0, 4.0])
         J = np.eye(2)
         d = -c
-        val = model_reduction(1.0, np.zeros(2), c, J, d)
+        val = model_reduction(1.0, Linearization(np.zeros(2), c, J), d)
         assert val == pytest.approx(np.linalg.norm(c))
 
 

@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from noisy_sqp.linalg import dense_kkt_solve, norm2, norm_inf
+from noisy_sqp.merit import Linearization, model_reduction
 from noisy_sqp.problems import evaluate, registry_by_name
 from noisy_sqp.steps import (
     EXACT_FALLBACK,
     TT1,
     TT2_CASE2,
     TT2_COND1,
+    NormalStep,
     TestParams,
     cauchy_normal_step,
     check_tt1,
@@ -19,6 +21,16 @@ from noisy_sqp.steps import (
 
 
 PARAMS = TestParams()
+
+
+def lin(c, J, g=None):
+    """Linearization with a zero gradient unless one is given."""
+    return Linearization(np.zeros(J.shape[1]) if g is None else g, c, J)
+
+
+def zero_normal(c, n):
+    """The feasible branch's normal step v = 0, so c + Jv = c."""
+    return NormalStep(np.zeros(n), c, norm2(c))
 
 
 class TestParamsValidation:
@@ -35,7 +47,7 @@ class TestParamsValidation:
 
 class TestCauchyNormalStep:
     def test_orthonormal_jacobian(self):
-        v_c, alpha = cauchy_normal_step(np.array([1.0, 1.0]), np.eye(2), 100.0)
+        v_c, alpha = cauchy_normal_step(lin(np.array([1.0, 1.0]), np.eye(2)), 100.0)
         assert np.allclose(v_c, [-1.0, -1.0])
         assert alpha == pytest.approx(1.0)
         c = np.array([1.0, 1.0])
@@ -44,28 +56,28 @@ class TestCauchyNormalStep:
     def test_least_squares_oracle(self):
         J = np.array([[1.0, 2.0]])
         c = np.array([1.0])
-        v_c, alpha = cauchy_normal_step(c, J, 100.0)
+        v_c, alpha = cauchy_normal_step(lin(c, J), 100.0)
         assert alpha == pytest.approx(0.2)
         assert np.allclose(alpha * v_c, [-0.2, -0.4])
 
     def test_cap_binds(self):
         J = np.array([[1.0, 2.0]])
-        _, alpha = cauchy_normal_step(np.array([1.0]), J, 0.05)
+        _, alpha = cauchy_normal_step(lin(np.array([1.0]), J), 0.05)
         assert alpha == pytest.approx(0.05)
 
 
 class TestNormalStep:
     def test_exact_mode_identity(self):
-        v, _ = normal_step(np.array([1.0, 1.0]), np.eye(2), PARAMS, 1e-2, 0.0, 0.0,
-                           exact=True)
+        v = normal_step(lin(np.array([1.0, 1.0]), np.eye(2)), PARAMS, 1e-2, 0.0, 0.0,
+                        exact=True).v
         assert np.allclose(v, [-1.0, -1.0], atol=1e-9)
 
     def test_cauchy_decrease_reasserted(self):
         # direct inequality recomputation on the accepted step
         J = np.array([[1.0, 2.0]])
         c = np.array([1.0])
-        v, _ = normal_step(c, J, PARAMS, 1e-2, 1e-2, 1e-2)
-        v_c, alpha = cauchy_normal_step(c, J, PARAMS.sigma_Jc)
+        v = normal_step(lin(c, J), PARAMS, 1e-2, 1e-2, 1e-2).v
+        v_c, alpha = cauchy_normal_step(lin(c, J), PARAMS.sigma_Jc)
         lhs = norm2(c) - norm2(c + J @ v)
         rhs = PARAMS.gamma_c * (norm2(c) - norm2(c + alpha * (J @ v_c)))
         assert lhs >= rhs - 1e-12
@@ -73,11 +85,11 @@ class TestNormalStep:
     def test_rank_deficient_stays_in_row_span(self):
         J = np.array([[1.0, 0.0], [1.0, 0.0]])
         c = np.array([1.0, 1.0])
-        v, _ = normal_step(c, J, PARAMS, 1e-2, 1e-2, 1e-2)
+        v = normal_step(lin(c, J), PARAMS, 1e-2, 1e-2, 1e-2).v
         # projection check oracle: v must lie in span{(1, 0)}
         assert abs(v[1]) <= 1e-12
         lhs = norm2(c) - norm2(c + J @ v)
-        v_c, alpha = cauchy_normal_step(c, J, PARAMS.sigma_Jc)
+        v_c, alpha = cauchy_normal_step(lin(c, J), PARAMS.sigma_Jc)
         rhs = PARAMS.gamma_c * (norm2(c) - norm2(c + alpha * (J @ v_c)))
         assert lhs >= rhs - 1e-12
 
@@ -90,8 +102,23 @@ class TestNormalStep:
             c = rng.standard_normal(m)
             if norm_inf(J.T @ c) <= tol_Jc(c):
                 continue
-            v, _ = normal_step(c, J, PARAMS, 1e-2, 1e-3, 1e-3)
+            v = normal_step(lin(c, J), PARAMS, 1e-2, 1e-3, 1e-3).v
             assert norm2(v) <= PARAMS.sigma_Jc * norm2(J.T @ c) * (1 + 1e-12)
+
+
+    def test_returns_c_plus_Jv_of_its_step(self):
+        rng = np.random.default_rng(41)
+        for _ in range(30):
+            m = int(rng.integers(1, 4))
+            n = int(rng.integers(m + 1, 7))
+            J = rng.standard_normal((m, n))
+            c = rng.standard_normal(m)
+            if norm_inf(J.T @ c) <= tol_Jc(c):
+                continue
+            normal = normal_step(lin(c, J), PARAMS, 1e-2, 1e-3, 1e-3)
+            assert np.array_equal(normal.c_v, c + J @ normal.v)
+            assert normal.c_v_norm == norm2(c + J @ normal.v)
+            assert normal.cg_iters >= 1
 
 
 class TestTangentialStep:
@@ -101,7 +128,7 @@ class TestTangentialStep:
         J = np.array([[1.0, 0.0]])
         g = np.array([1.0, 1.0])
         c = np.array([0.05])
-        bundle = tangential_step(H, J, g, np.zeros(2), c, 1.0, PARAMS,
+        bundle = tangential_step(H, lin(c, J, g), zero_normal(c, 2), 1.0, PARAMS,
                                  eps_o=0.1, kappa_u=1e-2, eps_f=1e-2, eps_c=1e-2,
                                  feasible=True)
         assert bundle.test in (TT1, EXACT_FALLBACK)
@@ -111,7 +138,8 @@ class TestTangentialStep:
         H = np.eye(2)
         J = np.array([[1.0, 0.0]])
         g = np.array([0.0, 1.0])
-        bundle = tangential_step(H, J, g, np.zeros(2), np.array([0.0]), 1.0,
+        c = np.array([0.0])
+        bundle = tangential_step(H, lin(c, J, g), zero_normal(c, 2), 1.0,
                                  PARAMS, eps_o=0.0, kappa_u=1e-2,
                                  eps_f=0.0, eps_c=0.0, exact=True, feasible=True)
         u_oracle, _ = dense_kkt_solve(H, J, g)
@@ -123,8 +151,9 @@ class TestTangentialStep:
         p = registry_by_name()["unit-circle"]
         ev = evaluate(p, p.x0)
         H = np.eye(2)
-        v, _ = normal_step(ev.c, ev.J, PARAMS, 1e-2, 0.0, 0.0, exact=True)
-        bundle = tangential_step(H, ev.J, ev.g, v, ev.c, 1.0, PARAMS,
+        L = lin(ev.c, ev.J, ev.g)
+        normal = normal_step(L, PARAMS, 1e-2, 0.0, 0.0, exact=True)
+        bundle = tangential_step(H, L, normal, 1.0, PARAMS,
                                  eps_o=0.0, kappa_u=1e-2, eps_f=0.0, eps_c=0.0,
                                  exact=True, feasible=False)
         assert bundle.test in (TT2_CASE2, TT2_COND1, EXACT_FALLBACK)
@@ -141,8 +170,10 @@ class TestTangentialStep:
         J = np.array([[1.0, 1.0, 0.0]])
         g = np.array([0.3, -0.2, 1.0])
         c = np.array([0.4])
-        v, _ = normal_step(c, J, PARAMS, 1e-2, 0.0, 0.0, exact=True)
-        bundle = tangential_step(H, J, g, v, c, 1.0, PARAMS, eps_o=0.0,
+        L = lin(c, J, g)
+        normal = normal_step(L, PARAMS, 1e-2, 0.0, 0.0, exact=True)
+        v = normal.v
+        bundle = tangential_step(H, L, normal, 1.0, PARAMS, eps_o=0.0,
                                  kappa_u=1e-2, eps_f=0.0, eps_c=0.0,
                                  feasible=False)
         assert bundle.test == EXACT_FALLBACK
@@ -152,12 +183,12 @@ class TestTangentialStep:
 
 class TestCheckTT1:
     def test_zero_step_passes(self):
-        ok = check_tt1(np.eye(2), np.zeros(2), np.zeros(1), np.zeros((1, 2)),
+        ok = check_tt1(np.eye(2), lin(np.zeros(1), np.zeros((1, 2))),
                        np.zeros(2), np.zeros(2), np.zeros(1), 1.0, PARAMS, 0.1)
         assert ok
 
     def test_huge_residual_gate(self):
-        ok = check_tt1(np.eye(2), np.zeros(2), np.zeros(1), np.zeros((1, 2)),
+        ok = check_tt1(np.eye(2), lin(np.zeros(1), np.zeros((1, 2))),
                        np.array([1.0, 0.0]), np.array([10.0, 0.0]), np.zeros(1),
                        1.0, PARAMS, 0.1)
         assert not ok
@@ -173,9 +204,9 @@ class TestCheckTT1:
         rho = np.zeros(2)
         r = np.zeros(1)
         g_bad = np.array([0.0, 0.5 + 1e-6])   # g'u + u'Hu/2 = +1e-6 > 0
-        assert not check_tt1(H, g_bad, c, J, u, rho, r, 1.0, PARAMS, 0.0)
+        assert not check_tt1(H, lin(c, J, g_bad), u, rho, r, 1.0, PARAMS, 0.0)
         g_ok = np.array([0.0, 1.0])           # g'u + u'Hu/2 = -1/2
-        assert check_tt1(H, g_ok, c, J, u, rho, r, 1.0, PARAMS, 0.0)
+        assert check_tt1(H, lin(c, J, g_ok), u, rho, r, 1.0, PARAMS, 0.0)
 
     def test_exact_fixture_with_strictness_margin(self):
         H = np.eye(2)
@@ -184,40 +215,49 @@ class TestCheckTT1:
         u, y = dense_kkt_solve(H, J, g)
         rho = H @ u + J.T @ y + g
         r = J @ u
-        assert check_tt1(H, g, np.array([0.0]), J, u, rho, r, 1.0, PARAMS, 0.0)
+        assert check_tt1(H, lin(np.array([0.0]), J, g), u, rho, r, 1.0, PARAMS, 0.0)
         tight = TestParams(sigma_u=1.0 - 1e-12)
-        assert check_tt1(H, g, np.array([0.0]), J, u, rho, r, 1.0, tight, 0.0)
+        assert check_tt1(H, lin(np.array([0.0]), J, g), u, rho, r, 1.0, tight, 0.0)
 
 
 class TestCheckTT2:
     def _fixture(self):
         p = registry_by_name()["unit-circle"]
         ev = evaluate(p, p.x0)
-        v, _ = normal_step(ev.c, ev.J, PARAMS, 1e-2, 0.0, 0.0, exact=True)
-        return ev, v
+        L = lin(ev.c, ev.J, ev.g)
+        return ev, L, normal_step(L, PARAMS, 1e-2, 0.0, 0.0, exact=True)
 
     def test_zero_tangential_reduces_to_reduction_conditions(self):
-        ev, v = self._fixture()
-        case = check_tt2(np.eye(2), ev.g, ev.c, ev.J, v, np.zeros(2),
-                         np.zeros(2), np.zeros(1), 1.0, PARAMS)
+        ev, L, normal = self._fixture()
+        case, _, _ = check_tt2(np.eye(2), L, normal, np.zeros(2),
+                               np.zeros(2), np.zeros(1), 1.0, PARAMS)
         assert case in (TT2_CASE2, TT2_COND1)
 
     def test_exact_normal_solve_satisfies_residual_branch(self):
-        ev, v = self._fixture()
+        ev, L, normal = self._fixture()
+        v = normal.v
         u, y = dense_kkt_solve(np.eye(2), ev.J, ev.g + v)
         rho = np.eye(2) @ u + ev.J.T @ y + ev.g + v
         r = ev.J @ u
-        case = check_tt2(np.eye(2), ev.g, ev.c, ev.J, v, u, rho, r, 1.0, PARAMS)
+        case, _, _ = check_tt2(np.eye(2), L, normal, u, rho, r, 1.0, PARAMS)
         assert case is not None
         dec_v = norm2(ev.c) - norm2(ev.c + ev.J @ v)
         dec_vr = norm2(ev.c) - norm2(ev.c + ev.J @ v + r)
         assert dec_v > 0 and dec_vr >= PARAMS.sigma_r * dec_v - 1e-12
 
+    def test_returns_d_and_its_model_reduction(self):
+        ev, L, normal = self._fixture()
+        u = np.zeros(2)
+        case, d, dl = check_tt2(np.eye(2), L, normal, u, np.zeros(2), np.zeros(1),
+                                1.0, PARAMS)
+        assert case in (TT2_CASE2, TT2_COND1)
+        assert np.array_equal(d, normal.v + u)
+        assert dl == model_reduction(1.0, L, normal.v + u)
+
     def test_residual_gate_is_conjunctive(self):
-        ev, v = self._fixture()
-        case = check_tt2(np.eye(2), ev.g, ev.c, ev.J, v, np.zeros(2),
-                         np.array([50.0, 0.0]), np.zeros(1), 1.0, PARAMS)
-        assert case is None
+        ev, L, normal = self._fixture()
+        assert check_tt2(np.eye(2), L, normal, np.zeros(2), np.array([50.0, 0.0]),
+                         np.zeros(1), 1.0, PARAMS) == (None, None, None)
 
 
 class TestBundleRepassesDeclaredTest:
@@ -233,12 +273,18 @@ class TestBundleRepassesDeclaredTest:
             H = np.eye(n)
             if norm_inf(J.T @ c) <= tol_Jc(c):
                 continue
-            v, _ = normal_step(c, J, PARAMS, 1e-2, 1e-2, 1e-2)
-            bundle = tangential_step(H, J, g, v, c, 1.0, PARAMS, eps_o=0.0,
+            L = lin(c, J, g)
+            bundle = tangential_step(H, L, normal_step(L, PARAMS, 1e-2, 1e-2, 1e-2),
+                                     1.0, PARAMS, eps_o=0.0,
                                      kappa_u=1e-2, eps_f=1e-2, eps_c=1e-2,
                                      feasible=False)
             test = bundle.fallback_case or bundle.test
-            case = check_tt2(H, g, c, J, bundle.v, bundle.u, bundle.rho,
-                             bundle.r, 1.0, PARAMS)
+            c_v = c + J @ bundle.v
+            normal = NormalStep(bundle.v, c_v, norm2(c_v))
+            case, _, _ = check_tt2(H, Linearization(g, c, J), normal, bundle.u,
+                                   bundle.rho, bundle.r, 1.0, PARAMS)
             assert case is not None
             assert test == case
+            # the bundle keeps the accepting check's d and model reduction
+            assert np.array_equal(bundle.d, bundle.v + bundle.u)
+            assert bundle.tt2_delta_l == model_reduction(1.0, L, bundle.d)

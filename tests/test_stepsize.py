@@ -25,68 +25,74 @@ def make_state(**kw):
 class TestUpdateChiZeta:
     def test_zero_tangential_no_update(self):
         s = make_state()
-        update_chi_zeta(s, np.zeros(2), np.array([1.0, 0.0]), np.array([1.0, 0.0]), np.eye(2))
+        # u = 0, v = d = (1, 0), H = I
+        update_chi_zeta(s, uu=0.0, vv=1.0, dHd=1.0)
         assert s.chi == 1e-3 and s.zeta == 1e3
 
     def test_tangential_dominated_updates(self):
         s = make_state()
-        u = np.array([1.0, 0.0])
-        update_chi_zeta(s, u, np.zeros(2), u, np.eye(2))
+        # u = d = (1, 0), v = 0, H = I
+        update_chi_zeta(s, uu=1.0, vv=0.0, dHd=1.0)
         assert s.chi == pytest.approx(1.5e-3)
         assert s.zeta == pytest.approx(500.0)
 
     def test_composition(self):
         s = make_state()
-        u = np.array([1.0, 0.0])
         for _ in range(3):
-            update_chi_zeta(s, u, np.zeros(2), u, np.eye(2))
+            update_chi_zeta(s, uu=1.0, vv=0.0, dHd=1.0)
         assert s.chi == pytest.approx(1e-3 * 1.5 ** 3)
+
+
+class TestTangentialDominance:
+    def test_reads_the_current_chi(self):
+        s = make_state(chi=2.0)
+        assert s.tangential(uu=2.0, vv=1.0)
+        assert not s.tangential(uu=1.9, vv=1.0)
+        s.chi = 1.0
+        assert s.tangential(uu=1.9, vv=1.0)
 
 
 class TestXiUpdate:
     def test_keep_branch(self):
         s = make_state(xi=1.0)
         # trial = 2 on the normally-dominated branch
-        xi_update(s, delta_l=2.0, tau=1.0, u=np.zeros(2),
-                  v=np.array([1.0, 0.0]), d=np.array([1.0, 0.0]))
+        xi_update(s, delta_l=2.0, tau=1.0, uu=0.0, vv=1.0, dd=1.0)
         assert s.xi == 1.0
 
     def test_cut_branch(self):
         s = make_state(xi=1.0, sigma_xi=0.1)
-        xi_update(s, delta_l=0.3, tau=1.0, u=np.zeros(2),
-                  v=np.array([1.0, 0.0]), d=np.array([1.0, 0.0]))
+        xi_update(s, delta_l=0.3, tau=1.0, uu=0.0, vv=1.0, dd=1.0)
         assert s.xi == pytest.approx(0.3)
 
     def test_tangential_dominated_trial(self):
         s = make_state(xi=1.0, sigma_xi=0.1)
-        d = np.array([2.0, 0.0])
-        xi_update(s, delta_l=1.0, tau=0.5, u=d, v=np.zeros(2), d=d)
+        # u = d = (2, 0), v = 0
+        xi_update(s, delta_l=1.0, tau=0.5, uu=4.0, vv=0.0, dd=4.0)
         assert s.xi == pytest.approx(0.5)
 
 
 class TestAdaptiveAlpha:
     def test_suff_direct_evaluation(self):
         s = make_state(xi=1e-6)
-        d = np.array([1.0, 0.0])
-        alpha, suff, amin, amax = adaptive_alpha(s, delta_l=1.0, tau=1.0, u=d,
-                                                 v=np.zeros(2), d=d)
+        # u = d = (1, 0), v = 0
+        alpha, suff, amin, amax = adaptive_alpha(s, delta_l=1.0, tau=1.0, uu=1.0,
+                                                 vv=0.0, dd=1.0)
         assert suff == pytest.approx(0.5)
         assert alpha == pytest.approx(0.5)
 
     def test_projection_identity_at_matching_bounds(self):
         s = make_state(xi=1.0)
-        d = np.array([1.0, 0.0])
-        alpha, suff, amin, amax = adaptive_alpha(s, delta_l=1.0, tau=1.0, u=d,
-                                                 v=np.zeros(2), d=d)
+        # u = d = (1, 0), v = 0
+        alpha, suff, amin, amax = adaptive_alpha(s, delta_l=1.0, tau=1.0, uu=1.0,
+                                                 vv=0.0, dd=1.0)
         assert amin == pytest.approx(0.5)
         assert suff == pytest.approx(0.5)
         assert alpha == pytest.approx(0.5)
 
     def test_wide_cap_never_binds(self):
         s = make_state(xi=1e-8, theta=1e4)
-        d = np.array([1.0, 0.0])
-        alpha, suff, amin, amax = adaptive_alpha(s, delta_l=0.6, tau=1.0, u=d,
-                                                 v=np.zeros(2), d=d)
+        alpha, suff, amin, amax = adaptive_alpha(s, delta_l=0.6, tau=1.0, uu=1.0,
+                                                 vv=0.0, dd=1.0)
         assert amax >= 1.0
         assert alpha == pytest.approx(suff)
 
@@ -104,9 +110,10 @@ class TestAdaptiveAlpha:
                 continue
             delta_l = float(rng.uniform(0.0, 2.0))
             tau = float(rng.uniform(0.01, 1.0))
-            update_chi_zeta(s, u, v, d, np.eye(n))
-            xi_update(s, delta_l, tau, u, v, d)
-            alpha, suff, amin, amax = adaptive_alpha(s, delta_l, tau, u, v, d)
+            uu, vv, dd = float(u @ u), float(v @ v), float(d @ d)
+            update_chi_zeta(s, uu, vv, dd)  # H = I
+            xi_update(s, delta_l, tau, uu, vv, dd)
+            alpha, suff, amin, amax = adaptive_alpha(s, delta_l, tau, uu, vv, dd)
             assert suff <= 1.0 + 1e-12
             assert alpha <= suff + 1e-12
             assert amin <= amax + 1e-12
