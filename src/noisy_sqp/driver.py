@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import merit, steps, stepsize
-from .linalg import norm2, norm_inf
+from .linalg import all_finite, norm2, norm_inf
 from .noise import NoiseSpec, NoisyOracle
 from .problems import ProblemSpec, evaluate
 
@@ -110,7 +110,8 @@ class SolverParams:
         return params.validate()
 
     def resolved_eps_o(self) -> float:
-        return self.noise.eps_c if self.optimism == "optimistic" else 0.0
+        """Optimistic: ``noise.eps_o``, or eps_c when that is 0.  Pessimistic: 0."""
+        return (self.noise.eps_o or self.noise.eps_c) if self.optimism == "optimistic" else 0.0
 
 
 @dataclass
@@ -168,9 +169,8 @@ class RunTrace:
 
 def _finite_sample(noisy) -> bool:
     """True when a full oracle sample holds no NaN or Inf."""
-    # one isfinite pass over the concatenation costs less than one per part
-    parts = np.concatenate((noisy.g_bar, noisy.c_bar, noisy.J_bar.ravel()))
-    return math.isfinite(noisy.f_bar) and bool(np.isfinite(parts).all())
+    return (math.isfinite(noisy.f_bar) and all_finite(noisy.g_bar)
+            and all_finite(noisy.c_bar) and all_finite(noisy.J_bar))
 
 
 class _NonFiniteTrial(Exception):
@@ -202,6 +202,8 @@ def solve(problem: ProblemSpec, params: SolverParams, seed: int,
     n = problem.n
     H = params.H if params.H is not None else getattr(problem, "H", None)
     H = np.eye(n) if H is None else np.asarray(H, dtype=float)
+    if H.shape != (n, n) or not np.isfinite(H).all() or not (H == H.T).all():
+        raise ValueError(f"H must be a finite symmetric {n} x {n} matrix")
     tau_state = merit.TauState(params.tau0)
     records: list[IterRecord] = []
     adapt = None
@@ -305,17 +307,19 @@ def solve(problem: ProblemSpec, params: SolverParams, seed: int,
                 bundle, tau_k, alpha, delta_l=delta_l,
                 chi=adapt.chi, zeta=adapt.zeta, xi=adapt.xi,
                 alpha_suff=a_suff, alpha_min=a_min, alpha_max=a_max))
+            x = x + alpha * d
         else:
             phi0 = merit.merit_value(tau_k, noisy.f_bar, lin.c)
             relax = stepsize.epsilon_Ak(
                 tau_k, noise.eps_f, noise.eps_c, noise.eps_g, noise.eps_J,
                 params.ls.alpha_u, math.sqrt(dd))
-            trial_values = []
+            trials = []  # (point, merit value) of each trial
 
             def merit_eval(a):
-                trial = oracle.sample(x + a * d, want="value")
+                point = x + a * d
+                trial = oracle.sample(point, want="value")
                 val = merit.merit_value(tau_k, trial.f_bar, trial.c_bar)
-                trial_values.append(val)
+                trials.append((point, val))
                 if not math.isfinite(val):
                     raise _NonFiniteTrial
                 return val
@@ -326,15 +330,14 @@ def solve(problem: ProblemSpec, params: SolverParams, seed: int,
             except (stepsize.BacktrackExhausted, _NonFiniteTrial) as exc:
                 records.append(make_record(
                     bundle, tau_k, 0.0, delta_l=delta_l, phi0=phi0,
-                    relax=relax, backtracks=len(trial_values) - 1))
+                    relax=relax, backtracks=len(trials) - 1))
                 status = (NONFINITE if isinstance(exc, _NonFiniteTrial)
                           else LINE_SEARCH_FAILURE)
                 break
             records.append(make_record(
                 bundle, tau_k, alpha, delta_l=delta_l, phi0=phi0,
-                phi_accept=trial_values[-1], relax=relax, backtracks=backtracks))
-
-        x = x + alpha * d
+                phi_accept=trials[-1][1], relax=relax, backtracks=backtracks))
+            x = trials[-1][0]  # x + alpha d; the oracle reuses its evaluation
         k += 1
 
     return RunTrace(

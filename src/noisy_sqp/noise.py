@@ -6,9 +6,13 @@ Jacobian) of each error stays within its bound:
     e_f ~ U(-eps_f, eps_f)                  e_g per component U(+-eps_g/sqrt(n))
     e_c per component U(+-eps_c/sqrt(m))    e_J per entry     U(+-eps_J/sqrt(mn))
 
-Draws are fresh on every call (no caching at repeated points).  A value
-request costs one function evaluation, a derivative request one gradient
-evaluation; the weighted total counts gradients double.
+Noise draws are fresh on every call, at a repeated point too.  Only the
+exact evaluation behind them is reused: a sample at a point byte-equal to
+the last one evaluated (the line search's accepted trial, sampled again as
+the next iterate) takes that point's `ExactEvaluation` instead of calling
+`evaluate` again.  Counting does not see the reuse: a value request costs one
+function evaluation, a derivative request one gradient evaluation; the
+weighted total counts gradients double.
 
 A sample's errors all come from one ``rng.random(k)`` call, scaled entry by
 entry as ``low + (high - low) * u``.  ``Generator.uniform`` applies that
@@ -29,7 +33,8 @@ from .problems import evaluate
 
 @dataclass
 class NoiseSpec:
-    """Noise bounds; eps_o is the optimistic feasibility threshold in [0, eps_c]."""
+    """Noise bounds; eps_o in [0, eps_c] is the optimistic feasibility threshold
+    (0 means eps_c)."""
 
     eps_f: float = 0.0
     eps_g: float = 0.0
@@ -80,7 +85,8 @@ class EvalCounters:
 class NoisyOracle:
     """Owns the rng and the counters for one run; not shared across runs.
 
-    ``exact`` is the exact evaluation behind the latest sample.
+    ``exact`` is the exact evaluation behind the latest sample, made at the
+    point whose shape and bytes ``_exact_at`` holds.
     """
 
     def __init__(self, problem, spec: NoiseSpec, rng: np.random.Generator):
@@ -89,12 +95,18 @@ class NoisyOracle:
         self.rng = rng
         self.counters = EvalCounters()
         self.exact = None
+        self._exact_at = None
         self._layouts = {}  # want -> (low, span, slices), see _layout
 
     def sample(self, x, want: str = "both") -> NoisyEvaluation:
         if want not in ("value", "derivative", "both"):
             raise ValueError(f"bad want {want!r}")
-        exact = self.exact = evaluate(self.problem, x)
+        x = np.asarray(x, dtype=float)
+        at = (x.shape, x.tobytes())
+        if at != self._exact_at:
+            self.exact = evaluate(self.problem, x)
+            self._exact_at = at
+        exact = self.exact
         e_f, e_g, e_c, e_J = self._perturbations(exact, want)
         f_bar = g_bar = c_bar = J_bar = None
         if want in ("value", "both"):

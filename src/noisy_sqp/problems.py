@@ -69,7 +69,7 @@ def evaluate(problem: ProblemSpec, x) -> ExactEvaluation:
         raise DimensionMismatch(f"x has size {x.size}, expected {problem.n}")
     ev = problem.eval_fn(x)
     g = np.asarray(ev.g, dtype=float)
-    c = np.atleast_1d(np.asarray(ev.c, dtype=float))
+    c = np.asarray(ev.c, dtype=float).reshape(-1)
     J = np.asarray(ev.J, dtype=float).reshape(problem.m, problem.n)
     if g.size != problem.n or c.size != problem.m:
         raise DimensionMismatch("eval returned inconsistent dimensions")

@@ -35,7 +35,8 @@ EXACT_FALLBACK = "exact_fallback"
 
 
 class TestUnsatisfiable(Exception):
-    """Even the exact tangential solution fails the branch's termination test."""
+    """Even the exact tangential solution fails the branch's termination test,
+    or the dense solve cannot form it (H singular on the null space of J)."""
 
 
 @dataclass
@@ -125,26 +126,32 @@ def normal_step(lin: Linearization, params: TestParams, kappa_v: float,
     CG runs in the Krylov space of J'c, hence v stays in Range(J').  It stops
     at the trust-region boundary or once the residual J'Jv + J'c passes the
     noise-scaled gate.  The caller has already taken the infeasible-stationary
-    exit when J'c is numerically zero (`tol_Jc`).
+    exit when J'c is numerically zero (`tol_Jc`).  The Cauchy point's decrease
+    of ||c|| is at most ||c||, in floating point too, so it is formed only when
+    CG's decrease falls short of gamma_c ||c||, and replaces CG's step when
+    CG's decrease falls short of gamma_c times its decrease as well.
     """
     c, J = lin.c, lin.J
     Jt = J.T
-    v_c, alpha_c = cauchy_normal_step(lin, params.sigma_Jc)
-    v_cauchy = alpha_c * v_c
-    c_cauchy = c + J.dot(v_cauchy)
-    c_cauchy_norm = norm2(c_cauchy)
-    cauchy_target = params.gamma_c * (lin.c_norm - c_cauchy_norm)
     radius = params.sigma_Jc * lin.Jtc_norm
     coef = 1e-10 if exact else kappa_v * min(eps_c, eps_f)
     threshold = coef * max(1.0, lin.Jtc_inf)
 
     v, _, iters = cg_steihaug(lambda p: Jt.dot(J.dot(p)), lin.Jtc, radius,
-                              stop=lambda resid: np.maximum.reduce(abs(resid)) <= threshold)
+                              stop=lambda resid: norm_inf(resid) <= threshold)
     c_v = c + J.dot(v)
     c_v_norm = norm2(c_v)
+    decrease = lin.c_norm - c_v_norm
+    slack = 1e-10 * max(1.0, lin.c_norm)
+    if decrease >= params.gamma_c * lin.c_norm - slack:
+        return NormalStep(v, c_v, c_v_norm, iters)
     # CG's first iterate is the Cauchy point, so the decrease condition holds
     # at exit by monotonicity; fall back to the Cauchy point defensively.
-    if lin.c_norm - c_v_norm < cauchy_target - 1e-10 * max(1.0, lin.c_norm):
+    v_c, alpha_c = cauchy_normal_step(lin, params.sigma_Jc)
+    v_cauchy = alpha_c * v_c
+    c_cauchy = c + J.dot(v_cauchy)
+    c_cauchy_norm = norm2(c_cauchy)
+    if decrease < params.gamma_c * (lin.c_norm - c_cauchy_norm) - slack:
         return NormalStep(v_cauchy, c_cauchy, c_cauchy_norm, iters)
     return NormalStep(v, c_v, c_v_norm, iters)
 
@@ -261,9 +268,9 @@ def tangential_step(H, lin: Linearization, normal: NormalStep, tau_prev: float,
     gate_cap = coef * 1e2
     while True:
         resid = apply_K(z) + b
-        resid_inf = np.maximum.reduce(abs(resid))
+        resid_inf = norm_inf(resid)
         if not resid_inf > gate_cap:
-            gate = coef * max(min(max(np.maximum.reduce(abs(z[:n])), lin.Jtc_inf), 1e2), 1e-2)
+            gate = coef * max(min(max(norm_inf(z[:n]), lin.Jtc_inf), 1e2), 1e-2)
             if not resid_inf > gate:
                 tag, d, dl = passed_test(z, resid)
                 if tag is not None:
@@ -276,7 +283,10 @@ def tangential_step(H, lin: Linearization, normal: NormalStep, tau_prev: float,
     fallback_case = None
     if tag is None:
         # dense fallback; residuals vanish up to round-off
-        z = np.concatenate(dense_kkt_solve(H, J_bar, b[:n]))
+        try:
+            z = np.concatenate(dense_kkt_solve(H, J_bar, b[:n]))
+        except np.linalg.LinAlgError as exc:  # H singular on null(J)
+            raise TestUnsatisfiable(f"exact tangential solve failed: {exc}") from exc
         resid = apply_K(z) + b
         fallback_case, d, dl = passed_test(z, resid)
         if fallback_case is None:

@@ -9,6 +9,7 @@ from noisy_sqp.driver import (
     EARLY_STATIONARY,
     LINE_SEARCH_FAILURE,
     NONFINITE,
+    TEST_UNSATISFIABLE,
     SolverParams,
     solve,
 )
@@ -436,6 +437,46 @@ class TestExactSnapshots:
             assert a.x.tobytes() == b.x.tobytes()
             assert a.alpha.hex() == b.alpha.hex()
 
+    # (problem, optimism, eps, seed) -> (status, records, function and gradient
+    # evaluations), recorded before the oracle reused exact evaluations
+    LINE_SEARCH_RUNS = {
+        ("quad-ellipse+dup", "pessimistic", 1e-2, 4): (BUDGET_ITERS, 80, (261, 80)),
+        ("unit-circle", "optimistic", 1e-4, 1): (EARLY_STATIONARY, 12, (23, 12)),
+        ("rosenbrock-sphere-4", "pessimistic", 1e-2, 2): (BUDGET_ITERS, 80, (160, 80)),
+    }
+
+    @pytest.mark.parametrize("run", sorted(LINE_SEARCH_RUNS))
+    def test_line_search_reuses_the_accepted_trial_evaluation(self, run, monkeypatch):
+        from noisy_sqp import noise
+        from noisy_sqp.problems import duplicate_last_constraint
+        name, optimism, eps, seed = run
+        p = registry_by_name()[name.removesuffix("+dup")]
+        if name.endswith("+dup"):
+            p = duplicate_last_constraint(p)
+        evaluated = []
+        evaluate = noise.evaluate
+
+        def counted(problem, x):
+            evaluated.append(x.tobytes())
+            return evaluate(problem, x)
+
+        monkeypatch.setattr(noise, "evaluate", counted)
+        params = SolverParams.benchmark_defaults(
+            noise_for(eps, eps), variant="line_search", optimism=optimism, max_iters=80)
+        trace = solve(p, params, seed)
+        monkeypatch.undo()
+        status, n_records, counts = self.LINE_SEARCH_RUNS[run]
+        assert (trace.status, len(trace.records), trace.counters.snapshot()) == (
+            status, n_records, counts)
+        for rec in trace.records:
+            assert same_evaluation(rec.exact, evaluate(p, rec.x))
+        # each iterate after an accepted trial is that trial's point, which is
+        # not evaluated again; no point is evaluated twice in a row
+        accepted = [rec for rec in trace.records if rec.alpha > 0.0]
+        samples = counts[0]  # every line-search sample requests the value
+        assert samples == len(evaluated) + len(accepted) - (trace.records[-1].alpha > 0.0)
+        assert all(a != b for a, b in zip(evaluated, evaluated[1:]))
+
     def test_delta_l_is_the_model_reduction_at_the_final_tau(self):
         from noisy_sqp import merit
         p = registry_by_name()["quad-linear-10"]
@@ -449,3 +490,57 @@ class TestExactSnapshots:
                 lin = merit.Linearization(nz.g_bar, nz.c_bar, nz.J_bar)
                 fresh = merit.model_reduction(rec.tau, lin, rec.bundle.d)
                 assert rec.delta_l.hex() == fresh.hex()
+
+
+class TestEpsO:
+    def test_optimistic_runs_use_noise_eps_o(self):
+        p = registry_by_name()["unit-circle"]
+        for eps_o, expected in ((1e-3, 1e-3), (0.0, 1e-2)):
+            noise = NoiseSpec(eps_f=1e-2, eps_c=1e-2, eps_o=eps_o)
+            params = SolverParams.benchmark_defaults(noise, max_iters=3)
+            assert solve(p, params, 0).eps_o == expected
+        params = SolverParams.benchmark_defaults(
+            NoiseSpec(eps_f=1e-2, eps_c=1e-2, eps_o=1e-3), optimism="pessimistic", max_iters=3)
+        assert solve(p, params, 0).eps_o == 0.0
+
+
+class TestCurvatureMatrix:
+    """H must be a finite symmetric n x n matrix; one singular on null(J)
+    ends the run when the dense fallback cannot solve with it."""
+
+    @staticmethod
+    def line_problem():
+        # min x3 s.t. x1 + x2 = 1: null(J) holds e3, so H must curve along it
+        A = np.array([[1.0, 1.0, 0.0]])
+
+        def ev(x):
+            return ExactEvaluation(f=float(x[2]), g=np.array([0.0, 0.0, 1.0]),
+                                   c=A @ x - 1.0, J=A.copy())
+
+        return ProblemSpec("line-3", 3, 1, np.zeros(3), ev)
+
+    @pytest.mark.parametrize("variant", ["adaptive", "line_search"])
+    @pytest.mark.parametrize("H", [np.zeros((3, 3)), np.diag([1.0, 1.0, 0.0])],
+                             ids=["zero", "singular-on-null-J"])
+    def test_singular_dense_fallback_is_test_unsatisfiable(self, variant, H):
+        params = SolverParams.benchmark_defaults(NoiseSpec(), variant=variant,
+                                                 max_iters=50, H=H)
+        trace = solve(self.line_problem(), params, 0)
+        assert trace.status == TEST_UNSATISFIABLE
+        last = trace.records[-1]
+        assert last.alpha == 0.0 and last.bundle is None
+        assert assert_trace_invariants(trace, params) == []
+
+    @pytest.mark.parametrize("variant", ["adaptive", "line_search"])
+    @pytest.mark.parametrize("H", [np.full((3, 3), np.nan), np.diag([1.0, np.inf, 1.0]),
+                                   np.triu(np.ones((3, 3))), np.eye(2)],
+                             ids=["nan", "inf", "asymmetric", "wrong-shape"])
+    def test_invalid_H_is_rejected_at_entry(self, variant, H):
+        params = SolverParams.benchmark_defaults(NoiseSpec(), variant=variant,
+                                                 max_iters=50, H=H)
+        with pytest.raises(ValueError, match="H must be a finite symmetric 3 x 3"):
+            solve(self.line_problem(), params, 0)
+        p = self.line_problem()
+        p.H = H
+        with pytest.raises(ValueError, match="H must be"):
+            solve(p, SolverParams.benchmark_defaults(NoiseSpec(), variant=variant), 0)

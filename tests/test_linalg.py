@@ -2,12 +2,15 @@ import numpy as np
 import pytest
 
 from noisy_sqp.linalg import (
+    all_finite,
+    as_vector,
     cg_steihaug,
     dense_kkt_solve,
     least_squares_multiplier,
     minres_iterate,
     minres_solve,
     norm2,
+    norm_inf,
     smallest_singular_value,
 )
 
@@ -213,3 +216,67 @@ class TestDenseKktSolve:
             scale = 1 + np.max(np.abs(rhs))
             assert np.max(np.abs(top)) <= 1e-8 * scale
             assert np.max(np.abs(J @ u)) <= 1e-8 * scale
+
+
+class TestNormInf:
+    """The argmax entry is exactly the ``maximum.reduce`` max-abs, NaN included."""
+
+    def _cases(self):
+        rng = np.random.default_rng(5)
+        J = rng.standard_normal((4, 10))
+        yield from (np.array([-3.5]), np.array([-0.0]), np.array([0.0, -0.0]),
+                    np.array([1.0, np.nan, -7.0]), np.array([np.nan, np.inf]),
+                    np.array([-np.inf, 2.0]), np.array([np.inf, -np.inf, np.nan]),
+                    J, J.T, J[:, ::3], -J.T, rng.standard_normal(14) * 1e300)
+        for _ in range(200):
+            x = rng.standard_normal(int(rng.integers(1, 15))) * 10.0 ** rng.integers(-300, 300)
+            x[rng.integers(x.size)] = rng.choice([np.nan, np.inf, -np.inf, -0.0, x[0]])
+            yield x
+
+    def test_bitwise_equal_to_maximum_reduce(self):
+        for x in self._cases():
+            got = norm_inf(x)
+            ref = np.maximum.reduce(abs(x), axis=None)
+            assert type(got) is float
+            assert np.float64(got).tobytes() == ref.tobytes(), x
+
+    def test_empty_and_list_input(self):
+        assert norm_inf(np.zeros(0)) == 0.0
+        assert norm_inf([[1, -4], [2, 3]]) == 4.0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestFiniteness:
+    """The Python-float sum of the entries decides; the scan runs only after
+    an overflowing sum, and no overflow warns."""
+
+    def test_large_finite_entries_pass(self):
+        for x in (np.full(14, 1e200), np.full(14, -1e200), np.array([1e308, 1e308, -1e308]),
+                  np.array([1.7e308, 1.7e308]), np.full((4, 10), 1e200)):
+            assert all_finite(x)
+        v = as_vector([1e200, -1e300, 1.7e308, 1.7e308])
+        assert v.dtype == float and v.tobytes() == np.array([1e200, -1e300, 1.7e308, 1.7e308]).tobytes()
+
+    def test_nan_and_inf_rejected(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            for x in (np.array([bad]), np.array([1.0, bad, 3.0]), np.array([1e308, 1e308, bad]),
+                      np.array([bad, 1.7e308]), np.array([np.inf, -np.inf, bad])):
+                assert not all_finite(x)
+                with pytest.raises(ValueError, match="non-finite"):
+                    as_vector(x)
+        J = np.ones((3, 4))
+        J[2, 1] = np.nan
+        assert not all_finite(J) and not all_finite(J.T)
+
+    def test_full_sample_check(self):
+        from noisy_sqp.driver import _finite_sample
+        from noisy_sqp.noise import NoisyEvaluation
+
+        def sample(f=1.0, g=1.0, c=1.0, J=1.0):
+            return NoisyEvaluation(f, np.full(3, g), np.full(2, c), np.full((2, 3), J))
+
+        assert _finite_sample(sample())
+        assert _finite_sample(sample(1e300, 1e200, 1.7e308, -1e200))
+        for bad in (np.nan, np.inf, -np.inf):
+            for part in ("f", "g", "c", "J"):
+                assert not _finite_sample(sample(**{part: bad}))

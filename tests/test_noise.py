@@ -229,3 +229,54 @@ class TestOneDrawStream:
         for got, ref in ((oracle.exact.g, ex.g), (oracle.exact.c, ex.c),
                          (oracle.exact.J, ex.J)):
             assert got.tobytes() == ref.tobytes()
+
+
+class TestExactReuse:
+    """Only the exact evaluation at a byte-equal point is reused; noise draws
+    and counters are those of a fresh sample."""
+
+    def _counting(self, monkeypatch):
+        from noisy_sqp import noise
+        calls = []
+        evaluate_ = noise.evaluate
+
+        def counted(problem, x):
+            calls.append(np.array(x))
+            return evaluate_(problem, x)
+
+        monkeypatch.setattr(noise, "evaluate", counted)
+        return calls
+
+    def test_byte_equal_point_reuses_the_evaluation(self, monkeypatch):
+        calls = self._counting(monkeypatch)
+        p = registry_by_name()["quad-ellipse"]
+        oracle = make_oracle(p, TestOneDrawStream.SPECS[0], seed=2)
+        x = p.x0 + 0.25
+        first = oracle.sample(x, "value")
+        exact = oracle.exact
+        second = oracle.sample(x.copy(), "both")
+        assert len(calls) == 1 and oracle.exact is exact
+        assert first.f_bar != second.f_bar  # fresh noise at the same point
+        assert oracle.counters.snapshot() == (2, 1)
+        oracle.sample(list(x), "value")
+        assert len(calls) == 1
+
+    def test_point_mutated_in_place_is_evaluated_again(self, monkeypatch):
+        calls = self._counting(monkeypatch)
+        p = registry_by_name()["quad-ellipse"]
+        oracle = make_oracle(p, TestOneDrawStream.SPECS[0], seed=2)
+        x = p.x0.copy()
+        oracle.sample(x)
+        x[0] += 0.5
+        oracle.sample(x)
+        assert len(calls) == 2
+        ex = evaluate(p, x)
+        assert oracle.exact.f == ex.f
+        assert oracle.exact.g.tobytes() == ex.g.tobytes()
+
+    def test_other_shape_is_evaluated_again(self):
+        p = registry_by_name()["quad-ellipse"]
+        oracle = make_oracle(p, NoiseSpec(), seed=2)
+        oracle.sample(p.x0)
+        with pytest.raises(ValueError, match="1-D"):
+            oracle.sample(p.x0.reshape(1, -1))

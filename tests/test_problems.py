@@ -58,6 +58,17 @@ class TestEvaluate:
         with pytest.raises(DimensionMismatch):
             evaluate(p, np.zeros(3))
 
+    @pytest.mark.parametrize("shape", [(), (1,), (1, 1)])
+    def test_constraints_come_back_as_a_vector(self, shape):
+        from noisy_sqp.problems import ExactEvaluation, ProblemSpec
+
+        def ev(x):
+            c = np.reshape(float(x @ x) - 1.0, shape)
+            return ExactEvaluation(f=0.0, g=np.zeros(2), c=c, J=2.0 * x)
+
+        ex = evaluate(ProblemSpec("circle", 2, 1, np.array([2.0, 0.0]), ev), [2.0, 0.0])
+        assert ex.c.shape == (1,) and ex.c[0] == 3.0
+
 
 class TestDuplicateLastConstraint:
     def test_rows_identical_and_rank_drops(self):
