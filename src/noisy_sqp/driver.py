@@ -2,10 +2,13 @@
 
 One call to `solve` runs the full iteration: sample the noisy oracle, pick
 the branch on ||c_bar|| <= eps_o, build the step bundle under the matching
-termination test, update the merit parameter, choose the step size with the
-configured controller, and advance.  Exact ground-truth snapshots are
-recorded next to every noisy sample for post-hoc error measurement; they
-never feed the solver path.
+termination test, update the merit parameter tau (a float that only
+decreases), and make one `step` call on the run's step-size controller
+(`stepsize.AdaptiveState` or `stepsize.LineSearch`).  Each iteration appends
+one `IterRecord`; the run stops at the first status, from an early exit, a
+non-finite sample or step, a budget or the controller.  Exact ground-truth
+snapshots are recorded next to every noisy sample for post-hoc error
+measurement; they never feed the solver path.
 """
 
 from __future__ import annotations
@@ -19,39 +22,20 @@ from . import merit, steps, stepsize
 from .linalg import all_finite, norm2, norm_inf
 from .noise import NoiseSpec, NoisyOracle
 from .problems import ProblemSpec, evaluate
+from .stepsize import LINE_SEARCH_FAILURE, NONFINITE, AdaptiveSeeds
 
 BUDGET_ITERS = "budget_iters"
 BUDGET_EVALS = "budget_evals"
 EARLY_STATIONARY = "early_stationary"
 EARLY_INFEASIBLE = "early_infeasible_stationary"
 DEGENERATE = "degenerate_direction"
-LINE_SEARCH_FAILURE = "line_search_failure"
 TEST_UNSATISFIABLE = "test_unsatisfiable"
-NONFINITE = "nonfinite_evaluation"
 
 FEASIBLE_BRANCH = "feasible_branch"
 INFEASIBLE_BRANCH = "infeasible_branch"
 
 ADAPTIVE = "adaptive"
 LINE_SEARCH = "line_search"
-
-
-@dataclass
-class AdaptiveSeeds:
-    """Initial values and meta-parameters for the Option I controller."""
-
-    beta: float = 1.0
-    eta: float = 0.5
-    theta: float = 1e4
-    chi0: float = 1e-3
-    zeta0: float = 1e3
-    xi0: float = 1.0
-    sigma_chi: float = 0.1
-    sigma_zeta: float = 0.1
-    sigma_xi: float = 0.1
-    lipschitz_dirs: int = 10
-    lipschitz_delta: float = 1e-2
-    lipschitz_floor: float = 1e-4
 
 
 @dataclass
@@ -155,8 +139,13 @@ class RunTrace:
     eps_o: float
     variant: str
     H: np.ndarray  # curvature matrix the solver used
-    tau_history: list = field(default_factory=list)
+    tau0: float
     adaptive_state: stepsize.AdaptiveState | None = None
+
+    @property
+    def tau_history(self) -> list:
+        """(-1, tau0), then (k, tau) after each record's merit-parameter update."""
+        return [(-1, self.tau0)] + [(r.k, r.tau) for r in self.records]
 
     @property
     def minres_iters(self) -> int:
@@ -171,10 +160,6 @@ def _finite_sample(noisy) -> bool:
     """True when a full oracle sample holds no NaN or Inf."""
     return (math.isfinite(noisy.f_bar) and all_finite(noisy.g_bar)
             and all_finite(noisy.c_bar) and all_finite(noisy.J_bar))
-
-
-class _NonFiniteTrial(Exception):
-    """A line-search trial point gave a NaN or Inf merit value."""
 
 
 def solve(problem: ProblemSpec, params: SolverParams, seed: int,
@@ -204,35 +189,25 @@ def solve(problem: ProblemSpec, params: SolverParams, seed: int,
     H = np.eye(n) if H is None else np.asarray(H, dtype=float)
     if H.shape != (n, n) or not np.isfinite(H).all() or not (H == H.T).all():
         raise ValueError(f"H must be a finite symmetric {n} x {n} matrix")
-    tau_state = merit.TauState(params.tau0)
-    records: list[IterRecord] = []
-    adapt = None
     if params.variant == ADAPTIVE:
-        seeds = params.adaptive
-        L, Gamma = stepsize.estimate_lipschitz(
-            oracle, problem.x0, n_dirs=seeds.lipschitz_dirs,
-            delta=seeds.lipschitz_delta, floor=seeds.lipschitz_floor)
-        L, Gamma = stepsize.clamp_beta_admissible(
-            L, Gamma, seeds.beta, seeds.eta, seeds.xi0, params.tau0)
-        adapt = stepsize.AdaptiveState(
-            chi=seeds.chi0, zeta=seeds.zeta0, xi=seeds.xi0, beta=seeds.beta,
-            eta=seeds.eta, theta=seeds.theta, L_est=L, Gamma_est=Gamma,
-            sigma_chi=seeds.sigma_chi, sigma_zeta=seeds.sigma_zeta,
-            sigma_xi=seeds.sigma_xi)
+        controller = stepsize.AdaptiveState(params.adaptive, oracle, problem.x0, params.tau0, H)
+    else:
+        controller = stepsize.LineSearch(oracle, noise, params.ls)
 
+    records: list[IterRecord] = []
     counters = oracle.counters
     x = problem.x0.copy()  # rebound every step, never mutated in place
-    status = None
+    tau = params.tau0
     k = 0
 
     # reads the current iteration's locals when called
-    def make_record(bundle, tau, alpha, **extra):
+    def make_record(bundle, alpha, delta_l=None, **fields):
         after = counters.snapshot()
         return IterRecord(
             k=k, x=x, noisy=noisy, exact=exact, bundle=bundle,
             tau_prev=tau_prev, tau=tau, alpha=alpha, branch=branch,
             counters_delta=(after[0] - before[0], after[1] - before[1]),
-            **extra)
+            delta_l=delta_l, **fields)
 
     while True:
         if k >= params.max_iters:
@@ -244,104 +219,62 @@ def solve(problem: ProblemSpec, params: SolverParams, seed: int,
         before = counters.snapshot()
         noisy = oracle.sample(x, want="both")
         exact = oracle.exact if own_oracle else evaluate(problem, x)
-        tau_prev = tau_state.tau
+        tau_prev = tau
         # built ahead of the finiteness test: that exit's record carries the branch
         lin = merit.Linearization(noisy.g_bar, noisy.c_bar, noisy.J_bar)
         feasible = lin.c_norm <= branch_gate
         branch = FEASIBLE_BRANCH if feasible else INFEASIBLE_BRANCH
         if not _finite_sample(noisy):
-            records.append(make_record(None, tau_prev, 0.0))
+            records.append(make_record(None, 0.0))
             status = NONFINITE
             break
         if feasible:
             normal = steps.NormalStep(np.zeros(n), lin.c, lin.c_norm)
-            tau_state.keep(k)
         else:
             if lin.Jtc_inf <= steps.tol_Jc(lin.c):
-                records.append(make_record(None, tau_prev, 0.0))
+                records.append(make_record(None, 0.0))
                 status = EARLY_INFEASIBLE
                 break
             normal = steps.normal_step(lin, params.tests, params.kappa_v,
                                        noise.eps_f, noise.eps_c, exact=exact_mode)
         try:
             bundle = steps.tangential_step(
-                H, lin, normal, tau_prev, params.tests, eps_o, params.kappa_u,
+                H, lin, normal, tau, params.tests, eps_o, params.kappa_u,
                 noise.eps_f, noise.eps_c, exact=exact_mode, feasible=feasible)
         except steps.TestUnsatisfiable:
-            records.append(make_record(None, tau_prev, 0.0))
+            records.append(make_record(None, 0.0))
             status = TEST_UNSATISFIABLE
             break
-        outcome = bundle.fallback_case or bundle.test
-        if outcome == steps.TT2_COND1:
+        if (bundle.fallback_case or bundle.test) == steps.TT2_COND1:
             trial = merit.tau_trial(
                 lin.g, bundle.d, bundle.u, H, lin.c_norm,
                 norm2(normal.c_v + bundle.r), params.tests)
-            merit.tau_update(tau_state, trial, params.sigma_tau, k)
-        elif not feasible:
-            tau_state.keep(k)
-        tau_k = tau_state.tau
+            tau = merit.tau_update(tau, trial, params.sigma_tau)
         d = bundle.d
-        if tau_k == tau_prev and bundle.tt2_delta_l is not None:
+        if tau == tau_prev and bundle.tt2_delta_l is not None:
             delta_l = bundle.tt2_delta_l  # the same reduction, formed by TT2
         else:
-            delta_l = merit.model_reduction(tau_k, lin, d)
+            delta_l = merit.model_reduction(tau, lin, d)
         if feasible and delta_l <= eps_o:
-            records.append(make_record(bundle, tau_k, 0.0, delta_l=delta_l))
+            records.append(make_record(bundle, 0.0, delta_l))
             status = EARLY_STATIONARY
             break
-
         dd = float(d.dot(d))
-        if norm_inf(d) <= params.tol_d or dd == 0.0:
-            records.append(make_record(bundle, tau_k, 0.0, delta_l=delta_l))
-            status = DEGENERATE
+        finite = math.isfinite(dd)  # false when MINRES or CG overflowed
+        if not finite or norm_inf(d) <= params.tol_d or dd == 0.0:
+            records.append(make_record(bundle, 0.0, delta_l))
+            status = DEGENERATE if finite else NONFINITE
             break
 
-        if adapt is not None:
-            u, v = bundle.u, bundle.v
-            uu, vv = float(u.dot(u)), float(v.dot(v))
-            stepsize.update_chi_zeta(adapt, uu, vv, float(d.dot(H.dot(d))))
-            stepsize.xi_update(adapt, delta_l, tau_k, uu, vv, dd)
-            alpha, a_suff, a_min, a_max = stepsize.adaptive_alpha(
-                adapt, delta_l, tau_k, uu, vv, dd)
-            records.append(make_record(
-                bundle, tau_k, alpha, delta_l=delta_l,
-                chi=adapt.chi, zeta=adapt.zeta, xi=adapt.xi,
-                alpha_suff=a_suff, alpha_min=a_min, alpha_max=a_max))
-            x = x + alpha * d
-        else:
-            phi0 = merit.merit_value(tau_k, noisy.f_bar, lin.c)
-            relax = stepsize.epsilon_Ak(
-                tau_k, noise.eps_f, noise.eps_c, noise.eps_g, noise.eps_J,
-                params.ls.alpha_u, math.sqrt(dd))
-            trials = []  # (point, merit value) of each trial
-
-            def merit_eval(a):
-                point = x + a * d
-                trial = oracle.sample(point, want="value")
-                val = merit.merit_value(tau_k, trial.f_bar, trial.c_bar)
-                trials.append((point, val))
-                if not math.isfinite(val):
-                    raise _NonFiniteTrial
-                return val
-
-            try:
-                alpha, backtracks = stepsize.line_search_alpha(
-                    merit_eval, phi0, delta_l, relax, params.ls)
-            except (stepsize.BacktrackExhausted, _NonFiniteTrial) as exc:
-                records.append(make_record(
-                    bundle, tau_k, 0.0, delta_l=delta_l, phi0=phi0,
-                    relax=relax, backtracks=len(trials) - 1))
-                status = (NONFINITE if isinstance(exc, _NonFiniteTrial)
-                          else LINE_SEARCH_FAILURE)
-                break
-            records.append(make_record(
-                bundle, tau_k, alpha, delta_l=delta_l, phi0=phi0,
-                phi_accept=trials[-1][1], relax=relax, backtracks=backtracks))
-            x = trials[-1][0]  # x + alpha d; the oracle reuses its evaluation
+        alpha, x_next, fields, status = controller.step(x, noisy, bundle, tau, delta_l, dd)
+        records.append(make_record(bundle, alpha, delta_l, **fields))
+        if status is not None:
+            break
+        x = x_next  # the line search's accepted trial: the oracle reuses its evaluation
         k += 1
 
     return RunTrace(
         problem=problem.name, n=problem.n, m=problem.m, records=records,
         status=status, counters=oracle.counters, seed=seed,
-        eps_o=eps_o, variant=params.variant, H=H,
-        tau_history=list(tau_state.history), adaptive_state=adapt)
+        eps_o=eps_o, variant=params.variant, H=H, tau0=params.tau0,
+        adaptive_state=controller if params.variant == ADAPTIVE else None)

@@ -4,14 +4,13 @@ Every step of an iteration is built from one noisy linearization (g, c, J);
 `Linearization` holds it with the products the steps and tests read, each
 formed once.  The merit function is the exact l2 penalty
 phi(x, tau) = tau f + ||c||_2, and progress is measured by the reduction of
-its first-order model along a step.  The merit parameter only ever
-decreases.
+its first-order model along a step.  The merit parameter tau is a plain
+float that only ever decreases: `tau_update` returns its next value.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,23 +31,6 @@ class Linearization:
         self.Jtc_inf = norm_inf(Jtc)
         self.c_norm = norm2(c)
         self.g_norm = norm2(g)
-
-
-@dataclass
-class TauState:
-    """Current merit parameter with its per-iteration history."""
-
-    tau: float
-    history: list = field(default_factory=list)
-
-    def __post_init__(self):
-        if self.tau <= 0:
-            raise ValueError("tau must be > 0")
-        if not self.history:
-            self.history.append((-1, self.tau))
-
-    def keep(self, k: int):
-        self.history.append((k, self.tau))
 
 
 def merit_value(tau: float, f: float, c) -> float:
@@ -76,12 +58,9 @@ def tau_trial(g_bar, d, u, H, c_norm: float, c_vr_norm: float, params) -> float:
     return (1.0 - params.sigma_c / params.sigma_r) * decrease / denom
 
 
-def tau_update(state: TauState, trial: float, sigma_tau: float, k: int) -> TauState:
+def tau_update(tau: float, trial: float, sigma_tau: float) -> float:
     """Keep tau when already below (1 - sigma_tau) * trial, else cut it there."""
     if trial < 0:
         raise ValueError("trial must be >= 0 or +inf")
     cut = (1.0 - sigma_tau) * trial
-    if not state.tau <= cut:
-        state.tau = cut
-    state.history.append((k, state.tau))
-    return state
+    return tau if tau <= cut else cut

@@ -1,27 +1,50 @@
 """The two step-size controllers: adaptive (Option I) and relaxed line search (Option II).
 
-The adaptive controller is objective-function-free but needs Lipschitz
-estimates; it tracks three sequences (chi nondecreasing, zeta and xi
-nonincreasing) that separate tangentially from normally dominated steps and
-projects a sufficient-decrease step size onto a safeguard interval.  The
-line search accepts the first backtracked step passing an Armijo condition
-relaxed by a noise-dependent slack.  Both controllers take a nonzero
-direction: the driver stops on a numerically zero one, or one whose d'd
-underflows to 0, first.  The adaptive controller reads the step's products
-u'u, v'v, d'd and d'Hd, which the driver forms once per iteration.
+Each controller is built once per run and has one ``step`` method with the
+same signature: given the iterate, its noisy sample, the step bundle, the
+merit parameter tau, the model reduction and d'd, it returns
+(alpha, next iterate, the record's controller fields, terminal status or
+None).  The adaptive controller is objective-function-free but needs
+Lipschitz estimates, formed once when it is built; it tracks three
+sequences (chi nondecreasing, zeta and xi nonincreasing) that separate
+tangentially from normally dominated steps and projects a sufficient-decrease
+step size onto a safeguard interval.  The line search accepts the first
+backtracked step passing an Armijo condition relaxed by a noise-dependent
+slack; it ends the run when no trial passes or a trial's merit value is not
+finite.  Both controllers take a finite nonzero direction: the driver stops
+on any other first.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import norm2
+from .merit import merit_value
+
+LINE_SEARCH_FAILURE = "line_search_failure"
+NONFINITE = "nonfinite_evaluation"
 
 
-class BacktrackExhausted(Exception):
-    """No trial step satisfied the relaxed Armijo condition."""
+@dataclass
+class AdaptiveSeeds:
+    """Initial values and meta-parameters for the Option I controller."""
+
+    beta: float = 1.0
+    eta: float = 0.5
+    theta: float = 1e4
+    chi0: float = 1e-3
+    zeta0: float = 1e3
+    xi0: float = 1.0
+    sigma_chi: float = 0.1
+    sigma_zeta: float = 0.1
+    sigma_xi: float = 0.1
+    lipschitz_dirs: int = 10
+    lipschitz_delta: float = 1e-2
+    lipschitz_floor: float = 1e-4
 
 
 @dataclass
@@ -40,33 +63,56 @@ class LineSearchParams:
             raise ValueError("eta must be in (0,1)")
 
 
-@dataclass
 class AdaptiveState:
-    """Controller state for Option I; one instance per run."""
+    """Option I controller for one run: its seeds, chi, zeta, xi and the
+    Lipschitz estimates L_est, Gamma_est, held constant after start-up."""
 
-    chi: float = 1e-3
-    zeta: float = 1e3
-    xi: float = 1.0
-    beta: float = 1.0
-    eta: float = 0.5
-    theta: float = 1e4
-    L_est: float = 1.0
-    Gamma_est: float = 1.0
-    sigma_chi: float = 0.1
-    sigma_zeta: float = 0.1
-    sigma_xi: float = 0.1
-
-    def __post_init__(self):
-        if min(self.chi, self.zeta, self.xi, self.theta, self.L_est, self.Gamma_est) <= 0:
+    def __init__(self, seeds: AdaptiveSeeds, oracle, x0, tau0: float, H):
+        self.seeds, self.H = seeds, H
+        self.chi, self.zeta, self.xi = seeds.chi0, seeds.zeta0, seeds.xi0
+        L, Gamma = estimate_lipschitz(oracle, x0, n_dirs=seeds.lipschitz_dirs,
+                                      delta=seeds.lipschitz_delta, floor=seeds.lipschitz_floor)
+        self.L_est, self.Gamma_est = clamp_beta_admissible(
+            L, Gamma, seeds.beta, seeds.eta, seeds.xi0, tau0)
+        if min(self.chi, self.zeta, self.xi, seeds.theta, self.L_est, self.Gamma_est) <= 0:
             raise ValueError("chi, zeta, xi, theta, L, Gamma must be > 0")
-        if not 0.0 < self.beta <= 1.0:
+        if not 0.0 < seeds.beta <= 1.0:
             raise ValueError("beta must be in (0,1]")
-        if not 0.0 < self.eta < 1.0:
+        if not 0.0 < seeds.eta < 1.0:
             raise ValueError("eta must be in (0,1)")
 
     def tangential(self, uu: float, vv: float) -> bool:
         """Tangential dominance u'u >= chi v'v at the current chi."""
         return uu >= self.chi * vv
+
+    def step(self, x, noisy, bundle, tau: float, delta_l: float, dd: float):
+        """Update chi, zeta and xi, then take the projected step size."""
+        u, v, d = bundle.u, bundle.v, bundle.d
+        uu, vv = float(u.dot(u)), float(v.dot(v))
+        update_chi_zeta(self, uu, vv, float(d.dot(self.H.dot(d))))
+        xi_update(self, delta_l, tau, uu, vv, dd)
+        alpha, a_suff, a_min, a_max = adaptive_alpha(self, delta_l, tau, uu, vv, dd)
+        fields = dict(chi=self.chi, zeta=self.zeta, xi=self.xi,
+                      alpha_suff=a_suff, alpha_min=a_min, alpha_max=a_max)
+        return alpha, x + alpha * d, fields, None
+
+
+class LineSearch:
+    """Option II controller: the relaxed Armijo backtracking search."""
+
+    def __init__(self, oracle, noise, params: LineSearchParams):
+        self.oracle, self.noise, self.params = oracle, noise, params
+
+    def step(self, x, noisy, bundle, tau: float, delta_l: float, dd: float):
+        """Search from alpha_u; alpha = 0 with a status when the search fails."""
+        noise, params = self.noise, self.params
+        phi0 = merit_value(tau, noisy.f_bar, noisy.c_bar)
+        relax = epsilon_Ak(tau, noise.eps_f, noise.eps_c, noise.eps_g, noise.eps_J,
+                           params.alpha_u, math.sqrt(dd))
+        alpha, x_next, phi_accept, backtracks, status = line_search_alpha(
+            self.oracle, x, bundle.d, tau, phi0, delta_l, relax, params)
+        fields = dict(phi0=phi0, phi_accept=phi_accept, relax=relax, backtracks=backtracks)
+        return alpha, x_next, fields, status
 
 
 def estimate_lipschitz(oracle, x0, n_dirs: int = 10, delta: float = 1e-2,
@@ -101,24 +147,22 @@ def clamp_beta_admissible(L: float, Gamma: float, beta: float, eta: float,
     return L, Gamma
 
 
-def update_chi_zeta(state: AdaptiveState, uu: float, vv: float, dHd: float) -> AdaptiveState:
+def update_chi_zeta(state: AdaptiveState, uu: float, vv: float, dHd: float) -> None:
     """Grow chi / shrink zeta when the step is tangentially dominated with low curvature.
 
     ``uu``, ``vv`` and ``dHd`` are u'u, v'v and d'Hd of the step d = v + u.
     """
     if state.tangential(uu, vv) and 0.5 * dHd < 0.25 * state.zeta * uu:
-        state.chi = (1.0 + state.sigma_chi) * state.chi
-        state.zeta = (1.0 - state.sigma_zeta) * state.zeta
-    return state
+        state.chi = (1.0 + state.seeds.sigma_chi) * state.chi
+        state.zeta = (1.0 - state.seeds.sigma_zeta) * state.zeta
 
 
 def xi_update(state: AdaptiveState, delta_l: float, tau: float, uu: float,
-              vv: float, dd: float) -> AdaptiveState:
+              vv: float, dd: float) -> None:
     """Lower xi toward the observed ratio of model reduction to d'd (``dd`` > 0)."""
     trial = delta_l / (tau * dd) if state.tangential(uu, vv) else delta_l / dd
     if state.xi > trial:
-        state.xi = min((1.0 - state.sigma_xi) * state.xi, trial)
-    return state
+        state.xi = min((1.0 - state.seeds.sigma_xi) * state.xi, trial)
 
 
 def adaptive_alpha(state: AdaptiveState, delta_l: float, tau: float, uu: float,
@@ -129,10 +173,10 @@ def adaptive_alpha(state: AdaptiveState, delta_l: float, tau: float, uu: float,
     increases the step size beyond alpha_suff <= 1.
     """
     denom = tau * state.L_est + state.Gamma_est
-    two1meta = 2.0 * (1.0 - state.eta) * state.beta
+    two1meta = 2.0 * (1.0 - state.seeds.eta) * state.seeds.beta
     alpha_suff = min(two1meta * delta_l / (denom * dd), 1.0)
     alpha_min = two1meta * state.xi * (tau if state.tangential(uu, vv) else 1.0) / denom
-    alpha_max = alpha_min + state.theta * state.beta
+    alpha_max = alpha_min + state.seeds.theta * state.seeds.beta
     alpha = min(max(alpha_suff, alpha_min), alpha_max)
     return alpha, alpha_suff, alpha_min, alpha_max
 
@@ -144,18 +188,23 @@ def epsilon_Ak(tau: float, eps_f: float, eps_c: float, eps_g: float,
             + tau * alpha_u * eps_g * d_norm + alpha_u * eps_J * d_norm)
 
 
-def line_search_alpha(merit_eval, phi0: float, delta_l: float, relax: float,
-                      params: LineSearchParams):
+def line_search_alpha(oracle, x, d, tau: float, phi0: float, delta_l: float,
+                      relax: float, params: LineSearchParams):
     """Backtrack from alpha_u until the relaxed Armijo condition holds.
 
-    ``merit_eval(alpha)`` must return the noisy merit value at the trial
-    point (one fresh function evaluation per trial).  Returns the accepted
-    (alpha, backtracks); raises BacktrackExhausted after max_backtracks.
+    Each trial samples the noisy merit value at x + alpha d once.  Returns
+    (alpha, trial point, its merit value, backtracks, None) on acceptance;
+    (0, x, None, backtracks, status) at the first NaN or Inf merit value
+    (``NONFINITE``) or after max_backtracks (``LINE_SEARCH_FAILURE``).
     """
     alpha = params.alpha_u
     for backtracks in range(params.max_backtracks + 1):
-        phi_trial = merit_eval(alpha)
+        point = x + alpha * d
+        trial = oracle.sample(point, want="value")
+        phi_trial = merit_value(tau, trial.f_bar, trial.c_bar)
+        if not math.isfinite(phi_trial):
+            return 0.0, x, None, backtracks, NONFINITE
         if phi_trial <= phi0 - params.eta * alpha * delta_l + relax:
-            return alpha, backtracks
+            return alpha, point, phi_trial, backtracks, None
         alpha *= params.nu
-    raise BacktrackExhausted(f"no acceptable step after {params.max_backtracks} backtracks")
+    return 0.0, x, None, params.max_backtracks, LINE_SEARCH_FAILURE

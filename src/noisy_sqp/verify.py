@@ -191,7 +191,7 @@ def assert_trace_invariants(trace, params) -> list:
                 # step size is recomputable from raw recorded data
                 denom = r.tau * state.L_est + state.Gamma_est
                 dd = float(r.bundle.d @ r.bundle.d)
-                suff = min(2.0 * (1.0 - state.eta) * state.beta * r.delta_l
+                suff = min(2.0 * (1.0 - state.seeds.eta) * state.seeds.beta * r.delta_l
                            / (denom * dd), 1.0)
                 if abs(suff - r.alpha_suff) > 1e-10 * max(1.0, suff):
                     violations.append(f"k={r.k}: alpha_suff does not match recomputation")

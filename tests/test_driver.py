@@ -544,3 +544,17 @@ class TestCurvatureMatrix:
         p.H = H
         with pytest.raises(ValueError, match="H must be"):
             solve(p, SolverParams.benchmark_defaults(NoiseSpec(), variant=variant), 0)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # MINRES overflows
+    @pytest.mark.parametrize("variant", ["adaptive", "line_search"])
+    def test_overflowing_step_is_nonfinite_evaluation(self, variant):
+        # finite and symmetric, so accepted at entry, but the step overflows
+        params = SolverParams.benchmark_defaults(noise_for(1e-2, 1e-2), variant=variant,
+                                                 H=1e300 * np.eye(3))
+        trace = solve(self.line_problem(), params, 0)
+        assert trace.status == NONFINITE
+        last = trace.records[-1]
+        assert last.alpha == 0.0 and last.bundle is not None
+        assert not np.isfinite(last.bundle.d).all()
+        assert all(np.isfinite(r.x).all() for r in trace.records)
+        assert assert_trace_invariants(trace, params) == []

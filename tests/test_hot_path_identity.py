@@ -8,7 +8,10 @@ rows, one over every iterate, step size, merit parameter, accepting test
 and step vector.  A one-ulp change anywhere (say ``math.hypot`` for
 ``np.hypot`` in MINRES) changes them.  A third digest, recorded before the
 exact snapshots were taken from the oracle's own evaluation, covers every
-record's ground-truth ``f``, ``g``, ``c`` and ``J``.
+record's ground-truth ``f``, ``g``, ``c`` and ``J``.  A fourth, recorded
+before the step-size controllers moved behind one ``step`` call, covers
+each run's Lipschitz estimates and every record's controller fields and
+counter deltas.
 
 The runs cover both step-size controllers, optimistic and pessimistic
 gates, exact and inexact solves, duplicated constraint rows, the built-in
@@ -46,6 +49,7 @@ BUDGETS = (150, 10000)
 CSV_SHA256 = "47b89e3a8cebe48ea0edb3aa32dc328ef32698a179f9ea3f10a4f0497c64f0b5"
 TRACE_SHA256 = "80b9ec25b6b501012231e4c9dec7c328b8efc24d8d605fdbceba1ae59bdad732"
 EXACT_SHA256 = "30e10b810f39bde60acacb987f1caf9cb600e276b9a9b3ff03f2c9d15a1e0e2a"
+CONTROLLER_SHA256 = "a3c1448ee496c2c940370b72ea380ff2040ec8e24b864aa8c0a30de55e8f1166"
 
 
 def _feed(h, value):
@@ -77,6 +81,17 @@ def exact_digest(trace, h):
     for rec in trace.records:
         ex = rec.exact
         for value in (ex.f, ex.g, ex.c, ex.J):
+            _feed(h, value)
+
+
+def controller_digest(trace, h):
+    state = trace.adaptive_state
+    for value in (None, None) if state is None else (state.L_est, state.Gamma_est):
+        _feed(h, value)
+    for rec in trace.records:
+        for value in (rec.chi, rec.zeta, rec.xi, rec.alpha_suff, rec.alpha_min,
+                      rec.alpha_max, rec.phi0, rec.phi_accept, rec.relax,
+                      rec.backtracks, rec.counters_delta):
             _feed(h, value)
 
 
@@ -125,3 +140,11 @@ def test_exact_snapshots_are_byte_identical(runs):
     for trace in traces:
         exact_digest(trace, h)
     assert h.hexdigest() == EXACT_SHA256
+
+
+def test_controller_fields_are_byte_identical(runs):
+    _, traces = runs
+    h = hashlib.sha256()
+    for trace in traces:
+        controller_digest(trace, h)
+    assert h.hexdigest() == CONTROLLER_SHA256

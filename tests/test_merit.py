@@ -6,7 +6,6 @@ import pytest
 from noisy_sqp.linalg import norm2, norm_inf
 from noisy_sqp.merit import (
     Linearization,
-    TauState,
     merit_value,
     model_reduction,
     tau_trial,
@@ -84,26 +83,19 @@ class TestTauTrial:
 
 class TestTauUpdate:
     def test_keep_on_infinite_trial(self):
-        state = TauState(1.0)
-        tau_update(state, math.inf, 0.01, k=0)
-        assert state.tau == 1.0
+        assert tau_update(1.0, math.inf, 0.01) == 1.0
 
     def test_cut_to_trial(self):
-        state = TauState(1.0)
-        tau_update(state, 0.45, 0.01, k=0)
-        assert state.tau == pytest.approx(0.4455)
+        assert tau_update(1.0, 0.45, 0.01) == pytest.approx(0.4455)
 
     def test_keep_branch(self):
-        state = TauState(0.2)
-        tau_update(state, 0.45, 0.01, k=0)
-        assert state.tau == pytest.approx(0.2)
+        assert tau_update(0.2, 0.45, 0.01) == pytest.approx(0.2)
 
     def test_history_non_increasing_under_random_stream(self):
         rng = np.random.default_rng(21)
-        state = TauState(1.0)
-        for k in range(200):
+        taus = [1.0]
+        for _ in range(200):
             trial = float(rng.uniform(0.0, 2.0)) if rng.random() < 0.8 else math.inf
-            tau_update(state, trial, 0.01, k)
-        taus = [t for _, t in state.history]
+            taus.append(tau_update(taus[-1], trial, 0.01))
         assert all(b <= a + 1e-15 for a, b in zip(taus, taus[1:]))
-        assert state.tau > 0.0
+        assert taus[-1] > 0.0

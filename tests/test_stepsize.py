@@ -1,25 +1,37 @@
+import math
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from noisy_sqp.noise import NoiseSpec, NoisyOracle
+from noisy_sqp.problems import registry_by_name
 from noisy_sqp.stepsize import (
+    LINE_SEARCH_FAILURE,
+    NONFINITE,
+    AdaptiveSeeds,
     AdaptiveState,
-    BacktrackExhausted,
     LineSearchParams,
     adaptive_alpha,
     clamp_beta_admissible,
     epsilon_Ak,
+    estimate_lipschitz,
     line_search_alpha,
     update_chi_zeta,
     xi_update,
 )
 
 
-def make_state(**kw):
-    defaults = dict(chi=1e-3, zeta=1e3, xi=1.0, beta=1.0, eta=0.5, theta=1e4,
-                    L_est=1.0, Gamma_est=1.0, sigma_chi=0.5, sigma_zeta=0.5,
-                    sigma_xi=0.1)
+def make_state(L_est=1.0, Gamma_est=1.0, **kw):
+    # no probe directions: the Lipschitz estimates start at the floor, then are set
+    defaults = dict(chi0=1e-3, zeta0=1e3, xi0=1.0, beta=1.0, eta=0.5, theta=1e4,
+                    sigma_chi=0.5, sigma_zeta=0.5, sigma_xi=0.1, lipschitz_dirs=0)
     defaults.update(kw)
-    return AdaptiveState(**defaults)
+    p = registry_by_name()["quad-linear"]
+    oracle = NoisyOracle(p, NoiseSpec(), np.random.default_rng(0))
+    s = AdaptiveState(AdaptiveSeeds(**defaults), oracle, p.x0, 1.0, np.eye(p.n))
+    s.L_est, s.Gamma_est = L_est, Gamma_est
+    return s
 
 
 class TestUpdateChiZeta:
@@ -43,9 +55,41 @@ class TestUpdateChiZeta:
         assert s.chi == pytest.approx(1e-3 * 1.5 ** 3)
 
 
+class TestAdaptiveStart:
+    def test_holds_the_seeds_and_the_clamped_estimates(self):
+        seeds = AdaptiveSeeds(chi0=2e-3, zeta0=5e2, xi0=0.5, lipschitz_dirs=3)
+        p = registry_by_name()["unit-circle"]
+        oracle = NoisyOracle(p, NoiseSpec(), np.random.default_rng(4))
+        s = AdaptiveState(seeds, oracle, p.x0, 1.0, np.eye(p.n))
+        assert s.seeds is seeds
+        assert (s.chi, s.zeta, s.xi) == (2e-3, 5e2, 0.5)
+        L, Gamma = estimate_lipschitz(NoisyOracle(p, NoiseSpec(), np.random.default_rng(4)),
+                                      p.x0, n_dirs=3)
+        assert (s.L_est, s.Gamma_est) == clamp_beta_admissible(L, Gamma, 1.0, 0.5, 0.5, 1.0)
+        assert oracle.counters.snapshot() == (0, 4)
+
+    @pytest.mark.parametrize("seed", [dict(chi0=0.0), dict(zeta0=-1.0), dict(xi0=0.0),
+                                      dict(theta=0.0), dict(beta=0.0), dict(beta=1.5),
+                                      dict(eta=0.0), dict(eta=1.0)])
+    def test_bad_seed_is_rejected(self, seed):
+        with pytest.raises(ValueError, match="must be"):
+            make_state(**seed)
+
+    def test_step_records_the_controller_fields(self):
+        s = make_state()
+        u, v = np.array([1.0, 0.0, 0.0, 0.0]), np.array([0.0, 0.5, 0.0, 0.0])
+        bundle = SimpleNamespace(u=u, v=v, d=u + v)
+        x = np.ones(4)
+        alpha, x_next, fields, status = s.step(x, None, bundle, 1.0, 0.6, 1.25)
+        assert status is None and 0.0 < alpha <= 1.0
+        assert np.array_equal(x_next, x + alpha * bundle.d)
+        assert (fields["chi"], fields["zeta"], fields["xi"]) == (s.chi, s.zeta, s.xi)
+        assert alpha == min(max(fields["alpha_suff"], fields["alpha_min"]), fields["alpha_max"])
+
+
 class TestTangentialDominance:
     def test_reads_the_current_chi(self):
-        s = make_state(chi=2.0)
+        s = make_state(chi0=2.0)
         assert s.tangential(uu=2.0, vv=1.0)
         assert not s.tangential(uu=1.9, vv=1.0)
         s.chi = 1.0
@@ -54,18 +98,18 @@ class TestTangentialDominance:
 
 class TestXiUpdate:
     def test_keep_branch(self):
-        s = make_state(xi=1.0)
+        s = make_state(xi0=1.0)
         # trial = 2 on the normally-dominated branch
         xi_update(s, delta_l=2.0, tau=1.0, uu=0.0, vv=1.0, dd=1.0)
         assert s.xi == 1.0
 
     def test_cut_branch(self):
-        s = make_state(xi=1.0, sigma_xi=0.1)
+        s = make_state(xi0=1.0, sigma_xi=0.1)
         xi_update(s, delta_l=0.3, tau=1.0, uu=0.0, vv=1.0, dd=1.0)
         assert s.xi == pytest.approx(0.3)
 
     def test_tangential_dominated_trial(self):
-        s = make_state(xi=1.0, sigma_xi=0.1)
+        s = make_state(xi0=1.0, sigma_xi=0.1)
         # u = d = (2, 0), v = 0
         xi_update(s, delta_l=1.0, tau=0.5, uu=4.0, vv=0.0, dd=4.0)
         assert s.xi == pytest.approx(0.5)
@@ -73,7 +117,7 @@ class TestXiUpdate:
 
 class TestAdaptiveAlpha:
     def test_suff_direct_evaluation(self):
-        s = make_state(xi=1e-6)
+        s = make_state(xi0=1e-6)
         # u = d = (1, 0), v = 0
         alpha, suff, amin, amax = adaptive_alpha(s, delta_l=1.0, tau=1.0, uu=1.0,
                                                  vv=0.0, dd=1.0)
@@ -81,7 +125,7 @@ class TestAdaptiveAlpha:
         assert alpha == pytest.approx(0.5)
 
     def test_projection_identity_at_matching_bounds(self):
-        s = make_state(xi=1.0)
+        s = make_state(xi0=1.0)
         # u = d = (1, 0), v = 0
         alpha, suff, amin, amax = adaptive_alpha(s, delta_l=1.0, tau=1.0, uu=1.0,
                                                  vv=0.0, dd=1.0)
@@ -90,7 +134,7 @@ class TestAdaptiveAlpha:
         assert alpha == pytest.approx(0.5)
 
     def test_wide_cap_never_binds(self):
-        s = make_state(xi=1e-8, theta=1e4)
+        s = make_state(xi0=1e-8, theta=1e4)
         alpha, suff, amin, amax = adaptive_alpha(s, delta_l=0.6, tau=1.0, uu=1.0,
                                                  vv=0.0, dd=1.0)
         assert amax >= 1.0
@@ -100,7 +144,7 @@ class TestAdaptiveAlpha:
         # alpha <= alpha_suff <= 1 relies on the xi update running first,
         # as in the main loop; the property holds along any such sequence
         rng = np.random.default_rng(37)
-        s = make_state(xi=1.0, L_est=2.0, Gamma_est=3.0)
+        s = make_state(xi0=1.0, L_est=2.0, Gamma_est=3.0)
         for _ in range(200):
             n = 3
             u = rng.standard_normal(n)
@@ -145,27 +189,55 @@ class TestEpsilonAk:
         assert val == pytest.approx(4 * 1e-2 + 0.1 * 2.0)
 
 
+class MeritOracle:
+    """Value samples of f at the first coordinate, with no constraints, so
+    the merit value at tau = 1 is f; counts the samples."""
+
+    def __init__(self, f):
+        self.f, self.samples = f, 0
+
+    def sample(self, x, want):
+        assert want == "value"
+        self.samples += 1
+        return SimpleNamespace(f_bar=self.f(float(x[0])), c_bar=np.zeros(0))
+
+
+def search(f, phi0, delta_l, relax, params):
+    """Line search from x = 0 along d = 1: the trial at alpha is the point alpha."""
+    oracle = MeritOracle(f)
+    out = line_search_alpha(oracle, np.zeros(1), np.ones(1), 1.0, phi0, delta_l, relax, params)
+    return out, oracle.samples
+
+
 class TestLineSearch:
     def test_first_trial_accepted_on_descent(self):
         params = LineSearchParams(alpha_u=1.0, nu=0.5, eta=1e-3)
         phi0 = 1.0
-        alpha, backtracks = line_search_alpha(
+        (alpha, point, phi, backtracks, status), samples = search(
             lambda a: phi0 - a * 1.0, phi0, delta_l=1.0, relax=0.0, params=params)
-        assert alpha == 1.0
-        assert backtracks == 0
+        assert (alpha, backtracks, status, samples) == (1.0, 0, None, 1)
+        assert point.tolist() == [1.0] and phi == 0.0
 
     def test_flat_merit_exhausts(self):
         params = LineSearchParams(max_backtracks=10)
-        with pytest.raises(BacktrackExhausted):
-            line_search_alpha(lambda a: 1.0, 1.0, delta_l=1.0, relax=0.0,
-                              params=params)
+        (alpha, point, phi, backtracks, status), samples = search(
+            lambda a: 1.0, 1.0, delta_l=1.0, relax=0.0, params=params)
+        assert status == LINE_SEARCH_FAILURE
+        assert alpha == 0.0 and phi is None
+        assert backtracks == params.max_backtracks
+        assert samples == params.max_backtracks + 1
+
+    def test_nan_trial_stops_after_one_sample(self):
+        (alpha, point, phi, backtracks, status), samples = search(
+            lambda a: math.nan, 1.0, delta_l=1.0, relax=0.0, params=LineSearchParams())
+        assert status == NONFINITE
+        assert (alpha, phi, backtracks, samples) == (0.0, None, 0, 1)
 
     def test_relaxation_alone_accepts(self):
         params = LineSearchParams(alpha_u=1.0, eta=1e-3)
-        alpha, backtracks = line_search_alpha(
+        (alpha, _, _, backtracks, status), _ = search(
             lambda a: 1.0, 1.0, delta_l=1.0, relax=0.26, params=params)
-        assert alpha == 1.0
-        assert backtracks == 0
+        assert (alpha, backtracks, status) == (1.0, 0, None)
 
     def test_accepted_alpha_satisfies_condition(self):
         rng = np.random.default_rng(41)
@@ -176,5 +248,6 @@ class TestLineSearch:
             phi0 = float(rng.uniform(-1, 1))
             merit = lambda a: phi0 - slope * a + 0.5 * curv * a * a
             delta_l = slope
-            alpha, _ = line_search_alpha(merit, phi0, delta_l, 0.0, params)
-            assert merit(alpha) <= phi0 - params.eta * alpha * delta_l + 1e-12
+            (alpha, point, phi, _, status), _ = search(merit, phi0, delta_l, 0.0, params)
+            assert status is None and point.tolist() == [alpha]
+            assert phi == merit(alpha) <= phi0 - params.eta * alpha * delta_l + 1e-12
