@@ -3,8 +3,11 @@
 One call to `solve` runs the full iteration: sample the noisy oracle, pick
 the branch on ||c_bar|| <= eps_o, build the step bundle under the matching
 termination test, update the merit parameter tau (a float that only
-decreases), and make one `step` call on the run's step-size controller
-(`stepsize.AdaptiveState` or `stepsize.LineSearch`).  Each iteration appends
+decreases) from the trial value the accepting TT2_cond1 check formed, form
+the model reduction from the check's g'd and ||c + Jd||, and make one `step`
+call on the run's step-size controller (`stepsize.AdaptiveState` or
+`stepsize.LineSearch`).  A step that no termination test accepts arrives as
+no bundle and ends the run as `test_unsatisfiable`.  Each iteration appends
 one `IterRecord`; the run stops at the first status, from an early exit, a
 non-finite sample or step, a budget or the controller.  Exact ground-truth
 snapshots are recorded next to every noisy sample for post-hoc error
@@ -19,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import merit, steps, stepsize
-from .linalg import all_finite, norm2, norm_inf
+from .linalg import all_finite, norm2, norm_inf  # noqa: F401 (perfbench counts driver.norm2)
 from .noise import NoiseSpec, NoisyOracle
 from .problems import ProblemSpec, evaluate
 from .stepsize import LINE_SEARCH_FAILURE, NONFINITE, AdaptiveSeeds
@@ -73,11 +76,11 @@ class SolverParams:
             raise ValueError(f"bad optimism {self.optimism!r}")
         if self.exactness not in ("exact", "inexact"):
             raise ValueError(f"bad exactness {self.exactness!r}")
-        if self.tau0 <= 0:
+        if not self.tau0 > 0:
             raise ValueError("tau0 must be > 0")
         if not 0.0 < self.sigma_tau < 1.0:
             raise ValueError("sigma_tau must be in (0,1)")
-        if self.max_iters < 1 or self.max_weighted_evals < 1:
+        if not (self.max_iters >= 1 and self.max_weighted_evals >= 1):
             raise ValueError("budgets must be positive")
         if not self.tol_d >= 0.0:
             raise ValueError("tol_d must be >= 0")
@@ -87,11 +90,8 @@ class SolverParams:
     def benchmark_defaults(cls, noise: NoiseSpec, variant: str = ADAPTIVE,
                        optimism: str = "optimistic", exactness: str = "inexact",
                        kappa: float = 1e-2, **overrides):
-        params = cls(noise=noise, variant=variant, optimism=optimism,
-                     exactness=exactness, kappa_u=kappa, kappa_v=kappa)
-        for key, val in overrides.items():
-            setattr(params, key, val)
-        return params.validate()
+        return cls(noise=noise, variant=variant, optimism=optimism, exactness=exactness,
+                   kappa_u=kappa, kappa_v=kappa, **overrides).validate()
 
     def resolved_eps_o(self) -> float:
         """Optimistic: ``noise.eps_o``, or eps_c when that is 0.  Pessimistic: 0."""
@@ -237,24 +237,17 @@ def solve(problem: ProblemSpec, params: SolverParams, seed: int,
                 break
             normal = steps.normal_step(lin, params.tests, params.kappa_v,
                                        noise.eps_f, noise.eps_c, exact=exact_mode)
-        try:
-            bundle = steps.tangential_step(
-                H, lin, normal, tau, params.tests, eps_o, params.kappa_u,
-                noise.eps_f, noise.eps_c, exact=exact_mode, feasible=feasible)
-        except steps.TestUnsatisfiable:
+        bundle = steps.tangential_step(
+            H, lin, normal, tau, params.tests, eps_o, params.kappa_u,
+            noise.eps_f, noise.eps_c, exact=exact_mode, feasible=feasible)
+        if bundle is None:
             records.append(make_record(None, 0.0))
             status = TEST_UNSATISFIABLE
             break
-        if (bundle.fallback_case or bundle.test) == steps.TT2_COND1:
-            trial = merit.tau_trial(
-                lin.g, bundle.d, bundle.u, H, lin.c_norm,
-                norm2(normal.c_v + bundle.r), params.tests)
-            tau = merit.tau_update(tau, trial, params.sigma_tau)
+        if bundle.tau_trial is not None:
+            tau = merit.tau_update(tau, bundle.tau_trial, params.sigma_tau)
+        delta_l = merit.model_reduction(tau, lin.c_norm, bundle.gd, bundle.cd_norm)
         d = bundle.d
-        if tau == tau_prev and bundle.tt2_delta_l is not None:
-            delta_l = bundle.tt2_delta_l  # the same reduction, formed by TT2
-        else:
-            delta_l = merit.model_reduction(tau, lin, d)
         if feasible and delta_l <= eps_o:
             records.append(make_record(bundle, 0.0, delta_l))
             status = EARLY_STATIONARY

@@ -13,7 +13,7 @@ import json
 import logging
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -28,13 +28,6 @@ from .driver import (
 from .linalg import least_squares_multiplier, norm_inf
 from .noise import NoiseSpec, derive_gradient_noise
 from .problems import duplicate_last_constraint, get_problem
-
-CSV_COLUMNS = [
-    "problem", "variant", "optimism", "exactness", "eps_f", "eps_c", "seed",
-    "licq_mode", "status", "iters", "weighted_evals", "minres_iters",
-    "cg_iters", "best_feas_err", "best_stat_err", "best_infeas_stat_err",
-    "terminated_early", "solved",
-]
 
 EARLY_STATUSES = (EARLY_STATIONARY, EARLY_INFEASIBLE)
 
@@ -142,6 +135,22 @@ class RunRecord:
     def sort_key(self):
         return (self.problem, self.variant, self.optimism, self.exactness,
                 self.eps_f, self.eps_c, self.seed, self.licq_mode)
+
+    @property
+    def solver(self) -> str:
+        """Performance-profile solver label, e.g. ``ada-opt-inexact``."""
+        return f"{self.variant}-{self.optimism}-{self.exactness}"
+
+    @property
+    def instance(self) -> tuple:
+        """Performance-profile problem instance."""
+        return (self.problem, self.eps_f, self.eps_c, self.seed, self.licq_mode)
+
+
+# one CSV column per RunRecord field, in field order; a cell parses by the
+# field's annotation (bools are written "true"/"false")
+CSV_COLUMNS = [f.name for f in fields(RunRecord)]
+_PARSE = {"str": str, "int": int, "float": float, "bool": lambda text: text == "true"}
 
 
 def best_iterate(trace, eps_c: float, eps_f: float):
@@ -287,23 +296,9 @@ def records_to_csv(records) -> str:
 
 
 def records_from_csv(text: str):
-    reader = csv.DictReader(io.StringIO(text))
-    records = []
-    for row in reader:
-        records.append(RunRecord(
-            problem=row["problem"], variant=row["variant"],
-            optimism=row["optimism"], exactness=row["exactness"],
-            eps_f=float(row["eps_f"]), eps_c=float(row["eps_c"]),
-            seed=int(row["seed"]), licq_mode=row["licq_mode"],
-            status=row["status"], iters=int(row["iters"]),
-            weighted_evals=int(row["weighted_evals"]),
-            minres_iters=int(row["minres_iters"]), cg_iters=int(row["cg_iters"]),
-            best_feas_err=float(row["best_feas_err"]),
-            best_stat_err=float(row["best_stat_err"]),
-            best_infeas_stat_err=float(row["best_infeas_stat_err"]),
-            terminated_early=row["terminated_early"] == "true",
-            solved=row["solved"] == "true"))
-    return records
+    """RunRecords from ``records_to_csv`` text; a missing column raises KeyError."""
+    return [RunRecord(**{f.name: _PARSE[f.type](row[f.name]) for f in fields(RunRecord)})
+            for row in csv.DictReader(io.StringIO(text))]
 
 
 @dataclass
@@ -332,19 +327,15 @@ def performance_profile(records, cost_field: str = "weighted_evals",
     """
     if cost_field not in ("weighted_evals", "minres_iters"):
         raise ValueError(f"bad cost_field {cost_field!r}")
-    solvers = sorted({f"{r.variant}-{r.optimism}-{r.exactness}" for r in records})
+    solvers = sorted({r.solver for r in records})
     if len(solvers) < 2:
         raise ValueError("performance profile needs >= 2 solvers")
-    instances = sorted({(r.problem, r.eps_f, r.eps_c, r.seed, r.licq_mode)
-                        for r in records})
+    instances = sorted({r.instance for r in records})
     if not instances:
         raise ValueError("performance profile needs >= 1 problem instance")
 
-    costs = {}
-    for r in records:
-        solver = f"{r.variant}-{r.optimism}-{r.exactness}"
-        inst = (r.problem, r.eps_f, r.eps_c, r.seed, r.licq_mode)
-        costs[(inst, solver)] = float(getattr(r, cost_field)) if r.solved else None
+    costs = {(r.instance, r.solver): float(getattr(r, cost_field)) if r.solved else None
+             for r in records}
 
     ratios = {}
     for inst in instances:

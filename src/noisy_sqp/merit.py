@@ -2,17 +2,17 @@
 
 Every step of an iteration is built from one noisy linearization (g, c, J);
 `Linearization` holds it with the products the steps and tests read, each
-formed once.  The merit function is the exact l2 penalty
-phi(x, tau) = tau f + ||c||_2, and progress is measured by the reduction of
-its first-order model along a step.  The merit parameter tau is a plain
-float that only ever decreases: `tau_update` returns its next value.
+formed once, and forms g'd and ||c + Jd|| along a step d.  The merit function
+is the exact l2 penalty phi(x, tau) = tau f + ||c||_2, and progress is
+measured by the reduction of its first-order model along a step, formed from
+those scalars.  The merit parameter tau is a plain float that only ever
+decreases: `tau_update` keeps it or cuts it below the trial value that the
+accepting TT2_cond1 check forms with `tau_trial`.
 """
 
 from __future__ import annotations
 
 import math
-
-import numpy as np
 
 from .linalg import norm2, norm_inf
 
@@ -32,26 +32,29 @@ class Linearization:
         self.c_norm = norm2(c)
         self.g_norm = norm2(g)
 
+    def along(self, d):
+        """(g'd, ||c + Jd||) for a step d."""
+        return float(self.g.dot(d)), norm2(self.c + self.J.dot(d))
+
 
 def merit_value(tau: float, f: float, c) -> float:
     """phi(x, tau) = tau * f + ||c||_2."""
     return tau * f + norm2(c)
 
 
-def model_reduction(tau: float, lin: Linearization, d) -> float:
-    """Reduction of the merit model:  -tau g'd + ||c|| - ||c + Jd||."""
-    return float(-tau * lin.g.dot(d) + lin.c_norm - norm2(lin.c + lin.J.dot(d)))
+def model_reduction(tau: float, c_norm: float, gd: float, cd_norm: float) -> float:
+    """Reduction of the merit model along d:  -tau g'd + ||c|| - ||c + Jd||."""
+    return -tau * gd + c_norm - cd_norm
 
 
-def tau_trial(g_bar, d, u, H, c_norm: float, c_vr_norm: float, params) -> float:
+def tau_trial(gd: float, uHu: float, uu: float, c_norm: float, c_vr_norm: float,
+              params) -> float:
     """Trial merit parameter on the residual branch of Termination Test 2.
 
     Returns +inf when the denominator  g'd + max{u'Hu, lambda_u ||u||^2}
     is <= 0 (the step is already aligned with descent).
     """
-    u = np.asarray(u)
-    denom = float(np.asarray(g_bar) @ np.asarray(d)) + max(
-        float(u @ (np.asarray(H) @ u)), params.lambda_u * float(u @ u))
+    denom = gd + max(uHu, params.lambda_u * uu)
     if denom <= 0.0:
         return math.inf
     decrease = c_norm - c_vr_norm

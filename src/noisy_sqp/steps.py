@@ -8,12 +8,14 @@ the two termination tests holds together with a noise-scaled residual gate.
 
 Each function reads the iteration's noisy linearization from one
 `merit.Linearization` (g, c and J with J'c, ||J'c|| and max|J'c|, ||c|| and
-||g||, each formed once), and the tangential step and TT2 read the normal
-step's c + Jv and ||c + Jv|| from its `NormalStep`.
+||g||, each formed once), and the steps and tests read the normal step's v,
+c + Jv and ||c + Jv|| from its `NormalStep`.  The passing test's measurements
+ride in the `StepBundle` to the driver; no bundle means no test can pass.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -26,17 +28,13 @@ from .linalg import (
     norm2,
     norm_inf,
 )
+from . import merit
 from .merit import Linearization, model_reduction
 
 TT1 = "TT1"
 TT2_CASE2 = "TT2_case2"
 TT2_COND1 = "TT2_cond1"
 EXACT_FALLBACK = "exact_fallback"
-
-
-class TestUnsatisfiable(Exception):
-    """Even the exact tangential solution fails the branch's termination test,
-    or the dense solve cannot form it (H singular on the null space of J)."""
 
 
 @dataclass
@@ -87,8 +85,10 @@ class StepBundle:
     minres_iters: int = 0
     cg_iters: int = 0
     fallback_case: str | None = None  # tag of the test behind an exact_fallback
-    # model reduction at tau_prev along d that the accepting TT2 check formed
-    tt2_delta_l: float | None = None
+    # the accepting check's g'd, ||c + Jd|| and (TT2_cond1 only) trial tau
+    gd: float = 0.0
+    cd_norm: float = 0.0
+    tau_trial: float | None = None
 
 
 class NormalStep(NamedTuple):
@@ -163,68 +163,74 @@ def _round_off_slack(g_norm: float, c_norm: float) -> float:
     return 1e-13 * max(1.0, g_norm, c_norm)
 
 
-def check_tt1(H, lin: Linearization, u, rho, r, tau_prev: float,
-              params: TestParams, eps_o: float) -> bool:
-    """Termination Test 1 (feasible branch, v = 0); all four conditions, 2-norms."""
+def check_tt1(H, lin: Linearization, normal: NormalStep, u, rho, r, tau_prev: float,
+              params: TestParams, eps_o: float):
+    """Termination Test 1 (feasible branch, v = 0): `check_tt2`'s tuple or None."""
     uHu = float(u.dot(H.dot(u)))
     u_nrm2 = float(u.dot(u))
     slack = _round_off_slack(lin.g_norm, lin.c_norm)
     res_gate = params.lambda_rho_r * min(max(norm2(u), lin.Jtc_norm), params.kappa_rho_r)
     if max(norm2(rho), norm2(r)) > res_gate:
-        return False
+        return None
     if uHu < params.lambda_u * u_nrm2 - eps_o - slack:
-        return False
-    if float(lin.g.dot(u)) + 0.5 * uHu > eps_o + slack:
-        return False
-    dl = model_reduction(tau_prev, lin, u)
+        return None
+    d = normal.v + u
+    gd, cd_norm = lin.along(d)
+    if gd + 0.5 * uHu > eps_o + slack:
+        return None
+    dl = model_reduction(tau_prev, lin.c_norm, gd, cd_norm)
     if dl < tau_prev * params.sigma_u * max(uHu, params.lambda_u * u_nrm2) - eps_o - slack:
-        return False
-    return True
+        return None
+    return TT1, d, gd, cd_norm, None
 
 
 def check_tt2(H, lin: Linearization, normal: NormalStep, u, rho, r,
               tau_prev: float, params: TestParams):
     """Termination Test 2 (infeasible branch) at the normal step and u.
 
-    Returns (tag, d, model reduction at ``tau_prev`` along d = v + u) when
-    the test passes, tag TT2_CASE2 or TT2_COND1, else (None, None, None).
-    Case 2 has priority because it keeps the merit parameter unchanged.
+    Returns (tag, d, g'd, ||c + Jd||, trial) along d = v + u when the test
+    passes, tag TT2_CASE2 or TT2_COND1, else None.  Case 2 has priority
+    because it keeps the merit parameter unchanged; under TT2_COND1 ``trial``
+    is `merit.tau_trial` of the check's values, else None.
     """
     v = normal.v
     uHu = float(u.dot(H.dot(u)))
-    u_nrm = norm2(u)
+    uu = float(u.dot(u))
+    u_nrm = math.sqrt(uu)  # norm2's formula on the same dot
     v_nrm = norm2(v)
     Jtc_norm = lin.Jtc_norm
     c_norm = lin.c_norm
     slack = _round_off_slack(lin.g_norm, c_norm)
     res_gate = params.lambda_rho_r * min(max(u_nrm, Jtc_norm), params.kappa_rho_r)
     if max(norm2(rho), norm2(r)) > res_gate:
-        return None, None, None
+        return None
 
     if u_nrm > params.lambda_uv * v_nrm:
         curvature_ok = uHu >= params.lambda_u * u_nrm * u_nrm - slack
         slope = float((lin.g + H.dot(v)).dot(u))
         weight = max(0.5, 1.0 - Jtc_norm)
         if not (curvature_ok and slope + weight * uHu <= params.lambda_v * v_nrm + slack):
-            return None, None, None
+            return None
 
     d = v + u
+    gd, cd_norm = lin.along(d)
     c_v_norm = normal.c_v_norm
-    c_vr_norm = norm2(normal.c_v + r)
-    dl = model_reduction(tau_prev, lin, d)
+    dl = model_reduction(tau_prev, c_norm, gd, cd_norm)
     if dl >= tau_prev * params.sigma_u * max(uHu, params.lambda_u * u_nrm * u_nrm) \
             + params.sigma_c * (c_norm - c_v_norm) - slack:
-        return TT2_CASE2, d, dl
+        return TT2_CASE2, d, gd, cd_norm, None
+    c_vr_norm = norm2(normal.c_v + r)
     if (c_norm - c_v_norm > 0.0
             and c_norm - c_vr_norm >= params.sigma_r * (c_norm - c_v_norm) - slack):
-        return TT2_COND1, d, dl
-    return None, None, None
+        return TT2_COND1, d, gd, cd_norm, merit.tau_trial(
+            gd, uHu, uu, c_norm, c_vr_norm, params)
+    return None
 
 
 def tangential_step(H, lin: Linearization, normal: NormalStep, tau_prev: float,
                     params: TestParams, eps_o: float, kappa_u: float,
                     eps_f: float, eps_c: float, exact: bool = False, *,
-                    feasible: bool) -> StepBundle:
+                    feasible: bool) -> StepBundle | None:
     """Inexact tangential component via the symmetric Krylov solver.
 
     Iterates of the saddle system are checked against the noise-scaled
@@ -232,9 +238,9 @@ def tangential_step(H, lin: Linearization, normal: NormalStep, tau_prev: float,
     when ``feasible``, else TT2) after every step.  When the solver breaks
     down (at the latest after 2(n+m) steps) without acceptance, the dense
     solve takes over and the test is re-checked on the exact solution (tag
-    exact_fallback, with the passing test's tag in ``fallback_case``).
-    Under TT2 the bundle keeps the d and the model reduction the accepting
-    check formed (``tt2_delta_l``).
+    exact_fallback, with the passing test's tag in ``fallback_case``).  None
+    when the exact solution fails the test or cannot be formed (H singular
+    on the null space of J).
     """
     J_bar = lin.J
     m, n = J_bar.shape
@@ -249,19 +255,17 @@ def tangential_step(H, lin: Linearization, normal: NormalStep, tau_prev: float,
     coef = 1e-10 if exact else kappa_u * min(eps_c, eps_f)
 
     def passed_test(z, resid):
-        """(tag, d, TT2 model reduction) of the branch's test at z; tag None on failure."""
+        """The branch's test at z: its outcome tuple, or None on failure."""
         u, rho, r = z[:n], resid[:n], resid[n:]
-        if not feasible:
-            return check_tt2(H, lin, normal, u, rho, r, tau_prev, params)
-        if check_tt1(H, lin, u, rho, r, tau_prev, params, eps_o):
-            return TT1, v + u, None
-        return None, None, None
+        if feasible:
+            return check_tt1(H, lin, normal, u, rho, r, tau_prev, params, eps_o)
+        return check_tt2(H, lin, normal, u, rho, r, tau_prev, params)
 
     minus_b = -b
     state = None
     z = np.zeros(n + m)
     iters = 0
-    tag = None
+    passed = None
     # the residual gate is coef * clip(min(max|u|, ||J'c||_inf), 1e-2, 1e2);
     # most candidates fail it at the upper clip already, before max|u| is
     # needed ("not >" lets a NaN residual through, as "<=" would not)
@@ -272,27 +276,27 @@ def tangential_step(H, lin: Linearization, normal: NormalStep, tau_prev: float,
         if not resid_inf > gate_cap:
             gate = coef * max(min(max(norm_inf(z[:n]), lin.Jtc_inf), 1e2), 1e-2)
             if not resid_inf > gate:
-                tag, d, dl = passed_test(z, resid)
-                if tag is not None:
+                passed = passed_test(z, resid)
+                if passed is not None:
                     break
         if state is not None and state.breakdown:
             break
         z, state = minres_iterate(apply_K, minus_b, state)
         iters += 1
 
-    fallback_case = None
-    if tag is None:
+    fallback = passed is None
+    if fallback:
         # dense fallback; residuals vanish up to round-off
         try:
             z = np.concatenate(dense_kkt_solve(H, J_bar, b[:n]))
-        except np.linalg.LinAlgError as exc:  # H singular on null(J)
-            raise TestUnsatisfiable(f"exact tangential solve failed: {exc}") from exc
+        except np.linalg.LinAlgError:  # H singular on null(J)
+            return None
         resid = apply_K(z) + b
-        fallback_case, d, dl = passed_test(z, resid)
-        if fallback_case is None:
-            raise TestUnsatisfiable(
-                f"exact solution fails Termination Test {1 if feasible else 2}")
-        tag = EXACT_FALLBACK
+        passed = passed_test(z, resid)
+        if passed is None:
+            return None
+    tag, d, gd, cd_norm, trial = passed
     return StepBundle(v=v, u=z[:n], d=d, y=z[n:], rho=resid[:n], r=resid[n:],
-                      test=tag, minres_iters=iters, cg_iters=normal.cg_iters,
-                      fallback_case=fallback_case, tt2_delta_l=dl)
+                      test=EXACT_FALLBACK if fallback else tag, minres_iters=iters,
+                      cg_iters=normal.cg_iters, fallback_case=tag if fallback else None,
+                      gd=gd, cd_norm=cd_norm, tau_trial=trial)

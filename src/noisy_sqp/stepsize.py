@@ -74,7 +74,8 @@ class AdaptiveState:
                                       delta=seeds.lipschitz_delta, floor=seeds.lipschitz_floor)
         self.L_est, self.Gamma_est = clamp_beta_admissible(
             L, Gamma, seeds.beta, seeds.eta, seeds.xi0, tau0)
-        if min(self.chi, self.zeta, self.xi, seeds.theta, self.L_est, self.Gamma_est) <= 0:
+        if not all(v > 0 for v in (self.chi, self.zeta, self.xi, seeds.theta,  # NaN fails
+                                   self.L_est, self.Gamma_est)):
             raise ValueError("chi, zeta, xi, theta, L, Gamma must be > 0")
         if not 0.0 < seeds.beta <= 1.0:
             raise ValueError("beta must be in (0,1]")

@@ -478,7 +478,6 @@ class TestExactSnapshots:
         assert all(a != b for a, b in zip(evaluated, evaluated[1:]))
 
     def test_delta_l_is_the_model_reduction_at_the_final_tau(self):
-        from noisy_sqp import merit
         p = registry_by_name()["quad-linear-10"]
         for variant in ("adaptive", "line_search"):
             params = SolverParams.benchmark_defaults(
@@ -486,9 +485,8 @@ class TestExactSnapshots:
                 max_iters=120)
             trace = solve(p, params, 5)
             for rec in trace.records:
-                nz = rec.noisy
-                lin = merit.Linearization(nz.g_bar, nz.c_bar, nz.J_bar)
-                fresh = merit.model_reduction(rec.tau, lin, rec.bundle.d)
+                g, c, J, d = rec.noisy.g_bar, rec.noisy.c_bar, rec.noisy.J_bar, rec.bundle.d
+                fresh = -rec.tau * float(g.dot(d)) + norm2(c) - norm2(c + J.dot(d))
                 assert rec.delta_l.hex() == fresh.hex()
 
 
@@ -502,6 +500,17 @@ class TestEpsO:
         params = SolverParams.benchmark_defaults(
             NoiseSpec(eps_f=1e-2, eps_c=1e-2, eps_o=1e-3), optimism="pessimistic", max_iters=3)
         assert solve(p, params, 0).eps_o == 0.0
+
+
+class TestParamsValidation:
+    def test_misspelled_setting_raises(self):
+        with pytest.raises(TypeError, match="max_iter"):
+            SolverParams.benchmark_defaults(NoiseSpec(), max_iter=5)
+
+    @pytest.mark.parametrize("name", ["tau0", "max_iters", "max_weighted_evals"])
+    def test_nan_setting_is_rejected(self, name):
+        with pytest.raises(ValueError, match="must be"):
+            SolverParams.benchmark_defaults(NoiseSpec(), **{name: float("nan")})
 
 
 class TestCurvatureMatrix:

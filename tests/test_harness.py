@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -292,6 +293,17 @@ class TestRunGrid:
         parsed = records_from_csv(text)
         assert records_to_csv(parsed) == text
         assert parsed == records
+
+    def test_csv_columns_follow_the_record_fields(self, tmp_path):
+        records, path = run_grid(self._config(tmp_path), max_workers=1)
+        header, *rows = open(path).read().splitlines()
+        assert header.split(",") == [f.name for f in dataclasses.fields(harness.RunRecord)]
+        # an extra column is ignored; a missing one raises KeyError
+        extra = "\n".join([header + ",note"] + [row + ",x" for row in rows]) + "\n"
+        assert records_from_csv(extra) == records
+        missing = "\n".join(",".join(line.split(",")[:-1]) for line in [header] + rows)
+        with pytest.raises(KeyError, match="solved"):
+            records_from_csv(missing)
 
     def test_run_single_smoke(self):
         rec = run_single("quad-linear", VariantSpec("ada", "opt"), 1e-2, 1e-2,

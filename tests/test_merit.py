@@ -41,43 +41,41 @@ class TestLinearization:
 
 class TestModelReduction:
     def test_zero_displacement(self):
-        assert model_reduction(1.0, Linearization(np.ones(2), np.ones(1), np.ones((1, 2))),
-                               np.zeros(2)) == 0.0
+        lin = Linearization(np.ones(2), np.ones(1), np.ones((1, 2)))
+        assert model_reduction(1.0, lin.c_norm, *lin.along(np.zeros(2))) == 0.0
 
     def test_direct_evaluation(self):
         lin = Linearization(np.array([1.0, 0.0]), np.array([1.0]), np.array([[1.0, 0.0]]))
-        val = model_reduction(1.0, lin, np.array([-1.0, 0.0]))
+        val = model_reduction(1.0, lin.c_norm, *lin.along(np.array([-1.0, 0.0])))
         assert val == pytest.approx(2.0)
 
     def test_full_linearized_feasibility_step(self):
         c = np.array([3.0, 4.0])
         J = np.eye(2)
         d = -c
-        val = model_reduction(1.0, Linearization(np.zeros(2), c, J), d)
+        lin = Linearization(np.zeros(2), c, J)
+        val = model_reduction(1.0, lin.c_norm, *lin.along(d))
         assert val == pytest.approx(np.linalg.norm(c))
 
 
 class TestTauTrial:
     def test_sign_branch_infinite(self):
         params = TestParams()
-        trial = tau_trial(np.array([-1.0]), np.array([1.0]), np.array([0.707]),
-                          np.eye(1), 1.0, 0.0, params)
+        # g'd = -1, u'Hu = u'u = 0.707^2
+        trial = tau_trial(-1.0, 0.707 ** 2, 0.707 ** 2, 1.0, 0.0, params)
         assert math.isinf(trial)
 
     def test_benchmark_default_constants(self):
         # direct evaluation with sigma_c = 0.1, sigma_r = 0.9999
         params = TestParams()
-        g = np.array([1.0, 0.0])
-        d = np.array([1.0, 0.0])
-        u = np.array([1.0, 0.0])  # u'Hu = 1 > lambda_u ||u||^2
-        trial = tau_trial(g, d, u, np.eye(2), 1.0, 0.0, params)
+        # g'd = 1, u'Hu = 1 > lambda_u ||u||^2
+        trial = tau_trial(1.0, 1.0, 1.0, 1.0, 0.0, params)
         expected = (1.0 - 0.1 / 0.9999) * 1.0 / (1.0 + 1.0)
         assert trial == pytest.approx(expected, rel=1e-14)
 
     def test_zero_decrease(self):
         params = TestParams()
-        trial = tau_trial(np.array([1.0]), np.array([1.0]), np.array([1.0]),
-                          np.eye(1), 1.0, 1.0, params)
+        trial = tau_trial(1.0, 1.0, 1.0, 1.0, 1.0, params)
         assert trial == pytest.approx(0.0)
 
 

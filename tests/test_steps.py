@@ -181,15 +181,29 @@ class TestTangentialStep:
         assert norm_inf(np.concatenate([bundle.rho, bundle.r])) <= 1e-9 * scale
 
 
+    def test_unsolvable_dense_fallback_returns_none(self):
+        # H = 0 is singular on null(J): the dense solve cannot form the exact
+        # tangential step, so no termination test can pass
+        H = np.zeros((3, 3))
+        J = np.array([[1.0, 1.0, 0.0]])
+        c = np.array([0.0])
+        bundle = tangential_step(H, lin(c, J, np.array([0.3, -0.2, 1.0])), zero_normal(c, 3),
+                                 1.0, PARAMS, eps_o=0.0, kappa_u=1e-2, eps_f=0.0,
+                                 eps_c=0.0, feasible=True)
+        assert bundle is None
+
+
 class TestCheckTT1:
     def test_zero_step_passes(self):
         ok = check_tt1(np.eye(2), lin(np.zeros(1), np.zeros((1, 2))),
-                       np.zeros(2), np.zeros(2), np.zeros(1), 1.0, PARAMS, 0.1)
+                       zero_normal(np.zeros(1), 2), np.zeros(2), np.zeros(2), np.zeros(1),
+                       1.0, PARAMS, 0.1)
         assert ok
 
     def test_huge_residual_gate(self):
         ok = check_tt1(np.eye(2), lin(np.zeros(1), np.zeros((1, 2))),
-                       np.array([1.0, 0.0]), np.array([10.0, 0.0]), np.zeros(1),
+                       zero_normal(np.zeros(1), 2), np.array([1.0, 0.0]),
+                       np.array([10.0, 0.0]), np.zeros(1),
                        1.0, PARAMS, 0.1)
         assert not ok
 
@@ -204,9 +218,9 @@ class TestCheckTT1:
         rho = np.zeros(2)
         r = np.zeros(1)
         g_bad = np.array([0.0, 0.5 + 1e-6])   # g'u + u'Hu/2 = +1e-6 > 0
-        assert not check_tt1(H, lin(c, J, g_bad), u, rho, r, 1.0, PARAMS, 0.0)
+        assert not check_tt1(H, lin(c, J, g_bad), zero_normal(c, 2), u, rho, r, 1.0, PARAMS, 0.0)
         g_ok = np.array([0.0, 1.0])           # g'u + u'Hu/2 = -1/2
-        assert check_tt1(H, lin(c, J, g_ok), u, rho, r, 1.0, PARAMS, 0.0)
+        assert check_tt1(H, lin(c, J, g_ok), zero_normal(c, 2), u, rho, r, 1.0, PARAMS, 0.0)
 
     def test_exact_fixture_with_strictness_margin(self):
         H = np.eye(2)
@@ -215,9 +229,10 @@ class TestCheckTT1:
         u, y = dense_kkt_solve(H, J, g)
         rho = H @ u + J.T @ y + g
         r = J @ u
-        assert check_tt1(H, lin(np.array([0.0]), J, g), u, rho, r, 1.0, PARAMS, 0.0)
+        normal = zero_normal(np.array([0.0]), 2)
+        assert check_tt1(H, lin(np.array([0.0]), J, g), normal, u, rho, r, 1.0, PARAMS, 0.0)
         tight = TestParams(sigma_u=1.0 - 1e-12)
-        assert check_tt1(H, lin(np.array([0.0]), J, g), u, rho, r, 1.0, tight, 0.0)
+        assert check_tt1(H, lin(np.array([0.0]), J, g), normal, u, rho, r, 1.0, tight, 0.0)
 
 
 class TestCheckTT2:
@@ -229,8 +244,8 @@ class TestCheckTT2:
 
     def test_zero_tangential_reduces_to_reduction_conditions(self):
         ev, L, normal = self._fixture()
-        case, _, _ = check_tt2(np.eye(2), L, normal, np.zeros(2),
-                               np.zeros(2), np.zeros(1), 1.0, PARAMS)
+        case, *_ = check_tt2(np.eye(2), L, normal, np.zeros(2),
+                             np.zeros(2), np.zeros(1), 1.0, PARAMS)
         assert case in (TT2_CASE2, TT2_COND1)
 
     def test_exact_normal_solve_satisfies_residual_branch(self):
@@ -239,7 +254,7 @@ class TestCheckTT2:
         u, y = dense_kkt_solve(np.eye(2), ev.J, ev.g + v)
         rho = np.eye(2) @ u + ev.J.T @ y + ev.g + v
         r = ev.J @ u
-        case, _, _ = check_tt2(np.eye(2), L, normal, u, rho, r, 1.0, PARAMS)
+        case, *_ = check_tt2(np.eye(2), L, normal, u, rho, r, 1.0, PARAMS)
         assert case is not None
         dec_v = norm2(ev.c) - norm2(ev.c + ev.J @ v)
         dec_vr = norm2(ev.c) - norm2(ev.c + ev.J @ v + r)
@@ -248,16 +263,43 @@ class TestCheckTT2:
     def test_returns_d_and_its_model_reduction(self):
         ev, L, normal = self._fixture()
         u = np.zeros(2)
-        case, d, dl = check_tt2(np.eye(2), L, normal, u, np.zeros(2), np.zeros(1),
-                                1.0, PARAMS)
+        case, d, gd, cd_norm, _ = check_tt2(np.eye(2), L, normal, u, np.zeros(2),
+                                            np.zeros(1), 1.0, PARAMS)
         assert case in (TT2_CASE2, TT2_COND1)
         assert np.array_equal(d, normal.v + u)
-        assert dl == model_reduction(1.0, L, normal.v + u)
+        assert gd == float(ev.g.dot(d)) and cd_norm == norm2(ev.c + ev.J.dot(d))
+        assert model_reduction(1.0, L.c_norm, gd, cd_norm) == \
+            -1.0 * float(ev.g.dot(d)) + norm2(ev.c) - norm2(ev.c + ev.J.dot(d))
+
+    def test_cond1_carries_the_trial_merit_parameter(self):
+        ev, L, normal = self._fixture()
+        H = np.eye(2)
+        v = normal.v
+        u, y = dense_kkt_solve(H, ev.J, ev.g + v)
+        rho = H @ u + ev.J.T @ y + ev.g + v
+        r = ev.J @ u
+        # a large tau_prev fails case 2, so the residual condition accepts
+        case, d, _, _, trial = check_tt2(H, L, normal, u, rho, r, 10.0, PARAMS)
+        assert case == TT2_COND1
+        # the trial written out from the vectors
+        denom = float(ev.g @ d) + max(float(u @ (H @ u)), PARAMS.lambda_u * float(u @ u))
+        decrease = norm2(ev.c) - norm2(ev.c + ev.J @ v + r)
+        expected = (1.0 - PARAMS.sigma_c / PARAMS.sigma_r) * decrease / denom
+        assert denom > 0.0 and trial.hex() == expected.hex()
+        case, *_, trial = check_tt2(H, L, normal, u, rho, r, 1.0, PARAMS)
+        assert (case, trial) == (TT2_CASE2, None)
+        J = np.array([[1.0, 0.0]])
+        g = np.array([0.0, 1.0])
+        u, y = dense_kkt_solve(H, J, g)
+        c = np.array([0.0])
+        case, *_, trial = check_tt1(H, lin(c, J, g), zero_normal(c, 2), u,
+                                    H @ u + J.T @ y + g, J @ u, 1.0, PARAMS, 0.0)
+        assert (case, trial) == (TT1, None)
 
     def test_residual_gate_is_conjunctive(self):
         ev, L, normal = self._fixture()
         assert check_tt2(np.eye(2), L, normal, np.zeros(2), np.array([50.0, 0.0]),
-                         np.zeros(1), 1.0, PARAMS) == (None, None, None)
+                         np.zeros(1), 1.0, PARAMS) is None
 
 
 class TestBundleRepassesDeclaredTest:
@@ -281,10 +323,10 @@ class TestBundleRepassesDeclaredTest:
             test = bundle.fallback_case or bundle.test
             c_v = c + J @ bundle.v
             normal = NormalStep(bundle.v, c_v, norm2(c_v))
-            case, _, _ = check_tt2(H, Linearization(g, c, J), normal, bundle.u,
-                                   bundle.rho, bundle.r, 1.0, PARAMS)
+            case, *_ = check_tt2(H, Linearization(g, c, J), normal, bundle.u,
+                                 bundle.rho, bundle.r, 1.0, PARAMS)
             assert case is not None
             assert test == case
-            # the bundle keeps the accepting check's d and model reduction
+            # the bundle keeps the accepting check's d, g'd and ||c + Jd||
             assert np.array_equal(bundle.d, bundle.v + bundle.u)
-            assert bundle.tt2_delta_l == model_reduction(1.0, L, bundle.d)
+            assert (bundle.gd, bundle.cd_norm) == L.along(bundle.d)

@@ -70,7 +70,10 @@ class TestAdaptiveStart:
 
     @pytest.mark.parametrize("seed", [dict(chi0=0.0), dict(zeta0=-1.0), dict(xi0=0.0),
                                       dict(theta=0.0), dict(beta=0.0), dict(beta=1.5),
-                                      dict(eta=0.0), dict(eta=1.0)])
+                                      dict(eta=0.0), dict(eta=1.0),
+                                      # NaN, which min() drops unless it comes first
+                                      dict(chi0=math.nan), dict(zeta0=math.nan),
+                                      dict(xi0=math.nan), dict(theta=math.nan)])
     def test_bad_seed_is_rejected(self, seed):
         with pytest.raises(ValueError, match="must be"):
             make_state(**seed)
