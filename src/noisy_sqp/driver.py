@@ -82,8 +82,10 @@ class SolverParams:
             raise ValueError("sigma_tau must be in (0,1)")
         if not (self.max_iters >= 1 and self.max_weighted_evals >= 1):
             raise ValueError("budgets must be positive")
-        if not self.tol_d >= 0.0:
-            raise ValueError("tol_d must be >= 0")
+        if not (self.tol_d >= 0.0 and self.tol_feas >= 0.0):
+            raise ValueError("tol_d and tol_feas must be >= 0")
+        if not all(0.0 < k < math.inf for k in (self.kappa_u, self.kappa_v)):
+            raise ValueError("kappa_u and kappa_v must be finite and > 0")
         return self
 
     @classmethod

@@ -10,9 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-import logging
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -30,8 +28,6 @@ from .noise import NoiseSpec, derive_gradient_noise
 from .problems import duplicate_last_constraint, get_problem
 
 EARLY_STATUSES = (EARLY_STATIONARY, EARLY_INFEASIBLE)
-
-logger = logging.getLogger(__name__)
 
 # status of a grid cell whose run raised; its counts are 0 and its errors inf
 ERROR = "error"
@@ -90,10 +86,13 @@ class ExperimentConfig:
         if not self.problems or not self.variants or not self.seeds:
             raise ValueError("problems, variants, and seeds must be non-empty")
         for eps_f, eps_c in self.noise_grid:
-            if eps_f <= 0 or eps_c <= 0:
+            if not (eps_f > 0 and eps_c > 0):  # NaN fails
                 raise ValueError("noise grid values must be positive")
         if self.licq_mode not in ("original", "duplicated"):
             raise ValueError(f"bad licq_mode {self.licq_mode!r}")
+        for variant in self.variants:
+            # kappa and the budgets are a config error, not one per cell
+            variant.solver_params(NoiseSpec(), self.budgets)
         return self
 
     @classmethod
@@ -234,9 +233,12 @@ def _run_cell(task):
     try:
         return run_single(*task)
     except Exception:
+        import logging  # loaded only once a cell fails
+
         problem_name, variant, eps_f, eps_c, seed, licq_mode, _ = task
-        logger.exception("grid cell %s %s eps=(%g, %g) seed %d %s raised",
-                         problem_name, variant.label, eps_f, eps_c, seed, licq_mode)
+        logging.getLogger(__name__).exception(
+            "grid cell %s %s eps=(%g, %g) seed %d %s raised",
+            problem_name, variant.label, eps_f, eps_c, seed, licq_mode)
         inf = float("inf")
         return RunRecord(
             problem=problem_name, variant=variant.scheme, optimism=variant.optimism,
@@ -264,8 +266,13 @@ def run_grid(config: ExperimentConfig, max_workers: int | None = None):
         for s in config.seeds
     ]
     if max_workers is None:
-        max_workers = min(os.cpu_count() or 1, 8)
+        # the CPUs this process may run on, not every CPU of the machine
+        usable = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                  else os.cpu_count() or 1)
+        max_workers = min(usable, 8)
     if max_workers > 1 and len(tasks) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loaded on first pooled grid
+
         with ProcessPoolExecutor(max_workers=max_workers) as pool:
             records = list(pool.map(_run_cell, tasks, chunksize=4))
     else:

@@ -169,7 +169,7 @@ def _quadratic(name, Q, q, A, b, x0):
     return ProblemSpec(name, n, m, x0, ev, known_kkt=known_kkt, full_rank=full_rank)
 
 
-def _unit_circle():
+def _unit_circle(name):
     def ev(x):
         return ExactEvaluation(
             f=x[0] + x[1],
@@ -180,12 +180,12 @@ def _unit_circle():
 
     s = np.sqrt(2.0) / 2.0
     return ProblemSpec(
-        "unit-circle", 2, 1, np.array([0.9, -0.3]), ev,
+        name, 2, 1, np.array([0.9, -0.3]), ev,
         known_kkt=(np.array([-s, -s]), np.array([s])),
     )
 
 
-def _circle_shifted():
+def _circle_shifted(name):
     # min 2 x1 - x2 on the radius-2 circle
     def ev(x):
         return ExactEvaluation(
@@ -197,12 +197,12 @@ def _circle_shifted():
 
     r5 = np.sqrt(5.0)
     return ProblemSpec(
-        "circle-shifted", 2, 1, np.array([2.0, 0.5]), ev,
+        name, 2, 1, np.array([2.0, 0.5]), ev,
         known_kkt=(np.array([-4.0 / r5, 2.0 / r5]), np.array([r5 / 4.0])),
     )
 
 
-def _parabola_ridge():
+def _parabola_ridge(name):
     # classic (1 - x1)^2 objective pinned to the parabola x2 = x1^2
     def ev(x):
         return ExactEvaluation(
@@ -213,12 +213,12 @@ def _parabola_ridge():
         )
 
     return ProblemSpec(
-        "parabola-ridge", 2, 1, np.array([-1.2, 1.0]), ev,
+        name, 2, 1, np.array([-1.2, 1.0]), ev,
         known_kkt=(np.array([1.0, 1.0]), np.array([0.0])),
     )
 
 
-def _log_surface():
+def _log_surface(name):
     # min log(1 + x1^2) - x2 on the quartic surface (1 + x1^2)^2 + x2^2 = 4
     def ev(x):
         t = 1.0 + x[0] ** 2
@@ -231,7 +231,7 @@ def _log_surface():
 
     s3 = np.sqrt(3.0)
     return ProblemSpec(
-        "log-surface", 2, 1, np.array([2.0, 2.0]), ev,
+        name, 2, 1, np.array([2.0, 2.0]), ev,
         known_kkt=(np.array([0.0, s3]), np.array([1.0 / (2.0 * s3)])),
     )
 
@@ -271,7 +271,7 @@ def _rosenbrock_sphere(n, name, x0):
     )
 
 
-def _sphere_dup():
+def _sphere_dup(name):
     # built-in rank-deficient Jacobian: two identical sphere constraints
     def ev(x):
         row = (2.0 * x).reshape(1, -1)
@@ -286,49 +286,58 @@ def _sphere_dup():
     s = 1.0 / np.sqrt(3.0)
     y = np.sqrt(3.0) / 4.0
     return ProblemSpec(
-        "sphere-dup", 3, 2, np.array([0.9, 0.3, 0.3]), ev,
+        name, 3, 2, np.array([0.9, 0.3, 0.3]), ev,
         known_kkt=(np.array([-s, -s, -s]), np.array([y, y])),
         full_rank=False,
         shared_noise_rows=((0, 1),),
     )
 
 
-def builtin_registry() -> list[ProblemSpec]:
-    """The built-in desk-scale suite; >= 8 problems, 2 <= n <= 20, 1 <= m < n."""
-    probs = []
+def _quad_linear(name):
+    A = np.array([[1.0, 1.0, 0.0, 0.0], [0.0, 1.0, 1.0, 2.0]])
+    return _quadratic(name, np.eye(4), np.zeros(4), A, np.zeros(2),
+                      np.array([1.0, 1.0, 1.0, 1.0]))
 
-    A1 = np.array([[1.0, 1.0, 0.0, 0.0], [0.0, 1.0, 1.0, 2.0]])
-    probs.append(_quadratic(
-        "quad-linear", np.eye(4), np.zeros(4), A1, np.zeros(2),
-        np.array([1.0, 1.0, 1.0, 1.0])))
 
-    Q2 = np.diag([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
-    q2 = np.array([1.0, 0.0, -1.0, 0.0, 1.0, 0.0])
-    A2 = np.array([
+def _quad_ellipse(name):
+    Q = np.diag([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+    q = np.array([1.0, 0.0, -1.0, 0.0, 1.0, 0.0])
+    A = np.array([
         [1.0, 0.0, 1.0, 0.0, 1.0, 0.0],
         [0.0, 1.0, 0.0, 1.0, 0.0, 1.0],
     ])
-    probs.append(_quadratic(
-        "quad-ellipse", Q2, q2, A2, np.array([3.0, 0.0]),
-        np.array([0.5, -0.5, 0.5, -0.5, 0.5, -0.5])))
+    return _quadratic(name, Q, q, A, np.array([3.0, 0.0]),
+                      np.array([0.5, -0.5, 0.5, -0.5, 0.5, -0.5]))
 
-    a3 = np.linspace(-1.0, 1.0, 10)
-    A3 = np.zeros((3, 10))
-    A3[0, :4] = 1.0
-    A3[1, 3:7] = np.array([1.0, -1.0, 1.0, -1.0])
-    A3[2, 6:] = np.array([0.5, 1.0, 1.5, 2.0])
-    probs.append(_quadratic(
-        "quad-linear-10", np.eye(10), -a3, A3, np.array([1.0, 0.0, 2.0]),
-        np.zeros(10)))
 
-    probs.append(_unit_circle())
-    probs.append(_circle_shifted())
-    probs.append(_parabola_ridge())
-    probs.append(_log_surface())
-    probs.append(_rosenbrock_sphere(2, "rosenbrock-sphere", [1.2, 0.8]))
-    probs.append(_rosenbrock_sphere(4, "rosenbrock-sphere-4", [0.9, 1.1, 0.9, 1.1]))
-    probs.append(_sphere_dup())
-    return probs
+def _quad_linear_10(name):
+    a = np.linspace(-1.0, 1.0, 10)
+    A = np.zeros((3, 10))
+    A[0, :4] = 1.0
+    A[1, 3:7] = np.array([1.0, -1.0, 1.0, -1.0])
+    A[2, 6:] = np.array([0.5, 1.0, 1.5, 2.0])
+    return _quadratic(name, np.eye(10), -a, A, np.array([1.0, 0.0, 2.0]), np.zeros(10))
+
+
+# the built-in desk-scale suite in registry order: name -> builder(name); every
+# build makes fresh arrays, so a caller may mutate what it gets
+_BUILTINS = {
+    "quad-linear": _quad_linear,
+    "quad-ellipse": _quad_ellipse,
+    "quad-linear-10": _quad_linear_10,
+    "unit-circle": _unit_circle,
+    "circle-shifted": _circle_shifted,
+    "parabola-ridge": _parabola_ridge,
+    "log-surface": _log_surface,
+    "rosenbrock-sphere": lambda name: _rosenbrock_sphere(2, name, [1.2, 0.8]),
+    "rosenbrock-sphere-4": lambda name: _rosenbrock_sphere(4, name, [0.9, 1.1, 0.9, 1.1]),
+    "sphere-dup": _sphere_dup,
+}
+
+
+def builtin_registry() -> list[ProblemSpec]:
+    """The built-in desk-scale suite; >= 8 problems, 2 <= n <= 20, 1 <= m < n."""
+    return [build(name) for name, build in _BUILTINS.items()]
 
 
 def registry_by_name() -> dict:
@@ -336,10 +345,10 @@ def registry_by_name() -> dict:
 
 
 def get_problem(name: str) -> ProblemSpec:
-    """Look up a registry problem by name, or load a ``.qp.json`` file path."""
-    table = registry_by_name()
-    if name in table:
-        return table[name]
+    """Build one registry problem by name, or load a ``.qp.json`` file path."""
+    build = _BUILTINS.get(name)
+    if build is not None:
+        return build(name)
     if name.endswith(".qp.json"):
         with open(name, "rb") as fh:
             return parse_problem_json(fh.read())

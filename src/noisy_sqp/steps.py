@@ -55,9 +55,10 @@ class TestParams:
     def __post_init__(self):
         if not 0.0 < self.lambda_rho_r < 1.0:
             raise ValueError("lambda_rho_r must be in (0,1)")
-        if self.kappa_rho_r <= 0 or self.lambda_uv <= 0 or self.lambda_v <= 0:
+        # every check is written so that NaN fails it
+        if not all(v > 0 for v in (self.kappa_rho_r, self.lambda_uv, self.lambda_v)):
             raise ValueError("kappa_rho_r, lambda_uv, lambda_v must be > 0")
-        if self.lambda_u <= 0:
+        if not self.lambda_u > 0:
             raise ValueError("lambda_u must be in (0, zeta_H)")
         if not 0.0 < self.sigma_u < 1.0:
             raise ValueError("sigma_u must be in (0,1)")
@@ -67,7 +68,7 @@ class TestParams:
             raise ValueError("sigma_r must be in (sigma_c, 1)")
         if not 0.0 < self.gamma_c <= 1.0:
             raise ValueError("gamma_c must be in (0,1]")
-        if self.sigma_Jc <= 0:
+        if not self.sigma_Jc > 0:
             raise ValueError("sigma_Jc must be > 0")
 
 

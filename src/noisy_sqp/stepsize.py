@@ -61,6 +61,8 @@ class LineSearchParams:
             raise ValueError("nu must be in (0,1)")
         if not 0.0 < self.eta < 1.0:
             raise ValueError("eta must be in (0,1)")
+        if not (isinstance(self.max_backtracks, int) and self.max_backtracks >= 0):
+            raise ValueError("max_backtracks must be an integer >= 0")
 
 
 class AdaptiveState:
@@ -68,19 +70,25 @@ class AdaptiveState:
     Lipschitz estimates L_est, Gamma_est, held constant after start-up."""
 
     def __init__(self, seeds: AdaptiveSeeds, oracle, x0, tau0: float, H):
+        # every seed is checked before the first sample, each so that NaN fails;
+        # a floor > 0 then keeps L_est and Gamma_est > 0
+        if not all(v > 0 for v in (seeds.chi0, seeds.zeta0, seeds.xi0, seeds.theta,
+                                   seeds.sigma_chi)):
+            raise ValueError("chi0, zeta0, xi0, theta, sigma_chi must be > 0")
+        if not 0.0 < seeds.beta <= 1.0:
+            raise ValueError("beta must be in (0,1]")
+        if not all(0.0 < v < 1.0 for v in (seeds.eta, seeds.sigma_zeta, seeds.sigma_xi)):
+            raise ValueError("eta, sigma_zeta, sigma_xi must be in (0,1)")
+        if not all(0.0 < v < math.inf for v in (seeds.lipschitz_delta, seeds.lipschitz_floor)):
+            raise ValueError("lipschitz_delta, lipschitz_floor must be finite and > 0")
+        if not (isinstance(seeds.lipschitz_dirs, int) and seeds.lipschitz_dirs >= 0):
+            raise ValueError("lipschitz_dirs must be an integer >= 0")
         self.seeds, self.H = seeds, H
         self.chi, self.zeta, self.xi = seeds.chi0, seeds.zeta0, seeds.xi0
         L, Gamma = estimate_lipschitz(oracle, x0, n_dirs=seeds.lipschitz_dirs,
                                       delta=seeds.lipschitz_delta, floor=seeds.lipschitz_floor)
         self.L_est, self.Gamma_est = clamp_beta_admissible(
             L, Gamma, seeds.beta, seeds.eta, seeds.xi0, tau0)
-        if not all(v > 0 for v in (self.chi, self.zeta, self.xi, seeds.theta,  # NaN fails
-                                   self.L_est, self.Gamma_est)):
-            raise ValueError("chi, zeta, xi, theta, L, Gamma must be > 0")
-        if not 0.0 < seeds.beta <= 1.0:
-            raise ValueError("beta must be in (0,1]")
-        if not 0.0 < seeds.eta < 1.0:
-            raise ValueError("eta must be in (0,1)")
 
     def tangential(self, uu: float, vv: float) -> bool:
         """Tangential dominance u'u >= chi v'v at the current chi."""

@@ -512,6 +512,13 @@ class TestParamsValidation:
         with pytest.raises(ValueError, match="must be"):
             SolverParams.benchmark_defaults(NoiseSpec(), **{name: float("nan")})
 
+    @pytest.mark.parametrize("setting", [dict(tol_feas=float("nan")), dict(tol_feas=-1.0),
+                                         dict(kappa_u=float("nan")), dict(kappa_v=-1.0),
+                                         dict(kappa_u=float("inf")), dict(kappa_v=0.0)])
+    def test_bad_tolerance_or_kappa_is_rejected(self, setting):
+        with pytest.raises(ValueError, match=f"{next(iter(setting))}.* must be"):
+            SolverParams(**setting).validate()
+
 
 class TestCurvatureMatrix:
     """H must be a finite symmetric n x n matrix; one singular on null(J)

@@ -1,5 +1,8 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -305,6 +308,20 @@ class TestRunGrid:
         with pytest.raises(KeyError, match="solved"):
             records_from_csv(missing)
 
+    def test_default_workers_follow_the_usable_cpus(self, tmp_path, monkeypatch):
+        # one usable CPU: the grid runs serially, so every cell passes through here
+        seen = []
+        run_cell = harness._run_cell
+
+        def counting(task):
+            seen.append(task)
+            return run_cell(task)
+
+        monkeypatch.setattr(harness, "_run_cell", counting)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        records, _ = run_grid(self._config(tmp_path))
+        assert len(seen) == len(records) == 4
+
     def test_run_single_smoke(self):
         rec = run_single("quad-linear", VariantSpec("ada", "opt"), 1e-2, 1e-2,
                          0, "original", budgets=(60, 2000))
@@ -400,8 +417,34 @@ class TestConfigJson:
         with pytest.raises(ValueError):
             ExperimentConfig.from_json(text)
 
+    @pytest.mark.parametrize("kappa", [float("nan"), -1.0])
+    def test_bad_kappa_rejected(self, kappa):
+        text = json.dumps({"problems": ["unit-circle"], "noise_grid": [[0.01, 0.01]],
+                           "variants": [{"scheme": "ada", "optimism": "opt", "kappa": kappa}],
+                           "seeds": [0]})
+        with pytest.raises(ValueError, match="kappa_u and kappa_v must be"):
+            ExperimentConfig.from_json(text)
+
+    def test_nan_noise_rejected(self):
+        cfg = ExperimentConfig(problems=["unit-circle"], noise_grid=[(float("nan"), 1e-2)],
+                               variants=[VariantSpec()], seeds=[0])
+        with pytest.raises(ValueError, match="noise grid"):
+            cfg.validate()
+
     def test_bad_noise_rejected(self):
         cfg = ExperimentConfig(problems=["unit-circle"], noise_grid=[(0.0, 1e-2)],
                                variants=[VariantSpec()], seeds=[0])
         with pytest.raises(ValueError):
             cfg.validate()
+
+
+class TestImportCost:
+    def test_import_loads_no_pool_or_logging(self):
+        # run_grid loads the process pool, and _run_cell logging, on first use
+        src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+        code = ("import noisy_sqp, sys; print(sorted(m for m in ('concurrent.futures', "
+                "'multiprocessing', 'logging') if m in sys.modules))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": os.path.normpath(src)},
+                             check=True)
+        assert out.stdout.strip() == "[]"

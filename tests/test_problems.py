@@ -151,6 +151,60 @@ class TestRegistry:
             assert norm2(ev.g + ev.J.T @ np.asarray(y_star)) <= 1e-8, p.name
 
 
+BUILTIN_NAMES = ["quad-linear", "quad-ellipse", "quad-linear-10", "unit-circle",
+                 "circle-shifted", "parabola-ridge", "log-surface", "rosenbrock-sphere",
+                 "rosenbrock-sphere-4", "sphere-dup"]
+
+
+def same_bits(a, b):
+    """Both None, or arrays of equal dtype, shape and bytes."""
+    if a is None or b is None:
+        return a is None and b is None
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def arrays_of(p):
+    """Every array a problem holds or hands out at its start point."""
+    ev = evaluate(p, p.x0)
+    kkt = list(p.known_kkt) if p.known_kkt is not None else []
+    return [p.x0, ev.g, ev.c, ev.J] + kkt + ([p.H] if p.H is not None else [])
+
+
+class TestLookup:
+    """`get_problem` builds one registry entry, equal to the registry's own."""
+
+    def test_registry_order(self):
+        assert [p.name for p in builtin_registry()] == BUILTIN_NAMES
+        assert list(registry_by_name()) == BUILTIN_NAMES
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_lookup_equals_the_registry_entry(self, name):
+        got, ref = get_problem(name), registry_by_name()[name]
+        assert (got.name, got.n, got.m, got.full_rank, got.shared_noise_rows) == (
+            ref.name, ref.n, ref.m, ref.full_rank, ref.shared_noise_rows)
+        assert same_bits(got.x0, ref.x0) and same_bits(got.H, ref.H)
+        assert (got.known_kkt is None) == (ref.known_kkt is None)
+        if ref.known_kkt is not None:
+            assert all(same_bits(a, b) for a, b in zip(got.known_kkt, ref.known_kkt))
+        ev_got, ev_ref = evaluate(got, got.x0), evaluate(ref, ref.x0)
+        assert ev_got.f == ev_ref.f
+        assert all(same_bits(getattr(ev_got, k), getattr(ev_ref, k)) for k in "gcJ")
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_each_lookup_is_built_afresh(self, name):
+        first = get_problem(name)
+        x0 = first.x0.copy()
+        ev = evaluate(first, x0)
+        first.x0 += 1.0
+        second = get_problem(name)
+        assert same_bits(second.x0, x0)
+        ev2 = evaluate(second, x0)
+        assert ev2.f == ev.f and all(same_bits(getattr(ev2, k), getattr(ev, k)) for k in "gcJ")
+        assert not any(np.shares_memory(a, b)
+                       for a in arrays_of(first) for b in arrays_of(second))
+
+
 class TestProblemJson:
     def test_closed_form(self):
         text = json.dumps({

@@ -44,6 +44,12 @@ class TestParamsValidation:
         with pytest.raises(ValueError):
             TestParams(sigma_u=1.0)
 
+    @pytest.mark.parametrize("name", ["lambda_u", "kappa_rho_r", "sigma_Jc", "lambda_uv",
+                                      "lambda_v"])
+    def test_nan_constant_is_rejected(self, name):
+        with pytest.raises(ValueError, match="must be"):
+            TestParams(**{name: float("nan")})
+
 
 class TestCauchyNormalStep:
     def test_orthonormal_jacobian(self):

@@ -78,6 +78,19 @@ class TestAdaptiveStart:
         with pytest.raises(ValueError, match="must be"):
             make_state(**seed)
 
+    @pytest.mark.parametrize("seed", [dict(sigma_chi=math.nan), dict(sigma_zeta=math.nan),
+                                      dict(sigma_xi=math.nan), dict(sigma_zeta=1.0),
+                                      dict(sigma_xi=0.0), dict(lipschitz_floor=math.nan),
+                                      dict(lipschitz_floor=math.inf),
+                                      dict(lipschitz_delta=math.nan),
+                                      dict(lipschitz_dirs=-1), dict(lipschitz_dirs=2.5)])
+    def test_bad_seed_is_named_before_any_sample(self, seed):
+        p = registry_by_name()["unit-circle"]
+        oracle = NoisyOracle(p, NoiseSpec(), np.random.default_rng(0))
+        with pytest.raises(ValueError, match=f"{next(iter(seed))}.* must be"):
+            AdaptiveState(AdaptiveSeeds(**seed), oracle, p.x0, 1.0, np.eye(p.n))
+        assert oracle.counters.snapshot() == (0, 0)
+
     def test_step_records_the_controller_fields(self):
         s = make_state()
         u, v = np.array([1.0, 0.0, 0.0, 0.0]), np.array([0.0, 0.5, 0.0, 0.0])
@@ -229,6 +242,11 @@ class TestLineSearch:
         assert alpha == 0.0 and phi is None
         assert backtracks == params.max_backtracks
         assert samples == params.max_backtracks + 1
+
+    @pytest.mark.parametrize("value", [-1, 2.5, math.nan])
+    def test_bad_max_backtracks_is_rejected(self, value):
+        with pytest.raises(ValueError, match="max_backtracks must be"):
+            LineSearchParams(max_backtracks=value)
 
     def test_nan_trial_stops_after_one_sample(self):
         (alpha, point, phi, backtracks, status), samples = search(
