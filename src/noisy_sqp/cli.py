@@ -22,7 +22,7 @@ from .harness import (
     run_single,
 )
 from .problems import DimensionMismatch, ParseError, builtin_registry, get_problem
-from .driver import SolverParams, solve
+from .driver import ADAPTIVE, LINE_SEARCH, SolverParams, solve
 from .noise import NoiseSpec, derive_gradient_noise
 
 
@@ -163,10 +163,8 @@ def _cmd_verify(args) -> int:
     if chosen("invariants"):
         eps_g, eps_J = derive_gradient_noise(1e-4, 1e-4)
         noise = NoiseSpec(eps_f=1e-4, eps_g=eps_g, eps_c=1e-4, eps_J=eps_J)
-        params_list = [
-            SolverParams.benchmark_defaults(noise, variant="adaptive", max_iters=60),
-            SolverParams.benchmark_defaults(noise, variant="line_search", max_iters=60),
-        ]
+        params_list = [SolverParams.benchmark_defaults(noise, variant=variant, max_iters=60)
+                       for variant in (ADAPTIVE, LINE_SEARCH)]
         sweep_problems = [p for p in registry if p.full_rank][:4]
         report = verify_mod.trace_invariant_sweep(
             sweep_problems, params_list, seeds=range(3), solve_fn=solve)

@@ -40,6 +40,14 @@ INFEASIBLE_BRANCH = "infeasible_branch"
 ADAPTIVE = "adaptive"
 LINE_SEARCH = "line_search"
 
+# the variant axes: grid and CSV names -> solver names (exactness uses one name)
+SCHEMES = {"ada": ADAPTIVE, "ls": LINE_SEARCH}
+OPTIMISMS = {"opt": "optimistic", "pes": "pessimistic"}
+EXACTNESS = ("exact", "inexact")
+
+TOL_D = 1e-14  # a step with max|d| <= TOL_D is degenerate
+TOL_FEAS = 1e-12  # the least value of the branch gate
+
 
 @dataclass
 class SolverParams:
@@ -49,15 +57,15 @@ class SolverParams:
     sigma_Jc = 1e2, sigma_u = 0.99, sigma_c = 0.1, sigma_r = 0.9999,
     sigma_tau = 1e-2, xi0 = 1, chi0 = 1e-3, zeta0 = 1e3, theta = 1e4,
     eta = 0.5 / beta = 1 (adaptive) or alpha_u = 1 / eta = 1e-3 / nu = 0.5
-    (line search), kappa_u = kappa_v = 1e-2 when inexact.
+    (line search), kappa = 1e-2 when inexact.  H is the problem's, else the
+    identity.
     """
 
     noise: NoiseSpec = field(default_factory=NoiseSpec)
     variant: str = ADAPTIVE
     optimism: str = "optimistic"
     exactness: str = "inexact"
-    kappa_u: float = 1e-2
-    kappa_v: float = 1e-2
+    kappa: float = 1e-2
     tests: steps.TestParams = field(default_factory=steps.TestParams)
     tau0: float = 1.0
     sigma_tau: float = 1e-2
@@ -65,27 +73,21 @@ class SolverParams:
     ls: stepsize.LineSearchParams = field(default_factory=stepsize.LineSearchParams)
     max_iters: int = 1000
     max_weighted_evals: int = 10000
-    tol_d: float = 1e-14
-    tol_feas: float = 1e-12
-    H: np.ndarray | None = None  # problem preference, then identity, when None
 
     def validate(self):
-        if self.variant not in (ADAPTIVE, LINE_SEARCH):
-            raise ValueError(f"bad variant {self.variant!r}")
-        if self.optimism not in ("optimistic", "pessimistic"):
-            raise ValueError(f"bad optimism {self.optimism!r}")
-        if self.exactness not in ("exact", "inexact"):
-            raise ValueError(f"bad exactness {self.exactness!r}")
+        for name, allowed in (("variant", SCHEMES.values()), ("optimism", OPTIMISMS.values()),
+                              ("exactness", EXACTNESS)):
+            if getattr(self, name) not in allowed:
+                raise ValueError(f"bad {name} {getattr(self, name)!r}")
         if not self.tau0 > 0:
             raise ValueError("tau0 must be > 0")
         if not 0.0 < self.sigma_tau < 1.0:
             raise ValueError("sigma_tau must be in (0,1)")
-        if not (self.max_iters >= 1 and self.max_weighted_evals >= 1):
-            raise ValueError("budgets must be positive")
-        if not (self.tol_d >= 0.0 and self.tol_feas >= 0.0):
-            raise ValueError("tol_d and tol_feas must be >= 0")
-        if not all(0.0 < k < math.inf for k in (self.kappa_u, self.kappa_v)):
-            raise ValueError("kappa_u and kappa_v must be finite and > 0")
+        if not all(type(b) is int and b >= 1  # neither a bool nor 20.5 is a budget
+                   for b in (self.max_iters, self.max_weighted_evals)):
+            raise ValueError("budgets must be positive integers")
+        if not (isinstance(self.kappa, (int, float)) and 0.0 < self.kappa < math.inf):
+            raise ValueError("kappa must be a finite number > 0")
         return self
 
     @classmethod
@@ -93,7 +95,7 @@ class SolverParams:
                        optimism: str = "optimistic", exactness: str = "inexact",
                        kappa: float = 1e-2, **overrides):
         return cls(noise=noise, variant=variant, optimism=optimism, exactness=exactness,
-                   kappa_u=kappa, kappa_v=kappa, **overrides).validate()
+                   kappa=kappa, **overrides).validate()
 
     def resolved_eps_o(self) -> float:
         """Optimistic: ``noise.eps_o``, or eps_c when that is 0.  Pessimistic: 0."""
@@ -183,12 +185,13 @@ def solve(problem: ProblemSpec, params: SolverParams, seed: int,
     # numerical meaning of "||c|| <= eps_o" at eps_o = 0: the branch gate gets
     # an absolute floor so machine-precision-feasible iterates take the
     # tangential-only branch instead of the infeasible-stationary exit
-    branch_gate = max(eps_o, params.tol_feas)
+    branch_gate = max(eps_o, TOL_FEAS)
     noise = params.noise
-    exact_mode = params.exactness == "exact"
+    # the coefficient of both step solvers' residual gates
+    coef = (1e-10 if params.exactness == "exact"
+            else params.kappa * min(noise.eps_c, noise.eps_f))
     n = problem.n
-    H = params.H if params.H is not None else getattr(problem, "H", None)
-    H = np.eye(n) if H is None else np.asarray(H, dtype=float)
+    H = np.eye(n) if problem.H is None else np.asarray(problem.H, dtype=float)
     if H.shape != (n, n) or not np.isfinite(H).all() or not (H == H.T).all():
         raise ValueError(f"H must be a finite symmetric {n} x {n} matrix")
     if params.variant == ADAPTIVE:
@@ -237,11 +240,9 @@ def solve(problem: ProblemSpec, params: SolverParams, seed: int,
                 records.append(make_record(None, 0.0))
                 status = EARLY_INFEASIBLE
                 break
-            normal = steps.normal_step(lin, params.tests, params.kappa_v,
-                                       noise.eps_f, noise.eps_c, exact=exact_mode)
-        bundle = steps.tangential_step(
-            H, lin, normal, tau, params.tests, eps_o, params.kappa_u,
-            noise.eps_f, noise.eps_c, exact=exact_mode, feasible=feasible)
+            normal = steps.normal_step(lin, params.tests, coef)
+        bundle = steps.tangential_step(H, lin, normal, tau, params.tests, eps_o, coef,
+                                       feasible=feasible)
         if bundle is None:
             records.append(make_record(None, 0.0))
             status = TEST_UNSATISFIABLE
@@ -256,7 +257,7 @@ def solve(problem: ProblemSpec, params: SolverParams, seed: int,
             break
         dd = float(d.dot(d))
         finite = math.isfinite(dd)  # false when MINRES or CG overflowed
-        if not finite or norm_inf(d) <= params.tol_d or dd == 0.0:
+        if not finite or norm_inf(d) <= TOL_D:
             records.append(make_record(bundle, 0.0, delta_l))
             status = DEGENERATE if finite else NONFINITE
             break

@@ -16,10 +16,11 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .driver import (
-    ADAPTIVE,
     EARLY_INFEASIBLE,
     EARLY_STATIONARY,
-    LINE_SEARCH,
+    EXACTNESS,
+    OPTIMISMS,
+    SCHEMES,
     SolverParams,
     solve,
 )
@@ -34,11 +35,6 @@ ERROR = "error"
 
 # exact snapshots stacked per least_squares_multiplier call in best_iterate
 BEST_ITERATE_CHUNK = 256
-
-# grid and CSV variant names -> solver names
-SCHEMES = {"ada": ADAPTIVE, "ls": LINE_SEARCH}
-OPTIMISMS = {"opt": "optimistic", "pes": "pessimistic"}
-EXACTNESS = ("exact", "inexact")
 
 
 @dataclass
@@ -85,9 +81,16 @@ class ExperimentConfig:
     def validate(self):
         if not self.problems or not self.variants or not self.seeds:
             raise ValueError("problems, variants, and seeds must be non-empty")
-        for eps_f, eps_c in self.noise_grid:
-            if not (eps_f > 0 and eps_c > 0):  # NaN fails
-                raise ValueError("noise grid values must be positive")
+        # type() is int: neither a bool nor 0.5 counts as a seed
+        if not all(type(s) is int and s >= 0 for s in self.seeds):
+            raise ValueError(f"seeds must be integers >= 0, got {self.seeds!r}")
+        if len(self.budgets) != 2:  # their values are checked with kappa below
+            raise ValueError(f"budgets must be two integers >= 1, got {self.budgets!r}")
+        for pair in self.noise_grid:
+            # a float (numpy's included) or an int, not a bool; NaN fails "> 0"
+            if not (len(pair) == 2 and all((isinstance(e, float) or type(e) is int) and e > 0
+                                           for e in pair)):
+                raise ValueError(f"noise grid entries must be two numbers > 0, got {pair!r}")
         if self.licq_mode not in ("original", "duplicated"):
             raise ValueError(f"bad licq_mode {self.licq_mode!r}")
         for variant in self.variants:
@@ -97,14 +100,21 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, text: str):
+        """A validated config; a field of the wrong shape is a ValueError naming it."""
         data = json.loads(text)
-        variants = [VariantSpec(**v) for v in data["variants"]]
+
+        def read(name, convert):
+            try:
+                return convert(data[name])
+            except TypeError as exc:
+                raise ValueError(f"bad {name}: {exc}") from None
+
         return cls(
-            problems=list(data["problems"]),
-            noise_grid=[tuple(pair) for pair in data["noise_grid"]],
-            variants=variants,
-            seeds=list(data["seeds"]),
-            budgets=tuple(data.get("budgets", (1000, 10000))),
+            problems=read("problems", list),
+            noise_grid=read("noise_grid", lambda grid: [tuple(pair) for pair in grid]),
+            variants=read("variants", lambda variants: [VariantSpec(**v) for v in variants]),
+            seeds=read("seeds", list),
+            budgets=read("budgets", tuple) if "budgets" in data else (1000, 10000),
             licq_mode=data.get("licq_mode", "original"),
             out_dir=data.get("out_dir", "."),
         ).validate()

@@ -243,6 +243,16 @@ def smallest_singular_value(J: np.ndarray) -> float:
     return float(np.linalg.svd(np.asarray(J, dtype=float), compute_uv=False)[-1])
 
 
+def kkt_matrix(H: np.ndarray, J: np.ndarray) -> np.ndarray:
+    """The saddle matrix [[H, J'], [J, 0]] as a new (n + m) x (n + m) array."""
+    m, n = J.shape
+    K = np.zeros((n + m, n + m))
+    K[:n, :n] = H
+    K[:n, n:] = J.T
+    K[n:, :n] = J
+    return K
+
+
 def dense_kkt_solve(H: np.ndarray, J: np.ndarray, rhs_top: np.ndarray):
     """Exact solve of [[H, J'], [J, 0]] [u; y] = [-rhs_top; 0].
 
@@ -252,14 +262,10 @@ def dense_kkt_solve(H: np.ndarray, J: np.ndarray, rhs_top: np.ndarray):
     unique per the saddle-system structure.  A failure after the ridge
     raises LinAlgError.
     """
-    H = np.asarray(H, dtype=float)
     J = np.asarray(J, dtype=float)
     rhs_top = np.asarray(rhs_top, dtype=float)
     m, n = J.shape
-    K = np.zeros((n + m, n + m))
-    K[:n, :n] = H
-    K[:n, n:] = J.T
-    K[n:, :n] = J
+    K = kkt_matrix(H, J)
     rhs = np.concatenate([-rhs_top, np.zeros(m)])
 
     sigma = smallest_singular_value(J)

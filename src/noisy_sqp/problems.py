@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import as_vector, smallest_singular_value
+from .linalg import as_vector, kkt_matrix, smallest_singular_value
 
 
 class DimensionMismatch(Exception):
@@ -156,12 +156,8 @@ def _quadratic(name, Q, q, A, b, x0):
         )
 
     # equality-constrained QP: KKT point from one dense solve
-    K = np.zeros((n + m, n + m))
-    K[:n, :n] = Q
-    K[:n, n:] = A.T
-    K[n:, :n] = A
     try:
-        z = np.linalg.solve(K, np.concatenate([-q, b]))
+        z = np.linalg.solve(kkt_matrix(Q, A), np.concatenate([-q, b]))
         known_kkt = (z[:n], z[n:])
     except np.linalg.LinAlgError:
         known_kkt = None

@@ -24,6 +24,7 @@ import numpy as np
 from .linalg import (
     cg_steihaug,
     dense_kkt_solve,
+    kkt_matrix,
     minres_iterate,
     norm2,
     norm_inf,
@@ -120,22 +121,21 @@ def cauchy_normal_step(lin: Linearization, sigma_Jc: float):
     return -lin.Jtc, alpha_c
 
 
-def normal_step(lin: Linearization, params: TestParams, kappa_v: float,
-                eps_f: float, eps_c: float, exact: bool = False) -> NormalStep:
+def normal_step(lin: Linearization, params: TestParams, coef: float) -> NormalStep:
     """Inexact normal component via trust-region CG on 1/2 ||c + Jv||^2.
 
-    CG runs in the Krylov space of J'c, hence v stays in Range(J').  It stops
-    at the trust-region boundary or once the residual J'Jv + J'c passes the
-    noise-scaled gate.  The caller has already taken the infeasible-stationary
-    exit when J'c is numerically zero (`tol_Jc`).  The Cauchy point's decrease
-    of ||c|| is at most ||c||, in floating point too, so it is formed only when
-    CG's decrease falls short of gamma_c ||c||, and replaces CG's step when
-    CG's decrease falls short of gamma_c times its decrease as well.
+    CG runs in the Krylov space of J'c, hence v stays in Range(J').  It stops at
+    the trust-region boundary or once the residual J'Jv + J'c passes the
+    noise-scaled gate coef * max(1, ||J'c||_inf).  The caller has already taken
+    the infeasible-stationary exit when J'c is numerically zero (`tol_Jc`).  The
+    Cauchy point's decrease of ||c|| is at most ||c||, in floating point too,
+    so it is formed only when CG's decrease falls short of gamma_c ||c||, and
+    replaces CG's step when CG's decrease falls short of gamma_c times its
+    decrease as well.
     """
     c, J = lin.c, lin.J
     Jt = J.T
     radius = params.sigma_Jc * lin.Jtc_norm
-    coef = 1e-10 if exact else kappa_v * min(eps_c, eps_f)
     threshold = coef * max(1.0, lin.Jtc_inf)
 
     v, _, iters = cg_steihaug(lambda p: Jt.dot(J.dot(p)), lin.Jtc, radius,
@@ -229,31 +229,24 @@ def check_tt2(H, lin: Linearization, normal: NormalStep, u, rho, r,
 
 
 def tangential_step(H, lin: Linearization, normal: NormalStep, tau_prev: float,
-                    params: TestParams, eps_o: float, kappa_u: float,
-                    eps_f: float, eps_c: float, exact: bool = False, *,
+                    params: TestParams, eps_o: float, coef: float, *,
                     feasible: bool) -> StepBundle | None:
     """Inexact tangential component via the symmetric Krylov solver.
 
     Iterates of the saddle system are checked against the noise-scaled
-    residual gate and, once that passes, the branch's termination test (TT1
-    when ``feasible``, else TT2) after every step.  When the solver breaks
-    down (at the latest after 2(n+m) steps) without acceptance, the dense
-    solve takes over and the test is re-checked on the exact solution (tag
-    exact_fallback, with the passing test's tag in ``fallback_case``).  None
-    when the exact solution fails the test or cannot be formed (H singular
-    on the null space of J).
+    residual gate (coefficient ``coef``) and, once that passes, the branch's
+    termination test (TT1 when ``feasible``, else TT2) after every step.
+    When the solver breaks down (at the latest after 2(n+m) steps) without
+    acceptance, the dense solve takes over and the test is re-checked on the
+    exact solution (tag exact_fallback, with the passing test's tag in
+    ``fallback_case``).  None when the exact solution fails the test or
+    cannot be formed (H singular on the null space of J).
     """
     J_bar = lin.J
     m, n = J_bar.shape
     v = normal.v
-    K = np.zeros((n + m, n + m))
-    K[:n, :n] = H
-    K[:n, n:] = J_bar.T
-    K[n:, :n] = J_bar
     b = np.concatenate((lin.g + H.dot(v), np.zeros(m)))
-    apply_K = K.dot
-
-    coef = 1e-10 if exact else kappa_u * min(eps_c, eps_f)
+    apply_K = kkt_matrix(H, J_bar).dot
 
     def passed_test(z, resid):
         """The branch's test at z: its outcome tuple, or None on failure."""

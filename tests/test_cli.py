@@ -116,6 +116,36 @@ def test_solve_zero_iteration_budget_is_config_error(capsys):
     assert "budgets must be positive" in one_error_line(capsys, "config error")
 
 
+GOOD_GRID = {"problems": ["unit-circle"], "noise_grid": [[1e-2, 1e-2]],
+             "variants": [{"scheme": "ada", "optimism": "opt"}], "seeds": [0],
+             "budgets": [20, 2000]}
+
+
+@pytest.mark.parametrize("change, named", [
+    ({"variants": [{"scheme": "ada", "optimism": "opt", "kapa": 1e-2}]}, "kapa"),
+    ({"variants": [{"scheme": "ada", "optimism": "opt", "kappa": "abc"}]}, "kappa"),
+    ({"noise_grid": 5}, "noise_grid"),
+    ({"noise_grid": [["a", 0.01]]}, "noise grid"),
+    ({"noise_grid": [[0.01]]}, "noise grid"),
+    ({"seeds": [-1]}, "seeds"),
+    ({"seeds": [0.5]}, "seeds"),
+    ({"seeds": [True]}, "seeds"),
+    ({"budgets": [20.5, 1000]}, "budgets"),
+    ({"budgets": [True, 1000]}, "budgets"),
+    ({"budgets": [20]}, "budgets"),
+], ids=["misspelled-key", "kappa-string", "noise-grid-number", "noise-level-string",
+        "noise-level-missing", "negative-seed", "fractional-seed", "bool-seed",
+        "fractional-budget", "bool-budget", "one-budget"])
+def test_malformed_grid_config_is_config_error(tmp_path, capsys, change, named):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**GOOD_GRID, **change}))
+    out = tmp_path / "out"
+    code = main(["grid", "--config", str(cfg_path), "--out", str(out)])
+    assert code == 2
+    assert named in one_error_line(capsys, "config error")
+    assert not (out / "results.csv").exists()
+
+
 def test_profile_of_one_variant_is_input_error(tmp_path, capsys):
     config = {
         "problems": ["unit-circle"],

@@ -10,6 +10,7 @@ from noisy_sqp.driver import (
     LINE_SEARCH_FAILURE,
     NONFINITE,
     TEST_UNSATISFIABLE,
+    TOL_FEAS,
     SolverParams,
     solve,
 )
@@ -90,7 +91,7 @@ class TestEarlyStationaryExit:
         trace = solve(p, params, 3)
         assert trace.status == EARLY_STATIONARY
         last = trace.records[-1]
-        gate = max(trace.eps_o, params.tol_feas)
+        gate = max(trace.eps_o, TOL_FEAS)
         assert norm2(last.noisy.c_bar) <= gate
         assert last.delta_l <= trace.eps_o
 
@@ -145,9 +146,10 @@ class TestDegenerateDirection:
         assert trace.status == DEGENERATE
 
     @pytest.mark.parametrize("variant", ["adaptive", "line_search"])
-    def test_underflowing_step_stops_at_zero_tol_d(self, variant):
-        # H = 1e170 I shrinks the tangential step to ||d||_inf = 1e-170, above
-        # tol_d = 0, but d'd underflows to 0 (adaptive used to divide by it)
+    def test_underflowing_step_is_degenerate(self, variant):
+        # H = 1e170 I shrinks the tangential step to ||d||_inf = 1e-170, so
+        # d'd underflows to 0 (adaptive used to divide by it); TOL_D stops it
+        # before any controller sees it
         A = np.array([[1.0, 0.0]])
 
         def ev(x):
@@ -155,7 +157,7 @@ class TestDegenerateDirection:
 
         p = ProblemSpec("tiny-step", 2, 1, np.zeros(2), ev, H=1e170 * np.eye(2))
         params = SolverParams.benchmark_defaults(
-            NoiseSpec(), variant=variant, optimism="pessimistic", tol_d=0.0, max_iters=5)
+            NoiseSpec(), variant=variant, optimism="pessimistic", max_iters=5)
         trace = solve(p, params, 0)
         assert trace.status == DEGENERATE
         assert len(trace.records) == 1
@@ -512,12 +514,23 @@ class TestParamsValidation:
         with pytest.raises(ValueError, match="must be"):
             SolverParams.benchmark_defaults(NoiseSpec(), **{name: float("nan")})
 
-    @pytest.mark.parametrize("setting", [dict(tol_feas=float("nan")), dict(tol_feas=-1.0),
-                                         dict(kappa_u=float("nan")), dict(kappa_v=-1.0),
-                                         dict(kappa_u=float("inf")), dict(kappa_v=0.0)])
+    @pytest.mark.parametrize("setting", [dict(kappa=float("nan")), dict(kappa=-1.0),
+                                         dict(kappa=float("inf")), dict(kappa=0.0),
+                                         dict(kappa="abc"), dict(kappa=None)])
     def test_bad_tolerance_or_kappa_is_rejected(self, setting):
-        with pytest.raises(ValueError, match=f"{next(iter(setting))}.* must be"):
+        with pytest.raises(ValueError, match="kappa must be"):
             SolverParams(**setting).validate()
+
+    @pytest.mark.parametrize("name", ["kappa_u", "kappa_v", "H", "tol_d", "tol_feas"])
+    @pytest.mark.parametrize("make", [SolverParams, SolverParams.benchmark_defaults])
+    def test_removed_setting_raises(self, make, name):
+        with pytest.raises(TypeError, match=name):
+            make(noise=NoiseSpec(), **{name: 1e-2})
+
+    @pytest.mark.parametrize("budget", [20.5, "20", None])
+    def test_non_integer_budget_is_rejected(self, budget):
+        with pytest.raises(ValueError, match="budgets must be positive integers"):
+            SolverParams(max_iters=budget).validate()
 
 
 class TestCurvatureMatrix:
@@ -525,7 +538,7 @@ class TestCurvatureMatrix:
     ends the run when the dense fallback cannot solve with it."""
 
     @staticmethod
-    def line_problem():
+    def line_problem(H):
         # min x3 s.t. x1 + x2 = 1: null(J) holds e3, so H must curve along it
         A = np.array([[1.0, 1.0, 0.0]])
 
@@ -533,15 +546,14 @@ class TestCurvatureMatrix:
             return ExactEvaluation(f=float(x[2]), g=np.array([0.0, 0.0, 1.0]),
                                    c=A @ x - 1.0, J=A.copy())
 
-        return ProblemSpec("line-3", 3, 1, np.zeros(3), ev)
+        return ProblemSpec("line-3", 3, 1, np.zeros(3), ev, H=H)
 
     @pytest.mark.parametrize("variant", ["adaptive", "line_search"])
     @pytest.mark.parametrize("H", [np.zeros((3, 3)), np.diag([1.0, 1.0, 0.0])],
                              ids=["zero", "singular-on-null-J"])
     def test_singular_dense_fallback_is_test_unsatisfiable(self, variant, H):
-        params = SolverParams.benchmark_defaults(NoiseSpec(), variant=variant,
-                                                 max_iters=50, H=H)
-        trace = solve(self.line_problem(), params, 0)
+        params = SolverParams.benchmark_defaults(NoiseSpec(), variant=variant, max_iters=50)
+        trace = solve(self.line_problem(H), params, 0)
         assert trace.status == TEST_UNSATISFIABLE
         last = trace.records[-1]
         assert last.alpha == 0.0 and last.bundle is None
@@ -552,22 +564,16 @@ class TestCurvatureMatrix:
                                    np.triu(np.ones((3, 3))), np.eye(2)],
                              ids=["nan", "inf", "asymmetric", "wrong-shape"])
     def test_invalid_H_is_rejected_at_entry(self, variant, H):
-        params = SolverParams.benchmark_defaults(NoiseSpec(), variant=variant,
-                                                 max_iters=50, H=H)
+        params = SolverParams.benchmark_defaults(NoiseSpec(), variant=variant, max_iters=50)
         with pytest.raises(ValueError, match="H must be a finite symmetric 3 x 3"):
-            solve(self.line_problem(), params, 0)
-        p = self.line_problem()
-        p.H = H
-        with pytest.raises(ValueError, match="H must be"):
-            solve(p, SolverParams.benchmark_defaults(NoiseSpec(), variant=variant), 0)
+            solve(self.line_problem(H), params, 0)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # MINRES overflows
     @pytest.mark.parametrize("variant", ["adaptive", "line_search"])
     def test_overflowing_step_is_nonfinite_evaluation(self, variant):
         # finite and symmetric, so accepted at entry, but the step overflows
-        params = SolverParams.benchmark_defaults(noise_for(1e-2, 1e-2), variant=variant,
-                                                 H=1e300 * np.eye(3))
-        trace = solve(self.line_problem(), params, 0)
+        params = SolverParams.benchmark_defaults(noise_for(1e-2, 1e-2), variant=variant)
+        trace = solve(self.line_problem(1e300 * np.eye(3)), params, 0)
         assert trace.status == NONFINITE
         last = trace.records[-1]
         assert last.alpha == 0.0 and last.bundle is not None

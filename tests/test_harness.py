@@ -422,7 +422,7 @@ class TestConfigJson:
         text = json.dumps({"problems": ["unit-circle"], "noise_grid": [[0.01, 0.01]],
                            "variants": [{"scheme": "ada", "optimism": "opt", "kappa": kappa}],
                            "seeds": [0]})
-        with pytest.raises(ValueError, match="kappa_u and kappa_v must be"):
+        with pytest.raises(ValueError, match="kappa must be"):
             ExperimentConfig.from_json(text)
 
     def test_nan_noise_rejected(self):

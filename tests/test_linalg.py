@@ -6,6 +6,7 @@ from noisy_sqp.linalg import (
     as_vector,
     cg_steihaug,
     dense_kkt_solve,
+    kkt_matrix,
     least_squares_multiplier,
     minres_iterate,
     minres_solve,
@@ -184,6 +185,23 @@ class TestSmallestSingularValue:
             mine = smallest_singular_value(J)
             oracle = np.linalg.svd(J, compute_uv=False)[-1]
             assert abs(mine - oracle) <= 1e-8
+
+
+class TestKktMatrix:
+    def test_equals_the_hand_built_blocks(self):
+        rng = np.random.default_rng(5)
+        H = random_symmetric(rng, 4)
+        J = rng.standard_normal((2, 4))  # m < n
+        K = kkt_matrix(H, J)
+        assert K.shape == (6, 6)
+        assert np.array_equal(K, np.block([[H, J.T], [J, np.zeros((2, 2))]]))
+
+    def test_returns_a_new_array(self):
+        H, J = np.eye(2), np.array([[1.0, 0.0]])
+        K = kkt_matrix(H, J)
+        K[:] = 7.0
+        assert np.array_equal(kkt_matrix(H, J)[2], [1.0, 0.0, 0.0])
+        assert np.array_equal(H, np.eye(2))
 
 
 class TestDenseKktSolve:

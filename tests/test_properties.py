@@ -76,7 +76,7 @@ def test_generated_qps_keep_the_solver_invariants(problem):
                 assert all(map(math.isfinite, (feas, stat, infeas_stat, y_inf))), label
 
 
-def eager_normal_step(lin, params, kappa_v, eps_f, eps_c, exact):
+def eager_normal_step(lin, params, coef):
     """The normal step with the Cauchy point formed up front, every time."""
     c, J = lin.c, lin.J
     v_c, alpha_c = cauchy_normal_step(lin, params.sigma_Jc)
@@ -85,7 +85,6 @@ def eager_normal_step(lin, params, kappa_v, eps_f, eps_c, exact):
     c_cauchy_norm = norm2(c_cauchy)
     cauchy_target = params.gamma_c * (lin.c_norm - c_cauchy_norm)
     radius = params.sigma_Jc * lin.Jtc_norm
-    coef = 1e-10 if exact else kappa_v * min(eps_c, eps_f)
     threshold = coef * max(1.0, lin.Jtc_inf)
     v, _, iters = cg_steihaug(lambda p: J.T.dot(J.dot(p)), lin.Jtc, radius,
                               stop=lambda r: np.maximum.reduce(abs(r)) <= threshold)
@@ -119,8 +118,9 @@ def linearizations(draw):
        exact=st.booleans())
 def test_normal_step_equals_the_eager_cauchy_reference(lin, gamma_c, sigma_Jc, eps, exact):
     params = TestParams(gamma_c=gamma_c, sigma_Jc=sigma_Jc)
-    got = normal_step(lin, params, 1e-2, eps, eps, exact=exact)
-    ref = eager_normal_step(lin, params, 1e-2, eps, eps, exact)
+    coef = 1e-10 if exact else 1e-2 * eps  # the driver's gate coefficient at kappa = 1e-2
+    got = normal_step(lin, params, coef)
+    ref = eager_normal_step(lin, params, coef)
     assert got.v.tobytes() == ref.v.tobytes()
     assert got.c_v.tobytes() == ref.c_v.tobytes()
     assert got.c_v_norm.hex() == ref.c_v_norm.hex()

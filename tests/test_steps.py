@@ -21,6 +21,8 @@ from noisy_sqp.steps import (
 
 
 PARAMS = TestParams()
+# the residual-gate coefficient of exact mode; inexact mode uses kappa * min(eps_c, eps_f)
+EXACT = 1e-10
 
 
 def lin(c, J, g=None):
@@ -74,15 +76,14 @@ class TestCauchyNormalStep:
 
 class TestNormalStep:
     def test_exact_mode_identity(self):
-        v = normal_step(lin(np.array([1.0, 1.0]), np.eye(2)), PARAMS, 1e-2, 0.0, 0.0,
-                        exact=True).v
+        v = normal_step(lin(np.array([1.0, 1.0]), np.eye(2)), PARAMS, EXACT).v
         assert np.allclose(v, [-1.0, -1.0], atol=1e-9)
 
     def test_cauchy_decrease_reasserted(self):
         # direct inequality recomputation on the accepted step
         J = np.array([[1.0, 2.0]])
         c = np.array([1.0])
-        v = normal_step(lin(c, J), PARAMS, 1e-2, 1e-2, 1e-2).v
+        v = normal_step(lin(c, J), PARAMS, 1e-2 * 1e-2).v
         v_c, alpha = cauchy_normal_step(lin(c, J), PARAMS.sigma_Jc)
         lhs = norm2(c) - norm2(c + J @ v)
         rhs = PARAMS.gamma_c * (norm2(c) - norm2(c + alpha * (J @ v_c)))
@@ -91,7 +92,7 @@ class TestNormalStep:
     def test_rank_deficient_stays_in_row_span(self):
         J = np.array([[1.0, 0.0], [1.0, 0.0]])
         c = np.array([1.0, 1.0])
-        v = normal_step(lin(c, J), PARAMS, 1e-2, 1e-2, 1e-2).v
+        v = normal_step(lin(c, J), PARAMS, 1e-2 * 1e-2).v
         # projection check oracle: v must lie in span{(1, 0)}
         assert abs(v[1]) <= 1e-12
         lhs = norm2(c) - norm2(c + J @ v)
@@ -108,7 +109,7 @@ class TestNormalStep:
             c = rng.standard_normal(m)
             if norm_inf(J.T @ c) <= tol_Jc(c):
                 continue
-            v = normal_step(lin(c, J), PARAMS, 1e-2, 1e-3, 1e-3).v
+            v = normal_step(lin(c, J), PARAMS, 1e-2 * 1e-3).v
             assert norm2(v) <= PARAMS.sigma_Jc * norm2(J.T @ c) * (1 + 1e-12)
 
 
@@ -121,7 +122,7 @@ class TestNormalStep:
             c = rng.standard_normal(m)
             if norm_inf(J.T @ c) <= tol_Jc(c):
                 continue
-            normal = normal_step(lin(c, J), PARAMS, 1e-2, 1e-3, 1e-3)
+            normal = normal_step(lin(c, J), PARAMS, 1e-2 * 1e-3)
             assert np.array_equal(normal.c_v, c + J @ normal.v)
             assert normal.c_v_norm == norm2(c + J @ normal.v)
             assert normal.cg_iters >= 1
@@ -135,8 +136,7 @@ class TestTangentialStep:
         g = np.array([1.0, 1.0])
         c = np.array([0.05])
         bundle = tangential_step(H, lin(c, J, g), zero_normal(c, 2), 1.0, PARAMS,
-                                 eps_o=0.1, kappa_u=1e-2, eps_f=1e-2, eps_c=1e-2,
-                                 feasible=True)
+                                 eps_o=0.1, coef=1e-2 * 1e-2, feasible=True)
         assert bundle.test in (TT1, EXACT_FALLBACK)
         assert np.allclose(bundle.d, bundle.v + bundle.u)
 
@@ -146,8 +146,7 @@ class TestTangentialStep:
         g = np.array([0.0, 1.0])
         c = np.array([0.0])
         bundle = tangential_step(H, lin(c, J, g), zero_normal(c, 2), 1.0,
-                                 PARAMS, eps_o=0.0, kappa_u=1e-2,
-                                 eps_f=0.0, eps_c=0.0, exact=True, feasible=True)
+                                 PARAMS, eps_o=0.0, coef=EXACT, feasible=True)
         u_oracle, _ = dense_kkt_solve(H, J, g)
         assert np.allclose(bundle.u, u_oracle, atol=1e-9)
         assert np.allclose(bundle.u, [0.0, -1.0], atol=1e-9)
@@ -158,10 +157,9 @@ class TestTangentialStep:
         ev = evaluate(p, p.x0)
         H = np.eye(2)
         L = lin(ev.c, ev.J, ev.g)
-        normal = normal_step(L, PARAMS, 1e-2, 0.0, 0.0, exact=True)
+        normal = normal_step(L, PARAMS, EXACT)
         bundle = tangential_step(H, L, normal, 1.0, PARAMS,
-                                 eps_o=0.0, kappa_u=1e-2, eps_f=0.0, eps_c=0.0,
-                                 exact=True, feasible=False)
+                                 eps_o=0.0, coef=EXACT, feasible=False)
         assert bundle.test in (TT2_CASE2, TT2_COND1, EXACT_FALLBACK)
         # direct recomputation of the residual-decrease condition
         dec_v = norm2(ev.c) - norm2(ev.c + ev.J @ bundle.v)
@@ -177,11 +175,10 @@ class TestTangentialStep:
         g = np.array([0.3, -0.2, 1.0])
         c = np.array([0.4])
         L = lin(c, J, g)
-        normal = normal_step(L, PARAMS, 1e-2, 0.0, 0.0, exact=True)
+        normal = normal_step(L, PARAMS, EXACT)
         v = normal.v
         bundle = tangential_step(H, L, normal, 1.0, PARAMS, eps_o=0.0,
-                                 kappa_u=1e-2, eps_f=0.0, eps_c=0.0,
-                                 feasible=False)
+                                 coef=0.0, feasible=False)
         assert bundle.test == EXACT_FALLBACK
         scale = 1 + norm_inf(g + H @ v)
         assert norm_inf(np.concatenate([bundle.rho, bundle.r])) <= 1e-9 * scale
@@ -194,8 +191,7 @@ class TestTangentialStep:
         J = np.array([[1.0, 1.0, 0.0]])
         c = np.array([0.0])
         bundle = tangential_step(H, lin(c, J, np.array([0.3, -0.2, 1.0])), zero_normal(c, 3),
-                                 1.0, PARAMS, eps_o=0.0, kappa_u=1e-2, eps_f=0.0,
-                                 eps_c=0.0, feasible=True)
+                                 1.0, PARAMS, eps_o=0.0, coef=0.0, feasible=True)
         assert bundle is None
 
 
@@ -246,7 +242,7 @@ class TestCheckTT2:
         p = registry_by_name()["unit-circle"]
         ev = evaluate(p, p.x0)
         L = lin(ev.c, ev.J, ev.g)
-        return ev, L, normal_step(L, PARAMS, 1e-2, 0.0, 0.0, exact=True)
+        return ev, L, normal_step(L, PARAMS, EXACT)
 
     def test_zero_tangential_reduces_to_reduction_conditions(self):
         ev, L, normal = self._fixture()
@@ -322,9 +318,8 @@ class TestBundleRepassesDeclaredTest:
             if norm_inf(J.T @ c) <= tol_Jc(c):
                 continue
             L = lin(c, J, g)
-            bundle = tangential_step(H, L, normal_step(L, PARAMS, 1e-2, 1e-2, 1e-2),
-                                     1.0, PARAMS, eps_o=0.0,
-                                     kappa_u=1e-2, eps_f=1e-2, eps_c=1e-2,
+            bundle = tangential_step(H, L, normal_step(L, PARAMS, 1e-2 * 1e-2),
+                                     1.0, PARAMS, eps_o=0.0, coef=1e-2 * 1e-2,
                                      feasible=False)
             test = bundle.fallback_case or bundle.test
             c_v = c + J @ bundle.v

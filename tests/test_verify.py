@@ -126,8 +126,8 @@ class TestTraceInvariants:
             assert assert_trace_invariants(trace, params) == []
 
     def test_recheck_uses_the_problems_curvature_matrix(self):
-        # the solver takes H from the problem when the params leave it unset;
-        # the re-check must use that H, not the identity
+        # the solver takes H from the problem; the re-check must use that H,
+        # not the identity
         Q = np.diag([1.0, 2.0, 3.0])
         A = np.array([[1.0, 1.0, 0.0]])
         q = np.array([0.0, 0.0, 1.0])
@@ -143,7 +143,6 @@ class TestTraceInvariants:
             for optimism in ("optimistic", "pessimistic"):
                 params = SolverParams.benchmark_defaults(
                     noise, variant=variant, optimism=optimism, max_iters=40)
-                assert params.H is None
                 trace = solve(p, params, 0)
                 assert assert_trace_invariants(trace, params) == []
                 assert np.array_equal(trace.H, p.H)
