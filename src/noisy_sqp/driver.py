@@ -17,12 +17,13 @@ measurement; they never feed the solver path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import merit, steps, stepsize
 from .linalg import all_finite, norm2, norm_inf  # noqa: F401 (perfbench counts driver.norm2)
+from .linalg import check_settings, instance_of, number, one_of
 from .noise import NoiseSpec, NoisyOracle
 from .problems import ProblemSpec, evaluate
 from .stepsize import LINE_SEARCH_FAILURE, NONFINITE, AdaptiveSeeds
@@ -51,43 +52,32 @@ TOL_FEAS = 1e-12  # the least value of the branch gate
 
 @dataclass
 class SolverParams:
-    """Everything `solve` needs besides the problem and the seed.
+    """Everything `solve` needs besides the problem and the seed (H is the problem's, else I).
 
-    ``benchmark_defaults`` loads the benchmark preset: tau0 = 1, lambda_u = 5e-9,
-    sigma_Jc = 1e2, sigma_u = 0.99, sigma_c = 0.1, sigma_r = 0.9999,
-    sigma_tau = 1e-2, xi0 = 1, chi0 = 1e-3, zeta0 = 1e3, theta = 1e4,
-    eta = 0.5 / beta = 1 (adaptive) or alpha_u = 1 / eta = 1e-3 / nu = 0.5
-    (line search), kappa = 1e-2 when inexact.  H is the problem's, else the
-    identity.
+    The defaults, here and on the nested settings, are the benchmark preset
+    that ``benchmark_defaults`` loads; each field declares its range.
     """
 
-    noise: NoiseSpec = field(default_factory=NoiseSpec)
-    variant: str = ADAPTIVE
-    optimism: str = "optimistic"
-    exactness: str = "inexact"
-    kappa: float = 1e-2
-    tests: steps.TestParams = field(default_factory=steps.TestParams)
-    tau0: float = 1.0
-    sigma_tau: float = 1e-2
-    adaptive: AdaptiveSeeds = field(default_factory=AdaptiveSeeds)
-    ls: stepsize.LineSearchParams = field(default_factory=stepsize.LineSearchParams)
-    max_iters: int = 1000
-    max_weighted_evals: int = 10000
+    noise: NoiseSpec = instance_of(NoiseSpec)
+    variant: str = one_of(ADAPTIVE, SCHEMES.values())
+    optimism: str = one_of("optimistic", OPTIMISMS.values())
+    exactness: str = one_of("inexact", EXACTNESS)
+    kappa: float = number(1e-2, "(0, inf)")
+    tests: steps.TestParams = instance_of(steps.TestParams)
+    tau0: float = number(1.0, "(0, inf)")
+    sigma_tau: float = number(1e-2, "(0, 1)")
+    adaptive: AdaptiveSeeds = instance_of(AdaptiveSeeds)
+    ls: stepsize.LineSearchParams = instance_of(stepsize.LineSearchParams)
+    max_iters: int = number(1000, "[1, inf)", integer=True)
+    max_weighted_evals: int = number(10000, "[1, inf)", integer=True)
+
+    __post_init__ = check_settings
 
     def validate(self):
-        for name, allowed in (("variant", SCHEMES.values()), ("optimism", OPTIMISMS.values()),
-                              ("exactness", EXACTNESS)):
-            if getattr(self, name) not in allowed:
-                raise ValueError(f"bad {name} {getattr(self, name)!r}")
-        if not self.tau0 > 0:
-            raise ValueError("tau0 must be > 0")
-        if not 0.0 < self.sigma_tau < 1.0:
-            raise ValueError("sigma_tau must be in (0,1)")
-        if not all(type(b) is int and b >= 1  # neither a bool nor 20.5 is a budget
-                   for b in (self.max_iters, self.max_weighted_evals)):
-            raise ValueError("budgets must be positive integers")
-        if not (isinstance(self.kappa, (int, float)) and 0.0 < self.kappa < math.inf):
-            raise ValueError("kappa must be a finite number > 0")
+        """Check every setting again, the nested ones included; return self."""
+        check_settings(self)
+        for nested in (self.noise, self.tests, self.adaptive, self.ls):
+            nested.__post_init__()
         return self
 
     @classmethod

@@ -24,7 +24,7 @@ from .driver import (
     SolverParams,
     solve,
 )
-from .linalg import least_squares_multiplier, norm_inf
+from .linalg import check_settings, interval, least_squares_multiplier, norm_inf, number, one_of
 from .noise import NoiseSpec, derive_gradient_noise
 from .problems import duplicate_last_constraint, get_problem
 
@@ -36,21 +36,19 @@ ERROR = "error"
 # exact snapshots stacked per least_squares_multiplier call in best_iterate
 BEST_ITERATE_CHUNK = 256
 
+# the rules of a grid config's list entries
+SEED, BUDGET = interval("[0, inf)", integer=True), interval("[1, inf)", integer=True)
+NOISE_LEVEL = interval("(0, inf)")
+
 
 @dataclass
 class VariantSpec:
-    scheme: str = "ada"            # a key of SCHEMES
-    optimism: str = "opt"          # a key of OPTIMISMS
-    exactness: str = "inexact"     # one of EXACTNESS
-    kappa: float = 1e-2
+    scheme: str = one_of("ada", SCHEMES)
+    optimism: str = one_of("opt", OPTIMISMS)
+    exactness: str = one_of("inexact", EXACTNESS)
+    kappa: float = number(1e-2, "(0, inf)")
 
-    def __post_init__(self):
-        for field_name, allowed in (("scheme", SCHEMES), ("optimism", OPTIMISMS),
-                                    ("exactness", EXACTNESS)):
-            value = getattr(self, field_name)
-            if value not in allowed:
-                raise ValueError(f"bad {field_name} {value!r}; expected one of "
-                                 f"{', '.join(allowed)}")
+    __post_init__ = check_settings
 
     @property
     def label(self) -> str:
@@ -75,49 +73,43 @@ class ExperimentConfig:
     variants: list                        # list of VariantSpec
     seeds: list
     budgets: tuple = (1000, 10000)
-    licq_mode: str = "original"           # original | duplicated
+    licq_mode: str = one_of("original", ("original", "duplicated"))
     out_dir: str = "."
 
     def validate(self):
-        if not self.problems or not self.variants or not self.seeds:
-            raise ValueError("problems, variants, and seeds must be non-empty")
-        # type() is int: neither a bool nor 0.5 counts as a seed
-        if not all(type(s) is int and s >= 0 for s in self.seeds):
-            raise ValueError(f"seeds must be integers >= 0, got {self.seeds!r}")
-        if len(self.budgets) != 2:  # their values are checked with kappa below
-            raise ValueError(f"budgets must be two integers >= 1, got {self.budgets!r}")
+        """Check the config and its variants; return self."""
+        check_settings(self)
+        for name in ("problems", "noise_grid", "variants", "seeds", "budgets"):
+            value = getattr(self, name)
+            if not (isinstance(value, (list, tuple)) and value):
+                raise ValueError(f"{name} must be a non-empty list, got {value!r}")
+        if not all(map(SEED.holds, self.seeds)):
+            raise ValueError(f"seeds must each be {SEED.text}, got {self.seeds!r}")
+        if not (len(self.budgets) == 2 and all(map(BUDGET.holds, self.budgets))):
+            raise ValueError(f"budgets must be two entries, each {BUDGET.text}")
         for pair in self.noise_grid:
-            # a float (numpy's included) or an int, not a bool; NaN fails "> 0"
-            if not (len(pair) == 2 and all((isinstance(e, float) or type(e) is int) and e > 0
-                                           for e in pair)):
-                raise ValueError(f"noise grid entries must be two numbers > 0, got {pair!r}")
-        if self.licq_mode not in ("original", "duplicated"):
-            raise ValueError(f"bad licq_mode {self.licq_mode!r}")
-        for variant in self.variants:
-            # kappa and the budgets are a config error, not one per cell
-            variant.solver_params(NoiseSpec(), self.budgets)
+            if not (isinstance(pair, (list, tuple)) and len(pair) == 2
+                    and all(map(NOISE_LEVEL.holds, pair))):
+                raise ValueError(f"noise grid entries must be two values, each "
+                                 f"{NOISE_LEVEL.text}, got {pair!r}")
+        if not all(isinstance(v, VariantSpec) and check_settings(v) for v in self.variants):
+            raise ValueError(f"variants must be VariantSpec objects, got {self.variants!r}")
         return self
 
     @classmethod
     def from_json(cls, text: str):
-        """A validated config; a field of the wrong shape is a ValueError naming it."""
+        """A validated config; a top-level value that is not an object, an unknown
+        or missing key and a field of the wrong shape are each a ValueError."""
         data = json.loads(text)
-
-        def read(name, convert):
-            try:
-                return convert(data[name])
-            except TypeError as exc:
-                raise ValueError(f"bad {name}: {exc}") from None
-
-        return cls(
-            problems=read("problems", list),
-            noise_grid=read("noise_grid", lambda grid: [tuple(pair) for pair in grid]),
-            variants=read("variants", lambda variants: [VariantSpec(**v) for v in variants]),
-            seeds=read("seeds", list),
-            budgets=read("budgets", tuple) if "budgets" in data else (1000, 10000),
-            licq_mode=data.get("licq_mode", "original"),
-            out_dir=data.get("out_dir", "."),
-        ).validate()
+        if not isinstance(data, dict):
+            raise ValueError(f"a grid config must be a JSON object, got {data!r}")
+        try:  # a TypeError names an unknown or missing key, or a variant's
+            config = cls(**data)
+            if isinstance(config.variants, list):
+                config.variants = [VariantSpec(**v) for v in config.variants]
+        except TypeError as exc:
+            raise ValueError(f"bad config: {exc}") from None
+        return config.validate()
 
 
 @dataclass

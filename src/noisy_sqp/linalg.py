@@ -6,13 +6,15 @@ CG) expose their iterates one step at a time so callers can run acceptance
 tests on intermediate candidates.  The dense routines at the bottom
 (`least_squares_multiplier`, `smallest_singular_value`, `dense_kkt_solve`)
 are total: rank deficiency is handled with a fixed relative ridge instead
-of raising.
+of raising.  `check_settings` holds a settings dataclass to the ranges its
+fields declare with `number`, `one_of` or `instance_of`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -35,6 +37,53 @@ def as_vector(x, name: str = "vector") -> np.ndarray:
     if not all_finite(v):
         raise ValueError(f"{name} has non-finite entries")
     return v.copy()
+
+
+# a setting's declared range: holds(v), and text for "<field> must be <text>"
+Rule = namedtuple("Rule", "holds text")
+
+
+def interval(text: str, integer: bool = False) -> Rule:
+    """The rule of a range such as "(0, 1]" or "[1, inf)", each end open or closed:
+    a finite int or float (numpy floats included, never a bool; only an int
+    when ``integer``) inside it.  Every comparison is written so that NaN fails it."""
+    lo, hi = (float(end) for end in text[1:-1].split(","))
+    lo_closed, hi_closed = text[0] == "[", text[-1] == "]"
+
+    def holds(v) -> bool:  # type(True) is bool, not int
+        return ((type(v) is int or (not integer and isinstance(v, (float, np.floating))
+                                    and math.isfinite(v)))
+                and (lo <= v if lo_closed else lo < v) and (v <= hi if hi_closed else v < hi))
+
+    return Rule(holds, f"{'an integer' if integer else 'a number'} in {text}")
+
+
+def number(default, text: str, integer: bool = False):
+    """A dataclass field holding a finite number (an int when ``integer``) in ``text``."""
+    return field(default=default, metadata={"rule": interval(text, integer)})
+
+
+def one_of(default: str, names):
+    """A dataclass field holding one of ``names``."""
+    names = tuple(names)
+    rule = Rule(lambda v: isinstance(v, str) and v in names, "one of " + ", ".join(names))
+    return field(default=default, metadata={"rule": rule})
+
+
+def instance_of(cls):
+    """A dataclass field holding a ``cls``, by default ``cls()``."""
+    rule = Rule(lambda v: isinstance(v, cls), f"an instance of {cls.__name__}")
+    return field(default_factory=cls, metadata={"rule": rule})
+
+
+def check_settings(obj):
+    """Raise ``ValueError`` for the first field of the dataclass ``obj`` that
+    fails its declared rule; return ``obj``."""
+    for f in fields(obj):
+        rule = f.metadata.get("rule")
+        if rule is not None and not rule.holds(getattr(obj, f.name)):
+            raise ValueError(f"{f.name} must be {rule.text}")
+    return obj
 
 
 def norm2(x) -> float:

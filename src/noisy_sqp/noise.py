@@ -24,10 +24,11 @@ the same numbers, and leaves the generator in the same state, as one
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .linalg import check_settings, number
 from .problems import evaluate
 
 
@@ -36,20 +37,18 @@ class NoiseSpec:
     """Noise bounds; eps_o in [0, eps_c] is the optimistic feasibility threshold
     (0 means eps_c)."""
 
-    eps_f: float = 0.0
-    eps_g: float = 0.0
-    eps_c: float = 0.0
-    eps_J: float = 0.0
-    eps_o: float = 0.0
+    eps_f: float = number(0.0, "[0, inf)")
+    eps_g: float = number(0.0, "[0, inf)")
+    eps_c: float = number(0.0, "[0, inf)")
+    eps_J: float = number(0.0, "[0, inf)")
+    eps_o: float = number(0.0, "[0, inf)")
 
     def __post_init__(self):
-        for name in ("eps_f", "eps_g", "eps_c", "eps_J", "eps_o"):
-            v = float(getattr(self, name))
-            if not np.isfinite(v) or v < 0.0:
-                raise ValueError(f"{name} must be finite and >= 0")
-            setattr(self, name, v)
-        if self.eps_o > self.eps_c:
-            raise ValueError("eps_o must lie in [0, eps_c]")
+        check_settings(self)
+        for f in fields(self):
+            setattr(self, f.name, float(getattr(self, f.name)))
+        if not self.eps_o <= self.eps_c:
+            raise ValueError("eps_o must be in [0, eps_c]")
 
 
 def derive_gradient_noise(eps_f: float, eps_c: float):

@@ -23,11 +23,13 @@ import numpy as np
 
 from .linalg import (
     cg_steihaug,
+    check_settings,
     dense_kkt_solve,
     kkt_matrix,
     minres_iterate,
     norm2,
     norm_inf,
+    number,
 )
 from . import merit
 from .merit import Linearization, model_reduction
@@ -42,35 +44,21 @@ EXACT_FALLBACK = "exact_fallback"
 class TestParams:
     """Constants of the termination tests and the normal trust region."""
 
-    lambda_rho_r: float = 0.5
-    kappa_rho_r: float = 1e2
-    lambda_u: float = 5e-9
-    lambda_uv: float = 1e4
-    lambda_v: float = 1e4
-    sigma_u: float = 0.99
-    sigma_c: float = 0.1
-    sigma_r: float = 0.9999
-    gamma_c: float = 0.9
-    sigma_Jc: float = 1e2
+    lambda_rho_r: float = number(0.5, "(0, 1)")
+    kappa_rho_r: float = number(1e2, "(0, inf)")
+    lambda_u: float = number(5e-9, "(0, inf)")  # the paper's (0, zeta_H) needs H and J
+    lambda_uv: float = number(1e4, "(0, inf)")
+    lambda_v: float = number(1e4, "(0, inf)")
+    sigma_u: float = number(0.99, "(0, 1)")
+    sigma_c: float = number(0.1, "(0, 1)")
+    sigma_r: float = number(0.9999, "(0, 1)")
+    gamma_c: float = number(0.9, "(0, 1]")
+    sigma_Jc: float = number(1e2, "(0, inf)")
 
     def __post_init__(self):
-        if not 0.0 < self.lambda_rho_r < 1.0:
-            raise ValueError("lambda_rho_r must be in (0,1)")
-        # every check is written so that NaN fails it
-        if not all(v > 0 for v in (self.kappa_rho_r, self.lambda_uv, self.lambda_v)):
-            raise ValueError("kappa_rho_r, lambda_uv, lambda_v must be > 0")
-        if not self.lambda_u > 0:
-            raise ValueError("lambda_u must be in (0, zeta_H)")
-        if not 0.0 < self.sigma_u < 1.0:
-            raise ValueError("sigma_u must be in (0,1)")
-        if not 0.0 < self.sigma_c < 1.0:
-            raise ValueError("sigma_c must be in (0,1)")
-        if not self.sigma_c < self.sigma_r < 1.0:
+        check_settings(self)
+        if not self.sigma_c < self.sigma_r:
             raise ValueError("sigma_r must be in (sigma_c, 1)")
-        if not 0.0 < self.gamma_c <= 1.0:
-            raise ValueError("gamma_c must be in (0,1]")
-        if not self.sigma_Jc > 0:
-            raise ValueError("sigma_Jc must be > 0")
 
 
 @dataclass

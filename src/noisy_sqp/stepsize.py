@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import norm2
+from .linalg import check_settings, norm2, number
 from .merit import merit_value
 
 LINE_SEARCH_FAILURE = "line_search_failure"
@@ -33,36 +33,30 @@ NONFINITE = "nonfinite_evaluation"
 class AdaptiveSeeds:
     """Initial values and meta-parameters for the Option I controller."""
 
-    beta: float = 1.0
-    eta: float = 0.5
-    theta: float = 1e4
-    chi0: float = 1e-3
-    zeta0: float = 1e3
-    xi0: float = 1.0
-    sigma_chi: float = 0.1
-    sigma_zeta: float = 0.1
-    sigma_xi: float = 0.1
-    lipschitz_dirs: int = 10
-    lipschitz_delta: float = 1e-2
-    lipschitz_floor: float = 1e-4
+    beta: float = number(1.0, "(0, 1]")
+    eta: float = number(0.5, "(0, 1)")
+    theta: float = number(1e4, "(0, inf)")
+    chi0: float = number(1e-3, "(0, inf)")
+    zeta0: float = number(1e3, "(0, inf)")
+    xi0: float = number(1.0, "(0, inf)")
+    sigma_chi: float = number(0.1, "(0, inf)")
+    sigma_zeta: float = number(0.1, "(0, 1)")
+    sigma_xi: float = number(0.1, "(0, 1)")
+    lipschitz_dirs: int = number(10, "[0, inf)", integer=True)
+    lipschitz_delta: float = number(1e-2, "(0, inf)")
+    lipschitz_floor: float = number(1e-4, "(0, inf)")  # > 0 keeps L_est, Gamma_est > 0
+
+    __post_init__ = check_settings
 
 
 @dataclass
 class LineSearchParams:
-    alpha_u: float = 1.0
-    nu: float = 0.5
-    eta: float = 1e-3
-    max_backtracks: int = 60
+    alpha_u: float = number(1.0, "(0, 1]")
+    nu: float = number(0.5, "(0, 1)")
+    eta: float = number(1e-3, "(0, 1)")
+    max_backtracks: int = number(60, "[0, inf)", integer=True)
 
-    def __post_init__(self):
-        if not 0.0 < self.alpha_u <= 1.0:
-            raise ValueError("alpha_u must be in (0,1]")
-        if not 0.0 < self.nu < 1.0:
-            raise ValueError("nu must be in (0,1)")
-        if not 0.0 < self.eta < 1.0:
-            raise ValueError("eta must be in (0,1)")
-        if not (isinstance(self.max_backtracks, int) and self.max_backtracks >= 0):
-            raise ValueError("max_backtracks must be an integer >= 0")
+    __post_init__ = check_settings
 
 
 class AdaptiveState:
@@ -70,19 +64,6 @@ class AdaptiveState:
     Lipschitz estimates L_est, Gamma_est, held constant after start-up."""
 
     def __init__(self, seeds: AdaptiveSeeds, oracle, x0, tau0: float, H):
-        # every seed is checked before the first sample, each so that NaN fails;
-        # a floor > 0 then keeps L_est and Gamma_est > 0
-        if not all(v > 0 for v in (seeds.chi0, seeds.zeta0, seeds.xi0, seeds.theta,
-                                   seeds.sigma_chi)):
-            raise ValueError("chi0, zeta0, xi0, theta, sigma_chi must be > 0")
-        if not 0.0 < seeds.beta <= 1.0:
-            raise ValueError("beta must be in (0,1]")
-        if not all(0.0 < v < 1.0 for v in (seeds.eta, seeds.sigma_zeta, seeds.sigma_xi)):
-            raise ValueError("eta, sigma_zeta, sigma_xi must be in (0,1)")
-        if not all(0.0 < v < math.inf for v in (seeds.lipschitz_delta, seeds.lipschitz_floor)):
-            raise ValueError("lipschitz_delta, lipschitz_floor must be finite and > 0")
-        if not (isinstance(seeds.lipschitz_dirs, int) and seeds.lipschitz_dirs >= 0):
-            raise ValueError("lipschitz_dirs must be an integer >= 0")
         self.seeds, self.H = seeds, H
         self.chi, self.zeta, self.xi = seeds.chi0, seeds.zeta0, seeds.xi0
         L, Gamma = estimate_lipschitz(oracle, x0, n_dirs=seeds.lipschitz_dirs,

@@ -113,7 +113,7 @@ def test_solve_unknown_problem_is_input_error(capsys):
 def test_solve_zero_iteration_budget_is_config_error(capsys):
     code = main(["solve", "--problem", "unit-circle", *SOLVE_ARGS, "--max-iters", "0"])
     assert code == 2
-    assert "budgets must be positive" in one_error_line(capsys, "config error")
+    assert "max_iters must be" in one_error_line(capsys, "config error")
 
 
 GOOD_GRID = {"problems": ["unit-circle"], "noise_grid": [[1e-2, 1e-2]],
@@ -133,12 +133,20 @@ GOOD_GRID = {"problems": ["unit-circle"], "noise_grid": [[1e-2, 1e-2]],
     ({"budgets": [20.5, 1000]}, "budgets"),
     ({"budgets": [True, 1000]}, "budgets"),
     ({"budgets": [20]}, "budgets"),
+    ({"budget": [20, 2000], "licq": "duplicated"}, "budget"),
+    ({"problems": "unit-circle"}, "problems"),
+    ({"variants": [{"scheme": "ada", "optimism": "opt", "kappa": True}]}, "kappa"),
+    (lambda grid: [grid], "JSON object"),
+    (lambda grid: {k: v for k, v in grid.items() if k != "problems"}, "'problems'"),
 ], ids=["misspelled-key", "kappa-string", "noise-grid-number", "noise-level-string",
         "noise-level-missing", "negative-seed", "fractional-seed", "bool-seed",
-        "fractional-budget", "bool-budget", "one-budget"])
+        "fractional-budget", "bool-budget", "one-budget", "unknown-top-level-keys",
+        "string-problems", "bool-kappa", "list-config", "missing-problems"])
 def test_malformed_grid_config_is_config_error(tmp_path, capsys, change, named):
+    # a change is merged into GOOD_GRID, or maps it to the whole config
+    config = change(GOOD_GRID) if callable(change) else {**GOOD_GRID, **change}
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({**GOOD_GRID, **change}))
+    cfg_path.write_text(json.dumps(config))
     out = tmp_path / "out"
     code = main(["grid", "--config", str(cfg_path), "--out", str(out)])
     assert code == 2

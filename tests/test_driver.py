@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -14,10 +17,12 @@ from noisy_sqp.driver import (
     SolverParams,
     solve,
 )
-from noisy_sqp.harness import best_iterate
+from noisy_sqp.harness import VariantSpec, best_iterate
 from noisy_sqp.linalg import norm2, norm_inf
 from noisy_sqp.noise import NoiseSpec, NoisyOracle, derive_gradient_noise
 from noisy_sqp.problems import ExactEvaluation, ProblemSpec, registry_by_name
+from noisy_sqp.steps import TestParams
+from noisy_sqp.stepsize import AdaptiveSeeds, LineSearchParams
 from noisy_sqp.verify import assert_trace_invariants
 
 
@@ -516,9 +521,11 @@ class TestParamsValidation:
 
     @pytest.mark.parametrize("setting", [dict(kappa=float("nan")), dict(kappa=-1.0),
                                          dict(kappa=float("inf")), dict(kappa=0.0),
-                                         dict(kappa="abc"), dict(kappa=None)])
+                                         dict(kappa="abc"), dict(kappa=None),
+                                         # an infinite tau0 used to fail inside solve, on x
+                                         dict(tau0=float("inf")), dict(noise=None)])
     def test_bad_tolerance_or_kappa_is_rejected(self, setting):
-        with pytest.raises(ValueError, match="kappa must be"):
+        with pytest.raises(ValueError, match=f"{next(iter(setting))} must be"):
             SolverParams(**setting).validate()
 
     @pytest.mark.parametrize("name", ["kappa_u", "kappa_v", "H", "tol_d", "tol_feas"])
@@ -529,8 +536,36 @@ class TestParamsValidation:
 
     @pytest.mark.parametrize("budget", [20.5, "20", None])
     def test_non_integer_budget_is_rejected(self, budget):
-        with pytest.raises(ValueError, match="budgets must be positive integers"):
+        with pytest.raises(ValueError, match="max_iters must be"):
             SolverParams(max_iters=budget).validate()
+
+
+# one out-of-range value per numeric setting, written here rather than read from
+# the declared ranges; NaN, +-inf and True are tried on every such field as well
+OUT_OF_RANGE = {
+    NoiseSpec: dict(eps_f=-1e-3, eps_g=-1.0, eps_c=-1e-3, eps_J=-1.0, eps_o=-1e-3),
+    TestParams: dict(lambda_rho_r=1.0, kappa_rho_r=0.0, lambda_u=-5e-9, lambda_uv=0.0,
+                     lambda_v=-1.0, sigma_u=1.0, sigma_c=0.0, sigma_r=1.0, gamma_c=1.5,
+                     sigma_Jc=0.0),
+    LineSearchParams: dict(alpha_u=1.5, nu=1.0, eta=0.0, max_backtracks=-1),
+    AdaptiveSeeds: dict(beta=1.5, eta=1.0, theta=0.0, chi0=0.0, zeta0=-1.0, xi0=0.0,
+                        sigma_chi=0.0, sigma_zeta=1.0, sigma_xi=0.0, lipschitz_dirs=-1,
+                        lipschitz_delta=0.0, lipschitz_floor=-1e-4),
+    SolverParams: dict(kappa=0.0, tau0=-1.0, sigma_tau=1.0, max_iters=0,
+                       max_weighted_evals=0),
+    VariantSpec: dict(kappa=-1.0),
+}
+
+
+@pytest.mark.parametrize("cls", list(OUT_OF_RANGE), ids=lambda cls: cls.__name__)
+def test_every_numeric_setting_is_checked_at_construction(cls):
+    numeric = [f.name for f in dataclasses.fields(cls) if f.type in ("int", "float", int, float)]
+    assert numeric
+    assert not set(numeric) - set(OUT_OF_RANGE[cls]), "a numeric field has no test value"
+    for name in numeric:
+        for bad in (math.nan, math.inf, -math.inf, True, OUT_OF_RANGE[cls][name]):
+            with pytest.raises(ValueError, match=f"^{name} must be "):
+                cls(**{name: bad})
 
 
 class TestCurvatureMatrix:

@@ -393,6 +393,17 @@ class TestPerformanceProfile:
 
 
 class TestConfigJson:
+    def test_readme_example_config_loads(self):
+        # the README's example config is a valid one, with a built-in for its custom file
+        readme = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "README.md")
+        with open(readme) as fh:
+            section = fh.read().split("### Grid config JSON", 1)[1]
+        block = section.split("```json\n", 1)[1].split("```", 1)[0]
+        assert "path/to/custom.qp.json" in block
+        cfg = ExperimentConfig.from_json(block.replace("path/to/custom.qp.json", "quad-linear"))
+        assert cfg.problems[-1] == "quad-linear"
+        assert [v.label for v in cfg.variants] == ["ada-opt-inexact", "ls-pes-exact"]
+
     def test_from_json(self):
         text = """{
           "problems": ["unit-circle"],
