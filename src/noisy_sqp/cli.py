@@ -42,10 +42,10 @@ def _build_parser():
     p_solve.add_argument("--eps-c", type=float, required=True)
     p_solve.add_argument("--seed", type=int, required=True)
     p_solve.add_argument("--exact", action="store_true")
-    p_solve.add_argument("--kappa", type=float, default=1e-2)
+    p_solve.add_argument("--kappa", type=float, default=SolverParams.kappa)
     p_solve.add_argument("--duplicated", action="store_true")
-    p_solve.add_argument("--max-iters", type=int, default=1000)
-    p_solve.add_argument("--max-weighted-evals", type=int, default=10000)
+    p_solve.add_argument("--max-iters", type=int, default=SolverParams.max_iters)
+    p_solve.add_argument("--max-weighted-evals", type=int, default=SolverParams.max_weighted_evals)
 
     p_grid = sub.add_parser("grid", help="run an experiment grid from a config")
     p_grid.add_argument("--config", required=True)

@@ -50,12 +50,13 @@ TOL_D = 1e-14  # a step with max|d| <= TOL_D is degenerate
 TOL_FEAS = 1e-12  # the least value of the branch gate
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverParams:
     """Everything `solve` needs besides the problem and the seed (H is the problem's, else I).
 
     The defaults, here and on the nested settings, are the benchmark preset
-    that ``benchmark_defaults`` loads; each field declares its range.
+    that ``benchmark_defaults`` loads.  Frozen, as every settings class is:
+    each field's declared range is checked once, when it is built.
     """
 
     noise: NoiseSpec = instance_of(NoiseSpec)
@@ -73,19 +74,9 @@ class SolverParams:
 
     __post_init__ = check_settings
 
-    def validate(self):
-        """Check every setting again, the nested ones included; return self."""
-        check_settings(self)
-        for nested in (self.noise, self.tests, self.adaptive, self.ls):
-            nested.__post_init__()
-        return self
-
     @classmethod
-    def benchmark_defaults(cls, noise: NoiseSpec, variant: str = ADAPTIVE,
-                       optimism: str = "optimistic", exactness: str = "inexact",
-                       kappa: float = 1e-2, **overrides):
-        return cls(noise=noise, variant=variant, optimism=optimism, exactness=exactness,
-                   kappa=kappa, **overrides).validate()
+    def benchmark_defaults(cls, noise: NoiseSpec, **settings):
+        return cls(noise=noise, **settings)
 
     def resolved_eps_o(self) -> float:
         """Optimistic: ``noise.eps_o``, or eps_c when that is 0.  Pessimistic: 0."""
@@ -167,7 +158,6 @@ def solve(problem: ProblemSpec, params: SolverParams, seed: int,
     with a caller-supplied oracle it is a separate ``evaluate(problem, x)``,
     so a crafted oracle never supplies it.
     """
-    params.validate()
     own_oracle = oracle is None
     if own_oracle:
         oracle = NoisyOracle(problem, params.noise, np.random.default_rng(seed))

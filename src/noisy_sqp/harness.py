@@ -41,12 +41,12 @@ SEED, BUDGET = interval("[0, inf)", integer=True), interval("[1, inf)", integer=
 NOISE_LEVEL = interval("(0, inf)")
 
 
-@dataclass
+@dataclass(frozen=True)
 class VariantSpec:
     scheme: str = one_of("ada", SCHEMES)
     optimism: str = one_of("opt", OPTIMISMS)
     exactness: str = one_of("inexact", EXACTNESS)
-    kappa: float = number(1e-2, "(0, inf)")
+    kappa: float = number(SolverParams.kappa, "(0, inf)")
 
     __post_init__ = check_settings
 
@@ -72,7 +72,7 @@ class ExperimentConfig:
     noise_grid: list                      # list of (eps_f, eps_c)
     variants: list                        # list of VariantSpec
     seeds: list
-    budgets: tuple = (1000, 10000)
+    budgets: tuple = (SolverParams.max_iters, SolverParams.max_weighted_evals)
     licq_mode: str = one_of("original", ("original", "duplicated"))
     out_dir: str = "."
 
@@ -92,7 +92,7 @@ class ExperimentConfig:
                     and all(map(NOISE_LEVEL.holds, pair))):
                 raise ValueError(f"noise grid entries must be two values, each "
                                  f"{NOISE_LEVEL.text}, got {pair!r}")
-        if not all(isinstance(v, VariantSpec) and check_settings(v) for v in self.variants):
+        if not all(isinstance(v, VariantSpec) for v in self.variants):
             raise ValueError(f"variants must be VariantSpec objects, got {self.variants!r}")
         return self
 
@@ -201,7 +201,7 @@ def success(feas_err: float, stat_err: float, y_inf_norm: float,
 
 def run_single(problem_name: str, variant: VariantSpec, eps_f: float,
                eps_c: float, seed: int, licq_mode: str,
-               budgets=(1000, 10000)) -> RunRecord:
+               budgets=ExperimentConfig.budgets) -> RunRecord:
     """One grid cell: solve, select the best iterate, summarize."""
     problem = get_problem(problem_name)
     if licq_mode == "duplicated":

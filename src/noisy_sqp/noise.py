@@ -32,7 +32,7 @@ from .linalg import check_settings, number
 from .problems import evaluate
 
 
-@dataclass
+@dataclass(frozen=True)
 class NoiseSpec:
     """Noise bounds; eps_o in [0, eps_c] is the optimistic feasibility threshold
     (0 means eps_c)."""
@@ -46,7 +46,7 @@ class NoiseSpec:
     def __post_init__(self):
         check_settings(self)
         for f in fields(self):
-            setattr(self, f.name, float(getattr(self, f.name)))
+            object.__setattr__(self, f.name, float(getattr(self, f.name)))
         if not self.eps_o <= self.eps_c:
             raise ValueError("eps_o must be in [0, eps_c]")
 

@@ -40,7 +40,7 @@ TT2_COND1 = "TT2_cond1"
 EXACT_FALLBACK = "exact_fallback"
 
 
-@dataclass
+@dataclass(frozen=True)
 class TestParams:
     """Constants of the termination tests and the normal trust region."""
 
@@ -180,7 +180,7 @@ def check_tt2(H, lin: Linearization, normal: NormalStep, u, rho, r,
     Returns (tag, d, g'd, ||c + Jd||, trial) along d = v + u when the test
     passes, tag TT2_CASE2 or TT2_COND1, else None.  Case 2 has priority
     because it keeps the merit parameter unchanged; under TT2_COND1 ``trial``
-    is `merit.tau_trial` of the check's values, else None.
+    is `merit.tau_trial` of the check's values, which must be > 0, else None.
     """
     v = normal.v
     uHu = float(u.dot(H.dot(u)))
@@ -211,8 +211,9 @@ def check_tt2(H, lin: Linearization, normal: NormalStep, u, rho, r,
     c_vr_norm = norm2(normal.c_v + r)
     if (c_norm - c_v_norm > 0.0
             and c_norm - c_vr_norm >= params.sigma_r * (c_norm - c_v_norm) - slack):
-        return TT2_COND1, d, gd, cd_norm, merit.tau_trial(
-            gd, uHu, uu, c_norm, c_vr_norm, params)
+        trial = merit.tau_trial(gd, uHu, uu, c_norm, c_vr_norm, params)
+        if trial > 0.0:  # the slack can let ||c + Jv + r|| exceed ||c||
+            return TT2_COND1, d, gd, cd_norm, trial
     return None
 
 

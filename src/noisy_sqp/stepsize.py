@@ -29,7 +29,7 @@ LINE_SEARCH_FAILURE = "line_search_failure"
 NONFINITE = "nonfinite_evaluation"
 
 
-@dataclass
+@dataclass(frozen=True)
 class AdaptiveSeeds:
     """Initial values and meta-parameters for the Option I controller."""
 
@@ -49,7 +49,7 @@ class AdaptiveSeeds:
     __post_init__ = check_settings
 
 
-@dataclass
+@dataclass(frozen=True)
 class LineSearchParams:
     alpha_u: float = number(1.0, "(0, 1]")
     nu: float = number(0.5, "(0, 1)")
@@ -159,15 +159,16 @@ def adaptive_alpha(state: AdaptiveState, delta_l: float, tau: float, uu: float,
                    vv: float, dd: float):
     """Project the sufficient-decrease step size onto the safeguard interval.
 
-    Returns (alpha, alpha_suff, alpha_min, alpha_max); the projection never
-    increases the step size beyond alpha_suff <= 1.
+    Returns (alpha, alpha_suff, alpha_min, alpha_max).  After `xi_update`,
+    alpha_min is at most the unclipped alpha_suff, so alpha <= alpha_suff <= 1;
+    an interval above 1 is capped at 1, and such a step has alpha < alpha_min.
     """
     denom = tau * state.L_est + state.Gamma_est
     two1meta = 2.0 * (1.0 - state.seeds.eta) * state.seeds.beta
     alpha_suff = min(two1meta * delta_l / (denom * dd), 1.0)
     alpha_min = two1meta * state.xi * (tau if state.tangential(uu, vv) else 1.0) / denom
     alpha_max = alpha_min + state.seeds.theta * state.seeds.beta
-    alpha = min(max(alpha_suff, alpha_min), alpha_max)
+    alpha = min(max(alpha_suff, alpha_min), alpha_max, 1.0)
     return alpha, alpha_suff, alpha_min, alpha_max
 
 

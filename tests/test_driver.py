@@ -526,7 +526,7 @@ class TestParamsValidation:
                                          dict(tau0=float("inf")), dict(noise=None)])
     def test_bad_tolerance_or_kappa_is_rejected(self, setting):
         with pytest.raises(ValueError, match=f"{next(iter(setting))} must be"):
-            SolverParams(**setting).validate()
+            SolverParams(**setting)
 
     @pytest.mark.parametrize("name", ["kappa_u", "kappa_v", "H", "tol_d", "tol_feas"])
     @pytest.mark.parametrize("make", [SolverParams, SolverParams.benchmark_defaults])
@@ -537,7 +537,7 @@ class TestParamsValidation:
     @pytest.mark.parametrize("budget", [20.5, "20", None])
     def test_non_integer_budget_is_rejected(self, budget):
         with pytest.raises(ValueError, match="max_iters must be"):
-            SolverParams(max_iters=budget).validate()
+            SolverParams(max_iters=budget)
 
 
 # one out-of-range value per numeric setting, written here rather than read from
@@ -566,6 +566,14 @@ def test_every_numeric_setting_is_checked_at_construction(cls):
         for bad in (math.nan, math.inf, -math.inf, True, OUT_OF_RANGE[cls][name]):
             with pytest.raises(ValueError, match=f"^{name} must be "):
                 cls(**{name: bad})
+
+
+@pytest.mark.parametrize("cls", list(OUT_OF_RANGE), ids=lambda cls: cls.__name__)
+def test_built_settings_are_read_only(cls):
+    built = cls()
+    for f in dataclasses.fields(cls):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(built, f.name, getattr(built, f.name))
 
 
 class TestCurvatureMatrix:
@@ -614,4 +622,15 @@ class TestCurvatureMatrix:
         assert last.alpha == 0.0 and last.bundle is not None
         assert not np.isfinite(last.bundle.d).all()
         assert all(np.isfinite(r.x).all() for r in trace.records)
+        assert assert_trace_invariants(trace, params) == []
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # u'Hu overflows
+    def test_adaptive_step_size_is_capped_at_one(self):
+        # tau collapses at k = 0, which lifts the safeguard interval above 1
+        params = SolverParams.benchmark_defaults(NoiseSpec(), variant="adaptive")
+        trace = solve(self.line_problem(1e300 * np.eye(3)), params, 0)
+        assert trace.status == EARLY_STATIONARY
+        first = trace.records[0]
+        assert first.alpha == 1.0 < first.alpha_min
+        assert all(r.alpha <= 1.0 for r in trace.records)
         assert assert_trace_invariants(trace, params) == []

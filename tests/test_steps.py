@@ -298,6 +298,17 @@ class TestCheckTT2:
                                     H @ u + J.T @ y + g, J @ u, 1.0, PARAMS, 0.0)
         assert (case, trial) == (TT1, None)
 
+    def test_cond1_needs_a_positive_trial(self):
+        # the round-off slack lets ||c + Jv + r|| exceed ||c||, so the trial
+        # merit parameter would be negative: the check must not pass
+        g, c, J = np.array([1e3, 0.0]), np.array([1e-11]), np.array([[1.0, 0.0]])
+        v, u = np.array([-9e-12, 0.0]), np.array([5e-11, 1e-8])
+        c_v = c + J @ v
+        normal = NormalStep(v, c_v, norm2(c_v))
+        assert norm2(c_v + J @ u) > norm2(c)
+        assert check_tt2(np.eye(2), lin(c, J, g), normal, u, np.zeros(2), J @ u,
+                         1.0, PARAMS) is None
+
     def test_residual_gate_is_conjunctive(self):
         ev, L, normal = self._fixture()
         assert check_tt2(np.eye(2), L, normal, np.zeros(2), np.array([50.0, 0.0]),
