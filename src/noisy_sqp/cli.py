@@ -22,12 +22,8 @@ from .harness import (
     run_single,
 )
 from .problems import DimensionMismatch, ParseError, builtin_registry, get_problem
-from .driver import ADAPTIVE, LINE_SEARCH, SolverParams, solve
+from .driver import SolverParams
 from .noise import NoiseSpec, derive_gradient_noise
-
-
-# `verify --suite` values; "all" runs every check
-VERIFY_SUITES = ("all", "fd", "cauchy", "tangential", "invariants")
 
 
 def _build_parser():
@@ -57,7 +53,7 @@ def _build_parser():
     p_prof.add_argument("--out", required=True)
 
     p_verify = sub.add_parser("verify", help="run the independent verification suite")
-    p_verify.add_argument("--suite", choices=VERIFY_SUITES, default="all")
+    p_verify.add_argument("--suite", choices=["all", *VERIFY_CHECKS], default="all")
     p_verify.add_argument("--out", default=None)
     return parser
 
@@ -131,52 +127,40 @@ def _cmd_profile(args) -> int:
     return 0
 
 
+def _invariant_sweep(registry):
+    eps_g, eps_J = derive_gradient_noise(1e-4, 1e-4)
+    noise = NoiseSpec(eps_f=1e-4, eps_g=eps_g, eps_c=1e-4, eps_J=eps_J)
+    params = [SolverParams.benchmark_defaults(noise, variant=v, max_iters=60)
+              for v in SCHEMES.values()]
+    full_rank = [p for p in registry if p.full_rank]
+    return verify_mod.trace_invariant_sweep(full_rank[:4], params, range(3))
+
+
+# `verify --suite` names and their checks, in run order; "all" runs every check
+VERIFY_CHECKS = {
+    "fd": lambda registry, quad: verify_mod.fd_scan(registry),
+    "cauchy": lambda registry, quad: verify_mod.cauchy_perturbation_scan(quad, quad.x0),
+    "tangential": lambda registry, quad: verify_mod.tangential_gap_scan(quad, np.zeros(quad.n)),
+    "invariants": lambda registry, quad: _invariant_sweep(registry),
+}
+
+
 def _cmd_verify(args) -> int:
-    reports = []
-    registry = builtin_registry()
-    quad = get_problem("quad-linear")
-
-    def chosen(suite):
-        return args.suite in ("all", suite)
-
-    ok = True
-    if chosen("fd"):
-        for problem in registry:
-            grad_err, jac_err = verify_mod.fd_check(problem, problem.x0, 1e-6)
-            good = grad_err <= 1e-5 and jac_err <= 1e-5
-            ok &= good
-            print(f"fd_check {problem.name:<20} grad {grad_err:.2e}  jac {jac_err:.2e}  "
-                  f"{'pass' if good else 'FAIL'}")
-
-    if chosen("cauchy"):
-        report = verify_mod.cauchy_perturbation_scan(quad, quad.x0)
-        reports.append(report)
-        ok &= report.passed
-        print(f"cauchy_perturbation_scan {'pass' if report.passed else 'FAIL'}")
-
-    if chosen("tangential"):
-        report = verify_mod.tangential_gap_scan(quad, np.zeros(quad.n))
-        reports.append(report)
-        ok &= report.passed
-        print(f"tangential_gap_scan      {'pass' if report.passed else 'FAIL'}")
-
-    if chosen("invariants"):
-        eps_g, eps_J = derive_gradient_noise(1e-4, 1e-4)
-        noise = NoiseSpec(eps_f=1e-4, eps_g=eps_g, eps_c=1e-4, eps_J=eps_J)
-        params_list = [SolverParams.benchmark_defaults(noise, variant=variant, max_iters=60)
-                       for variant in (ADAPTIVE, LINE_SEARCH)]
-        sweep_problems = [p for p in registry if p.full_rank][:4]
-        report = verify_mod.trace_invariant_sweep(
-            sweep_problems, params_list, seeds=range(3), solve_fn=solve)
-        reports.append(report)
-        ok &= report.passed
-        print(f"trace_invariant_sweep    {'pass' if report.passed else 'FAIL'}")
-
+    registry, quad = builtin_registry(), get_problem("quad-linear")
+    reports = [check(registry, quad) for name, check in VERIFY_CHECKS.items()
+               if args.suite in ("all", name)]
+    for report in reports:
+        lines = [(f"{report.check:<24}", report.passed)]
+        if report.check == "fd_check":
+            lines = [(f"fd_check {o['problem']:<20} grad {o['grad_err']:.2e}  "
+                      f"jac {o['jac_err']:.2e} ", o["pass"]) for o in report.observations]
+        for label, good in lines:
+            print(f"{label} {'pass' if good else 'FAIL'}")
     if args.out:
         with open(args.out, "w") as fh:
             fh.write("[" + ",\n".join(r.to_json() for r in reports) + "]\n")
         print(f"reports -> {args.out}")
-    return 0 if ok else 1
+    return 0 if all(r.passed for r in reports) else 1
 
 
 def main(argv=None) -> int:

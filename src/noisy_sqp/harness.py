@@ -331,8 +331,8 @@ def performance_profile(records, cost_field: str = "weighted_evals",
                         n_grid: int = 64) -> ProfileTable:
     """Build Dolan-More performance profiles over the run records.
 
-    Cost of a failed run is infinite; a solver's curve can never exceed its
-    solved fraction.  Requires at least two solvers and one instance.
+    A failed run, or a cost above an instance's best cost of 0, has ratio inf;
+    a curve never exceeds its solver's solved fraction.  Needs 2 solvers, 1 instance.
     """
     if cost_field not in ("weighted_evals", "minres_iters"):
         raise ValueError(f"bad cost_field {cost_field!r}")
@@ -356,7 +356,7 @@ def performance_profile(records, cost_field: str = "weighted_evals",
             if c is None or best is None:
                 ratios[(inst, s)] = np.inf
             else:
-                ratios[(inst, s)] = c / best if best > 0 else 1.0
+                ratios[(inst, s)] = 1.0 if c == best else c / best if best > 0 else np.inf
 
     finite_ratios = [r for r in ratios.values() if np.isfinite(r)]
     r_max = max(finite_ratios) if finite_ratios else 1.0

@@ -66,8 +66,7 @@ class AdaptiveState:
     def __init__(self, seeds: AdaptiveSeeds, oracle, x0, tau0: float, H):
         self.seeds, self.H = seeds, H
         self.chi, self.zeta, self.xi = seeds.chi0, seeds.zeta0, seeds.xi0
-        L, Gamma = estimate_lipschitz(oracle, x0, n_dirs=seeds.lipschitz_dirs,
-                                      delta=seeds.lipschitz_delta, floor=seeds.lipschitz_floor)
+        L, Gamma = estimate_lipschitz(oracle, x0, seeds)
         self.L_est, self.Gamma_est = clamp_beta_admissible(
             L, Gamma, seeds.beta, seeds.eta, seeds.xi0, tau0)
 
@@ -105,24 +104,24 @@ class LineSearch:
         return alpha, x_next, fields, status
 
 
-def estimate_lipschitz(oracle, x0, n_dirs: int = 10, delta: float = 1e-2,
-                       floor: float = 1e-4):
+def estimate_lipschitz(oracle, x0, seeds: AdaptiveSeeds):
     """Finite-difference Lipschitz estimates near the start point.
 
     L from the largest noisy-gradient difference quotient over random unit
     directions, Gamma analogously from the Jacobian's spectral difference.
-    Held constant by the caller for the rest of the run.
+    ``seeds`` gives the directions, the distance and the floor of both.
     """
+    delta = seeds.lipschitz_delta
     base = oracle.sample(x0, want="derivative")
     L = 0.0
     Gamma = 0.0
-    for _ in range(n_dirs):
+    for _ in range(seeds.lipschitz_dirs):
         u = oracle.rng.standard_normal(x0.size)
         u /= max(norm2(u), 1e-300)
         probe = oracle.sample(x0 + delta * u, want="derivative")
         L = max(L, norm2(probe.g_bar - base.g_bar) / delta)
         Gamma = max(Gamma, float(np.linalg.norm(probe.J_bar - base.J_bar, 2)) / delta)
-    return max(L, floor), max(Gamma, floor)
+    return max(L, seeds.lipschitz_floor), max(Gamma, seeds.lipschitz_floor)
 
 
 def clamp_beta_admissible(L: float, Gamma: float, beta: float, eta: float,

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from noisy_sqp import verify
 from noisy_sqp.cli import main
+from noisy_sqp.problems import builtin_registry
 
 
 def test_solve_subcommand(capsys):
@@ -190,6 +192,38 @@ def test_verify_suite_runs_only_the_chosen_checks(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert code == 0
     assert lines and all(line.startswith("fd_check ") for line in lines)
+
+
+def test_verify_fd_report_holds_every_problem(tmp_path, capsys):
+    report_path = tmp_path / "verify.json"
+    assert main(["verify", "--suite", "fd", "--out", str(report_path)]) == 0
+    capsys.readouterr()
+    [report] = json.loads(report_path.read_text())
+    assert report["check"] == "fd_check" and report["pass"]
+    assert [o["problem"] for o in report["observations"]] == [
+        p.name for p in builtin_registry()]
+    for o in report["observations"]:
+        assert o["pass"] and o["grad_err"] <= 1e-5 and o["jac_err"] <= 1e-5
+
+
+def test_verify_all_reports_every_check_in_order(tmp_path, capsys):
+    report_path = tmp_path / "verify.json"
+    assert main(["verify", "--out", str(report_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == f"reports -> {report_path}"
+    assert [r["check"] for r in json.loads(report_path.read_text())] == [
+        "fd_check", "cauchy_perturbation_scan", "tangential_gap_scan", "trace_invariant_sweep"]
+
+
+def test_verify_failing_check_prints_fail_and_exits_1(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(verify, "fd_check", lambda problem, x, h: (1.0, 0.0))
+    report_path = tmp_path / "verify.json"
+    assert main(["verify", "--suite", "fd", "--out", str(report_path)]) == 1
+    lines = capsys.readouterr().out.splitlines()[:-1]
+    assert len(lines) == len(builtin_registry())
+    assert all(line.startswith("fd_check ") and line.endswith("  FAIL") for line in lines)
+    [report] = json.loads(report_path.read_text())
+    assert not report["pass"] and not any(o["pass"] for o in report["observations"])
 
 
 def test_verify_unknown_suite_exits_2(capsys):

@@ -376,6 +376,19 @@ class TestPerformanceProfile:
                                    for p in table.instances])
             assert curve[-1] <= solved_frac + 1e-12
 
+    def test_zero_best_cost_ties_only_the_zero_costs(self):
+        # a run that starts at its KKT point at zero noise ends with 0 MINRES iterations
+        records = [
+            make_record(problem="p1", variant="ada", minres_iters=0),
+            make_record(problem="p1", variant="ls", minres_iters=50),
+            make_record(problem="p1", variant="ls", optimism="pes", minres_iters=0),
+        ]
+        table = performance_profile(records, cost_field="minres_iters")
+        [inst] = table.instances
+        assert [table.ratios[(inst, s)] for s in table.solvers] == [1.0, np.inf, 1.0]
+        assert table.rho("ls-opt-inexact", 1.0) == 0.0
+        assert table.rho("ada-opt-inexact", 1.0) == table.rho("ls-pes-inexact", 1.0) == 1.0
+
     def test_tsv_outputs(self):
         records = [
             make_record(problem="p1", variant="ada", weighted_evals=2),

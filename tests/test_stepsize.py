@@ -64,7 +64,7 @@ class TestAdaptiveStart:
         assert s.seeds is seeds
         assert (s.chi, s.zeta, s.xi) == (2e-3, 5e2, 0.5)
         L, Gamma = estimate_lipschitz(NoisyOracle(p, NoiseSpec(), np.random.default_rng(4)),
-                                      p.x0, n_dirs=3)
+                                      p.x0, seeds)
         assert (s.L_est, s.Gamma_est) == clamp_beta_admissible(L, Gamma, 1.0, 0.5, 0.5, 1.0)
         assert oracle.counters.snapshot() == (0, 4)
 
