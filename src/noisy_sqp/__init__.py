@@ -11,7 +11,6 @@ from .driver import RunTrace, SolverParams, solve
 from .harness import ExperimentConfig, VariantSpec, performance_profile, run_grid, run_single
 from .noise import NoiseSpec, NoisyOracle, derive_gradient_noise
 from .problems import ProblemSpec, builtin_registry, get_problem, parse_problem_json
-from .steps import TestParams
 
 __all__ = [
     "ExperimentConfig",
@@ -20,7 +19,6 @@ __all__ = [
     "ProblemSpec",
     "RunTrace",
     "SolverParams",
-    "TestParams",
     "VariantSpec",
     "builtin_registry",
     "derive_gradient_noise",

@@ -103,6 +103,8 @@ def _cmd_grid(args) -> int:
             config = ExperimentConfig.from_json(fh.read())
         config.out_dir = args.out
         records, path = run_grid(config)
+    except (ParseError, DimensionMismatch) as exc:  # a malformed problem file
+        return _error("input error", exc)
     except (OSError, ValueError, KeyError) as exc:
         return _error("config error", exc)
     solved = sum(1 for r in records if r.solved)

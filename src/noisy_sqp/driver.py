@@ -26,7 +26,7 @@ from .linalg import all_finite, norm2, norm_inf  # noqa: F401 (perfbench counts 
 from .linalg import check_settings, instance_of, number, one_of
 from .noise import NoiseSpec, NoisyOracle
 from .problems import ProblemSpec, evaluate
-from .stepsize import LINE_SEARCH_FAILURE, NONFINITE, AdaptiveSeeds
+from .stepsize import LINE_SEARCH_FAILURE, NONFINITE
 
 BUDGET_ITERS = "budget_iters"
 BUDGET_EVALS = "budget_evals"
@@ -54,9 +54,12 @@ TOL_FEAS = 1e-12  # the least value of the branch gate
 class SolverParams:
     """Everything `solve` needs besides the problem and the seed (H is the problem's, else I).
 
-    The defaults, here and on the nested settings, are the benchmark preset
-    that ``benchmark_defaults`` loads.  Frozen, as every settings class is:
-    each field's declared range is checked once, when it is built.
+    These are the settings the CLI and grid configs set; the defaults are the
+    benchmark preset that ``benchmark_defaults`` loads.  The solver's fixed
+    constants are module constants next to the code that reads them: the
+    termination tests', the normal step's and tau's in `merit`, the two
+    step-size controllers' in `stepsize`.  Frozen, as every settings class
+    is: each field's declared range is checked once, when it is built.
     """
 
     noise: NoiseSpec = instance_of(NoiseSpec)
@@ -64,11 +67,6 @@ class SolverParams:
     optimism: str = one_of("optimistic", OPTIMISMS.values())
     exactness: str = one_of("inexact", EXACTNESS)
     kappa: float = number(1e-2, "(0, inf)")
-    tests: steps.TestParams = instance_of(steps.TestParams)
-    tau0: float = number(1.0, "(0, inf)")
-    sigma_tau: float = number(1e-2, "(0, 1)")
-    adaptive: AdaptiveSeeds = instance_of(AdaptiveSeeds)
-    ls: stepsize.LineSearchParams = instance_of(stepsize.LineSearchParams)
     max_iters: int = number(1000, "[1, inf)", integer=True)
     max_weighted_evals: int = number(10000, "[1, inf)", integer=True)
 
@@ -124,13 +122,12 @@ class RunTrace:
     eps_o: float
     variant: str
     H: np.ndarray  # curvature matrix the solver used
-    tau0: float
     adaptive_state: stepsize.AdaptiveState | None = None
 
     @property
     def tau_history(self) -> list:
-        """(-1, tau0), then (k, tau) after each record's merit-parameter update."""
-        return [(-1, self.tau0)] + [(r.k, r.tau) for r in self.records]
+        """(-1, TAU0), then (k, tau) after each record's merit-parameter update."""
+        return [(-1, merit.TAU0)] + [(r.k, r.tau) for r in self.records]
 
     @property
     def minres_iters(self) -> int:
@@ -175,14 +172,14 @@ def solve(problem: ProblemSpec, params: SolverParams, seed: int,
     if H.shape != (n, n) or not np.isfinite(H).all() or not (H == H.T).all():
         raise ValueError(f"H must be a finite symmetric {n} x {n} matrix")
     if params.variant == ADAPTIVE:
-        controller = stepsize.AdaptiveState(params.adaptive, oracle, problem.x0, params.tau0, H)
+        controller = stepsize.AdaptiveState(oracle, problem.x0, H)
     else:
-        controller = stepsize.LineSearch(oracle, noise, params.ls)
+        controller = stepsize.LineSearch(oracle, noise)
 
     records: list[IterRecord] = []
     counters = oracle.counters
     x = problem.x0.copy()  # rebound every step, never mutated in place
-    tau = params.tau0
+    tau = merit.TAU0
     k = 0
 
     # reads the current iteration's locals when called
@@ -220,15 +217,14 @@ def solve(problem: ProblemSpec, params: SolverParams, seed: int,
                 records.append(make_record(None, 0.0))
                 status = EARLY_INFEASIBLE
                 break
-            normal = steps.normal_step(lin, params.tests, coef)
-        bundle = steps.tangential_step(H, lin, normal, tau, params.tests, eps_o, coef,
-                                       feasible=feasible)
+            normal = steps.normal_step(lin, coef)
+        bundle = steps.tangential_step(H, lin, normal, tau, eps_o, coef, feasible=feasible)
         if bundle is None:
             records.append(make_record(None, 0.0))
             status = TEST_UNSATISFIABLE
             break
         if bundle.tau_trial is not None:
-            tau = merit.tau_update(tau, bundle.tau_trial, params.sigma_tau)
+            tau = merit.tau_update(tau, bundle.tau_trial)
         delta_l = merit.model_reduction(tau, lin.c_norm, bundle.gd, bundle.cd_norm)
         d = bundle.d
         if feasible and delta_l <= eps_o:
@@ -251,6 +247,5 @@ def solve(problem: ProblemSpec, params: SolverParams, seed: int,
 
     return RunTrace(
         problem=problem.name, n=problem.n, m=problem.m, records=records,
-        status=status, counters=oracle.counters, seed=seed,
-        eps_o=eps_o, variant=params.variant, H=H, tau0=params.tau0,
-        adaptive_state=controller if params.variant == ADAPTIVE else None)
+        status=status, counters=oracle.counters, seed=seed, eps_o=eps_o, variant=params.variant,
+        H=H, adaptive_state=controller if params.variant == ADAPTIVE else None)

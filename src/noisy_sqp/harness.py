@@ -276,7 +276,7 @@ def run_grid(config: ExperimentConfig, max_workers: int | None = None):
         from concurrent.futures import ProcessPoolExecutor  # loaded on first pooled grid
 
         with ProcessPoolExecutor(max_workers=max_workers) as pool:
-            records = list(pool.map(_run_cell, tasks, chunksize=4))
+            records = list(pool.map(_run_cell, tasks))
     else:
         records = [_run_cell(t) for t in tasks]
     records.sort(key=RunRecord.sort_key)

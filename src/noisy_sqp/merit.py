@@ -16,6 +16,21 @@ import math
 
 from .linalg import norm2, norm_inf
 
+# The benchmark preset's constants, each in the range noted: the termination tests' and
+# the normal step's, which `steps` reads (`tau_trial` too), then the merit parameter's.
+LAMBDA_RHO_R = 0.5  # (0, 1); TT residual gate lambda_rho_r min{max{||u||, ||J'c||}, kappa_rho_r}
+KAPPA_RHO_R = 1e2  # (0, inf)
+LAMBDA_U = 5e-9  # (0, inf); the paper's (0, zeta_H) needs H and J
+LAMBDA_UV = 1e4  # (0, inf)
+LAMBDA_V = 1e4  # (0, inf)
+SIGMA_U = 0.99  # (0, 1)
+SIGMA_C = 0.1  # (0, SIGMA_R)
+SIGMA_R = 0.9999  # (SIGMA_C, 1)
+GAMMA_C = 0.9  # (0, 1]; the share of the Cauchy point's decrease the normal step keeps
+SIGMA_JC = 1e2  # (0, inf); normal trust-region radius sigma_Jc ||J'c|| and Cauchy step cap
+TAU0 = 1.0  # (0, inf)
+SIGMA_TAU = 1e-2  # (0, 1)
+
 
 class Linearization:
     """Noisy gradient g, constraints c and Jacobian J at one iterate (float
@@ -47,23 +62,22 @@ def model_reduction(tau: float, c_norm: float, gd: float, cd_norm: float) -> flo
     return -tau * gd + c_norm - cd_norm
 
 
-def tau_trial(gd: float, uHu: float, uu: float, c_norm: float, c_vr_norm: float,
-              params) -> float:
+def tau_trial(gd: float, uHu: float, uu: float, c_norm: float, c_vr_norm: float) -> float:
     """Trial merit parameter on the residual branch of Termination Test 2.
 
     Returns +inf when the denominator  g'd + max{u'Hu, lambda_u ||u||^2}
     is <= 0 (the step is already aligned with descent).
     """
-    denom = gd + max(uHu, params.lambda_u * uu)
+    denom = gd + max(uHu, LAMBDA_U * uu)
     if denom <= 0.0:
         return math.inf
     decrease = c_norm - c_vr_norm
-    return (1.0 - params.sigma_c / params.sigma_r) * decrease / denom
+    return (1.0 - SIGMA_C / SIGMA_R) * decrease / denom
 
 
-def tau_update(tau: float, trial: float, sigma_tau: float) -> float:
-    """Keep tau when already below (1 - sigma_tau) * trial, else cut it there."""
+def tau_update(tau: float, trial: float) -> float:
+    """Keep tau when already below (1 - SIGMA_TAU) * trial, else cut it there."""
     if trial < 0:
         raise ValueError("trial must be >= 0 or +inf")
-    cut = (1.0 - sigma_tau) * trial
+    cut = (1.0 - SIGMA_TAU) * trial
     return tau if tau <= cut else cut

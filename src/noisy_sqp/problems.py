@@ -110,8 +110,8 @@ def duplicate_last_constraint(problem: ProblemSpec) -> ProblemSpec:
 def parse_problem_json(text) -> ProblemSpec:
     """Parse the on-disk quadratic problem format (extension ``.qp.json``).
 
-    Fields: name, Q (n x n), q (n), A (m x n), b (m), x0 (n), defining
-    f = 1/2 x'Qx + q'x and c = Ax - b.  Q is symmetrized as (Q + Q')/2.
+    Fields: name and the finite Q (n x n), q (n), A (m x n), b (m), x0 (n),
+    defining f = 1/2 x'Qx + q'x and c = Ax - b.  Q is symmetrized as (Q + Q')/2.
     """
     if isinstance(text, bytes):
         text = text.decode("utf-8")
@@ -124,13 +124,13 @@ def parse_problem_json(text) -> ProblemSpec:
             raise ParseError(f"missing field '{fieldname}'")
     name = str(data["name"])
     try:
-        Q = np.asarray(data["Q"], dtype=float)
-        q = np.asarray(data["q"], dtype=float)
-        A = np.asarray(data["A"], dtype=float)
-        b = np.asarray(data["b"], dtype=float)
-        x0 = np.asarray(data["x0"], dtype=float)
+        arrays = {key: np.asarray(data[key], dtype=float) for key in ("Q", "q", "A", "b", "x0")}
     except (TypeError, ValueError) as exc:
         raise ParseError(f"non-numeric entry: {exc}") from exc
+    for key, value in arrays.items():
+        if not np.isfinite(value).all():  # json.loads reads NaN and Infinity
+            raise ParseError(f"non-finite entry in '{key}'")
+    Q, q, A, b, x0 = arrays.values()
     if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
         raise DimensionMismatch(f"Q must be square, got {Q.shape}")
     n = Q.shape[0]

@@ -11,6 +11,7 @@ Each function reads the iteration's noisy linearization from one
 ||g||, each formed once), and the steps and tests read the normal step's v,
 c + Jv and ||c + Jv|| from its `NormalStep`.  The passing test's measurements
 ride in the `StepBundle` to the driver; no bundle means no test can pass.
+The tests' and the trust region's constants are `merit`'s.
 """
 
 from __future__ import annotations
@@ -21,44 +22,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import (
-    cg_steihaug,
-    check_settings,
-    dense_kkt_solve,
-    kkt_matrix,
-    minres_iterate,
-    norm2,
-    norm_inf,
-    number,
-)
+from .linalg import cg_steihaug, dense_kkt_solve, kkt_matrix, minres_iterate, norm2, norm_inf
 from . import merit
-from .merit import Linearization, model_reduction
+from .merit import (GAMMA_C, KAPPA_RHO_R, LAMBDA_RHO_R, LAMBDA_U, LAMBDA_UV, LAMBDA_V, SIGMA_C,
+                    SIGMA_JC, SIGMA_R, SIGMA_U, Linearization, model_reduction)
 
 TT1 = "TT1"
 TT2_CASE2 = "TT2_case2"
 TT2_COND1 = "TT2_cond1"
 EXACT_FALLBACK = "exact_fallback"
-
-
-@dataclass(frozen=True)
-class TestParams:
-    """Constants of the termination tests and the normal trust region."""
-
-    lambda_rho_r: float = number(0.5, "(0, 1)")
-    kappa_rho_r: float = number(1e2, "(0, inf)")
-    lambda_u: float = number(5e-9, "(0, inf)")  # the paper's (0, zeta_H) needs H and J
-    lambda_uv: float = number(1e4, "(0, inf)")
-    lambda_v: float = number(1e4, "(0, inf)")
-    sigma_u: float = number(0.99, "(0, 1)")
-    sigma_c: float = number(0.1, "(0, 1)")
-    sigma_r: float = number(0.9999, "(0, 1)")
-    gamma_c: float = number(0.9, "(0, 1]")
-    sigma_Jc: float = number(1e2, "(0, inf)")
-
-    def __post_init__(self):
-        check_settings(self)
-        if not self.sigma_c < self.sigma_r:
-            raise ValueError("sigma_r must be in (sigma_c, 1)")
 
 
 @dataclass
@@ -95,21 +67,21 @@ def tol_Jc(c_bar) -> float:
     return 1e-12 * max(1.0, norm_inf(c_bar))
 
 
-def cauchy_normal_step(lin: Linearization, sigma_Jc: float):
+def cauchy_normal_step(lin: Linearization):
     """Steepest-descent direction -J'c with its capped optimal step size.
 
-    Returns (v_c, alpha_c) with alpha_c = min{sigma_Jc, ||J'c||^2 / ||JJ'c||^2}.
+    Returns (v_c, alpha_c) with alpha_c = min{SIGMA_JC, ||J'c||^2 / ||JJ'c||^2}.
     """
     JJtc = lin.J.dot(lin.Jtc)
     denom = float(JJtc.dot(JJtc))
     if denom == 0.0:
-        alpha_c = sigma_Jc
+        alpha_c = SIGMA_JC
     else:
-        alpha_c = min(sigma_Jc, lin.Jtc_sq / denom)
+        alpha_c = min(SIGMA_JC, lin.Jtc_sq / denom)
     return -lin.Jtc, alpha_c
 
 
-def normal_step(lin: Linearization, params: TestParams, coef: float) -> NormalStep:
+def normal_step(lin: Linearization, coef: float) -> NormalStep:
     """Inexact normal component via trust-region CG on 1/2 ||c + Jv||^2.
 
     CG runs in the Krylov space of J'c, hence v stays in Range(J').  It stops at
@@ -117,13 +89,13 @@ def normal_step(lin: Linearization, params: TestParams, coef: float) -> NormalSt
     noise-scaled gate coef * max(1, ||J'c||_inf).  The caller has already taken
     the infeasible-stationary exit when J'c is numerically zero (`tol_Jc`).  The
     Cauchy point's decrease of ||c|| is at most ||c||, in floating point too,
-    so it is formed only when CG's decrease falls short of gamma_c ||c||, and
-    replaces CG's step when CG's decrease falls short of gamma_c times its
+    so it is formed only when CG's decrease falls short of GAMMA_C ||c||, and
+    replaces CG's step when CG's decrease falls short of GAMMA_C times its
     decrease as well.
     """
     c, J = lin.c, lin.J
     Jt = J.T
-    radius = params.sigma_Jc * lin.Jtc_norm
+    radius = SIGMA_JC * lin.Jtc_norm
     threshold = coef * max(1.0, lin.Jtc_inf)
 
     v, _, iters = cg_steihaug(lambda p: Jt.dot(J.dot(p)), lin.Jtc, radius,
@@ -132,15 +104,15 @@ def normal_step(lin: Linearization, params: TestParams, coef: float) -> NormalSt
     c_v_norm = norm2(c_v)
     decrease = lin.c_norm - c_v_norm
     slack = 1e-10 * max(1.0, lin.c_norm)
-    if decrease >= params.gamma_c * lin.c_norm - slack:
+    if decrease >= GAMMA_C * lin.c_norm - slack:
         return NormalStep(v, c_v, c_v_norm, iters)
     # CG's first iterate is the Cauchy point, so the decrease condition holds
     # at exit by monotonicity; fall back to the Cauchy point defensively.
-    v_c, alpha_c = cauchy_normal_step(lin, params.sigma_Jc)
+    v_c, alpha_c = cauchy_normal_step(lin)
     v_cauchy = alpha_c * v_c
     c_cauchy = c + J.dot(v_cauchy)
     c_cauchy_norm = norm2(c_cauchy)
-    if decrease < params.gamma_c * (lin.c_norm - c_cauchy_norm) - slack:
+    if decrease < GAMMA_C * (lin.c_norm - c_cauchy_norm) - slack:
         return NormalStep(v_cauchy, c_cauchy, c_cauchy_norm, iters)
     return NormalStep(v, c_v, c_v_norm, iters)
 
@@ -153,28 +125,27 @@ def _round_off_slack(g_norm: float, c_norm: float) -> float:
 
 
 def check_tt1(H, lin: Linearization, normal: NormalStep, u, rho, r, tau_prev: float,
-              params: TestParams, eps_o: float):
+              eps_o: float):
     """Termination Test 1 (feasible branch, v = 0): `check_tt2`'s tuple or None."""
     uHu = float(u.dot(H.dot(u)))
     u_nrm2 = float(u.dot(u))
     slack = _round_off_slack(lin.g_norm, lin.c_norm)
-    res_gate = params.lambda_rho_r * min(max(norm2(u), lin.Jtc_norm), params.kappa_rho_r)
+    res_gate = LAMBDA_RHO_R * min(max(norm2(u), lin.Jtc_norm), KAPPA_RHO_R)
     if max(norm2(rho), norm2(r)) > res_gate:
         return None
-    if uHu < params.lambda_u * u_nrm2 - eps_o - slack:
+    if uHu < LAMBDA_U * u_nrm2 - eps_o - slack:
         return None
     d = normal.v + u
     gd, cd_norm = lin.along(d)
     if gd + 0.5 * uHu > eps_o + slack:
         return None
     dl = model_reduction(tau_prev, lin.c_norm, gd, cd_norm)
-    if dl < tau_prev * params.sigma_u * max(uHu, params.lambda_u * u_nrm2) - eps_o - slack:
+    if dl < tau_prev * SIGMA_U * max(uHu, LAMBDA_U * u_nrm2) - eps_o - slack:
         return None
     return TT1, d, gd, cd_norm, None
 
 
-def check_tt2(H, lin: Linearization, normal: NormalStep, u, rho, r,
-              tau_prev: float, params: TestParams):
+def check_tt2(H, lin: Linearization, normal: NormalStep, u, rho, r, tau_prev: float):
     """Termination Test 2 (infeasible branch) at the normal step and u.
 
     Returns (tag, d, g'd, ||c + Jd||, trial) along d = v + u when the test
@@ -190,36 +161,35 @@ def check_tt2(H, lin: Linearization, normal: NormalStep, u, rho, r,
     Jtc_norm = lin.Jtc_norm
     c_norm = lin.c_norm
     slack = _round_off_slack(lin.g_norm, c_norm)
-    res_gate = params.lambda_rho_r * min(max(u_nrm, Jtc_norm), params.kappa_rho_r)
+    res_gate = LAMBDA_RHO_R * min(max(u_nrm, Jtc_norm), KAPPA_RHO_R)
     if max(norm2(rho), norm2(r)) > res_gate:
         return None
 
-    if u_nrm > params.lambda_uv * v_nrm:
-        curvature_ok = uHu >= params.lambda_u * u_nrm * u_nrm - slack
+    if u_nrm > LAMBDA_UV * v_nrm:
+        curvature_ok = uHu >= LAMBDA_U * u_nrm * u_nrm - slack
         slope = float((lin.g + H.dot(v)).dot(u))
         weight = max(0.5, 1.0 - Jtc_norm)
-        if not (curvature_ok and slope + weight * uHu <= params.lambda_v * v_nrm + slack):
+        if not (curvature_ok and slope + weight * uHu <= LAMBDA_V * v_nrm + slack):
             return None
 
     d = v + u
     gd, cd_norm = lin.along(d)
     c_v_norm = normal.c_v_norm
     dl = model_reduction(tau_prev, c_norm, gd, cd_norm)
-    if dl >= tau_prev * params.sigma_u * max(uHu, params.lambda_u * u_nrm * u_nrm) \
-            + params.sigma_c * (c_norm - c_v_norm) - slack:
+    if dl >= tau_prev * SIGMA_U * max(uHu, LAMBDA_U * u_nrm * u_nrm) \
+            + SIGMA_C * (c_norm - c_v_norm) - slack:
         return TT2_CASE2, d, gd, cd_norm, None
     c_vr_norm = norm2(normal.c_v + r)
     if (c_norm - c_v_norm > 0.0
-            and c_norm - c_vr_norm >= params.sigma_r * (c_norm - c_v_norm) - slack):
-        trial = merit.tau_trial(gd, uHu, uu, c_norm, c_vr_norm, params)
+            and c_norm - c_vr_norm >= SIGMA_R * (c_norm - c_v_norm) - slack):
+        trial = merit.tau_trial(gd, uHu, uu, c_norm, c_vr_norm)
         if trial > 0.0:  # the slack can let ||c + Jv + r|| exceed ||c||
             return TT2_COND1, d, gd, cd_norm, trial
     return None
 
 
 def tangential_step(H, lin: Linearization, normal: NormalStep, tau_prev: float,
-                    params: TestParams, eps_o: float, coef: float, *,
-                    feasible: bool) -> StepBundle | None:
+                    eps_o: float, coef: float, *, feasible: bool) -> StepBundle | None:
     """Inexact tangential component via the symmetric Krylov solver.
 
     Iterates of the saddle system are checked against the noise-scaled
@@ -241,8 +211,8 @@ def tangential_step(H, lin: Linearization, normal: NormalStep, tau_prev: float,
         """The branch's test at z: its outcome tuple, or None on failure."""
         u, rho, r = z[:n], resid[:n], resid[n:]
         if feasible:
-            return check_tt1(H, lin, normal, u, rho, r, tau_prev, params, eps_o)
-        return check_tt2(H, lin, normal, u, rho, r, tau_prev, params)
+            return check_tt1(H, lin, normal, u, rho, r, tau_prev, eps_o)
+        return check_tt2(H, lin, normal, u, rho, r, tau_prev)
 
     minus_b = -b
     state = None

@@ -1,11 +1,11 @@
 """Independent oracles: finite differences, perturbation scans, trace auditing.
 
-Nothing in this module shares code with the solver path it checks.  The
-termination-test re-checks below are written out from scratch against the
-raw recorded data, and the perturbation scans verify the scaling laws of
-the noisy step components (their formal constants are unobservable, so the
-testable content is linear scaling in the noise level plus exact collapse
-at zero noise).
+Nothing in this module shares code with the solver path it checks; it reads
+only the solver's constants.  The termination-test re-checks below are
+written out from scratch against the raw recorded data, and the
+perturbation scans verify the scaling laws of the noisy step components
+(their formal constants are unobservable, so the testable content is linear
+scaling in the noise level plus exact collapse at zero noise).
 """
 
 from __future__ import annotations
@@ -17,6 +17,9 @@ import numpy as np
 
 from .driver import solve
 from .linalg import smallest_singular_value
+from .merit import (GAMMA_C, KAPPA_RHO_R, LAMBDA_RHO_R, LAMBDA_U, LAMBDA_UV, LAMBDA_V, SIGMA_C,
+                    SIGMA_JC, SIGMA_R, SIGMA_U)
+from .stepsize import BETA, ETA, LS_ETA
 from .noise import NoiseSpec, sample_noisy
 from .problems import evaluate
 
@@ -165,9 +168,12 @@ def _null_space_solution(H, J, g):
 
 
 def assert_trace_invariants(trace, params) -> list:
-    """Re-check every recorded per-iteration invariant; empty list means pass."""
+    """Re-check every recorded per-iteration invariant; empty list means pass.
+
+    ``params`` is the run's `SolverParams`; the checks read only the trace and
+    the solver's constants, and the argument stays for the callers that pass it.
+    """
     violations = []
-    tp = params.tests
     eps_o = trace.eps_o
 
     taus = [r.tau for r in trace.records]
@@ -199,22 +205,21 @@ def assert_trace_invariants(trace, params) -> list:
                 # step size is recomputable from raw recorded data
                 denom = r.tau * state.L_est + state.Gamma_est
                 dd = float(r.bundle.d @ r.bundle.d)
-                suff = min(2.0 * (1.0 - state.seeds.eta) * state.seeds.beta * r.delta_l
-                           / (denom * dd), 1.0)
+                suff = min(2.0 * (1.0 - ETA) * BETA * r.delta_l / (denom * dd), 1.0)
                 if abs(suff - r.alpha_suff) > 1e-10 * max(1.0, suff):
                     violations.append(f"k={r.k}: alpha_suff does not match recomputation")
     else:
         for r in trace.records:
             if r.phi_accept is None:
                 continue
-            rhs = r.phi0 - params.ls.eta * r.alpha * r.delta_l + r.relax
+            rhs = r.phi0 - LS_ETA * r.alpha * r.delta_l + r.relax
             if r.phi_accept > rhs + 1e-10 * max(1.0, abs(r.phi0)):
                 violations.append(f"k={r.k}: accepted step violates relaxed Armijo")
 
     for i, r in enumerate(trace.records):
         if r.bundle is None:
             continue
-        msg = _recheck_bundle(r, tp, eps_o, trace.H)
+        msg = _recheck_bundle(r, eps_o, trace.H)
         if msg:
             violations.append(f"k={r.k}: {msg}")
         if i + 1 < len(trace.records):
@@ -225,7 +230,7 @@ def assert_trace_invariants(trace, params) -> list:
     return violations
 
 
-def _recheck_bundle(record, tp, eps_o, H) -> str | None:
+def _recheck_bundle(record, eps_o, H) -> str | None:
     """From-scratch re-evaluation of the declared termination test and step bounds."""
     b = record.bundle
     noisy = record.noisy
@@ -241,7 +246,7 @@ def _recheck_bundle(record, tp, eps_o, H) -> str | None:
     uHu = float(u @ (H @ u))
     uu = float(u @ u)
     Jtc = nrm(J.T @ c)
-    gate = tp.lambda_rho_r * min(max(nrm(u), Jtc), tp.kappa_rho_r)
+    gate = LAMBDA_RHO_R * min(max(nrm(u), Jtc), KAPPA_RHO_R)
     dl_prev_u = -tau_prev * float(g @ u) + nrm(c) - nrm(c + J @ u)
 
     test = b.test
@@ -255,42 +260,42 @@ def _recheck_bundle(record, tp, eps_o, H) -> str | None:
             return "TT1 with nonzero normal component"
         if max(nrm(rho), nrm(r)) > gate + slack:
             return "TT1 residual gate fails on recheck"
-        if uHu < tp.lambda_u * uu - eps_o - slack:
+        if uHu < LAMBDA_U * uu - eps_o - slack:
             return "TT1 curvature condition fails on recheck"
         if float(g @ u) + 0.5 * uHu > eps_o + slack:
             return "TT1 objective-model condition fails on recheck"
-        if dl_prev_u < tau_prev * tp.sigma_u * max(uHu, tp.lambda_u * uu) - eps_o - slack:
+        if dl_prev_u < tau_prev * SIGMA_U * max(uHu, LAMBDA_U * uu) - eps_o - slack:
             return "TT1 model-reduction condition fails on recheck"
         # unrelaxed forms plus the reduction lower bound on non-terminal iterations
         if record.alpha > 0.0 and record.delta_l is not None:
             dd = float(b.d @ b.d)
-            want = record.tau * tp.sigma_u * tp.lambda_u / 2.0 * dd
+            want = record.tau * SIGMA_U * LAMBDA_U / 2.0 * dd
             if record.delta_l < want - 1e-10:
                 return "feasible-branch model reduction lower bound fails"
     else:
         if max(nrm(rho), nrm(r)) > gate + slack:
             return "TT2 residual gate fails on recheck"
-        if nrm(u) > tp.lambda_uv * nrm(v) + slack:
+        if nrm(u) > LAMBDA_UV * nrm(v) + slack:
             slope = float((g + H @ v) @ u)
             weight = max(0.5, 1.0 - Jtc)
-            if not (uHu >= tp.lambda_u * uu - slack
-                    and slope + weight * uHu <= tp.lambda_v * nrm(v) + slack):
+            if not (uHu >= LAMBDA_U * uu - slack
+                    and slope + weight * uHu <= LAMBDA_V * nrm(v) + slack):
                 return "TT2 dominance/curvature condition fails on recheck"
         dec_v = nrm(c) - nrm(c + J @ v)
         dec_vr = nrm(c) - nrm(c + J @ v + r)
         dl_prev_d = -tau_prev * float(g @ b.d) + nrm(c) - nrm(c + J @ b.d)
         if test == "TT2_case2":
-            if dl_prev_d < tau_prev * tp.sigma_u * max(uHu, tp.lambda_u * uu) \
-                    + tp.sigma_c * dec_v - slack:
+            if dl_prev_d < tau_prev * SIGMA_U * max(uHu, LAMBDA_U * uu) \
+                    + SIGMA_C * dec_v - slack:
                 return "TT2 case-2 model reduction fails on recheck"
         else:
-            if not (dec_v > 0.0 and dec_vr >= tp.sigma_r * dec_v - slack):
+            if not (dec_v > 0.0 and dec_vr >= SIGMA_R * dec_v - slack):
                 return "TT2 residual-decrease condition fails on recheck"
-        if nrm(v) > tp.sigma_Jc * Jtc * (1.0 + 1e-12) + slack:
+        if nrm(v) > SIGMA_JC * Jtc * (1.0 + 1e-12) + slack:
             return "normal trust region bound fails on recheck"
         # Cauchy decrease, recomputed with an independently coded Cauchy point
-        step = _cauchy_step(c, J, tp.sigma_Jc)
-        target = tp.gamma_c * (nrm(c) - nrm(c + J @ step))
+        step = _cauchy_step(c, J, SIGMA_JC)
+        target = GAMMA_C * (nrm(c) - nrm(c + J @ step))
         if dec_v < target - 1e-9 * max(1.0, nrm(c)):
             return "Cauchy decrease condition fails on recheck"
     return None

@@ -156,6 +156,34 @@ def test_malformed_grid_config_is_config_error(tmp_path, capsys, change, named):
     assert not (out / "results.csv").exists()
 
 
+# a two-variable problem file, and the malformed ones with the error each must give
+TOY = {"name": "toy", "Q": [[1, 0], [0, 1]], "q": [0, 0], "A": [[1, 1]], "b": [1], "x0": [0, 0]}
+MALFORMED_PROBLEMS = {
+    "missing-q": ({k: v for k, v in TOY.items() if k != "q"}, "missing field 'q'"),
+    "A-1x3": ({**TOY, "A": [[1, 1, 0]]}, "A must be m x 2, got (1, 3)"),
+    "NaN-in-Q": ({**TOY, "Q": [[float("nan"), 0], [0, 1]]}, "non-finite entry in 'Q'"),
+    "Infinity-in-A": ({**TOY, "A": [[float("inf"), 1]]}, "non-finite entry in 'A'"),
+}
+
+
+@pytest.mark.parametrize("command", ["solve", "grid"])
+@pytest.mark.parametrize("name", list(MALFORMED_PROBLEMS))
+def test_malformed_problem_file_is_input_error(tmp_path, capsys, command, name):
+    problem, message = MALFORMED_PROBLEMS[name]
+    path = tmp_path / "bad.qp.json"
+    path.write_text(json.dumps(problem))  # json writes NaN and Infinity as such
+    out = tmp_path / "out"
+    if command == "solve":
+        argv = ["solve", "--problem", str(path), *SOLVE_ARGS]
+    else:
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**GOOD_GRID, "problems": [str(path)]}))
+        argv = ["grid", "--config", str(cfg_path), "--out", str(out)]
+    assert main(argv) == 2
+    assert one_error_line(capsys, "input error") == f"input error: {message}"
+    assert not (out / "results.csv").exists()
+
+
 def test_profile_of_one_variant_is_input_error(tmp_path, capsys):
     config = {
         "problems": ["unit-circle"],

@@ -20,9 +20,9 @@ from noisy_sqp.driver import (
 from noisy_sqp.harness import VariantSpec, best_iterate
 from noisy_sqp.linalg import norm2, norm_inf
 from noisy_sqp.noise import NoiseSpec, NoisyOracle, derive_gradient_noise
+from noisy_sqp.merit import LAMBDA_U, SIGMA_U
 from noisy_sqp.problems import ExactEvaluation, ProblemSpec, registry_by_name
-from noisy_sqp.steps import TestParams
-from noisy_sqp.stepsize import AdaptiveSeeds, LineSearchParams
+from noisy_sqp.stepsize import MAX_BACKTRACKS
 from noisy_sqp.verify import assert_trace_invariants
 
 
@@ -202,7 +202,7 @@ class TestLoopMechanics:
             max_iters=10000, max_weighted_evals=200)
         trace = solve(p, params, 0)
         assert trace.status == BUDGET_EVALS
-        per_iter = 3 + params.ls.max_backtracks + 1
+        per_iter = 3 + MAX_BACKTRACKS + 1
         assert trace.counters.weighted_total <= 200 + per_iter
 
     def test_counters_match_instrumented_wrapper(self):
@@ -295,12 +295,11 @@ class TestLoopMechanics:
         params = SolverParams.benchmark_defaults(
             noise, variant="adaptive", optimism="optimistic", max_iters=50)
         trace = solve(p, params, 13)
-        tp = params.tests
         for rec in trace.records:
             if rec.branch != "feasible_branch" or rec.alpha == 0.0:
                 continue
             dd = float(rec.bundle.d @ rec.bundle.d)
-            assert rec.delta_l >= rec.tau * tp.sigma_u * tp.lambda_u / 2 * dd - 1e-10
+            assert rec.delta_l >= rec.tau * SIGMA_U * LAMBDA_U / 2 * dd - 1e-10
 
 
 def circle_problem(name, f=None, g=None, J=None):
@@ -514,24 +513,23 @@ class TestParamsValidation:
         with pytest.raises(TypeError, match="max_iter"):
             SolverParams.benchmark_defaults(NoiseSpec(), max_iter=5)
 
-    @pytest.mark.parametrize("name", ["tau0", "max_iters", "max_weighted_evals"])
+    @pytest.mark.parametrize("name", ["max_iters", "max_weighted_evals"])
     def test_nan_setting_is_rejected(self, name):
         with pytest.raises(ValueError, match="must be"):
             SolverParams.benchmark_defaults(NoiseSpec(), **{name: float("nan")})
 
     @pytest.mark.parametrize("setting", [dict(kappa=float("nan")), dict(kappa=-1.0),
                                          dict(kappa=float("inf")), dict(kappa=0.0),
-                                         dict(kappa="abc"), dict(kappa=None),
-                                         # an infinite tau0 used to fail inside solve, on x
-                                         dict(tau0=float("inf")), dict(noise=None)])
+                                         dict(kappa="abc"), dict(kappa=None), dict(noise=None)])
     def test_bad_tolerance_or_kappa_is_rejected(self, setting):
         with pytest.raises(ValueError, match=f"{next(iter(setting))} must be"):
             SolverParams(**setting)
 
-    @pytest.mark.parametrize("name", ["kappa_u", "kappa_v", "H", "tol_d", "tol_feas"])
+    @pytest.mark.parametrize("name", ["kappa_u", "kappa_v", "H", "tol_d", "tol_feas", "tests",
+                                      "adaptive", "ls", "tau0", "sigma_tau"])
     @pytest.mark.parametrize("make", [SolverParams, SolverParams.benchmark_defaults])
     def test_removed_setting_raises(self, make, name):
-        with pytest.raises(TypeError, match=name):
+        with pytest.raises(TypeError, match=f"'{name}'"):
             make(noise=NoiseSpec(), **{name: 1e-2})
 
     @pytest.mark.parametrize("budget", [20.5, "20", None])
@@ -544,15 +542,7 @@ class TestParamsValidation:
 # the declared ranges; NaN, +-inf and True are tried on every such field as well
 OUT_OF_RANGE = {
     NoiseSpec: dict(eps_f=-1e-3, eps_g=-1.0, eps_c=-1e-3, eps_J=-1.0, eps_o=-1e-3),
-    TestParams: dict(lambda_rho_r=1.0, kappa_rho_r=0.0, lambda_u=-5e-9, lambda_uv=0.0,
-                     lambda_v=-1.0, sigma_u=1.0, sigma_c=0.0, sigma_r=1.0, gamma_c=1.5,
-                     sigma_Jc=0.0),
-    LineSearchParams: dict(alpha_u=1.5, nu=1.0, eta=0.0, max_backtracks=-1),
-    AdaptiveSeeds: dict(beta=1.5, eta=1.0, theta=0.0, chi0=0.0, zeta0=-1.0, xi0=0.0,
-                        sigma_chi=0.0, sigma_zeta=1.0, sigma_xi=0.0, lipschitz_dirs=-1,
-                        lipschitz_delta=0.0, lipschitz_floor=-1e-4),
-    SolverParams: dict(kappa=0.0, tau0=-1.0, sigma_tau=1.0, max_iters=0,
-                       max_weighted_evals=0),
+    SolverParams: dict(kappa=0.0, max_iters=0, max_weighted_evals=0),
     VariantSpec: dict(kappa=-1.0),
 }
 

@@ -11,7 +11,6 @@ from noisy_sqp.merit import (
     tau_trial,
     tau_update,
 )
-from noisy_sqp.steps import TestParams
 
 
 class TestMeritValue:
@@ -60,40 +59,37 @@ class TestModelReduction:
 
 class TestTauTrial:
     def test_sign_branch_infinite(self):
-        params = TestParams()
         # g'd = -1, u'Hu = u'u = 0.707^2
-        trial = tau_trial(-1.0, 0.707 ** 2, 0.707 ** 2, 1.0, 0.0, params)
+        trial = tau_trial(-1.0, 0.707 ** 2, 0.707 ** 2, 1.0, 0.0)
         assert math.isinf(trial)
 
     def test_benchmark_default_constants(self):
         # direct evaluation with sigma_c = 0.1, sigma_r = 0.9999
-        params = TestParams()
         # g'd = 1, u'Hu = 1 > lambda_u ||u||^2
-        trial = tau_trial(1.0, 1.0, 1.0, 1.0, 0.0, params)
+        trial = tau_trial(1.0, 1.0, 1.0, 1.0, 0.0)
         expected = (1.0 - 0.1 / 0.9999) * 1.0 / (1.0 + 1.0)
         assert trial == pytest.approx(expected, rel=1e-14)
 
     def test_zero_decrease(self):
-        params = TestParams()
-        trial = tau_trial(1.0, 1.0, 1.0, 1.0, 1.0, params)
+        trial = tau_trial(1.0, 1.0, 1.0, 1.0, 1.0)
         assert trial == pytest.approx(0.0)
 
 
 class TestTauUpdate:
     def test_keep_on_infinite_trial(self):
-        assert tau_update(1.0, math.inf, 0.01) == 1.0
+        assert tau_update(1.0, math.inf) == 1.0
 
     def test_cut_to_trial(self):
-        assert tau_update(1.0, 0.45, 0.01) == pytest.approx(0.4455)
+        assert tau_update(1.0, 0.45) == pytest.approx(0.4455)
 
     def test_keep_branch(self):
-        assert tau_update(0.2, 0.45, 0.01) == pytest.approx(0.2)
+        assert tau_update(0.2, 0.45) == pytest.approx(0.2)
 
     def test_history_non_increasing_under_random_stream(self):
         rng = np.random.default_rng(21)
         taus = [1.0]
         for _ in range(200):
             trial = float(rng.uniform(0.0, 2.0)) if rng.random() < 0.8 else math.inf
-            taus.append(tau_update(taus[-1], trial, 0.01))
+            taus.append(tau_update(taus[-1], trial))
         assert all(b <= a + 1e-15 for a, b in zip(taus, taus[1:]))
         assert taus[-1] > 0.0

@@ -222,6 +222,17 @@ class TestProblemJson:
         with pytest.raises(ParseError, match="'A'"):
             parse_problem_json(text)
 
+    @pytest.mark.parametrize("field, bad", [
+        ("Q", [[float("nan"), 0], [0, 1]]), ("q", [0, float("inf")]),
+        ("A", [[float("-inf"), 0]]), ("b", [float("nan")]), ("x0", [float("inf"), 0]),
+    ], ids=["Q", "q", "A", "b", "x0"])
+    def test_non_finite_entry_named(self, field, bad):
+        data = {"name": "t", "Q": [[1, 0], [0, 1]], "q": [0, 0], "A": [[1, 0]], "b": [0],
+                "x0": [0, 0]}
+        text = json.dumps({**data, field: bad})  # NaN, Infinity, -Infinity: json.loads reads them
+        with pytest.raises(ParseError, match=f"non-finite entry in '{field}'"):
+            parse_problem_json(text)
+
     def test_asymmetric_Q_symmetrized(self):
         text = json.dumps({
             "name": "t", "Q": [[0, 2], [0, 0]], "q": [0, 0],

@@ -13,20 +13,21 @@ plugin's constants cache out of the working tree).
 """
 
 import math
+from unittest.mock import patch
 
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from noisy_sqp import driver
+from noisy_sqp import driver, steps
 from noisy_sqp.driver import SolverParams, solve
 from noisy_sqp.harness import best_iterate
 from noisy_sqp.linalg import cg_steihaug, norm2, smallest_singular_value
 from noisy_sqp.merit import Linearization
 from noisy_sqp.noise import NoiseSpec, derive_gradient_noise
 from noisy_sqp.problems import ExactEvaluation, ProblemSpec
-from noisy_sqp.steps import NormalStep, TestParams, cauchy_normal_step, normal_step, tol_Jc
+from noisy_sqp.steps import NormalStep, cauchy_normal_step, normal_step, tol_Jc
 from noisy_sqp.verify import assert_trace_invariants
 
 STATUSES = {driver.BUDGET_ITERS, driver.BUDGET_EVALS, driver.EARLY_STATIONARY,
@@ -76,15 +77,16 @@ def test_generated_qps_keep_the_solver_invariants(problem):
                 assert all(map(math.isfinite, (feas, stat, infeas_stat, y_inf))), label
 
 
-def eager_normal_step(lin, params, coef):
-    """The normal step with the Cauchy point formed up front, every time."""
+def eager_normal_step(lin, coef):
+    """The normal step with the Cauchy point formed up front, every time, at
+    `steps`' current GAMMA_C and SIGMA_JC."""
     c, J = lin.c, lin.J
-    v_c, alpha_c = cauchy_normal_step(lin, params.sigma_Jc)
+    v_c, alpha_c = cauchy_normal_step(lin)
     v_cauchy = alpha_c * v_c
     c_cauchy = c + J.dot(v_cauchy)
     c_cauchy_norm = norm2(c_cauchy)
-    cauchy_target = params.gamma_c * (lin.c_norm - c_cauchy_norm)
-    radius = params.sigma_Jc * lin.Jtc_norm
+    cauchy_target = steps.GAMMA_C * (lin.c_norm - c_cauchy_norm)
+    radius = steps.SIGMA_JC * lin.Jtc_norm
     threshold = coef * max(1.0, lin.Jtc_inf)
     v, _, iters = cg_steihaug(lambda p: J.T.dot(J.dot(p)), lin.Jtc, radius,
                               stop=lambda r: np.maximum.reduce(abs(r)) <= threshold)
@@ -117,10 +119,12 @@ def linearizations(draw):
        eps=st.sampled_from([0.0, 1e-4, 1e-2]),
        exact=st.booleans())
 def test_normal_step_equals_the_eager_cauchy_reference(lin, gamma_c, sigma_Jc, eps, exact):
-    params = TestParams(gamma_c=gamma_c, sigma_Jc=sigma_Jc)
     coef = 1e-10 if exact else 1e-2 * eps  # the driver's gate coefficient at kappa = 1e-2
-    got = normal_step(lin, params, coef)
-    ref = eager_normal_step(lin, params, coef)
+    # the constants are patched where normal_step reads them; hypothesis rejects
+    # function-scoped fixtures such as monkeypatch
+    with patch.object(steps, "GAMMA_C", gamma_c), patch.object(steps, "SIGMA_JC", sigma_Jc):
+        got = normal_step(lin, coef)
+        ref = eager_normal_step(lin, coef)
     assert got.v.tobytes() == ref.v.tobytes()
     assert got.c_v.tobytes() == ref.c_v.tobytes()
     assert got.c_v_norm.hex() == ref.c_v_norm.hex()

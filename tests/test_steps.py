@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from noisy_sqp import steps
 from noisy_sqp.linalg import dense_kkt_solve, norm2, norm_inf
-from noisy_sqp.merit import Linearization, model_reduction
+from noisy_sqp.merit import (GAMMA_C, LAMBDA_U, SIGMA_C, SIGMA_JC, SIGMA_R, Linearization,
+                             model_reduction)
 from noisy_sqp.problems import evaluate, registry_by_name
 from noisy_sqp.steps import (
     EXACT_FALLBACK,
@@ -10,7 +12,6 @@ from noisy_sqp.steps import (
     TT2_CASE2,
     TT2_COND1,
     NormalStep,
-    TestParams,
     cauchy_normal_step,
     check_tt1,
     check_tt2,
@@ -20,7 +21,6 @@ from noisy_sqp.steps import (
 )
 
 
-PARAMS = TestParams()
 # the residual-gate coefficient of exact mode; inexact mode uses kappa * min(eps_c, eps_f)
 EXACT = 1e-10
 
@@ -35,27 +35,9 @@ def zero_normal(c, n):
     return NormalStep(np.zeros(n), c, norm2(c))
 
 
-class TestParamsValidation:
-    def test_interval_constraints_enforced(self):
-        with pytest.raises(ValueError):
-            TestParams(lambda_rho_r=1.0)
-        with pytest.raises(ValueError):
-            TestParams(sigma_r=0.05)  # must exceed sigma_c
-        with pytest.raises(ValueError):
-            TestParams(gamma_c=0.0)
-        with pytest.raises(ValueError):
-            TestParams(sigma_u=1.0)
-
-    @pytest.mark.parametrize("name", ["lambda_u", "kappa_rho_r", "sigma_Jc", "lambda_uv",
-                                      "lambda_v"])
-    def test_nan_constant_is_rejected(self, name):
-        with pytest.raises(ValueError, match="must be"):
-            TestParams(**{name: float("nan")})
-
-
 class TestCauchyNormalStep:
     def test_orthonormal_jacobian(self):
-        v_c, alpha = cauchy_normal_step(lin(np.array([1.0, 1.0]), np.eye(2)), 100.0)
+        v_c, alpha = cauchy_normal_step(lin(np.array([1.0, 1.0]), np.eye(2)))
         assert np.allclose(v_c, [-1.0, -1.0])
         assert alpha == pytest.approx(1.0)
         c = np.array([1.0, 1.0])
@@ -64,40 +46,41 @@ class TestCauchyNormalStep:
     def test_least_squares_oracle(self):
         J = np.array([[1.0, 2.0]])
         c = np.array([1.0])
-        v_c, alpha = cauchy_normal_step(lin(c, J), 100.0)
+        v_c, alpha = cauchy_normal_step(lin(c, J))
         assert alpha == pytest.approx(0.2)
         assert np.allclose(alpha * v_c, [-0.2, -0.4])
 
-    def test_cap_binds(self):
+    def test_cap_binds(self, monkeypatch):
+        monkeypatch.setattr(steps, "SIGMA_JC", 0.05)
         J = np.array([[1.0, 2.0]])
-        _, alpha = cauchy_normal_step(lin(np.array([1.0]), J), 0.05)
+        _, alpha = cauchy_normal_step(lin(np.array([1.0]), J))
         assert alpha == pytest.approx(0.05)
 
 
 class TestNormalStep:
     def test_exact_mode_identity(self):
-        v = normal_step(lin(np.array([1.0, 1.0]), np.eye(2)), PARAMS, EXACT).v
+        v = normal_step(lin(np.array([1.0, 1.0]), np.eye(2)), EXACT).v
         assert np.allclose(v, [-1.0, -1.0], atol=1e-9)
 
     def test_cauchy_decrease_reasserted(self):
         # direct inequality recomputation on the accepted step
         J = np.array([[1.0, 2.0]])
         c = np.array([1.0])
-        v = normal_step(lin(c, J), PARAMS, 1e-2 * 1e-2).v
-        v_c, alpha = cauchy_normal_step(lin(c, J), PARAMS.sigma_Jc)
+        v = normal_step(lin(c, J), 1e-2 * 1e-2).v
+        v_c, alpha = cauchy_normal_step(lin(c, J))
         lhs = norm2(c) - norm2(c + J @ v)
-        rhs = PARAMS.gamma_c * (norm2(c) - norm2(c + alpha * (J @ v_c)))
+        rhs = GAMMA_C * (norm2(c) - norm2(c + alpha * (J @ v_c)))
         assert lhs >= rhs - 1e-12
 
     def test_rank_deficient_stays_in_row_span(self):
         J = np.array([[1.0, 0.0], [1.0, 0.0]])
         c = np.array([1.0, 1.0])
-        v = normal_step(lin(c, J), PARAMS, 1e-2 * 1e-2).v
+        v = normal_step(lin(c, J), 1e-2 * 1e-2).v
         # projection check oracle: v must lie in span{(1, 0)}
         assert abs(v[1]) <= 1e-12
         lhs = norm2(c) - norm2(c + J @ v)
-        v_c, alpha = cauchy_normal_step(lin(c, J), PARAMS.sigma_Jc)
-        rhs = PARAMS.gamma_c * (norm2(c) - norm2(c + alpha * (J @ v_c)))
+        v_c, alpha = cauchy_normal_step(lin(c, J))
+        rhs = GAMMA_C * (norm2(c) - norm2(c + alpha * (J @ v_c)))
         assert lhs >= rhs - 1e-12
 
     def test_trust_region_bound_random(self):
@@ -109,8 +92,8 @@ class TestNormalStep:
             c = rng.standard_normal(m)
             if norm_inf(J.T @ c) <= tol_Jc(c):
                 continue
-            v = normal_step(lin(c, J), PARAMS, 1e-2 * 1e-3).v
-            assert norm2(v) <= PARAMS.sigma_Jc * norm2(J.T @ c) * (1 + 1e-12)
+            v = normal_step(lin(c, J), 1e-2 * 1e-3).v
+            assert norm2(v) <= SIGMA_JC * norm2(J.T @ c) * (1 + 1e-12)
 
 
     def test_returns_c_plus_Jv_of_its_step(self):
@@ -122,7 +105,7 @@ class TestNormalStep:
             c = rng.standard_normal(m)
             if norm_inf(J.T @ c) <= tol_Jc(c):
                 continue
-            normal = normal_step(lin(c, J), PARAMS, 1e-2 * 1e-3)
+            normal = normal_step(lin(c, J), 1e-2 * 1e-3)
             assert np.array_equal(normal.c_v, c + J @ normal.v)
             assert normal.c_v_norm == norm2(c + J @ normal.v)
             assert normal.cg_iters >= 1
@@ -135,7 +118,7 @@ class TestTangentialStep:
         J = np.array([[1.0, 0.0]])
         g = np.array([1.0, 1.0])
         c = np.array([0.05])
-        bundle = tangential_step(H, lin(c, J, g), zero_normal(c, 2), 1.0, PARAMS,
+        bundle = tangential_step(H, lin(c, J, g), zero_normal(c, 2), 1.0,
                                  eps_o=0.1, coef=1e-2 * 1e-2, feasible=True)
         assert bundle.test in (TT1, EXACT_FALLBACK)
         assert np.allclose(bundle.d, bundle.v + bundle.u)
@@ -146,7 +129,7 @@ class TestTangentialStep:
         g = np.array([0.0, 1.0])
         c = np.array([0.0])
         bundle = tangential_step(H, lin(c, J, g), zero_normal(c, 2), 1.0,
-                                 PARAMS, eps_o=0.0, coef=EXACT, feasible=True)
+                                 eps_o=0.0, coef=EXACT, feasible=True)
         u_oracle, _ = dense_kkt_solve(H, J, g)
         assert np.allclose(bundle.u, u_oracle, atol=1e-9)
         assert np.allclose(bundle.u, [0.0, -1.0], atol=1e-9)
@@ -157,15 +140,15 @@ class TestTangentialStep:
         ev = evaluate(p, p.x0)
         H = np.eye(2)
         L = lin(ev.c, ev.J, ev.g)
-        normal = normal_step(L, PARAMS, EXACT)
-        bundle = tangential_step(H, L, normal, 1.0, PARAMS,
+        normal = normal_step(L, EXACT)
+        bundle = tangential_step(H, L, normal, 1.0,
                                  eps_o=0.0, coef=EXACT, feasible=False)
         assert bundle.test in (TT2_CASE2, TT2_COND1, EXACT_FALLBACK)
         # direct recomputation of the residual-decrease condition
         dec_v = norm2(ev.c) - norm2(ev.c + ev.J @ bundle.v)
         dec_vr = norm2(ev.c) - norm2(ev.c + ev.J @ bundle.v + bundle.r)
         assert dec_v > 0
-        assert dec_vr >= PARAMS.sigma_r * dec_v - 1e-12
+        assert dec_vr >= SIGMA_R * dec_v - 1e-12
 
     def test_fallback_residual_at_round_off(self):
         # inexact thresholds degenerate to zero at zero noise, forcing the
@@ -175,9 +158,9 @@ class TestTangentialStep:
         g = np.array([0.3, -0.2, 1.0])
         c = np.array([0.4])
         L = lin(c, J, g)
-        normal = normal_step(L, PARAMS, EXACT)
+        normal = normal_step(L, EXACT)
         v = normal.v
-        bundle = tangential_step(H, L, normal, 1.0, PARAMS, eps_o=0.0,
+        bundle = tangential_step(H, L, normal, 1.0, eps_o=0.0,
                                  coef=0.0, feasible=False)
         assert bundle.test == EXACT_FALLBACK
         scale = 1 + norm_inf(g + H @ v)
@@ -191,7 +174,7 @@ class TestTangentialStep:
         J = np.array([[1.0, 1.0, 0.0]])
         c = np.array([0.0])
         bundle = tangential_step(H, lin(c, J, np.array([0.3, -0.2, 1.0])), zero_normal(c, 3),
-                                 1.0, PARAMS, eps_o=0.0, coef=0.0, feasible=True)
+                                 1.0, eps_o=0.0, coef=0.0, feasible=True)
         assert bundle is None
 
 
@@ -199,14 +182,14 @@ class TestCheckTT1:
     def test_zero_step_passes(self):
         ok = check_tt1(np.eye(2), lin(np.zeros(1), np.zeros((1, 2))),
                        zero_normal(np.zeros(1), 2), np.zeros(2), np.zeros(2), np.zeros(1),
-                       1.0, PARAMS, 0.1)
+                       1.0, 0.1)
         assert ok
 
     def test_huge_residual_gate(self):
         ok = check_tt1(np.eye(2), lin(np.zeros(1), np.zeros((1, 2))),
                        zero_normal(np.zeros(1), 2), np.array([1.0, 0.0]),
                        np.array([10.0, 0.0]), np.zeros(1),
-                       1.0, PARAMS, 0.1)
+                       1.0, 0.1)
         assert not ok
 
     def test_unrelaxed_forms_at_zero_eps_o(self):
@@ -220,11 +203,11 @@ class TestCheckTT1:
         rho = np.zeros(2)
         r = np.zeros(1)
         g_bad = np.array([0.0, 0.5 + 1e-6])   # g'u + u'Hu/2 = +1e-6 > 0
-        assert not check_tt1(H, lin(c, J, g_bad), zero_normal(c, 2), u, rho, r, 1.0, PARAMS, 0.0)
+        assert not check_tt1(H, lin(c, J, g_bad), zero_normal(c, 2), u, rho, r, 1.0, 0.0)
         g_ok = np.array([0.0, 1.0])           # g'u + u'Hu/2 = -1/2
-        assert check_tt1(H, lin(c, J, g_ok), zero_normal(c, 2), u, rho, r, 1.0, PARAMS, 0.0)
+        assert check_tt1(H, lin(c, J, g_ok), zero_normal(c, 2), u, rho, r, 1.0, 0.0)
 
-    def test_exact_fixture_with_strictness_margin(self):
+    def test_exact_fixture_with_strictness_margin(self, monkeypatch):
         H = np.eye(2)
         J = np.array([[1.0, 0.0]])
         g = np.array([0.0, 1.0])
@@ -232,9 +215,9 @@ class TestCheckTT1:
         rho = H @ u + J.T @ y + g
         r = J @ u
         normal = zero_normal(np.array([0.0]), 2)
-        assert check_tt1(H, lin(np.array([0.0]), J, g), normal, u, rho, r, 1.0, PARAMS, 0.0)
-        tight = TestParams(sigma_u=1.0 - 1e-12)
-        assert check_tt1(H, lin(np.array([0.0]), J, g), normal, u, rho, r, 1.0, tight, 0.0)
+        assert check_tt1(H, lin(np.array([0.0]), J, g), normal, u, rho, r, 1.0, 0.0)
+        monkeypatch.setattr(steps, "SIGMA_U", 1.0 - 1e-12)  # tight
+        assert check_tt1(H, lin(np.array([0.0]), J, g), normal, u, rho, r, 1.0, 0.0)
 
 
 class TestCheckTT2:
@@ -242,12 +225,12 @@ class TestCheckTT2:
         p = registry_by_name()["unit-circle"]
         ev = evaluate(p, p.x0)
         L = lin(ev.c, ev.J, ev.g)
-        return ev, L, normal_step(L, PARAMS, EXACT)
+        return ev, L, normal_step(L, EXACT)
 
     def test_zero_tangential_reduces_to_reduction_conditions(self):
         ev, L, normal = self._fixture()
         case, *_ = check_tt2(np.eye(2), L, normal, np.zeros(2),
-                             np.zeros(2), np.zeros(1), 1.0, PARAMS)
+                             np.zeros(2), np.zeros(1), 1.0)
         assert case in (TT2_CASE2, TT2_COND1)
 
     def test_exact_normal_solve_satisfies_residual_branch(self):
@@ -256,17 +239,17 @@ class TestCheckTT2:
         u, y = dense_kkt_solve(np.eye(2), ev.J, ev.g + v)
         rho = np.eye(2) @ u + ev.J.T @ y + ev.g + v
         r = ev.J @ u
-        case, *_ = check_tt2(np.eye(2), L, normal, u, rho, r, 1.0, PARAMS)
+        case, *_ = check_tt2(np.eye(2), L, normal, u, rho, r, 1.0)
         assert case is not None
         dec_v = norm2(ev.c) - norm2(ev.c + ev.J @ v)
         dec_vr = norm2(ev.c) - norm2(ev.c + ev.J @ v + r)
-        assert dec_v > 0 and dec_vr >= PARAMS.sigma_r * dec_v - 1e-12
+        assert dec_v > 0 and dec_vr >= SIGMA_R * dec_v - 1e-12
 
     def test_returns_d_and_its_model_reduction(self):
         ev, L, normal = self._fixture()
         u = np.zeros(2)
         case, d, gd, cd_norm, _ = check_tt2(np.eye(2), L, normal, u, np.zeros(2),
-                                            np.zeros(1), 1.0, PARAMS)
+                                            np.zeros(1), 1.0)
         assert case in (TT2_CASE2, TT2_COND1)
         assert np.array_equal(d, normal.v + u)
         assert gd == float(ev.g.dot(d)) and cd_norm == norm2(ev.c + ev.J.dot(d))
@@ -281,21 +264,21 @@ class TestCheckTT2:
         rho = H @ u + ev.J.T @ y + ev.g + v
         r = ev.J @ u
         # a large tau_prev fails case 2, so the residual condition accepts
-        case, d, _, _, trial = check_tt2(H, L, normal, u, rho, r, 10.0, PARAMS)
+        case, d, _, _, trial = check_tt2(H, L, normal, u, rho, r, 10.0)
         assert case == TT2_COND1
         # the trial written out from the vectors
-        denom = float(ev.g @ d) + max(float(u @ (H @ u)), PARAMS.lambda_u * float(u @ u))
+        denom = float(ev.g @ d) + max(float(u @ (H @ u)), LAMBDA_U * float(u @ u))
         decrease = norm2(ev.c) - norm2(ev.c + ev.J @ v + r)
-        expected = (1.0 - PARAMS.sigma_c / PARAMS.sigma_r) * decrease / denom
+        expected = (1.0 - SIGMA_C / SIGMA_R) * decrease / denom
         assert denom > 0.0 and trial.hex() == expected.hex()
-        case, *_, trial = check_tt2(H, L, normal, u, rho, r, 1.0, PARAMS)
+        case, *_, trial = check_tt2(H, L, normal, u, rho, r, 1.0)
         assert (case, trial) == (TT2_CASE2, None)
         J = np.array([[1.0, 0.0]])
         g = np.array([0.0, 1.0])
         u, y = dense_kkt_solve(H, J, g)
         c = np.array([0.0])
         case, *_, trial = check_tt1(H, lin(c, J, g), zero_normal(c, 2), u,
-                                    H @ u + J.T @ y + g, J @ u, 1.0, PARAMS, 0.0)
+                                    H @ u + J.T @ y + g, J @ u, 1.0, 0.0)
         assert (case, trial) == (TT1, None)
 
     def test_cond1_needs_a_positive_trial(self):
@@ -307,12 +290,12 @@ class TestCheckTT2:
         normal = NormalStep(v, c_v, norm2(c_v))
         assert norm2(c_v + J @ u) > norm2(c)
         assert check_tt2(np.eye(2), lin(c, J, g), normal, u, np.zeros(2), J @ u,
-                         1.0, PARAMS) is None
+                         1.0) is None
 
     def test_residual_gate_is_conjunctive(self):
         ev, L, normal = self._fixture()
         assert check_tt2(np.eye(2), L, normal, np.zeros(2), np.array([50.0, 0.0]),
-                         np.zeros(1), 1.0, PARAMS) is None
+                         np.zeros(1), 1.0) is None
 
 
 class TestBundleRepassesDeclaredTest:
@@ -329,14 +312,14 @@ class TestBundleRepassesDeclaredTest:
             if norm_inf(J.T @ c) <= tol_Jc(c):
                 continue
             L = lin(c, J, g)
-            bundle = tangential_step(H, L, normal_step(L, PARAMS, 1e-2 * 1e-2),
-                                     1.0, PARAMS, eps_o=0.0, coef=1e-2 * 1e-2,
+            bundle = tangential_step(H, L, normal_step(L, 1e-2 * 1e-2),
+                                     1.0, eps_o=0.0, coef=1e-2 * 1e-2,
                                      feasible=False)
             test = bundle.fallback_case or bundle.test
             c_v = c + J @ bundle.v
             normal = NormalStep(bundle.v, c_v, norm2(c_v))
             case, *_ = check_tt2(H, Linearization(g, c, J), normal, bundle.u,
-                                 bundle.rho, bundle.r, 1.0, PARAMS)
+                                 bundle.rho, bundle.r, 1.0)
             assert case is not None
             assert test == case
             # the bundle keeps the accepting check's d, g'd and ||c + Jd||

@@ -4,14 +4,20 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from noisy_sqp import stepsize
 from noisy_sqp.noise import NoiseSpec, NoisyOracle
 from noisy_sqp.problems import registry_by_name
 from noisy_sqp.stepsize import (
+    CHI0,
     LINE_SEARCH_FAILURE,
+    LIPSCHITZ_DIRS,
+    LS_ETA,
     NONFINITE,
-    AdaptiveSeeds,
+    SIGMA_CHI,
+    SIGMA_ZETA,
+    XI0,
+    ZETA0,
     AdaptiveState,
-    LineSearchParams,
     adaptive_alpha,
     clamp_beta_admissible,
     epsilon_Ak,
@@ -22,15 +28,13 @@ from noisy_sqp.stepsize import (
 )
 
 
-def make_state(L_est=1.0, Gamma_est=1.0, **kw):
-    # no probe directions: the Lipschitz estimates start at the floor, then are set
-    defaults = dict(chi0=1e-3, zeta0=1e3, xi0=1.0, beta=1.0, eta=0.5, theta=1e4,
-                    sigma_chi=0.5, sigma_zeta=0.5, sigma_xi=0.1, lipschitz_dirs=0)
-    defaults.update(kw)
+def make_state(L_est=1.0, Gamma_est=1.0, chi=CHI0, xi=XI0):
+    # the Lipschitz estimates and the start values of chi and xi are set after start-up
     p = registry_by_name()["quad-linear"]
     oracle = NoisyOracle(p, NoiseSpec(), np.random.default_rng(0))
-    s = AdaptiveState(AdaptiveSeeds(**defaults), oracle, p.x0, 1.0, np.eye(p.n))
+    s = AdaptiveState(oracle, p.x0, np.eye(p.n))
     s.L_est, s.Gamma_est = L_est, Gamma_est
+    s.chi, s.xi = chi, xi
     return s
 
 
@@ -39,57 +43,32 @@ class TestUpdateChiZeta:
         s = make_state()
         # u = 0, v = d = (1, 0), H = I
         update_chi_zeta(s, uu=0.0, vv=1.0, dHd=1.0)
-        assert s.chi == 1e-3 and s.zeta == 1e3
+        assert s.chi == CHI0 and s.zeta == ZETA0
 
     def test_tangential_dominated_updates(self):
         s = make_state()
         # u = d = (1, 0), v = 0, H = I
         update_chi_zeta(s, uu=1.0, vv=0.0, dHd=1.0)
-        assert s.chi == pytest.approx(1.5e-3)
-        assert s.zeta == pytest.approx(500.0)
+        assert s.chi == (1.0 + SIGMA_CHI) * CHI0
+        assert s.zeta == (1.0 - SIGMA_ZETA) * ZETA0
 
     def test_composition(self):
         s = make_state()
         for _ in range(3):
             update_chi_zeta(s, uu=1.0, vv=0.0, dHd=1.0)
-        assert s.chi == pytest.approx(1e-3 * 1.5 ** 3)
+        assert s.chi == pytest.approx(CHI0 * (1.0 + SIGMA_CHI) ** 3)
 
 
 class TestAdaptiveStart:
     def test_holds_the_seeds_and_the_clamped_estimates(self):
-        seeds = AdaptiveSeeds(chi0=2e-3, zeta0=5e2, xi0=0.5, lipschitz_dirs=3)
         p = registry_by_name()["unit-circle"]
         oracle = NoisyOracle(p, NoiseSpec(), np.random.default_rng(4))
-        s = AdaptiveState(seeds, oracle, p.x0, 1.0, np.eye(p.n))
-        assert s.seeds is seeds
-        assert (s.chi, s.zeta, s.xi) == (2e-3, 5e2, 0.5)
+        s = AdaptiveState(oracle, p.x0, np.eye(p.n))
+        assert (s.chi, s.zeta, s.xi) == (CHI0, ZETA0, XI0)
         L, Gamma = estimate_lipschitz(NoisyOracle(p, NoiseSpec(), np.random.default_rng(4)),
-                                      p.x0, seeds)
-        assert (s.L_est, s.Gamma_est) == clamp_beta_admissible(L, Gamma, 1.0, 0.5, 0.5, 1.0)
-        assert oracle.counters.snapshot() == (0, 4)
-
-    @pytest.mark.parametrize("seed", [dict(chi0=0.0), dict(zeta0=-1.0), dict(xi0=0.0),
-                                      dict(theta=0.0), dict(beta=0.0), dict(beta=1.5),
-                                      dict(eta=0.0), dict(eta=1.0),
-                                      # NaN, which min() drops unless it comes first
-                                      dict(chi0=math.nan), dict(zeta0=math.nan),
-                                      dict(xi0=math.nan), dict(theta=math.nan)])
-    def test_bad_seed_is_rejected(self, seed):
-        with pytest.raises(ValueError, match="must be"):
-            make_state(**seed)
-
-    @pytest.mark.parametrize("seed", [dict(sigma_chi=math.nan), dict(sigma_zeta=math.nan),
-                                      dict(sigma_xi=math.nan), dict(sigma_zeta=1.0),
-                                      dict(sigma_xi=0.0), dict(lipschitz_floor=math.nan),
-                                      dict(lipschitz_floor=math.inf),
-                                      dict(lipschitz_delta=math.nan),
-                                      dict(lipschitz_dirs=-1), dict(lipschitz_dirs=2.5)])
-    def test_bad_seed_is_named_before_any_sample(self, seed):
-        p = registry_by_name()["unit-circle"]
-        oracle = NoisyOracle(p, NoiseSpec(), np.random.default_rng(0))
-        with pytest.raises(ValueError, match=f"{next(iter(seed))}.* must be"):
-            AdaptiveState(AdaptiveSeeds(**seed), oracle, p.x0, 1.0, np.eye(p.n))
-        assert oracle.counters.snapshot() == (0, 0)
+                                      p.x0)
+        assert (s.L_est, s.Gamma_est) == clamp_beta_admissible(L, Gamma)
+        assert oracle.counters.snapshot() == (0, LIPSCHITZ_DIRS + 1)
 
     def test_step_records_the_controller_fields(self):
         s = make_state()
@@ -105,7 +84,7 @@ class TestAdaptiveStart:
 
 class TestTangentialDominance:
     def test_reads_the_current_chi(self):
-        s = make_state(chi0=2.0)
+        s = make_state(chi=2.0)
         assert s.tangential(uu=2.0, vv=1.0)
         assert not s.tangential(uu=1.9, vv=1.0)
         s.chi = 1.0
@@ -114,18 +93,18 @@ class TestTangentialDominance:
 
 class TestXiUpdate:
     def test_keep_branch(self):
-        s = make_state(xi0=1.0)
+        s = make_state(xi=1.0)
         # trial = 2 on the normally-dominated branch
         xi_update(s, delta_l=2.0, tau=1.0, uu=0.0, vv=1.0, dd=1.0)
         assert s.xi == 1.0
 
     def test_cut_branch(self):
-        s = make_state(xi0=1.0, sigma_xi=0.1)
+        s = make_state(xi=1.0)
         xi_update(s, delta_l=0.3, tau=1.0, uu=0.0, vv=1.0, dd=1.0)
         assert s.xi == pytest.approx(0.3)
 
     def test_tangential_dominated_trial(self):
-        s = make_state(xi0=1.0, sigma_xi=0.1)
+        s = make_state(xi=1.0)
         # u = d = (2, 0), v = 0
         xi_update(s, delta_l=1.0, tau=0.5, uu=4.0, vv=0.0, dd=4.0)
         assert s.xi == pytest.approx(0.5)
@@ -133,7 +112,7 @@ class TestXiUpdate:
 
 class TestAdaptiveAlpha:
     def test_suff_direct_evaluation(self):
-        s = make_state(xi0=1e-6)
+        s = make_state(xi=1e-6)
         # u = d = (1, 0), v = 0
         alpha, suff, amin, amax = adaptive_alpha(s, delta_l=1.0, tau=1.0, uu=1.0,
                                                  vv=0.0, dd=1.0)
@@ -141,7 +120,7 @@ class TestAdaptiveAlpha:
         assert alpha == pytest.approx(0.5)
 
     def test_projection_identity_at_matching_bounds(self):
-        s = make_state(xi0=1.0)
+        s = make_state(xi=1.0)
         # u = d = (1, 0), v = 0
         alpha, suff, amin, amax = adaptive_alpha(s, delta_l=1.0, tau=1.0, uu=1.0,
                                                  vv=0.0, dd=1.0)
@@ -150,7 +129,7 @@ class TestAdaptiveAlpha:
         assert alpha == pytest.approx(0.5)
 
     def test_wide_cap_never_binds(self):
-        s = make_state(xi0=1e-8, theta=1e4)
+        s = make_state(xi=1e-8)
         alpha, suff, amin, amax = adaptive_alpha(s, delta_l=0.6, tau=1.0, uu=1.0,
                                                  vv=0.0, dd=1.0)
         assert amax >= 1.0
@@ -160,7 +139,7 @@ class TestAdaptiveAlpha:
         # alpha <= alpha_suff <= 1 relies on the xi update running first,
         # as in the main loop; the property holds along any such sequence
         rng = np.random.default_rng(37)
-        s = make_state(xi0=1.0, L_est=2.0, Gamma_est=3.0)
+        s = make_state(xi=1.0, L_est=2.0, Gamma_est=3.0)
         for _ in range(200):
             n = 3
             u = rng.standard_normal(n)
@@ -182,26 +161,25 @@ class TestAdaptiveAlpha:
 
 class TestBetaAdmissibility:
     def test_clamp_preserves_beta_one(self):
-        L, Gamma = clamp_beta_admissible(1e-4, 1e-4, beta=1.0, eta=0.5,
-                                         xi0=1.0, tau0=1.0)
+        # at the preset beta = 1, eta = 0.5, xi0 = 1 and tau0 = 1
+        L, Gamma = clamp_beta_admissible(1e-4, 1e-4)
         assert 1.0 * L + Gamma >= 2 * 0.5 * 1.0 * 1.0 - 1e-12
 
     def test_no_clamp_when_admissible(self):
-        L, Gamma = clamp_beta_admissible(10.0, 10.0, beta=1.0, eta=0.5,
-                                         xi0=1.0, tau0=1.0)
+        L, Gamma = clamp_beta_admissible(10.0, 10.0)
         assert (L, Gamma) == (10.0, 10.0)
 
 
 class TestEpsilonAk:
     def test_zero_noise(self):
-        assert epsilon_Ak(1.0, 0, 0, 0, 0, 1.0, 1.0) == 0.0
+        assert epsilon_Ak(1.0, 0, 0, 0, 0, 1.0) == 0.0
 
     def test_direct_evaluation(self):
-        val = epsilon_Ak(1.0, 1e-2, 1e-2, 0.1, 0.1, 1.0, 1.0)
+        val = epsilon_Ak(1.0, 1e-2, 1e-2, 0.1, 0.1, 1.0)
         assert val == pytest.approx(0.26)
 
     def test_vanishing_tau_limit(self):
-        val = epsilon_Ak(0.0, 1e-2, 1e-2, 0.1, 0.1, 1.0, 2.0)
+        val = epsilon_Ak(0.0, 1e-2, 1e-2, 0.1, 0.1, 2.0)
         assert val == pytest.approx(4 * 1e-2 + 0.1 * 2.0)
 
 
@@ -218,57 +196,50 @@ class MeritOracle:
         return SimpleNamespace(f_bar=self.f(float(x[0])), c_bar=np.zeros(0))
 
 
-def search(f, phi0, delta_l, relax, params):
+def search(f, phi0, delta_l, relax):
     """Line search from x = 0 along d = 1: the trial at alpha is the point alpha."""
     oracle = MeritOracle(f)
-    out = line_search_alpha(oracle, np.zeros(1), np.ones(1), 1.0, phi0, delta_l, relax, params)
+    out = line_search_alpha(oracle, np.zeros(1), np.ones(1), 1.0, phi0, delta_l, relax)
     return out, oracle.samples
 
 
 class TestLineSearch:
     def test_first_trial_accepted_on_descent(self):
-        params = LineSearchParams(alpha_u=1.0, nu=0.5, eta=1e-3)
         phi0 = 1.0
         (alpha, point, phi, backtracks, status), samples = search(
-            lambda a: phi0 - a * 1.0, phi0, delta_l=1.0, relax=0.0, params=params)
+            lambda a: phi0 - a * 1.0, phi0, delta_l=1.0, relax=0.0)
         assert (alpha, backtracks, status, samples) == (1.0, 0, None, 1)
         assert point.tolist() == [1.0] and phi == 0.0
 
-    def test_flat_merit_exhausts(self):
-        params = LineSearchParams(max_backtracks=10)
+    def test_flat_merit_exhausts(self, monkeypatch):
+        # ten backtracks: at the preset's 60, 1 - LS_ETA * alpha rounds to 1 and accepts
+        monkeypatch.setattr(stepsize, "MAX_BACKTRACKS", 10)
         (alpha, point, phi, backtracks, status), samples = search(
-            lambda a: 1.0, 1.0, delta_l=1.0, relax=0.0, params=params)
+            lambda a: 1.0, 1.0, delta_l=1.0, relax=0.0)
         assert status == LINE_SEARCH_FAILURE
         assert alpha == 0.0 and phi is None
-        assert backtracks == params.max_backtracks
-        assert samples == params.max_backtracks + 1
-
-    @pytest.mark.parametrize("value", [-1, 2.5, math.nan])
-    def test_bad_max_backtracks_is_rejected(self, value):
-        with pytest.raises(ValueError, match="max_backtracks must be"):
-            LineSearchParams(max_backtracks=value)
+        assert backtracks == 10
+        assert samples == 10 + 1
 
     def test_nan_trial_stops_after_one_sample(self):
         (alpha, point, phi, backtracks, status), samples = search(
-            lambda a: math.nan, 1.0, delta_l=1.0, relax=0.0, params=LineSearchParams())
+            lambda a: math.nan, 1.0, delta_l=1.0, relax=0.0)
         assert status == NONFINITE
         assert (alpha, phi, backtracks, samples) == (0.0, None, 0, 1)
 
     def test_relaxation_alone_accepts(self):
-        params = LineSearchParams(alpha_u=1.0, eta=1e-3)
         (alpha, _, _, backtracks, status), _ = search(
-            lambda a: 1.0, 1.0, delta_l=1.0, relax=0.26, params=params)
+            lambda a: 1.0, 1.0, delta_l=1.0, relax=0.26)
         assert (alpha, backtracks, status) == (1.0, 0, None)
 
     def test_accepted_alpha_satisfies_condition(self):
         rng = np.random.default_rng(41)
-        params = LineSearchParams()
         for _ in range(50):
             slope = float(rng.uniform(0.1, 2.0))
             curv = float(rng.uniform(0.1, 50.0))
             phi0 = float(rng.uniform(-1, 1))
             merit = lambda a: phi0 - slope * a + 0.5 * curv * a * a
             delta_l = slope
-            (alpha, point, phi, _, status), _ = search(merit, phi0, delta_l, 0.0, params)
+            (alpha, point, phi, _, status), _ = search(merit, phi0, delta_l, 0.0)
             assert status is None and point.tolist() == [alpha]
-            assert phi == merit(alpha) <= phi0 - params.eta * alpha * delta_l + 1e-12
+            assert phi == merit(alpha) <= phi0 - LS_ETA * alpha * delta_l + 1e-12
