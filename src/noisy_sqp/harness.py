@@ -24,7 +24,8 @@ from .driver import (
     SolverParams,
     solve,
 )
-from .linalg import check_settings, interval, least_squares_multiplier, norm_inf, number, one_of
+from .linalg import (Rule, check_settings, entries, interval, least_squares_multiplier,
+                     list_of, norm_inf, number, one_of)
 from .noise import NoiseSpec, derive_gradient_noise
 from .problems import duplicate_last_constraint, get_problem
 
@@ -35,10 +36,6 @@ ERROR = "error"
 
 # exact snapshots stacked per least_squares_multiplier call in best_iterate
 BEST_ITERATE_CHUNK = 256
-
-# the rules of a grid config's list entries
-SEED, BUDGET = interval("[0, inf)", integer=True), interval("[1, inf)", integer=True)
-NOISE_LEVEL = interval("(0, inf)")
 
 
 @dataclass(frozen=True)
@@ -68,33 +65,17 @@ class VariantSpec:
 
 @dataclass
 class ExperimentConfig:
-    problems: list
-    noise_grid: list                      # list of (eps_f, eps_c)
-    variants: list                        # list of VariantSpec
-    seeds: list
-    budgets: tuple = (SolverParams.max_iters, SolverParams.max_weighted_evals)
+    problems: list = list_of(Rule(lambda v: isinstance(v, str), "a string"))
+    noise_grid: list = list_of(entries(interval("(0, inf)"), 2),
+                               what="noise grid entries (eps_f, eps_c)")
+    variants: list = list_of(Rule(lambda v: isinstance(v, VariantSpec), "a VariantSpec"))
+    seeds: list = list_of(interval("[0, inf)", integer=True))
+    budgets: tuple = list_of(interval("[1, inf)", integer=True), 2,
+                             default=(SolverParams.max_iters, SolverParams.max_weighted_evals))
     licq_mode: str = one_of("original", ("original", "duplicated"))
     out_dir: str = "."
 
-    def validate(self):
-        """Check the config and its variants; return self."""
-        check_settings(self)
-        for name in ("problems", "noise_grid", "variants", "seeds", "budgets"):
-            value = getattr(self, name)
-            if not (isinstance(value, (list, tuple)) and value):
-                raise ValueError(f"{name} must be a non-empty list, got {value!r}")
-        if not all(map(SEED.holds, self.seeds)):
-            raise ValueError(f"seeds must each be {SEED.text}, got {self.seeds!r}")
-        if not (len(self.budgets) == 2 and all(map(BUDGET.holds, self.budgets))):
-            raise ValueError(f"budgets must be two entries, each {BUDGET.text}")
-        for pair in self.noise_grid:
-            if not (isinstance(pair, (list, tuple)) and len(pair) == 2
-                    and all(map(NOISE_LEVEL.holds, pair))):
-                raise ValueError(f"noise grid entries must be two values, each "
-                                 f"{NOISE_LEVEL.text}, got {pair!r}")
-        if not all(isinstance(v, VariantSpec) for v in self.variants):
-            raise ValueError(f"variants must be VariantSpec objects, got {self.variants!r}")
-        return self
+    validate = check_settings  # each field against its declared rule; returns self
 
     @classmethod
     def from_json(cls, text: str):
@@ -106,7 +87,8 @@ class ExperimentConfig:
         try:  # a TypeError names an unknown or missing key, or a variant's
             config = cls(**data)
             if isinstance(config.variants, list):
-                config.variants = [VariantSpec(**v) for v in config.variants]
+                config.variants = [VariantSpec(**v) if isinstance(v, dict) else v
+                                   for v in config.variants]
         except TypeError as exc:
             raise ValueError(f"bad config: {exc}") from None
         return config.validate()

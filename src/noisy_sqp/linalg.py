@@ -7,7 +7,7 @@ tests on intermediate candidates.  The dense routines at the bottom
 (`least_squares_multiplier`, `smallest_singular_value`, `dense_kkt_solve`)
 are total: rank deficiency is handled with a fixed relative ridge instead
 of raising.  `check_settings` holds a settings dataclass to the ranges its
-fields declare with `number`, `one_of` or `instance_of`.
+fields declare with `number`, `one_of`, `instance_of` or `list_of`.
 """
 
 from __future__ import annotations
@@ -74,6 +74,18 @@ def instance_of(cls):
     """A dataclass field holding a ``cls``, by default ``cls()``."""
     rule = Rule(lambda v: isinstance(v, cls), f"an instance of {cls.__name__}")
     return field(default_factory=cls, metadata={"rule": rule})
+
+
+def entries(rule: Rule, length: int = 0, what: str = "entries") -> Rule:
+    """The rule of a non-empty list or tuple (``length`` long, if given) of ``rule``s."""
+    count = f"a list of {length}" if length else "a non-empty list of"
+    return Rule(lambda v: (isinstance(v, (list, tuple)) and len(v) == (length or len(v)) > 0
+                           and all(map(rule.holds, v))), f"{count} {what}, each {rule.text}")
+
+
+def list_of(rule: Rule, length: int = 0, what: str = "entries", **default):
+    """A dataclass field holding ``entries(rule, length, what)``."""
+    return field(metadata={"rule": entries(rule, length, what)}, **default)
 
 
 def check_settings(obj):

@@ -119,6 +119,8 @@ def parse_problem_json(text) -> ProblemSpec:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    if not isinstance(data, dict):
+        raise ParseError("a problem file must be a JSON object")
     for fieldname in ("name", "Q", "q", "A", "b", "x0"):
         if fieldname not in data:
             raise ParseError(f"missing field '{fieldname}'")

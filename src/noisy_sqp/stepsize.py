@@ -169,16 +169,19 @@ def line_search_alpha(oracle, x, d, tau: float, phi0: float, delta_l: float, rel
     Each trial samples the noisy merit value at x + alpha d once.  Returns
     (alpha, trial point, its merit value, backtracks, None) on acceptance;
     (0, x, None, backtracks, status) at the first NaN or Inf merit value
-    (``NONFINITE``) or after MAX_BACKTRACKS (``LINE_SEARCH_FAILURE``).
+    (``NONFINITE``), or after MAX_BACKTRACKS or once phi0 - LS_ETA alpha delta_l
+    rounds to phi0 and so no longer falls with alpha (``LINE_SEARCH_FAILURE``).
     """
     alpha = ALPHA_U
     for backtracks in range(MAX_BACKTRACKS + 1):
+        if (bound := phi0 - LS_ETA * alpha * delta_l) == phi0:
+            break  # no trial is left that must lower the merit
         point = x + alpha * d
         trial = oracle.sample(point, want="value")
         phi_trial = merit_value(tau, trial.f_bar, trial.c_bar)
         if not math.isfinite(phi_trial):
             return 0.0, x, None, backtracks, NONFINITE
-        if phi_trial <= phi0 - LS_ETA * alpha * delta_l + relax:
+        if phi_trial <= bound + relax:
             return alpha, point, phi_trial, backtracks, None
         alpha *= NU
-    return 0.0, x, None, MAX_BACKTRACKS, LINE_SEARCH_FAILURE
+    return 0.0, x, None, backtracks, LINE_SEARCH_FAILURE

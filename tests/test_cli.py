@@ -137,13 +137,17 @@ GOOD_GRID = {"problems": ["unit-circle"], "noise_grid": [[1e-2, 1e-2]],
     ({"budgets": [20]}, "budgets"),
     ({"budget": [20, 2000], "licq": "duplicated"}, "budget"),
     ({"problems": "unit-circle"}, "problems"),
+    ({"problems": [5]}, "problems"),
+    ({"problems": [["unit-circle"]]}, "problems"),
+    ({"variants": [5]}, "variants"),
     ({"variants": [{"scheme": "ada", "optimism": "opt", "kappa": True}]}, "kappa"),
     (lambda grid: [grid], "JSON object"),
     (lambda grid: {k: v for k, v in grid.items() if k != "problems"}, "'problems'"),
 ], ids=["misspelled-key", "kappa-string", "noise-grid-number", "noise-level-string",
         "noise-level-missing", "negative-seed", "fractional-seed", "bool-seed",
         "fractional-budget", "bool-budget", "one-budget", "unknown-top-level-keys",
-        "string-problems", "bool-kappa", "list-config", "missing-problems"])
+        "string-problems", "number-problem", "list-problem", "number-variant",
+        "bool-kappa", "list-config", "missing-problems"])
 def test_malformed_grid_config_is_config_error(tmp_path, capsys, change, named):
     # a change is merged into GOOD_GRID, or maps it to the whole config
     config = change(GOOD_GRID) if callable(change) else {**GOOD_GRID, **change}
@@ -163,6 +167,8 @@ MALFORMED_PROBLEMS = {
     "A-1x3": ({**TOY, "A": [[1, 1, 0]]}, "A must be m x 2, got (1, 3)"),
     "NaN-in-Q": ({**TOY, "Q": [[float("nan"), 0], [0, 1]]}, "non-finite entry in 'Q'"),
     "Infinity-in-A": ({**TOY, "A": [[float("inf"), 1]]}, "non-finite entry in 'A'"),
+    "number": (5, "a problem file must be a JSON object"),
+    "null": (None, "a problem file must be a JSON object"),
 }
 
 

@@ -12,6 +12,7 @@ from noisy_sqp.stepsize import (
     LINE_SEARCH_FAILURE,
     LIPSCHITZ_DIRS,
     LS_ETA,
+    MAX_BACKTRACKS,
     NONFINITE,
     SIGMA_CHI,
     SIGMA_ZETA,
@@ -212,7 +213,7 @@ class TestLineSearch:
         assert point.tolist() == [1.0] and phi == 0.0
 
     def test_flat_merit_exhausts(self, monkeypatch):
-        # ten backtracks: at the preset's 60, 1 - LS_ETA * alpha rounds to 1 and accepts
+        # ten backtracks, before 1 - LS_ETA * alpha rounds to 1
         monkeypatch.setattr(stepsize, "MAX_BACKTRACKS", 10)
         (alpha, point, phi, backtracks, status), samples = search(
             lambda a: 1.0, 1.0, delta_l=1.0, relax=0.0)
@@ -220,6 +221,17 @@ class TestLineSearch:
         assert alpha == 0.0 and phi is None
         assert backtracks == 10
         assert samples == 10 + 1
+
+    @pytest.mark.parametrize("relax", [0.0, 0.26])
+    def test_search_ends_once_the_armijo_decrease_rounds_away(self, relax):
+        # at the preset's MAX_BACKTRACKS: with relax = 0 a flat merit would pass the
+        # bound once it rounds to phi0, and with relax > 0 this merit passes no bound
+        merit = 1.0 if relax == 0.0 else 2.0
+        (alpha, point, phi, backtracks, status), samples = search(
+            lambda a: merit, 1.0, delta_l=1.0, relax=relax)
+        assert (status, alpha, phi) == (LINE_SEARCH_FAILURE, 0.0, None)
+        assert samples == backtracks < MAX_BACKTRACKS
+        assert 1.0 - LS_ETA * 0.5 ** backtracks == 1.0 > 1.0 - LS_ETA * 0.5 ** (backtracks - 1)
 
     def test_nan_trial_stops_after_one_sample(self):
         (alpha, point, phi, backtracks, status), samples = search(
