@@ -46,8 +46,9 @@ SCHEMES = {"ada": ADAPTIVE, "ls": LINE_SEARCH}
 OPTIMISMS = {"opt": "optimistic", "pes": "pessimistic"}
 EXACTNESS = ("exact", "inexact")
 
-TOL_D = 1e-14  # a step with max|d| <= TOL_D is degenerate
-TOL_FEAS = 1e-12  # the least value of the branch gate
+# the least value of the branch gate, absolute: the pinned zero-noise unit-circle
+# run steps on the infeasible branch at ||c|| down to 1.1e-12 with ||g|| = 1.41
+TOL_FEAS = 1e-12
 
 
 @dataclass(frozen=True)
@@ -206,14 +207,18 @@ def solve(problem: ProblemSpec, params: SolverParams, seed: int,
         lin = merit.Linearization(noisy.g_bar, noisy.c_bar, noisy.J_bar)
         feasible = lin.c_norm <= branch_gate
         branch = FEASIBLE_BRANCH if feasible else INFEASIBLE_BRANCH
-        if not _finite_sample(noisy):
+        # an overflowed ||g|| or ||c|| leaves no round-off scale to read
+        if not (math.isfinite(lin.round_off) and _finite_sample(noisy)):
             records.append(make_record(None, 0.0))
             status = NONFINITE
             break
         if feasible:
             normal = steps.NormalStep(np.zeros(n), lin.c, lin.c_norm)
         else:
-            if lin.Jtc_inf <= steps.tol_Jc(lin.c):
+            # J'c at round-off and c nearly orthogonal to range(J); the latter
+            # never holds when sigma_min(J) > 1e-3 ||J||_F, whatever c is
+            if lin.Jtc_inf <= lin.round_off \
+                    and lin.Jtc_norm <= 1e-3 * norm2(lin.J) * lin.c_norm:
                 records.append(make_record(None, 0.0))
                 status = EARLY_INFEASIBLE
                 break
@@ -233,7 +238,9 @@ def solve(problem: ProblemSpec, params: SolverParams, seed: int,
             break
         dd = float(d.dot(d))
         finite = math.isfinite(dd)  # false when MINRES or CG overflowed
-        if not finite or norm_inf(d) <= TOL_D:
+        # no controller steps on delta_l <= 0 (only the tests' round-off slack
+        # lets one through) or on max|d| below a tenth of the round-off scale
+        if not finite or delta_l <= 0.0 or norm_inf(d) <= lin.round_off / 10:
             records.append(make_record(bundle, 0.0, delta_l))
             status = DEGENERATE if finite else NONFINITE
             break

@@ -1,13 +1,13 @@
 """Noisy linearization, merit function, model reduction and merit-parameter updates.
 
 Every step of an iteration is built from one noisy linearization (g, c, J);
-`Linearization` holds it with the products the steps and tests read, each
-formed once, and forms g'd and ||c + Jd|| along a step d.  The merit function
-is the exact l2 penalty phi(x, tau) = tau f + ||c||_2, and progress is
-measured by the reduction of its first-order model along a step, formed from
-those scalars.  The merit parameter tau is a plain float that only ever
-decreases: `tau_update` keeps it or cuts it below the trial value that the
-accepting TT2_cond1 check forms with `tau_trial`.
+`Linearization` holds it with the products and the round-off scale that the
+steps and tests read, each formed once, and forms g'd and ||c + Jd||.  The
+merit function is the exact l2 penalty phi(x, tau) = tau f + ||c||_2, and
+progress is measured by the reduction of its first-order model along a
+step, formed from those scalars.  The merit parameter tau is a plain float
+that only ever decreases: `tau_update` keeps it or cuts it below the trial
+value that the accepting TT2_cond1 check forms with `tau_trial`.
 """
 
 from __future__ import annotations
@@ -34,9 +34,11 @@ SIGMA_TAU = 1e-2  # (0, 1)
 
 class Linearization:
     """Noisy gradient g, constraints c and Jacobian J at one iterate (float
-    arrays) with J'c, ||J'c||^2, ||J'c||, max|J'c|, ||c|| and ||g||."""
+    arrays) with J'c, ||J'c||^2, ||J'c||, max|J'c|, ||c||, ||g|| and
+    ``round_off`` = 1e-13 max(1, ||g||, ||c||), the one scale of what counts as zero."""
 
-    __slots__ = ("g", "c", "J", "Jtc", "Jtc_sq", "Jtc_norm", "Jtc_inf", "c_norm", "g_norm")
+    __slots__ = ("g", "c", "J", "Jtc", "Jtc_sq", "Jtc_norm", "Jtc_inf", "c_norm", "g_norm",
+                 "round_off")
 
     def __init__(self, g, c, J):
         self.g, self.c, self.J = g, c, J
@@ -46,6 +48,7 @@ class Linearization:
         self.Jtc_inf = norm_inf(Jtc)
         self.c_norm = norm2(c)
         self.g_norm = norm2(g)
+        self.round_off = 1e-13 * max(1.0, self.g_norm, self.c_norm)
 
     def along(self, d):
         """(g'd, ||c + Jd||) for a step d."""

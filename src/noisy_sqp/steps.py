@@ -7,11 +7,13 @@ solve of the saddle system whose iterates are accepted as soon as one of
 the two termination tests holds together with a noise-scaled residual gate.
 
 Each function reads the iteration's noisy linearization from one
-`merit.Linearization` (g, c and J with J'c, ||J'c|| and max|J'c|, ||c|| and
-||g||, each formed once), and the steps and tests read the normal step's v,
-c + Jv and ||c + Jv|| from its `NormalStep`.  The passing test's measurements
-ride in the `StepBundle` to the driver; no bundle means no test can pass.
-The tests' and the trust region's constants are `merit`'s.
+`merit.Linearization` (g, c and J with J'c, ||J'c||, max|J'c|, ||c||, ||g||
+and the round-off scale, each formed once), and the steps and tests read the
+normal step's v, c + Jv and ||c + Jv|| from its `NormalStep`.  The passing
+test's measurements ride in the `StepBundle` to the driver; no bundle means
+no test can pass.  The tests' and the trust region's constants are `merit`'s;
+their inequalities, stated for exact arithmetic, and the normal step's
+decrease allow the round-off scale as slack.
 """
 
 from __future__ import annotations
@@ -62,11 +64,6 @@ class NormalStep(NamedTuple):
     cg_iters: int = 0
 
 
-def tol_Jc(c_bar) -> float:
-    """Numerical meaning of ||J'c|| = 0 on the infeasible-stationary line."""
-    return 1e-12 * max(1.0, norm_inf(c_bar))
-
-
 def cauchy_normal_step(lin: Linearization):
     """Steepest-descent direction -J'c with its capped optimal step size.
 
@@ -87,7 +84,7 @@ def normal_step(lin: Linearization, coef: float) -> NormalStep:
     CG runs in the Krylov space of J'c, hence v stays in Range(J').  It stops at
     the trust-region boundary or once the residual J'Jv + J'c passes the
     noise-scaled gate coef * max(1, ||J'c||_inf).  The caller has already taken
-    the infeasible-stationary exit when J'c is numerically zero (`tol_Jc`).  The
+    the infeasible-stationary exit when J'c is numerically zero.  The
     Cauchy point's decrease of ||c|| is at most ||c||, in floating point too,
     so it is formed only when CG's decrease falls short of GAMMA_C ||c||, and
     replaces CG's step when CG's decrease falls short of GAMMA_C times its
@@ -103,7 +100,7 @@ def normal_step(lin: Linearization, coef: float) -> NormalStep:
     c_v = c + J.dot(v)
     c_v_norm = norm2(c_v)
     decrease = lin.c_norm - c_v_norm
-    slack = 1e-10 * max(1.0, lin.c_norm)
+    slack = lin.round_off
     if decrease >= GAMMA_C * lin.c_norm - slack:
         return NormalStep(v, c_v, c_v_norm, iters)
     # CG's first iterate is the Cauchy point, so the decrease condition holds
@@ -117,19 +114,12 @@ def normal_step(lin: Linearization, coef: float) -> NormalStep:
     return NormalStep(v, c_v, c_v_norm, iters)
 
 
-def _round_off_slack(g_norm: float, c_norm: float) -> float:
-    # the tests are stated for exact arithmetic; near convergence the solver
-    # residual round-off dominates u'Hu, so the inequalities get a tiny
-    # scale-aware slack
-    return 1e-13 * max(1.0, g_norm, c_norm)
-
-
 def check_tt1(H, lin: Linearization, normal: NormalStep, u, rho, r, tau_prev: float,
               eps_o: float):
     """Termination Test 1 (feasible branch, v = 0): `check_tt2`'s tuple or None."""
     uHu = float(u.dot(H.dot(u)))
     u_nrm2 = float(u.dot(u))
-    slack = _round_off_slack(lin.g_norm, lin.c_norm)
+    slack = lin.round_off
     res_gate = LAMBDA_RHO_R * min(max(norm2(u), lin.Jtc_norm), KAPPA_RHO_R)
     if max(norm2(rho), norm2(r)) > res_gate:
         return None
@@ -160,7 +150,7 @@ def check_tt2(H, lin: Linearization, normal: NormalStep, u, rho, r, tau_prev: fl
     v_nrm = norm2(v)
     Jtc_norm = lin.Jtc_norm
     c_norm = lin.c_norm
-    slack = _round_off_slack(lin.g_norm, c_norm)
+    slack = lin.round_off
     res_gate = LAMBDA_RHO_R * min(max(u_nrm, Jtc_norm), KAPPA_RHO_R)
     if max(norm2(rho), norm2(r)) > res_gate:
         return None

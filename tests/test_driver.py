@@ -153,8 +153,8 @@ class TestDegenerateDirection:
     @pytest.mark.parametrize("variant", ["adaptive", "line_search"])
     def test_underflowing_step_is_degenerate(self, variant):
         # H = 1e170 I shrinks the tangential step to ||d||_inf = 1e-170, so
-        # d'd underflows to 0 (adaptive used to divide by it); TOL_D stops it
-        # before any controller sees it
+        # d'd underflows to 0 (adaptive used to divide by it); the round-off
+        # step test stops it before any controller sees it
         A = np.array([[1.0, 0.0]])
 
         def ev(x):
@@ -366,6 +366,29 @@ class TestNonFiniteEvaluation:
                                  f=lambda x: x[0] + x[1] if x[0] >= 0.0 else np.nan)
         trace, last = self.run(problem, "adaptive")
         assert np.isnan(last.noisy.f_bar)
+
+    # norm2's overflowing dot still warns (the ROADMAP's hostile-inputs item)
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("eps", [0.0, 1e-2])
+    @pytest.mark.parametrize("variant", ["adaptive", "line_search"])
+    @pytest.mark.parametrize("f_scale, c_scale", [(1e200, 1.0), (1.0, 1e200)], ids=["f", "c"])
+    def test_overflowing_norm_ends_the_run(self, f_scale, c_scale, variant, eps):
+        # min x3 s.t. x1 + x2 = 1 with f or c scaled by 1e200: every entry is
+        # finite, but ||g|| or ||c|| overflows, so there is no round-off scale
+        A = np.array([[1.0, 1.0, 0.0]])
+
+        def ev(x):
+            return ExactEvaluation(f=f_scale * x[2], g=np.array([0.0, 0.0, f_scale]),
+                                   c=c_scale * (A @ x - 1.0), J=c_scale * A)
+
+        problem = ProblemSpec("scaled-line-3", 3, 1, np.zeros(3), ev)
+        params = SolverParams.benchmark_defaults(noise_for(eps, eps), variant=variant)
+        trace = solve(problem, params, 0)
+        assert trace.status == NONFINITE
+        [last] = trace.records
+        assert last.alpha == 0.0 and last.bundle is None
+        assert np.isfinite(last.noisy.g_bar).all() and np.isfinite(last.noisy.c_bar).all()
+        assert assert_trace_invariants(trace, params) == []
 
 
 def same_evaluation(a, b):

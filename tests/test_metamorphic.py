@@ -14,8 +14,9 @@ feasibility gate of 5e-9.
 "eps -> 0 keeps the zero-noise status" is deliberately not a relation here:
 with all four eps at 1e-12 or 1e-14, 28 of 80 runs (both optimisms) ended in
 another status than at eps = 0.  degenerate_direction became
-early_stationary, early_stationary and budget_iters swapped both ways, and
-quad-ellipse ended early_infeasible_stationary at 1e-12.
+early_stationary (18 runs), line_search_failure became early_stationary (5)
+or budget_iters (4), and budget_iters became early_stationary (1).  None
+ended early_infeasible_stationary.
 """
 
 import numpy as np

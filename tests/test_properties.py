@@ -27,7 +27,7 @@ from noisy_sqp.linalg import cg_steihaug, norm2, smallest_singular_value
 from noisy_sqp.merit import Linearization
 from noisy_sqp.noise import NoiseSpec, derive_gradient_noise
 from noisy_sqp.problems import ExactEvaluation, ProblemSpec
-from noisy_sqp.steps import NormalStep, cauchy_normal_step, normal_step, tol_Jc
+from noisy_sqp.steps import NormalStep, cauchy_normal_step, normal_step
 from noisy_sqp.verify import assert_trace_invariants
 
 STATUSES = {driver.BUDGET_ITERS, driver.BUDGET_EVALS, driver.EARLY_STATIONARY,
@@ -92,7 +92,7 @@ def eager_normal_step(lin, coef):
                               stop=lambda r: np.maximum.reduce(abs(r)) <= threshold)
     c_v = c + J.dot(v)
     c_v_norm = norm2(c_v)
-    if lin.c_norm - c_v_norm < cauchy_target - 1e-10 * max(1.0, lin.c_norm):
+    if lin.c_norm - c_v_norm < cauchy_target - lin.round_off:
         return NormalStep(v_cauchy, c_cauchy, c_cauchy_norm, iters)
     return NormalStep(v, c_v, c_v_norm, iters)
 
@@ -108,7 +108,7 @@ def linearizations(draw):
         J[-1] = draw(st.sampled_from([1.0, -3.0, 0.0])) * J[0]
     c = draw(arrays(float, m, elements=ENTRIES)) * 10.0 ** draw(st.integers(-6, 6))
     lin = Linearization(np.zeros(n), c, J)
-    assume(lin.Jtc_inf > tol_Jc(c))
+    assume(lin.Jtc_inf > lin.round_off)
     return lin
 
 
