@@ -167,14 +167,15 @@ def _cmd_verify(args) -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    np.seterr(all="ignore")
     handlers = {
         "solve": _cmd_solve,
         "grid": _cmd_grid,
         "profile": _cmd_profile,
         "verify": _cmd_verify,
     }
-    return handlers[args.command](args)
+    # numpy's warnings stay off for the command only, not for the caller's process
+    with np.errstate(all="ignore"):
+        return handlers[args.command](args)
 
 
 if __name__ == "__main__":

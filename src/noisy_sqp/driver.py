@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import merit, steps, stepsize
-from .linalg import all_finite, norm2, norm_inf  # noqa: F401 (perfbench counts driver.norm2)
+from .linalg import all_finite, norm2, norm_inf
 from .linalg import check_settings, instance_of, number, one_of
 from .noise import NoiseSpec, NoisyOracle
 from .problems import ProblemSpec, evaluate
@@ -182,16 +182,6 @@ def solve(problem: ProblemSpec, params: SolverParams, seed: int,
     x = problem.x0.copy()  # rebound every step, never mutated in place
     tau = merit.TAU0
     k = 0
-
-    # reads the current iteration's locals when called
-    def make_record(bundle, alpha, delta_l=None, **fields):
-        after = counters.snapshot()
-        return IterRecord(
-            k=k, x=x, noisy=noisy, exact=exact, bundle=bundle,
-            tau_prev=tau_prev, tau=tau, alpha=alpha, branch=branch,
-            counters_delta=(after[0] - before[0], after[1] - before[1]),
-            delta_l=delta_l, **fields)
-
     while True:
         if k >= params.max_iters:
             status = BUDGET_ITERS
@@ -207,46 +197,43 @@ def solve(problem: ProblemSpec, params: SolverParams, seed: int,
         lin = merit.Linearization(noisy.g_bar, noisy.c_bar, noisy.J_bar)
         feasible = lin.c_norm <= branch_gate
         branch = FEASIBLE_BRANCH if feasible else INFEASIBLE_BRANCH
-        # an overflowed ||g|| or ||c|| leaves no round-off scale to read
+        # the stop rules in order, each run while status is None; a stop before
+        # the controller's step records alpha = 0 and what was formed so far
+        status = bundle = delta_l = None
+        alpha, fields = 0.0, {}
         if not (math.isfinite(lin.round_off) and _finite_sample(noisy)):
-            records.append(make_record(None, 0.0))
-            status = NONFINITE
-            break
-        if feasible:
-            normal = steps.NormalStep(np.zeros(n), lin.c, lin.c_norm)
-        else:
+            status = NONFINITE  # an overflowed ||g|| or ||c|| leaves no round-off scale
+        elif not feasible and lin.Jtc_inf <= lin.round_off \
+                and lin.Jtc_norm <= 1e-3 * norm2(lin.J) * lin.c_norm:
             # J'c at round-off and c nearly orthogonal to range(J); the latter
             # never holds when sigma_min(J) > 1e-3 ||J||_F, whatever c is
-            if lin.Jtc_inf <= lin.round_off \
-                    and lin.Jtc_norm <= 1e-3 * norm2(lin.J) * lin.c_norm:
-                records.append(make_record(None, 0.0))
-                status = EARLY_INFEASIBLE
-                break
-            normal = steps.normal_step(lin, coef)
-        bundle = steps.tangential_step(H, lin, normal, tau, eps_o, coef, feasible=feasible)
-        if bundle is None:
-            records.append(make_record(None, 0.0))
-            status = TEST_UNSATISFIABLE
-            break
-        if bundle.tau_trial is not None:
-            tau = merit.tau_update(tau, bundle.tau_trial)
-        delta_l = merit.model_reduction(tau, lin.c_norm, bundle.gd, bundle.cd_norm)
-        d = bundle.d
-        if feasible and delta_l <= eps_o:
-            records.append(make_record(bundle, 0.0, delta_l))
-            status = EARLY_STATIONARY
-            break
-        dd = float(d.dot(d))
-        finite = math.isfinite(dd)  # false when MINRES or CG overflowed
-        # no controller steps on delta_l <= 0 (only the tests' round-off slack
-        # lets one through) or on max|d| below a tenth of the round-off scale
-        if not finite or delta_l <= 0.0 or norm_inf(d) <= lin.round_off / 10:
-            records.append(make_record(bundle, 0.0, delta_l))
-            status = DEGENERATE if finite else NONFINITE
-            break
-
-        alpha, x_next, fields, status = controller.step(x, noisy, bundle, tau, delta_l, dd)
-        records.append(make_record(bundle, alpha, delta_l, **fields))
+            status = EARLY_INFEASIBLE
+        else:
+            normal = (steps.NormalStep(np.zeros(n), lin.c, lin.c_norm) if feasible
+                      else steps.normal_step(lin, coef))
+            bundle = steps.tangential_step(H, lin, normal, tau, eps_o, coef, feasible=feasible)
+            if bundle is None:
+                status = TEST_UNSATISFIABLE
+        if status is None:
+            if bundle.tau_trial is not None:
+                tau = merit.tau_update(tau, bundle.tau_trial)
+            delta_l = merit.model_reduction(tau, lin.c_norm, bundle.gd, bundle.cd_norm)
+            d = bundle.d
+            if feasible and delta_l <= eps_o:
+                status = EARLY_STATIONARY
+            elif not math.isfinite(dd := float(d.dot(d))):  # MINRES or CG overflowed
+                status = NONFINITE
+            # no controller steps on delta_l <= 0 (only the tests' round-off slack
+            # lets one through) or on max|d| below a tenth of the round-off scale
+            elif delta_l <= 0.0 or norm_inf(d) <= lin.round_off / 10:
+                status = DEGENERATE
+            else:
+                alpha, x_next, fields, status = controller.step(x, noisy, bundle, tau, delta_l, dd)
+        after = counters.snapshot()
+        records.append(IterRecord(
+            k=k, x=x, noisy=noisy, exact=exact, bundle=bundle, tau_prev=tau_prev, tau=tau,
+            alpha=alpha, branch=branch, delta_l=delta_l,
+            counters_delta=(after[0] - before[0], after[1] - before[1]), **fields))
         if status is not None:
             break
         x = x_next  # the line search's accepted trial: the oracle reuses its evaluation

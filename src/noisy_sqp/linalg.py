@@ -99,9 +99,7 @@ def check_settings(obj):
 
 
 def norm2(x) -> float:
-    """Euclidean norm of a vector; Frobenius norm of a matrix."""
-    if type(x) is not np.ndarray:
-        x = np.asarray(x)
+    """Euclidean norm of a vector; Frobenius norm of a matrix (an ndarray)."""
     if x.ndim == 1:
         return math.sqrt(x.dot(x))
     return float(np.linalg.norm(x))
@@ -112,10 +110,8 @@ def norm_inf(x) -> float:
 
     For a matrix this is the max-abs entry, not the induced row-sum norm.
     The entry at ``argmax`` is exactly ``np.maximum.reduce(abs(x), axis=None)``
-    at a fraction of that reduction's cost on small arrays.
+    at a fraction of that reduction's cost on small arrays.  ``x`` is an ndarray.
     """
-    if type(x) is not np.ndarray:
-        x = np.asarray(x)
     a = abs(x)
     return float(a.item(a.argmax())) if a.size else 0.0
 

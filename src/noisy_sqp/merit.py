@@ -79,8 +79,6 @@ def tau_trial(gd: float, uHu: float, uu: float, c_norm: float, c_vr_norm: float)
 
 
 def tau_update(tau: float, trial: float) -> float:
-    """Keep tau when already below (1 - SIGMA_TAU) * trial, else cut it there."""
-    if trial < 0:
-        raise ValueError("trial must be >= 0 or +inf")
+    """Keep tau when already below (1 - SIGMA_TAU) * trial, else cut it there (trial > 0)."""
     cut = (1.0 - SIGMA_TAU) * trial
     return tau if tau <= cut else cut

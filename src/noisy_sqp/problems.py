@@ -167,37 +167,18 @@ def _quadratic(name, Q, q, A, b, x0):
     return ProblemSpec(name, n, m, x0, ev, known_kkt=known_kkt, full_rank=full_rank)
 
 
-def _unit_circle(name):
+def _circle(name, a, r2, x0, x_star, y_star):
+    # min a'x on the circle ||x||^2 = r2; a is a pair of floats
     def ev(x):
         return ExactEvaluation(
-            f=x[0] + x[1],
-            g=np.array([1.0, 1.0]),
-            c=np.array([x[0] ** 2 + x[1] ** 2 - 1.0]),
+            f=a[0] * x[0] + a[1] * x[1],
+            g=np.array(a),
+            c=np.array([x[0] ** 2 + x[1] ** 2 - r2]),
             J=np.array([[2.0 * x[0], 2.0 * x[1]]]),
         )
 
-    s = np.sqrt(2.0) / 2.0
-    return ProblemSpec(
-        name, 2, 1, np.array([0.9, -0.3]), ev,
-        known_kkt=(np.array([-s, -s]), np.array([s])),
-    )
-
-
-def _circle_shifted(name):
-    # min 2 x1 - x2 on the radius-2 circle
-    def ev(x):
-        return ExactEvaluation(
-            f=2.0 * x[0] - x[1],
-            g=np.array([2.0, -1.0]),
-            c=np.array([x[0] ** 2 + x[1] ** 2 - 4.0]),
-            J=np.array([[2.0 * x[0], 2.0 * x[1]]]),
-        )
-
-    r5 = np.sqrt(5.0)
-    return ProblemSpec(
-        name, 2, 1, np.array([2.0, 0.5]), ev,
-        known_kkt=(np.array([-4.0 / r5, 2.0 / r5]), np.array([r5 / 4.0])),
-    )
+    return ProblemSpec(name, 2, 1, np.array(x0), ev,
+                       known_kkt=(np.array(x_star), np.array(y_star)))
 
 
 def _parabola_ridge(name):
@@ -323,8 +304,11 @@ _BUILTINS = {
     "quad-linear": _quad_linear,
     "quad-ellipse": _quad_ellipse,
     "quad-linear-10": _quad_linear_10,
-    "unit-circle": _unit_circle,
-    "circle-shifted": _circle_shifted,
+    "unit-circle": lambda name: _circle(name, (1.0, 1.0), 1.0, [0.9, -0.3],
+                                        [-np.sqrt(0.5)] * 2, [np.sqrt(0.5)]),
+    "circle-shifted": lambda name: _circle(name, (2.0, -1.0), 4.0, [2.0, 0.5],
+                                           [-4.0 / np.sqrt(5.0), 2.0 / np.sqrt(5.0)],
+                                           [np.sqrt(5.0) / 4.0]),
     "parabola-ridge": _parabola_ridge,
     "log-surface": _log_surface,
     "rosenbrock-sphere": lambda name: _rosenbrock_sphere(2, name, [1.2, 0.8]),

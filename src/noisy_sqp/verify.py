@@ -23,9 +23,7 @@ from .stepsize import BETA, ETA, LS_ETA
 from .noise import NoiseSpec, sample_noisy
 from .problems import evaluate
 
-
-class FixtureInvalid(Exception):
-    """Scan preconditions (full rank / nonzero infeasibility gradient) unmet."""
+FD_STEP = 1e-6  # fd_check's central-difference step
 
 
 @dataclass
@@ -44,10 +42,9 @@ class PerturbationReport:
         }, indent=2, sort_keys=True)
 
 
-def fd_check(problem, x, h: float):
-    """Max-abs discrepancy of analytic (g, J) against central differences."""
-    if h <= 0:
-        raise ValueError("h must be > 0")
+def fd_check(problem, x):
+    """Max-abs discrepancy of analytic (g, J) against central differences with step FD_STEP."""
+    h = FD_STEP
     x = np.asarray(x, dtype=float)
     base = evaluate(problem, x)
     g_fd = np.zeros(problem.n)
@@ -73,15 +70,15 @@ def _cauchy_step(c, J, sigma_Jc):
 
 
 def fd_scan(problems) -> PerturbationReport:
-    """fd_check at each x0 with h = 1e-6; a problem passes when both errors are <= 1e-5."""
-    h, tol = 1e-6, 1e-5
+    """fd_check at each x0; a problem passes when both errors are <= 1e-5."""
+    tol = 1e-5
     observations = []
     for problem in problems:
-        grad_err, jac_err = fd_check(problem, problem.x0, h)
+        grad_err, jac_err = fd_check(problem, problem.x0)
         observations.append({"problem": problem.name, "grad_err": grad_err, "jac_err": jac_err,
                              "pass": grad_err <= tol and jac_err <= tol})
     return PerturbationReport(
-        check="fd_check", params={"h": h, "tol": tol},
+        check="fd_check", params={"h": FD_STEP, "tol": tol},
         observations=observations, passed=all(o["pass"] for o in observations))
 
 
@@ -95,9 +92,9 @@ def cauchy_perturbation_scan(problem, x, n_seeds: int = 20) -> PerturbationRepor
     x = np.asarray(x, dtype=float)
     ex = evaluate(problem, x)
     if smallest_singular_value(ex.J) < 1e-3:
-        raise FixtureInvalid("Jacobian not full rank at the scan point")
+        raise ValueError("Jacobian not full rank at the scan point")
     if np.linalg.norm(ex.J.T @ ex.c) < 1e-6:
-        raise FixtureInvalid("||J'c|| not bounded away from zero at the scan point")
+        raise ValueError("||J'c|| not bounded away from zero at the scan point")
 
     sigma_Jc = 1e2
     exact_step = _cauchy_step(ex.c, ex.J, sigma_Jc)
@@ -132,7 +129,7 @@ def tangential_gap_scan(problem, x, n_seeds: int = 20) -> PerturbationReport:
     x = np.asarray(x, dtype=float)
     ex = evaluate(problem, x)
     if problem.m >= problem.n:
-        raise FixtureInvalid("null space of J must be nontrivial (need m < n)")
+        raise ValueError("null space of J must be nontrivial (need m < n)")
     H = np.eye(problem.n)
     u_exact = _null_space_solution(H, ex.J, ex.g)
     observations = []

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from noisy_sqp import verify
@@ -228,6 +229,21 @@ def test_verify_suite_runs_only_the_chosen_checks(capsys):
     assert lines and all(line.startswith("fd_check ") for line in lines)
 
 
+def test_main_turns_numpy_warnings_off_for_the_command_only(capsys, monkeypatch):
+    states = []
+
+    def fd_check(problem, x):
+        states.append(np.geterr())
+        return 0.0, 0.0
+
+    monkeypatch.setattr(verify, "fd_check", fd_check)
+    before = np.geterr()
+    assert main(["verify", "--suite", "fd"]) == 0
+    capsys.readouterr()
+    assert states and all(set(state.values()) == {"ignore"} for state in states)
+    assert np.geterr() == before
+
+
 def test_verify_fd_report_holds_every_problem(tmp_path, capsys):
     report_path = tmp_path / "verify.json"
     assert main(["verify", "--suite", "fd", "--out", str(report_path)]) == 0
@@ -250,7 +266,7 @@ def test_verify_all_reports_every_check_in_order(tmp_path, capsys):
 
 
 def test_verify_failing_check_prints_fail_and_exits_1(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(verify, "fd_check", lambda problem, x, h: (1.0, 0.0))
+    monkeypatch.setattr(verify, "fd_check", lambda problem, x: (1.0, 0.0))
     report_path = tmp_path / "verify.json"
     assert main(["verify", "--suite", "fd", "--out", str(report_path)]) == 1
     lines = capsys.readouterr().out.splitlines()[:-1]

@@ -16,12 +16,17 @@ they check the round-off rules: no controller steps on a model reduction
 <= 0, the step size stays positive, and a feasible KKT point is never
 labelled infeasible-stationary.  The runs may reach another KKT point than
 (x*, y*), so the best iterate's errors are checked, not its distance to x*.
+
+Every check runs on both exactness modes.  At zero noise the inexact
+residual gate's coefficient is 0, so every inexact step is the dense
+`exact_fallback`.
 """
 
 import numpy as np
 import pytest
 
-from noisy_sqp.driver import ADAPTIVE, EARLY_INFEASIBLE, LINE_SEARCH, SolverParams, solve
+from noisy_sqp.driver import (ADAPTIVE, EARLY_INFEASIBLE, EXACTNESS, LINE_SEARCH, SolverParams,
+                               solve)
 from noisy_sqp.harness import best_iterate
 from noisy_sqp.linalg import norm2
 from noisy_sqp.noise import NoiseSpec
@@ -65,19 +70,20 @@ def kkt_problem(seed: int) -> ProblemSpec:
 
 @pytest.fixture(scope="module")
 def family_runs():
-    """(problem, params, trace) for every seed under both controllers."""
+    """(problem, params, trace) for every seed under both controllers and both exactness modes."""
     runs = []
     for seed in SEEDS:
         problem = kkt_problem(seed)
         for variant in (ADAPTIVE, LINE_SEARCH):
-            params = SolverParams.benchmark_defaults(NoiseSpec(), variant=variant,
-                                                     exactness="exact", max_iters=300)
-            runs.append((problem, params, solve(problem, params, 0)))
+            for exactness in EXACTNESS:
+                params = SolverParams.benchmark_defaults(NoiseSpec(), variant=variant,
+                                                         exactness=exactness, max_iters=300)
+                runs.append((problem, params, solve(problem, params, 0)))
     return runs
 
 
 def label(problem, params):
-    return f"{problem.name} {params.variant}"
+    return f"{problem.name} {params.variant} {params.exactness}"
 
 
 def test_no_step_size_is_negative(family_runs):

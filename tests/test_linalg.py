@@ -260,7 +260,8 @@ class TestNormInf:
 
     def test_empty_and_list_input(self):
         assert norm_inf(np.zeros(0)) == 0.0
-        assert norm_inf([[1, -4], [2, 3]]) == 4.0
+        # an integer matrix: its max-abs entry, as a float
+        assert norm_inf(np.array([[1, -4], [2, 3]])) == 4.0
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -12,7 +12,6 @@ from noisy_sqp.problems import (
     registry_by_name,
 )
 from noisy_sqp.verify import (
-    FixtureInvalid,
     assert_trace_invariants,
     cauchy_perturbation_scan,
     fd_check,
@@ -23,20 +22,15 @@ from noisy_sqp.verify import (
 class TestFdCheck:
     def test_quadratic_exactness(self):
         p = registry_by_name()["quad-linear"]
-        grad_err, jac_err = fd_check(p, p.x0 + 0.3, 1e-6)
+        grad_err, jac_err = fd_check(p, p.x0 + 0.3)
         # central differences are exact on quadratics up to round-off
         assert grad_err <= 1e-9
         assert jac_err <= 1e-9
 
     def test_unit_circle(self):
         p = registry_by_name()["unit-circle"]
-        grad_err, jac_err = fd_check(p, np.array([1.0, 0.0]), 1e-6)
+        grad_err, jac_err = fd_check(p, np.array([1.0, 0.0]))
         assert jac_err <= 1e-5
-
-    def test_zero_step_rejected(self):
-        p = registry_by_name()["unit-circle"]
-        with pytest.raises(ValueError):
-            fd_check(p, p.x0, 0.0)
 
 
 class TestCauchyPerturbationScan:
@@ -61,7 +55,7 @@ class TestCauchyPerturbationScan:
 
     def test_rank_deficient_fixture_rejected(self):
         p = duplicate_last_constraint(registry_by_name()["unit-circle"])
-        with pytest.raises(FixtureInvalid):
+        with pytest.raises(ValueError, match="Jacobian not full rank at the scan point"):
             cauchy_perturbation_scan(p, p.x0)
 
 
@@ -108,7 +102,7 @@ class TestTangentialGapScan:
             return ExactEvaluation(f=0.0, g=np.zeros(2), c=J @ x, J=J)
 
         square = ProblemSpec("square", 2, 2, np.zeros(2), ev)
-        with pytest.raises(FixtureInvalid):
+        with pytest.raises(ValueError, match=r"null space of J must be nontrivial \(need m < n\)"):
             tangential_gap_scan(square, square.x0)
 
 
