@@ -21,7 +21,7 @@ from .harness import (
     run_grid,
     run_single,
 )
-from .problems import DimensionMismatch, ParseError, builtin_registry, get_problem
+from .problems import ParseError, builtin_registry, get_problem
 from .driver import SolverParams
 from .noise import NoiseSpec, derive_gradient_noise
 
@@ -59,7 +59,7 @@ def _build_parser():
 
 
 # bad problem names, paths and files
-INPUT_ERRORS = (OSError, KeyError, ParseError, DimensionMismatch)
+INPUT_ERRORS = (OSError, KeyError, ParseError)
 
 
 def _error(kind: str, exc: Exception) -> int:
@@ -103,7 +103,7 @@ def _cmd_grid(args) -> int:
             config = ExperimentConfig.from_json(fh.read())
         config.out_dir = args.out
         records, path = run_grid(config)
-    except (ParseError, DimensionMismatch) as exc:  # a malformed problem file
+    except ParseError as exc:  # a malformed problem file
         return _error("input error", exc)
     except (OSError, ValueError, KeyError) as exc:
         return _error("config error", exc)

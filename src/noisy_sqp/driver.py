@@ -194,7 +194,8 @@ def solve(problem: ProblemSpec, params: SolverParams, seed: int,
         exact = oracle.exact if own_oracle else evaluate(problem, x)
         tau_prev = tau
         # built ahead of the finiteness test: that exit's record carries the branch
-        lin = merit.Linearization(noisy.g_bar, noisy.c_bar, noisy.J_bar)
+        with np.errstate(over="ignore"):  # that exit reports an overflowed ||g|| or ||c||
+            lin = merit.Linearization(noisy.g_bar, noisy.c_bar, noisy.J_bar)
         feasible = lin.c_norm <= branch_gate
         branch = FEASIBLE_BRANCH if feasible else INFEASIBLE_BRANCH
         # the stop rules in order, each run while status is None; a stop before

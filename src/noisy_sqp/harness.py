@@ -196,18 +196,20 @@ def run_single(problem_name: str, variant: VariantSpec, eps_f: float,
         # budget exhausted before the first full iteration
         feas = stat = infeas_stat = float("inf")
         y_inf = 0.0
-    terminated_early = trace.status in EARLY_STATUSES
-    solved = (trace.status == EARLY_STATIONARY
-              or success(feas, stat, y_inf, noise))
-    return RunRecord(
-        problem=problem_name, variant=variant.scheme, optimism=variant.optimism,
-        exactness=variant.exactness, eps_f=eps_f, eps_c=eps_c, seed=seed,
-        licq_mode=licq_mode, status=trace.status, iters=len(trace.records),
-        weighted_evals=trace.counters.weighted_total,
-        minres_iters=trace.minres_iters, cg_iters=trace.cg_iters,
-        best_feas_err=feas, best_stat_err=stat,
-        best_infeas_stat_err=infeas_stat, terminated_early=terminated_early,
-        solved=solved)
+    return _cell_row(
+        problem_name, variant, eps_f, eps_c, seed, licq_mode, status=trace.status,
+        iters=len(trace.records), weighted_evals=trace.counters.weighted_total,
+        minres_iters=trace.minres_iters, cg_iters=trace.cg_iters, best_feas_err=feas,
+        best_stat_err=stat, best_infeas_stat_err=infeas_stat,
+        terminated_early=trace.status in EARLY_STATUSES,
+        solved=trace.status == EARLY_STATIONARY or success(feas, stat, y_inf, noise))
+
+
+def _cell_row(problem_name, variant, eps_f, eps_c, seed, licq_mode, **results) -> RunRecord:
+    """A grid cell's row: the cell's eight identity columns, then ``results``."""
+    return RunRecord(problem=problem_name, variant=variant.scheme, optimism=variant.optimism,
+                     exactness=variant.exactness, eps_f=eps_f, eps_c=eps_c, seed=seed,
+                     licq_mode=licq_mode, **results)
 
 
 def _run_cell(task):
@@ -221,13 +223,9 @@ def _run_cell(task):
         logging.getLogger(__name__).exception(
             "grid cell %s %s eps=(%g, %g) seed %d %s raised",
             problem_name, variant.label, eps_f, eps_c, seed, licq_mode)
-        inf = float("inf")
-        return RunRecord(
-            problem=problem_name, variant=variant.scheme, optimism=variant.optimism,
-            exactness=variant.exactness, eps_f=eps_f, eps_c=eps_c, seed=seed,
-            licq_mode=licq_mode, status=ERROR, iters=0, weighted_evals=0,
-            minres_iters=0, cg_iters=0, best_feas_err=inf, best_stat_err=inf,
-            best_infeas_stat_err=inf, terminated_early=False, solved=False)
+        return _cell_row(*task[:6], status=ERROR, iters=0, weighted_evals=0, minres_iters=0,
+                         cg_iters=0, best_feas_err=np.inf, best_stat_err=np.inf,
+                         best_infeas_stat_err=np.inf, terminated_early=False, solved=False)
 
 
 def run_grid(config: ExperimentConfig, max_workers: int | None = None):

@@ -106,14 +106,14 @@ def norm2(x) -> float:
 
 
 def norm_inf(x) -> float:
-    """Largest absolute entry (0 for an empty array); NaN if any entry is NaN.
+    """Largest absolute entry of a non-empty array; NaN if any entry is NaN.
 
     For a matrix this is the max-abs entry, not the induced row-sum norm.
     The entry at ``argmax`` is exactly ``np.maximum.reduce(abs(x), axis=None)``
     at a fraction of that reduction's cost on small arrays.  ``x`` is an ndarray.
     """
     a = abs(x)
-    return float(a.item(a.argmax())) if a.size else 0.0
+    return float(a.item(a.argmax()))
 
 
 @dataclass
@@ -165,7 +165,7 @@ def minres_iterate(apply_A, b: np.ndarray, state: MinresState | None = None):
     mutated in place.
     """
     if state is None:
-        state = MinresState(np.asarray(b, dtype=float))
+        state = MinresState(b)
     if state.breakdown:
         return state.x, state
 
@@ -202,18 +202,13 @@ def minres_iterate(apply_A, b: np.ndarray, state: MinresState | None = None):
     return state.x, state
 
 
-def minres_solve(apply_A, b: np.ndarray, tol: float = 1e-10,
-                 max_iters: int | None = None) -> SymSolveReport:
-    """Run `minres_iterate` until the true residual drops below ``tol``."""
-    b = np.asarray(b, dtype=float)
-    if max_iters is None:
-        max_iters = 3 * b.size + 10
-    x = np.zeros_like(b)
+def minres_solve(apply_A, b: np.ndarray, tol: float = 1e-10) -> SymSolveReport:
+    """Run `minres_iterate` until the true residual is <= ``tol``, 3 dim + 10 steps at most."""
     state = None
     while True:
         x, state = minres_iterate(apply_A, b, state)
         res = norm_inf(apply_A(x) - b)
-        if res <= tol or state.breakdown or state.iterations >= max_iters:
+        if res <= tol or state.breakdown or state.iterations >= 3 * b.size + 10:
             return SymSolveReport(x, res, state.iterations)
 
 
@@ -226,7 +221,6 @@ def cg_steihaug(apply_H, g: np.ndarray, radius: float, stop=None):
 
     Returns ``(v, hit_boundary, iterations)``.
     """
-    g = np.asarray(g, dtype=float)
     n = g.size
     z = np.zeros(n)
     r = g.copy()
@@ -271,18 +265,13 @@ def _boundary_step(z, d, radius):
 def least_squares_multiplier(J: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Multiplier y minimizing ||g + J'y||_2 via regularized normal equations.
 
-    Takes one (m, n) Jacobian with g of shape (n,), or a stack (k, m, n)
-    with g of shape (k, n) and then returns the k multipliers as (k, m),
-    each equal bit for bit to its own unstacked call.  A rank-deficient
+    Takes a stack of k Jacobians (k, m, n) with the gradients (k, n) and
+    returns the k multipliers as (k, m); each row's multiplier is equal bit
+    for bit to that of a stack of one holding that row.  A rank-deficient
     Gram matrix M = JJ' gets a ridge of 1e-12 * (1 + max|M_ij|), which
     makes the solve total and returns the minimum-norm minimizer of the
     regularized system.
     """
-    J = np.asarray(J, dtype=float)
-    g = np.asarray(g, dtype=float)
-    stacked = J.ndim == 3
-    if not stacked:
-        J, g = J[None], g[None]
     M = J @ J.transpose(0, 2, 1)
     rhs = -J @ g[:, :, None]
     w = np.linalg.eigvalsh(M)
@@ -291,13 +280,12 @@ def least_squares_multiplier(J: np.ndarray, g: np.ndarray) -> np.ndarray:
         M_r = M[ridged]
         ridge = 1e-12 * (1.0 + abs(M_r).max(axis=(1, 2)))
         M[ridged] = M_r + ridge[:, None, None] * np.eye(M.shape[-1])
-    y = np.linalg.solve(M, rhs)[:, :, 0]
-    return y if stacked else y[0]
+    return np.linalg.solve(M, rhs)[:, :, 0]
 
 
 def smallest_singular_value(J: np.ndarray) -> float:
     """Least of the min(m, n) singular values of J; used to audit LICQ status."""
-    return float(np.linalg.svd(np.asarray(J, dtype=float), compute_uv=False)[-1])
+    return float(np.linalg.svd(J, compute_uv=False)[-1])
 
 
 def kkt_matrix(H: np.ndarray, J: np.ndarray) -> np.ndarray:
@@ -319,14 +307,12 @@ def dense_kkt_solve(H: np.ndarray, J: np.ndarray, rhs_top: np.ndarray):
     unique per the saddle-system structure.  A failure after the ridge
     raises LinAlgError.
     """
-    J = np.asarray(J, dtype=float)
-    rhs_top = np.asarray(rhs_top, dtype=float)
     m, n = J.shape
     K = kkt_matrix(H, J)
     rhs = np.concatenate([-rhs_top, np.zeros(m)])
 
     sigma = smallest_singular_value(J)
-    sigma_max = norm2(J) if J.size else 0.0
+    sigma_max = norm2(J)
     rank_deficient = sigma <= 1e-10 * max(1.0, sigma_max)
     if rank_deficient:
         K[n:, n:] -= (1e-12 * (1.0 + norm_inf(J @ J.T))) * np.eye(m)

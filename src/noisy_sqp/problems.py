@@ -17,10 +17,6 @@ import numpy as np
 from .linalg import as_vector, kkt_matrix, smallest_singular_value
 
 
-class DimensionMismatch(Exception):
-    pass
-
-
 class ParseError(Exception):
     """Problem file rejected; message names the offending field."""
 
@@ -59,20 +55,20 @@ class ProblemSpec:
             raise ValueError("need n >= 1 and m >= 1")
         self.x0 = as_vector(self.x0, "x0")
         if self.x0.size != self.n:
-            raise DimensionMismatch(f"x0 has size {self.x0.size}, expected {self.n}")
+            raise ValueError(f"x0 has size {self.x0.size}, expected {self.n}")
 
 
 def evaluate(problem: ProblemSpec, x) -> ExactEvaluation:
     """Exact (f, g, c, J) at x.  No counters; counting lives in the noisy oracle."""
     x = as_vector(x, "x")
     if x.size != problem.n:
-        raise DimensionMismatch(f"x has size {x.size}, expected {problem.n}")
+        raise ValueError(f"x has size {x.size}, expected {problem.n}")
     ev = problem.eval_fn(x)
     g = np.asarray(ev.g, dtype=float)
     c = np.asarray(ev.c, dtype=float).reshape(-1)
     J = np.asarray(ev.J, dtype=float).reshape(problem.m, problem.n)
     if g.size != problem.n or c.size != problem.m:
-        raise DimensionMismatch("eval returned inconsistent dimensions")
+        raise ValueError("eval returned inconsistent dimensions")
     return ExactEvaluation(float(ev.f), g, c, J)
 
 
@@ -113,8 +109,6 @@ def parse_problem_json(text) -> ProblemSpec:
     Fields: name and the finite Q (n x n), q (n), A (m x n), b (m), x0 (n),
     defining f = 1/2 x'Qx + q'x and c = Ax - b.  Q is symmetrized as (Q + Q')/2.
     """
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -125,22 +119,23 @@ def parse_problem_json(text) -> ProblemSpec:
         if fieldname not in data:
             raise ParseError(f"missing field '{fieldname}'")
     name = str(data["name"])
-    try:
-        arrays = {key: np.asarray(data[key], dtype=float) for key in ("Q", "q", "A", "b", "x0")}
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"non-numeric entry: {exc}") from exc
-    for key, value in arrays.items():
+    arrays = {}
+    for key in ("Q", "q", "A", "b", "x0"):
+        try:
+            arrays[key] = value = np.asarray(data[key], dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ParseError(f"non-numeric entry in '{key}': {exc}") from exc
         if not np.isfinite(value).all():  # json.loads reads NaN and Infinity
             raise ParseError(f"non-finite entry in '{key}'")
     Q, q, A, b, x0 = arrays.values()
     if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
-        raise DimensionMismatch(f"Q must be square, got {Q.shape}")
+        raise ParseError(f"Q must be square, got {Q.shape}")
     n = Q.shape[0]
     if A.ndim != 2 or A.shape[1] != n:
-        raise DimensionMismatch(f"A must be m x {n}, got {A.shape}")
-    m = A.shape[0]
-    if q.shape != (n,) or b.shape != (m,) or x0.shape != (n,):
-        raise DimensionMismatch("q, b, or x0 has wrong length")
+        raise ParseError(f"A must be m x {n}, got {A.shape}")
+    for key, size in (("q", n), ("b", A.shape[0]), ("x0", n)):
+        if arrays[key].shape != (size,):
+            raise ParseError(f"{key} must have length {size}, got {arrays[key].shape}")
     Qs = 0.5 * (Q + Q.T)
     return _quadratic(name, Qs, q, A, b, x0)
 
@@ -318,7 +313,7 @@ _BUILTINS = {
 
 
 def builtin_registry() -> list[ProblemSpec]:
-    """The built-in desk-scale suite; >= 8 problems, 2 <= n <= 20, 1 <= m < n."""
+    """The built-in desk-scale suite; >= 8 problems, 2 <= n <= 10, 1 <= m < n."""
     return [build(name) for name, build in _BUILTINS.items()]
 
 

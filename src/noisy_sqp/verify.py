@@ -15,13 +15,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .driver import solve
+from .driver import ADAPTIVE, solve
 from .linalg import smallest_singular_value
 from .merit import (GAMMA_C, KAPPA_RHO_R, LAMBDA_RHO_R, LAMBDA_U, LAMBDA_UV, LAMBDA_V, SIGMA_C,
                     SIGMA_JC, SIGMA_R, SIGMA_U)
 from .stepsize import BETA, ETA, LS_ETA
 from .noise import NoiseSpec, sample_noisy
 from .problems import evaluate
+from .steps import EXACT_FALLBACK, TT1, TT2_CASE2
 
 FD_STEP = 1e-6  # fd_check's central-difference step
 
@@ -45,7 +46,6 @@ class PerturbationReport:
 def fd_check(problem, x):
     """Max-abs discrepancy of analytic (g, J) against central differences with step FD_STEP."""
     h = FD_STEP
-    x = np.asarray(x, dtype=float)
     base = evaluate(problem, x)
     g_fd = np.zeros(problem.n)
     J_fd = np.zeros((problem.m, problem.n))
@@ -89,7 +89,6 @@ def cauchy_perturbation_scan(problem, x, n_seeds: int = 20) -> PerturbationRepor
     sigma_Jc = 1e2.  Pass criterion: the max ratio ||noisy step - exact
     step|| / eps stays within 10x of its value at the anchor eps = 1e-5.
     """
-    x = np.asarray(x, dtype=float)
     ex = evaluate(problem, x)
     if smallest_singular_value(ex.J) < 1e-3:
         raise ValueError("Jacobian not full rank at the scan point")
@@ -126,7 +125,6 @@ def tangential_gap_scan(problem, x, n_seeds: int = 20) -> PerturbationReport:
     (eps_g + eps_J) ratio to stay within 10x of its value at the anchor
     eps = 1e-2, the largest.
     """
-    x = np.asarray(x, dtype=float)
     ex = evaluate(problem, x)
     if problem.m >= problem.n:
         raise ValueError("null space of J must be nontrivial (need m < n)")
@@ -152,13 +150,10 @@ def tangential_gap_scan(problem, x, n_seeds: int = 20) -> PerturbationReport:
 
 
 def _null_space_solution(H, J, g):
-    # minimize g'u + 1/2 u'Hu over Null(J), via an explicit null-space basis
-    m, n = J.shape
+    # minimize g'u + 1/2 u'Hu over Null(J) (never {0}: m < n), via an explicit null-space basis
     _, s, Vt = np.linalg.svd(J)
-    rank = int(np.sum(s > 1e-12 * max(1.0, s[0] if s.size else 1.0)))
+    rank = int(np.sum(s > 1e-12 * max(1.0, s[0])))
     Z = Vt[rank:].T
-    if Z.shape[1] == 0:
-        return np.zeros(n)
     M = Z.T @ H @ Z
     w = np.linalg.solve(M, -(Z.T @ g))
     return Z @ w
@@ -178,7 +173,7 @@ def assert_trace_invariants(trace, params) -> list:
         if taus[i] > taus[i - 1] + 1e-15:
             violations.append(f"k={i}: tau increased {taus[i - 1]} -> {taus[i]}")
 
-    if trace.variant == "adaptive":
+    if trace.variant == ADAPTIVE:
         seq = [(r.chi, r.zeta, r.xi) for r in trace.records if r.chi is not None]
         for i in range(1, len(seq)):
             if seq[i][0] < seq[i - 1][0] - 1e-15:
@@ -247,12 +242,12 @@ def _recheck_bundle(record, eps_o, H) -> str | None:
     dl_prev_u = -tau_prev * float(g @ u) + nrm(c) - nrm(c + J @ u)
 
     test = b.test
-    if test == "exact_fallback":
+    if test == EXACT_FALLBACK:
         if max(nrm(rho), nrm(r)) > 1e-9 * (1.0 + np.max(np.abs(g + H @ v))):
             return "fallback residual not at round-off level"
         test = b.fallback_case
 
-    if test == "TT1":
+    if test == TT1:
         if nrm(v) != 0.0:
             return "TT1 with nonzero normal component"
         if max(nrm(rho), nrm(r)) > gate + slack:
@@ -281,7 +276,7 @@ def _recheck_bundle(record, eps_o, H) -> str | None:
         dec_v = nrm(c) - nrm(c + J @ v)
         dec_vr = nrm(c) - nrm(c + J @ v + r)
         dl_prev_d = -tau_prev * float(g @ b.d) + nrm(c) - nrm(c + J @ b.d)
-        if test == "TT2_case2":
+        if test == TT2_CASE2:
             if dl_prev_d < tau_prev * SIGMA_U * max(uHu, LAMBDA_U * uu) \
                     + SIGMA_C * dec_v - slack:
                 return "TT2 case-2 model reduction fails on recheck"

@@ -166,6 +166,12 @@ TOY = {"name": "toy", "Q": [[1, 0], [0, 1]], "q": [0, 0], "A": [[1, 1]], "b": [1
 MALFORMED_PROBLEMS = {
     "missing-q": ({k: v for k, v in TOY.items() if k != "q"}, "missing field 'q'"),
     "A-1x3": ({**TOY, "A": [[1, 1, 0]]}, "A must be m x 2, got (1, 3)"),
+    "Q-2x3": ({**TOY, "Q": [[1, 0, 0], [0, 1, 0]]}, "Q must be square, got (2, 3)"),
+    "q-length-3": ({**TOY, "q": [0, 0, 0]}, "q must have length 2, got (3,)"),
+    "b-length-2": ({**TOY, "b": [1, 2]}, "b must have length 1, got (2,)"),
+    "x0-length-1": ({**TOY, "x0": [0]}, "x0 must have length 2, got (1,)"),
+    "string-in-Q": ({**TOY, "Q": [[1, 0], ["one", 1]]},
+                    "non-numeric entry in 'Q': could not convert string to float: 'one'"),
     "NaN-in-Q": ({**TOY, "Q": [[float("nan"), 0], [0, 1]]}, "non-finite entry in 'Q'"),
     "Infinity-in-A": ({**TOY, "A": [[float("inf"), 1]]}, "non-finite entry in 'A'"),
     "number": (5, "a problem file must be a JSON object"),

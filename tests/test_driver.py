@@ -367,8 +367,8 @@ class TestNonFiniteEvaluation:
         trace, last = self.run(problem, "adaptive")
         assert np.isnan(last.noisy.f_bar)
 
-    # norm2's overflowing dot still warns (the ROADMAP's hostile-inputs item)
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    # the overflowing norms are formed without a numpy warning
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("eps", [0.0, 1e-2])
     @pytest.mark.parametrize("variant", ["adaptive", "line_search"])
     @pytest.mark.parametrize("f_scale, c_scale", [(1e200, 1.0), (1.0, 1e200)], ids=["f", "c"])

@@ -100,7 +100,7 @@ class TestBestIterate:
         from noisy_sqp.linalg import least_squares_multiplier, norm_inf
         rows = []
         for i, r in enumerate(trace.records):
-            y = least_squares_multiplier(r.exact.J, r.exact.g)
+            y = least_squares_multiplier(r.exact.J[None], r.exact.g[None])[0]
             rows.append((i, norm_inf(r.exact.c),
                          norm_inf(r.exact.g + r.exact.J.T @ y)))
         qualified = [row for row in rows if row[1] <= gate]
@@ -140,7 +140,7 @@ def per_record_best_iterate(trace, eps_c, eps_f):
     rows = []
     for idx, rec in enumerate(r for r in trace.records if r.exact is not None):
         ex = rec.exact
-        y = least_squares_multiplier(ex.J, ex.g)
+        y = least_squares_multiplier(ex.J[None], ex.g[None])[0]
         rows.append((idx, norm_inf(ex.c), norm_inf(ex.g + ex.J.T @ y),
                      norm_inf(ex.J.T @ ex.c), norm_inf(y)))
     qualified = [row for row in rows if row[1] <= 2.0 * max(eps_c, eps_f)]
@@ -327,6 +327,15 @@ class TestRunGrid:
                          0, "original", budgets=(60, 2000))
         assert rec.solved
         assert rec.best_feas_err >= 0.0
+
+    def test_budget_spent_in_adaptive_start_up(self):
+        # the adaptive controller's Lipschitz estimates at x0 take 22 weighted
+        # evaluations, past the budget of 20: no iterate, so no best iterate
+        rec = run_single("unit-circle", VariantSpec("ada", "opt"), 1e-2, 1e-2, 0, "original",
+                         budgets=(10, 20))
+        assert (rec.status, rec.iters, rec.weighted_evals) == ("budget_evals", 0, 22)
+        assert rec.best_feas_err == rec.best_stat_err == rec.best_infeas_stat_err == np.inf
+        assert not rec.solved and not rec.terminated_early
 
 
 class TestPerformanceProfile:

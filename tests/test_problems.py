@@ -5,8 +5,9 @@ import pytest
 
 from noisy_sqp.linalg import norm2, smallest_singular_value
 from noisy_sqp.problems import (
-    DimensionMismatch,
+    ExactEvaluation,
     ParseError,
+    ProblemSpec,
     builtin_registry,
     duplicate_last_constraint,
     evaluate,
@@ -55,8 +56,21 @@ class TestEvaluate:
 
     def test_dimension_mismatch(self):
         p = registry_by_name()["unit-circle"]
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ValueError, match="x has size 3, expected 2"):
             evaluate(p, np.zeros(3))
+
+    def test_start_point_of_the_wrong_length(self):
+        ev = registry_by_name()["unit-circle"].eval_fn
+        with pytest.raises(ValueError, match="x0 has size 3, expected 2"):
+            ProblemSpec("circle", 2, 1, np.zeros(3), ev)
+
+    @pytest.mark.parametrize("g, c", [(np.zeros(3), np.zeros(1)), (np.zeros(2), np.zeros(2))],
+                             ids=["g", "c"])
+    def test_eval_fn_of_the_wrong_shape(self, g, c):
+        p = ProblemSpec("circle", 2, 1, np.ones(2),
+                        lambda x: ExactEvaluation(f=0.0, g=g, c=c, J=np.zeros((1, 2))))
+        with pytest.raises(ValueError, match="eval returned inconsistent dimensions"):
+            evaluate(p, p.x0)
 
     @pytest.mark.parametrize("shape", [(), (1,), (1, 1)])
     def test_constraints_come_back_as_a_vector(self, shape):
@@ -232,6 +246,20 @@ class TestProblemJson:
         text = json.dumps({**data, field: bad})  # NaN, Infinity, -Infinity: json.loads reads them
         with pytest.raises(ParseError, match=f"non-finite entry in '{field}'"):
             parse_problem_json(text)
+
+    @pytest.mark.parametrize("change, message", [
+        ({"Q": [[1, 0, 0], [0, 1, 0]]}, "Q must be square, got (2, 3)"),
+        ({"q": [0, 0, 0]}, "q must have length 2, got (3,)"),
+        ({"b": [1, 2]}, "b must have length 1, got (2,)"),
+        ({"x0": [[0, 0]]}, "x0 must have length 2, got (1, 2)"),
+        ({"A": [[1, "one"]]}, "non-numeric entry in 'A': could not convert string to float"),
+    ], ids=["Q-2x3", "q-3", "b-2", "x0-1x2", "A-string"])
+    def test_malformed_field_named(self, change, message):
+        data = {"name": "t", "Q": [[1, 0], [0, 1]], "q": [0, 0], "A": [[1, 0]], "b": [0],
+                "x0": [0, 0]}
+        with pytest.raises(ParseError) as info:
+            parse_problem_json(json.dumps({**data, **change}))
+        assert str(info.value).startswith(message)
 
     def test_asymmetric_Q_symmetrized(self):
         text = json.dumps({

@@ -206,6 +206,16 @@ class TestCheckTT1:
         g_ok = np.array([0.0, 1.0])           # g'u + u'Hu/2 = -1/2
         assert check_tt1(H, lin(c, J, g_ok), zero_normal(c, 2), u, rho, r, 1.0, 0.0)
 
+    def test_negative_curvature_rejected(self):
+        # with H = -I, u'Hu = -1: the objective-model (g'u + u'Hu/2 = -3/2) and
+        # model-reduction (1 >= 0.99 max(-1, LAMBDA_U)) conditions hold, so only the
+        # curvature condition rejects, and relaxing it by eps_o lets the step through
+        J, c = np.array([[1.0, 0.0]]), np.array([0.0])
+        args = (-np.eye(2), lin(c, J, np.array([0.0, 1.0])), zero_normal(c, 2),
+                np.array([0.0, -1.0]), np.zeros(2), np.zeros(1), 1.0)
+        assert check_tt1(*args, 0.0) is None
+        assert check_tt1(*args, 1.5) is not None
+
     def test_exact_fixture_with_strictness_margin(self, monkeypatch):
         H = np.eye(2)
         J = np.array([[1.0, 0.0]])
@@ -279,6 +289,20 @@ class TestCheckTT2:
         case, *_, trial = check_tt1(H, lin(c, J, g), zero_normal(c, 2), u,
                                     H @ u + J.T @ y + g, J @ u, 1.0, 0.0)
         assert (case, trial) == (TT1, None)
+
+    @pytest.mark.parametrize("H, g", [(-np.eye(2), [0.0, 1.0]), (np.eye(2), [0.0, -1.0])],
+                             ids=["negative-curvature", "ascent"])
+    def test_dominant_tangential_step_needs_curvature_and_descent(self, monkeypatch, H, g):
+        # ||u|| = 1 > LAMBDA_UV ||v|| = 1e-2, so the dominance condition applies: with
+        # H = -I its curvature part fails, with g'u = 1 its slope part does
+        c, J = np.array([1.0]), np.array([[1.0, 0.0]])
+        v, u = np.array([-1e-6, 0.0]), np.array([0.0, -1.0])
+        c_v = c + J @ v
+        args = (H, lin(c, J, np.array(g)), NormalStep(v, c_v, norm2(c_v)), u, np.zeros(2),
+                np.zeros(1), 1.0)
+        assert check_tt2(*args) is None
+        monkeypatch.setattr(steps, "LAMBDA_UV", 1e30)  # u never dominates: a reduction passes
+        assert check_tt2(*args) is not None
 
     def test_cond1_needs_a_positive_trial(self):
         # the round-off slack lets ||c + Jv + r|| exceed ||c||, so the trial

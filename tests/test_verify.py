@@ -1,3 +1,4 @@
+import copy
 import json
 
 import numpy as np
@@ -11,6 +12,7 @@ from noisy_sqp.problems import (
     duplicate_last_constraint,
     registry_by_name,
 )
+from noisy_sqp.steps import EXACT_FALLBACK, TT1, TT2_CASE2, TT2_COND1
 from noisy_sqp.verify import (
     assert_trace_invariants,
     cauchy_perturbation_scan,
@@ -153,3 +155,140 @@ class TestTraceInvariants:
         trace.records[2].x = trace.records[2].x + 0.5
         bad = assert_trace_invariants(trace, params)
         assert any("identity" in msg for msg in bad)
+
+
+# runs whose traces the corruptions below start from, as (problem, eps, variant,
+# optimism): unit-circle steps on TT1 and TT2_case2 records under both controllers,
+# and zero-noise quad-ellipse takes every step through the dense fallback
+AUDITED_RUNS = {
+    "adaptive": ("unit-circle", 1e-2, "adaptive", "optimistic"),
+    "line_search": ("unit-circle", 1e-2, "line_search", "optimistic"),
+    "fallback": ("quad-ellipse", 0.0, "adaptive", "pessimistic"),
+}
+
+
+@pytest.fixture(scope="module")
+def audited_runs():
+    runs = {}
+    for key, (name, eps, variant, optimism) in AUDITED_RUNS.items():
+        eps_g, eps_J = derive_gradient_noise(eps, eps)
+        noise = NoiseSpec(eps_f=eps, eps_g=eps_g, eps_c=eps, eps_J=eps_J)
+        params = SolverParams.benchmark_defaults(noise, variant=variant, optimism=optimism)
+        runs[key] = solve(registry_by_name()[name], params, 0), params
+    return runs
+
+
+def stepped(trace, test, fallback_case=None):
+    """The first record that stepped (alpha > 0) on a bundle of ``test``."""
+    return next(r for r in trace.records if r.alpha > 0 and r.bundle is not None
+                and (r.bundle.test, r.bundle.fallback_case) == (test, fallback_case))
+
+
+def controlled(trace):
+    """The records that carry the adaptive controller's snapshot."""
+    return [r for r in trace.records if r.alpha_suff is not None]
+
+
+def record(test, fallback_case=None):
+    return lambda trace: stepped(trace, test, fallback_case)
+
+
+def bundle(test, fallback_case=None):
+    return lambda trace: stepped(trace, test, fallback_case).bundle
+
+
+def last_controlled(trace):
+    return controlled(trace)[-1]
+
+
+def first_accepted(trace):
+    return next(r for r in trace.records if r.phi_accept is not None)
+
+
+def setting(where, **changes):
+    """Corrupt ``where(trace)``: set each field, in order, to its function of that object
+    (so a later change sees the earlier ones)."""
+    def corrupt(trace):
+        obj = where(trace)
+        for name, change in changes.items():
+            setattr(obj, name, change(obj))
+    return corrupt
+
+
+def against_previous(name, change):
+    """Set one controlled record's ``name`` to ``change`` of the record before it."""
+    def corrupt(trace):
+        prev, rec = controlled(trace)[4:6]
+        setattr(rec, name, change(getattr(prev, name)))
+    return corrupt
+
+
+def normal_step_off_range(trace):
+    # v moves far along null(J): c + Jv, and so every decrease, stays as it was
+    rec = stepped(trace, TT2_CASE2)
+    z = np.array([rec.noisy.J_bar[0, 1], -rec.noisy.J_bar[0, 0]])
+    z *= -np.sign(rec.noisy.g_bar @ z) * 1e3 / np.linalg.norm(z)
+    rec.bundle.v = rec.bundle.v + z
+    rec.bundle.d = rec.bundle.v + rec.bundle.u
+
+
+CORRUPTIONS = [
+    ("adaptive", against_previous("chi", lambda prev: prev / 2), "chi decreased"),
+    ("adaptive", against_previous("zeta", lambda prev: 2 * prev + 1), "zeta increased"),
+    ("adaptive", against_previous("xi", lambda prev: 2 * prev + 1), "xi increased"),
+    ("adaptive", setting(last_controlled, alpha_suff=lambda r: 1.5),
+     "alpha ordering alpha <= alpha_suff <= 1 broken"),
+    ("adaptive", setting(last_controlled, alpha_min=lambda r: r.alpha_max + 1),
+     "alpha_min > alpha_max"),
+    ("adaptive", setting(last_controlled, xi=lambda r: 0.0), "controller sequence not positive"),
+    ("adaptive", setting(last_controlled, alpha_suff=lambda r: r.alpha_suff * (1 + 1e-6)),
+     "alpha_suff does not match recomputation"),
+    ("line_search", setting(first_accepted, phi_accept=lambda r: r.phi0 + 10),
+     "accepted step violates relaxed Armijo"),
+    ("adaptive", setting(bundle(TT1), d=lambda b: b.d + 1.0), "d != v + u"),
+    ("fallback", setting(bundle(EXACT_FALLBACK, TT1), rho=lambda b: b.rho + 1.0),
+     "fallback residual not at round-off level"),
+    ("adaptive", setting(bundle(TT1), v=lambda b: b.v + 1e-3, d=lambda b: b.v + b.u),
+     "TT1 with nonzero normal component"),
+    ("adaptive", setting(bundle(TT1), r=lambda b: b.r + 10.0),
+     "TT1 residual gate fails on recheck"),
+    ("adaptive", setting(lambda trace: trace, H=lambda trace: -trace.H),
+     "TT1 curvature condition fails on recheck"),
+    ("adaptive", setting(bundle(TT1), u=lambda b: -b.u, d=lambda b: b.v + b.u),
+     "TT1 objective-model condition fails on recheck"),
+    ("fallback", setting(lambda trace: trace, H=lambda trace: 2 * trace.H),
+     "TT1 model-reduction condition fails on recheck"),
+    ("adaptive", setting(record(TT1), delta_l=lambda r: -1.0),
+     "feasible-branch model reduction lower bound fails"),
+    ("adaptive", setting(bundle(TT2_CASE2), r=lambda b: b.r + 10.0),
+     "TT2 residual gate fails on recheck"),
+    ("adaptive", setting(bundle(TT2_CASE2), u=lambda b: -b.u, v=lambda b: 0 * b.v,
+                         d=lambda b: b.u),
+     "TT2 dominance/curvature condition fails on recheck"),
+    ("adaptive", setting(record(TT2_CASE2), tau_prev=lambda r: 1e6 * r.tau_prev),
+     "TT2 case-2 model reduction fails on recheck"),
+    ("fallback", setting(bundle(EXACT_FALLBACK, TT2_COND1), v=lambda b: -b.v,
+                         d=lambda b: b.v + b.u),
+     "TT2 residual-decrease condition fails on recheck"),
+    ("adaptive", normal_step_off_range, "normal trust region bound fails on recheck"),
+    ("adaptive", setting(bundle(TT2_CASE2), v=lambda b: 0 * b.v, d=lambda b: b.u),
+     "Cauchy decrease condition fails on recheck"),
+]
+
+
+class TestTraceCorruption:
+    """Every check of the audit rejects: a corrupted copy of a clean trace raises it."""
+
+    @pytest.mark.parametrize("run", list(AUDITED_RUNS))
+    def test_audited_run_is_clean(self, audited_runs, run):
+        trace, params = audited_runs[run]
+        assert assert_trace_invariants(trace, params) == []
+
+    @pytest.mark.parametrize("run, corrupt, message", CORRUPTIONS,
+                             ids=[message for _, _, message in CORRUPTIONS])
+    def test_corruption_is_flagged(self, audited_runs, run, corrupt, message):
+        trace, params = audited_runs[run]
+        trace = copy.deepcopy(trace)
+        corrupt(trace)
+        violations = assert_trace_invariants(trace, params)
+        assert any(v.endswith(": " + message) for v in violations), violations
