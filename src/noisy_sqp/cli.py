@@ -120,11 +120,13 @@ def _cmd_profile(args) -> int:
         table = performance_profile(records, cost_field=cost_field)
     except (OSError, KeyError, ValueError) as exc:
         return _error("input error", exc)
-    with open(args.out, "w") as fh:
-        fh.write(profile_to_tsv(table))
     costs_path = os.path.splitext(args.out)[0] + ".costs.tsv"
-    with open(costs_path, "w") as fh:
-        fh.write(costs_to_tsv(table))
+    try:
+        with open(args.out, "w") as fh, open(costs_path, "w") as costs_fh:
+            fh.write(profile_to_tsv(table))
+            costs_fh.write(costs_to_tsv(table))
+    except OSError as exc:  # an --out path that cannot be written
+        return _error("config error", exc)
     print(f"profiles -> {args.out}; per-instance costs -> {costs_path}")
     return 0
 
@@ -159,8 +161,11 @@ def _cmd_verify(args) -> int:
         for label, good in lines:
             print(f"{label} {'pass' if good else 'FAIL'}")
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write("[" + ",\n".join(r.to_json() for r in reports) + "]\n")
+        try:
+            with open(args.out, "w") as fh:
+                fh.write("[" + ",\n".join(r.to_json() for r in reports) + "]\n")
+        except OSError as exc:  # exit 1 stays a failed check's
+            return _error("config error", exc)
         print(f"reports -> {args.out}")
     return 0 if all(r.passed for r in reports) else 1
 

@@ -26,7 +26,7 @@ LAMBDA_V = 1e4  # (0, inf)
 SIGMA_U = 0.99  # (0, 1)
 SIGMA_C = 0.1  # (0, SIGMA_R)
 SIGMA_R = 0.9999  # (SIGMA_C, 1)
-GAMMA_C = 0.9  # (0, 1]; the share of the Cauchy point's decrease the normal step keeps
+GAMMA_C = 0.9  # (0, 1]; the Cauchy decrease share the normal step keeps; only `verify` reads it
 SIGMA_JC = 1e2  # (0, inf); normal trust-region radius sigma_Jc ||J'c|| and Cauchy step cap
 TAU0 = 1.0  # (0, inf)
 SIGMA_TAU = 1e-2  # (0, 1)
@@ -34,17 +34,15 @@ SIGMA_TAU = 1e-2  # (0, 1)
 
 class Linearization:
     """Noisy gradient g, constraints c and Jacobian J at one iterate (float
-    arrays) with J'c, ||J'c||^2, ||J'c||, max|J'c|, ||c||, ||g|| and
+    arrays) with J'c, ||J'c||, max|J'c|, ||c||, ||g|| and
     ``round_off`` = 1e-13 max(1, ||g||, ||c||), the one scale of what counts as zero."""
 
-    __slots__ = ("g", "c", "J", "Jtc", "Jtc_sq", "Jtc_norm", "Jtc_inf", "c_norm", "g_norm",
-                 "round_off")
+    __slots__ = ("g", "c", "J", "Jtc", "Jtc_norm", "Jtc_inf", "c_norm", "g_norm", "round_off")
 
     def __init__(self, g, c, J):
         self.g, self.c, self.J = g, c, J
         Jtc = self.Jtc = J.T.dot(c)
-        self.Jtc_sq = float(Jtc.dot(Jtc))
-        self.Jtc_norm = math.sqrt(self.Jtc_sq)  # norm2's formula on the same dot
+        self.Jtc_norm = norm2(Jtc)
         self.Jtc_inf = norm_inf(Jtc)
         self.c_norm = norm2(c)
         self.g_norm = norm2(g)

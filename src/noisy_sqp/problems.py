@@ -113,6 +113,8 @@ def parse_problem_json(text) -> ProblemSpec:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except UnicodeDecodeError as exc:  # json.loads decodes bytes as UTF-8, -16 or -32
+        raise ParseError(f"not {exc.encoding} text: {exc.reason} at byte {exc.start}") from exc
     if not isinstance(data, dict):
         raise ParseError("a problem file must be a JSON object")
     for fieldname in ("name", "Q", "q", "A", "b", "x0"):

@@ -1,10 +1,11 @@
 """Normal and tangential step computation with the two termination tests.
 
 The normal component reduces linearized infeasibility inside a trust region
-proportional to ||J'c|| and must retain a fixed fraction of the Cauchy
-point's decrease.  The tangential component comes from a symmetric Krylov
-solve of the saddle system whose iterates are accepted as soon as one of
-the two termination tests holds together with a noise-scaled residual gate.
+proportional to ||J'c|| by trust-region CG.  CG's first iterate is the Cauchy
+point and its later iterates never increase ||c + Jv||, so the step keeps the
+Cauchy point's decrease.  The tangential component comes from a symmetric
+Krylov solve of the saddle system whose iterates are accepted as soon as one
+of the two termination tests holds together with a noise-scaled residual gate.
 
 Each function reads the iteration's noisy linearization from one
 `merit.Linearization` (g, c and J with J'c, ||J'c||, max|J'c|, ||c||, ||g||
@@ -12,8 +13,8 @@ and the round-off scale, each formed once), and the steps and tests read the
 normal step's v, c + Jv and ||c + Jv|| from its `NormalStep`.  The passing
 test's measurements ride in the `StepBundle` to the driver; no bundle means
 no test can pass.  The tests' and the trust region's constants are `merit`'s;
-their inequalities, stated for exact arithmetic, and the normal step's
-decrease allow the round-off scale as slack.
+their inequalities, stated for exact arithmetic, allow the round-off scale
+as slack.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 
 from .linalg import cg_steihaug, dense_kkt_solve, kkt_matrix, minres_iterate, norm2, norm_inf
 from . import merit
-from .merit import (GAMMA_C, KAPPA_RHO_R, LAMBDA_RHO_R, LAMBDA_U, LAMBDA_UV, LAMBDA_V, SIGMA_C,
+from .merit import (KAPPA_RHO_R, LAMBDA_RHO_R, LAMBDA_U, LAMBDA_UV, LAMBDA_V, SIGMA_C,
                     SIGMA_JC, SIGMA_R, SIGMA_U, Linearization, model_reduction)
 
 TT1 = "TT1"
@@ -64,31 +65,16 @@ class NormalStep(NamedTuple):
     cg_iters: int = 0
 
 
-def cauchy_normal_step(lin: Linearization):
-    """Steepest-descent direction -J'c with its capped optimal step size.
-
-    Returns (v_c, alpha_c) with alpha_c = min{SIGMA_JC, ||J'c||^2 / ||JJ'c||^2}.
-    """
-    JJtc = lin.J.dot(lin.Jtc)
-    denom = float(JJtc.dot(JJtc))
-    if denom == 0.0:
-        alpha_c = SIGMA_JC
-    else:
-        alpha_c = min(SIGMA_JC, lin.Jtc_sq / denom)
-    return -lin.Jtc, alpha_c
-
-
 def normal_step(lin: Linearization, coef: float) -> NormalStep:
     """Inexact normal component via trust-region CG on 1/2 ||c + Jv||^2.
 
     CG runs in the Krylov space of J'c, hence v stays in Range(J').  It stops at
     the trust-region boundary or once the residual J'Jv + J'c passes the
     noise-scaled gate coef * max(1, ||J'c||_inf).  The caller has already taken
-    the infeasible-stationary exit when J'c is numerically zero.  The
-    Cauchy point's decrease of ||c|| is at most ||c||, in floating point too,
-    so it is formed only when CG's decrease falls short of GAMMA_C ||c||, and
-    replaces CG's step when CG's decrease falls short of GAMMA_C times its
-    decrease as well.
+    the infeasible-stationary exit when J'c is numerically zero.  CG's first
+    iterate is the Cauchy point (the radius caps its step size at SIGMA_JC)
+    and its later iterates never increase ||c + Jv||, so v keeps the Cauchy
+    point's decrease of ||c||, the share GAMMA_C that `verify` rechecks.
     """
     c, J = lin.c, lin.J
     Jt = J.T
@@ -98,20 +84,7 @@ def normal_step(lin: Linearization, coef: float) -> NormalStep:
     v, _, iters = cg_steihaug(lambda p: Jt.dot(J.dot(p)), lin.Jtc, radius,
                               stop=lambda resid: norm_inf(resid) <= threshold)
     c_v = c + J.dot(v)
-    c_v_norm = norm2(c_v)
-    decrease = lin.c_norm - c_v_norm
-    slack = lin.round_off
-    if decrease >= GAMMA_C * lin.c_norm - slack:
-        return NormalStep(v, c_v, c_v_norm, iters)
-    # CG's first iterate is the Cauchy point, so the decrease condition holds
-    # at exit by monotonicity; fall back to the Cauchy point defensively.
-    v_c, alpha_c = cauchy_normal_step(lin)
-    v_cauchy = alpha_c * v_c
-    c_cauchy = c + J.dot(v_cauchy)
-    c_cauchy_norm = norm2(c_cauchy)
-    if decrease < GAMMA_C * (lin.c_norm - c_cauchy_norm) - slack:
-        return NormalStep(v_cauchy, c_cauchy, c_cauchy_norm, iters)
-    return NormalStep(v, c_v, c_v_norm, iters)
+    return NormalStep(v, c_v, norm2(c_v), iters)
 
 
 def check_tt1(H, lin: Linearization, normal: NormalStep, u, rho, r, tau_prev: float,

@@ -60,7 +60,7 @@ def fd_check(problem, x):
 
 
 def _cauchy_step(c, J, sigma_Jc):
-    # independent of steps.cauchy_normal_step on purpose
+    # the Cauchy point, coded apart from the normal step's CG on purpose
     Jtc = J.T @ c
     direction = -Jtc
     JJtc = J @ Jtc

@@ -176,6 +176,7 @@ MALFORMED_PROBLEMS = {
     "Infinity-in-A": ({**TOY, "A": [[float("inf"), 1]]}, "non-finite entry in 'A'"),
     "number": (5, "a problem file must be a JSON object"),
     "null": (None, "a problem file must be a JSON object"),
+    "not-UTF-8": (b'{"name": "\xff"}', "not utf-8 text: invalid start byte at byte 10"),
 }
 
 
@@ -184,7 +185,8 @@ MALFORMED_PROBLEMS = {
 def test_malformed_problem_file_is_input_error(tmp_path, capsys, command, name):
     problem, message = MALFORMED_PROBLEMS[name]
     path = tmp_path / "bad.qp.json"
-    path.write_text(json.dumps(problem))  # json writes NaN and Infinity as such
+    # bytes as given; json writes NaN and Infinity as such
+    path.write_bytes(problem if isinstance(problem, bytes) else json.dumps(problem).encode())
     out = tmp_path / "out"
     if command == "solve":
         argv = ["solve", "--problem", str(path), *SOLVE_ARGS]
@@ -197,11 +199,12 @@ def test_malformed_problem_file_is_input_error(tmp_path, capsys, command, name):
     assert not (out / "results.csv").exists()
 
 
-def test_profile_of_one_variant_is_input_error(tmp_path, capsys):
+def small_grid_csv(tmp_path, capsys, *schemes):
+    """The results.csv of a 20-iteration unit-circle grid, one variant per scheme."""
     config = {
         "problems": ["unit-circle"],
         "noise_grid": [[1e-2, 1e-2]],
-        "variants": [{"scheme": "ada", "optimism": "opt"}],
+        "variants": [{"scheme": scheme, "optimism": "opt"} for scheme in schemes],
         "seeds": [0],
         "budgets": [20, 2000],
     }
@@ -209,11 +212,32 @@ def test_profile_of_one_variant_is_input_error(tmp_path, capsys):
     cfg_path.write_text(json.dumps(config))
     assert main(["grid", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
     capsys.readouterr()
-    code = main(["profile", "--in", str(tmp_path / "results.csv"),
+    return str(tmp_path / "results.csv")
+
+
+def test_profile_of_one_variant_is_input_error(tmp_path, capsys):
+    code = main(["profile", "--in", small_grid_csv(tmp_path, capsys, "ada"),
                  "--out", str(tmp_path / "profile.tsv")])
     assert code == 2
     assert "needs >= 2 solvers" in one_error_line(capsys, "input error")
     assert not (tmp_path / "profile.tsv").exists()
+
+
+def test_profile_unwritable_out_is_config_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "p.tsv"
+    code = main(["profile", "--in", small_grid_csv(tmp_path, capsys, "ada", "ls"),
+                 "--out", str(out)])
+    assert code == 2
+    assert one_error_line(capsys, "config error") == \
+        f"config error: [Errno 2] No such file or directory: '{out}'"
+
+
+def test_verify_unwritable_out_is_config_error(tmp_path, capsys):
+    # exit 2, not a failed check's 1
+    out = tmp_path / "missing" / "v.json"
+    assert main(["verify", "--suite", "fd", "--out", str(out)]) == 2
+    assert one_error_line(capsys, "config error") == \
+        f"config error: [Errno 2] No such file or directory: '{out}'"
 
 
 def test_verify_subcommand(tmp_path, capsys):

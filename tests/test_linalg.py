@@ -85,6 +85,19 @@ class TestCgSteihaug:
         assert np.allclose(v, [-0.5, 0.0], atol=1e-12)
         assert boundary
 
+    def test_zero_gradient_returns_at_once(self):
+        v, boundary, iters = cg_steihaug(lambda p: p, np.zeros(3), 1.0)
+        assert v.tolist() == [0.0, 0.0, 0.0]
+        assert (boundary, iters) == (False, 0)
+
+    def test_negative_curvature_goes_to_the_boundary(self):
+        # radius 2: a CG step along d with the negative alpha would land at
+        # (0, 1) inside the region, so only the curvature exit reaches the boundary
+        H = np.diag([1.0, -1.0])
+        v, boundary, iters = cg_steihaug(lambda p: H @ p, np.array([0.0, 1.0]), 2.0)
+        assert v.tolist() == [0.0, -2.0] and norm2(v) == 2.0
+        assert boundary and iters == 1
+
     def test_least_squares_oracle(self):
         # dense oracle: min ||c + Jv|| has minimum-norm solution -J'(JJ')^-1 c
         J = np.array([[1.0, 2.0]])

@@ -32,7 +32,6 @@ class TestLinearization:
             lin = Linearization(g, c, J)
             assert lin.g is g and lin.c is c and lin.J is J
             assert np.array_equal(lin.Jtc, J.T @ c)
-            assert lin.Jtc_sq == float((J.T @ c) @ (J.T @ c))
             assert lin.Jtc_norm == norm2(J.T @ c)
             assert lin.Jtc_inf == norm_inf(J.T @ c)
             assert lin.c_norm == norm2(c) and lin.g_norm == norm2(g)

@@ -277,6 +277,10 @@ class TestProblemJson:
         with pytest.raises(ParseError, match="line"):
             parse_problem_json(b'{"name": "x",\n "Q": oops}')
 
+    def test_non_utf8_bytes_are_a_parse_error(self):
+        with pytest.raises(ParseError, match="^not utf-8 text: invalid start byte at byte 10$"):
+            parse_problem_json(b'{"name": "\xff"}')
+
     def test_qp_json_file_roundtrip(self, tmp_path):
         path = tmp_path / "toy.qp.json"
         path.write_text(json.dumps({

@@ -6,10 +6,11 @@ value >= 1e-2), solved under both step-size controllers, optimistic and
 pessimistic, with and without noise.  Every trace must end with one of the
 driver's statuses, pass the machine-checked invariants and give a finite
 best iterate.  The normal step on generated (c, J), rank-deficient J
-included, must equal bit for bit an eager reference that always forms the
-Cauchy point.  Hypothesis runs derandomized and without an example
-database, so the suite stays deterministic (``conftest.py`` keeps the
-plugin's constants cache out of the working tree).
+included, must keep the decrease of ||c|| of `verify`'s independently coded
+Cauchy point, in full and not only the share GAMMA_C.  Hypothesis runs
+derandomized and without an example database, so the suite stays
+deterministic (``conftest.py`` keeps the plugin's constants cache out of the
+working tree).
 """
 
 import math
@@ -23,12 +24,12 @@ from hypothesis.extra.numpy import arrays
 from noisy_sqp import driver, steps
 from noisy_sqp.driver import SolverParams, solve
 from noisy_sqp.harness import best_iterate
-from noisy_sqp.linalg import cg_steihaug, norm2, smallest_singular_value
-from noisy_sqp.merit import Linearization
+from noisy_sqp.linalg import norm2, smallest_singular_value
+from noisy_sqp.merit import GAMMA_C, Linearization
 from noisy_sqp.noise import NoiseSpec, derive_gradient_noise
 from noisy_sqp.problems import ExactEvaluation, ProblemSpec
-from noisy_sqp.steps import NormalStep, cauchy_normal_step, normal_step
-from noisy_sqp.verify import assert_trace_invariants
+from noisy_sqp.steps import normal_step
+from noisy_sqp.verify import _cauchy_step, assert_trace_invariants
 
 STATUSES = {driver.BUDGET_ITERS, driver.BUDGET_EVALS, driver.EARLY_STATIONARY,
             driver.EARLY_INFEASIBLE, driver.DEGENERATE, driver.LINE_SEARCH_FAILURE,
@@ -77,26 +78,6 @@ def test_generated_qps_keep_the_solver_invariants(problem):
                 assert all(map(math.isfinite, (feas, stat, infeas_stat, y_inf))), label
 
 
-def eager_normal_step(lin, coef):
-    """The normal step with the Cauchy point formed up front, every time, at
-    `steps`' current GAMMA_C and SIGMA_JC."""
-    c, J = lin.c, lin.J
-    v_c, alpha_c = cauchy_normal_step(lin)
-    v_cauchy = alpha_c * v_c
-    c_cauchy = c + J.dot(v_cauchy)
-    c_cauchy_norm = norm2(c_cauchy)
-    cauchy_target = steps.GAMMA_C * (lin.c_norm - c_cauchy_norm)
-    radius = steps.SIGMA_JC * lin.Jtc_norm
-    threshold = coef * max(1.0, lin.Jtc_inf)
-    v, _, iters = cg_steihaug(lambda p: J.T.dot(J.dot(p)), lin.Jtc, radius,
-                              stop=lambda r: np.maximum.reduce(abs(r)) <= threshold)
-    c_v = c + J.dot(v)
-    c_v_norm = norm2(c_v)
-    if lin.c_norm - c_v_norm < cauchy_target - lin.round_off:
-        return NormalStep(v_cauchy, c_cauchy, c_cauchy_norm, iters)
-    return NormalStep(v, c_v, c_v_norm, iters)
-
-
 @st.composite
 def linearizations(draw):
     """(c, J) with J'c not numerically zero; some J have repeated, scaled or
@@ -114,18 +95,15 @@ def linearizations(draw):
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(lin=linearizations(),
-       gamma_c=st.sampled_from([0.1, 0.9, 1.0]),
        sigma_Jc=st.sampled_from([1e-2, 1.0, 1e2]),
        eps=st.sampled_from([0.0, 1e-4, 1e-2]),
        exact=st.booleans())
-def test_normal_step_equals_the_eager_cauchy_reference(lin, gamma_c, sigma_Jc, eps, exact):
+def test_normal_step_keeps_the_cauchy_decrease(lin, sigma_Jc, eps, exact):
     coef = 1e-10 if exact else 1e-2 * eps  # the driver's gate coefficient at kappa = 1e-2
-    # the constants are patched where normal_step reads them; hypothesis rejects
+    # the radius constant is patched where normal_step reads it; hypothesis rejects
     # function-scoped fixtures such as monkeypatch
-    with patch.object(steps, "GAMMA_C", gamma_c), patch.object(steps, "SIGMA_JC", sigma_Jc):
-        got = normal_step(lin, coef)
-        ref = eager_normal_step(lin, coef)
-    assert got.v.tobytes() == ref.v.tobytes()
-    assert got.c_v.tobytes() == ref.c_v.tobytes()
-    assert got.c_v_norm.hex() == ref.c_v_norm.hex()
-    assert got.cg_iters == ref.cg_iters
+    with patch.object(steps, "SIGMA_JC", sigma_Jc):
+        decrease = lin.c_norm - normal_step(lin, coef).c_v_norm
+    cauchy = lin.c_norm - norm2(lin.c + lin.J @ _cauchy_step(lin.c, lin.J, sigma_Jc))
+    for share in (GAMMA_C, 1.0):
+        assert decrease >= share * cauchy - lin.round_off, share

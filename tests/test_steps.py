@@ -12,12 +12,12 @@ from noisy_sqp.steps import (
     TT2_CASE2,
     TT2_COND1,
     NormalStep,
-    cauchy_normal_step,
     check_tt1,
     check_tt2,
     normal_step,
     tangential_step,
 )
+from noisy_sqp.verify import _cauchy_step
 
 
 # the residual-gate coefficient of exact mode; inexact mode uses kappa * min(eps_c, eps_f)
@@ -34,28 +34,6 @@ def zero_normal(c, n):
     return NormalStep(np.zeros(n), c, norm2(c))
 
 
-class TestCauchyNormalStep:
-    def test_orthonormal_jacobian(self):
-        v_c, alpha = cauchy_normal_step(lin(np.array([1.0, 1.0]), np.eye(2)))
-        assert np.allclose(v_c, [-1.0, -1.0])
-        assert alpha == pytest.approx(1.0)
-        c = np.array([1.0, 1.0])
-        assert norm2(c + alpha * (np.eye(2) @ v_c)) <= 1e-14
-
-    def test_least_squares_oracle(self):
-        J = np.array([[1.0, 2.0]])
-        c = np.array([1.0])
-        v_c, alpha = cauchy_normal_step(lin(c, J))
-        assert alpha == pytest.approx(0.2)
-        assert np.allclose(alpha * v_c, [-0.2, -0.4])
-
-    def test_cap_binds(self, monkeypatch):
-        monkeypatch.setattr(steps, "SIGMA_JC", 0.05)
-        J = np.array([[1.0, 2.0]])
-        _, alpha = cauchy_normal_step(lin(np.array([1.0]), J))
-        assert alpha == pytest.approx(0.05)
-
-
 class TestNormalStep:
     def test_exact_mode_identity(self):
         v = normal_step(lin(np.array([1.0, 1.0]), np.eye(2)), EXACT).v
@@ -66,9 +44,8 @@ class TestNormalStep:
         J = np.array([[1.0, 2.0]])
         c = np.array([1.0])
         v = normal_step(lin(c, J), 1e-2 * 1e-2).v
-        v_c, alpha = cauchy_normal_step(lin(c, J))
         lhs = norm2(c) - norm2(c + J @ v)
-        rhs = GAMMA_C * (norm2(c) - norm2(c + alpha * (J @ v_c)))
+        rhs = GAMMA_C * (norm2(c) - norm2(c + J @ _cauchy_step(c, J, SIGMA_JC)))
         assert lhs >= rhs - 1e-12
 
     def test_rank_deficient_stays_in_row_span(self):
@@ -78,8 +55,7 @@ class TestNormalStep:
         # projection check oracle: v must lie in span{(1, 0)}
         assert abs(v[1]) <= 1e-12
         lhs = norm2(c) - norm2(c + J @ v)
-        v_c, alpha = cauchy_normal_step(lin(c, J))
-        rhs = GAMMA_C * (norm2(c) - norm2(c + alpha * (J @ v_c)))
+        rhs = GAMMA_C * (norm2(c) - norm2(c + J @ _cauchy_step(c, J, SIGMA_JC)))
         assert lhs >= rhs - 1e-12
 
     def test_trust_region_bound_random(self):
