@@ -145,9 +145,10 @@ def _finite_sample(noisy) -> bool:
             and all_finite(noisy.c_bar) and all_finite(noisy.J_bar))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is a value the stop rules read
 def solve(problem: ProblemSpec, params: SolverParams, seed: int,
           oracle: NoisyOracle | None = None) -> RunTrace:
-    """Run the solver on one problem; never raises for algorithmic outcomes.
+    """Run the solver on one problem; never raises or warns for algorithmic outcomes.
 
     A caller-supplied oracle takes over noisy sampling (used by crafted
     fixtures); by default a fresh uniformly-perturbing oracle is seeded from
@@ -172,8 +173,11 @@ def solve(problem: ProblemSpec, params: SolverParams, seed: int,
     H = np.eye(n) if problem.H is None else np.asarray(problem.H, dtype=float)
     if H.shape != (n, n) or not np.isfinite(H).all() or not (H == H.T).all():
         raise ValueError(f"H must be a finite symmetric {n} x {n} matrix")
+    status = None
     if params.variant == ADAPTIVE:
         controller = stepsize.AdaptiveState(oracle, problem.x0, H)
+        if not math.isfinite(controller.L_est + controller.Gamma_est):
+            status = NONFINITE  # the start-up samples left no finite Lipschitz estimate
     else:
         controller = stepsize.LineSearch(oracle, noise)
 
@@ -182,7 +186,7 @@ def solve(problem: ProblemSpec, params: SolverParams, seed: int,
     x = problem.x0.copy()  # rebound every step, never mutated in place
     tau = merit.TAU0
     k = 0
-    while True:
+    while status is None:
         if k >= params.max_iters:
             status = BUDGET_ITERS
             break
@@ -194,8 +198,7 @@ def solve(problem: ProblemSpec, params: SolverParams, seed: int,
         exact = oracle.exact if own_oracle else evaluate(problem, x)
         tau_prev = tau
         # built ahead of the finiteness test: that exit's record carries the branch
-        with np.errstate(over="ignore"):  # that exit reports an overflowed ||g|| or ||c||
-            lin = merit.Linearization(noisy.g_bar, noisy.c_bar, noisy.J_bar)
+        lin = merit.Linearization(noisy.g_bar, noisy.c_bar, noisy.J_bar)
         feasible = lin.c_norm <= branch_gate
         branch = FEASIBLE_BRANCH if feasible else INFEASIBLE_BRANCH
         # the stop rules in order, each run while status is None; a stop before

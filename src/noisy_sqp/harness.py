@@ -26,7 +26,7 @@ from .driver import (
 )
 from .linalg import (Rule, check_settings, entries, interval, least_squares_multiplier,
                      list_of, norm_inf, number, one_of)
-from .noise import NoiseSpec, derive_gradient_noise
+from .noise import EPS_MAX, NoiseSpec, derive_gradient_noise
 from .problems import duplicate_last_constraint, get_problem
 
 EARLY_STATUSES = (EARLY_STATIONARY, EARLY_INFEASIBLE)
@@ -66,7 +66,7 @@ class VariantSpec:
 @dataclass
 class ExperimentConfig:
     problems: list = list_of(Rule(lambda v: isinstance(v, str), "a string"))
-    noise_grid: list = list_of(entries(interval("(0, inf)"), 2),
+    noise_grid: list = list_of(entries(interval(f"(0, {EPS_MAX!r}]"), 2),
                                what="noise grid entries (eps_f, eps_c)")
     variants: list = list_of(Rule(lambda v: isinstance(v, VariantSpec), "a VariantSpec"))
     seeds: list = list_of(interval("[0, inf)", integer=True))
@@ -136,6 +136,7 @@ CSV_COLUMNS = [f.name for f in fields(RunRecord)]
 _PARSE = {"str": str, "int": int, "float": float, "bool": lambda text: text == "true"}
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def best_iterate(trace, eps_c: float, eps_f: float):
     """Pick the reported iterate from a trace per the benchmark rule.
 

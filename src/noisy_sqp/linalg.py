@@ -270,9 +270,14 @@ def least_squares_multiplier(J: np.ndarray, g: np.ndarray) -> np.ndarray:
     for bit to that of a stack of one holding that row.  A rank-deficient
     Gram matrix M = JJ' gets a ridge of 1e-12 * (1 + max|M_ij|), which
     makes the solve total and returns the minimum-norm minimizer of the
-    regularized system.
+    regularized system.  A row whose M is not finite gets a NaN multiplier.
     """
     M = J @ J.transpose(0, 2, 1)
+    finite = np.isfinite(M).all(axis=(1, 2))
+    if not finite.all():
+        y = np.full(J.shape[:2], np.nan)
+        y[finite] = least_squares_multiplier(J[finite], g[finite])
+        return y
     rhs = -J @ g[:, :, None]
     w = np.linalg.eigvalsh(M)
     ridged = w[:, 0] <= 1e-12 * np.maximum(1.0, w[:, -1])

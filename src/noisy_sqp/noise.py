@@ -31,17 +31,19 @@ import numpy as np
 from .linalg import check_settings, number
 from .problems import evaluate
 
+EPS_MAX = float(np.finfo(float).max) / 2  # the largest eps whose draw range 2 eps is finite
+
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Noise bounds; eps_o in [0, eps_c] is the optimistic feasibility threshold
-    (0 means eps_c)."""
+    """Noise bounds, each in [0, EPS_MAX]; eps_o in [0, eps_c] is the optimistic
+    feasibility threshold (0 means eps_c)."""
 
-    eps_f: float = number(0.0, "[0, inf)")
-    eps_g: float = number(0.0, "[0, inf)")
-    eps_c: float = number(0.0, "[0, inf)")
-    eps_J: float = number(0.0, "[0, inf)")
-    eps_o: float = number(0.0, "[0, inf)")
+    eps_f: float = number(0.0, f"[0, {EPS_MAX!r}]")
+    eps_g: float = number(0.0, f"[0, {EPS_MAX!r}]")
+    eps_c: float = number(0.0, f"[0, {EPS_MAX!r}]")
+    eps_J: float = number(0.0, f"[0, {EPS_MAX!r}]")
+    eps_o: float = number(0.0, f"[0, {EPS_MAX!r}]")
 
     def __post_init__(self):
         check_settings(self)
@@ -126,7 +128,7 @@ class NoisyOracle:
         m, n = self.problem.m, self.problem.n
         names = {"value": "fc", "derivative": "gJ", "both": "fcgJ"}[want]
         sizes = {"f": 1, "c": m, "g": n, "J": m * n}
-        low, span, slices = [], [], {}
+        low, slices = [], {}
         for name in names:
             eps = getattr(self.spec, "eps_" + name)
             if eps > 0:
@@ -134,10 +136,7 @@ class NoisyOracle:
                 a = eps / math.sqrt(size)
                 slices[name] = slice(len(low), len(low) + size)
                 low += [-a] * size
-                span += [a - (-a)] * size
-        if not all(map(math.isfinite, span)):
-            raise OverflowError("high - low range exceeds valid bounds")
-        return np.array(low), np.array(span), slices
+        return np.array(low), -2.0 * np.array(low), slices
 
     def _perturbations(self, exact, want):
         """Draw the uniform errors; override point for crafted test fixtures.

@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .linalg import norm2
+from .linalg import all_finite, norm2
 from .merit import TAU0, merit_value
 
 LINE_SEARCH_FAILURE = "line_search_failure"
@@ -96,6 +96,9 @@ def estimate_lipschitz(oracle, x0):
     L from the largest noisy-gradient difference quotient over LIPSCHITZ_DIRS
     random unit directions at distance LIPSCHITZ_DELTA, Gamma analogously from
     the Jacobian's spectral difference; LIPSCHITZ_FLOOR bounds both below.
+    A difference that is not finite returns (inf, inf) at once; a finite one
+    whose quotient overflows gives an infinite estimate.  Either way the run
+    ends nonfinite_evaluation before its first record.
     """
     delta = LIPSCHITZ_DELTA
     base = oracle.sample(x0, want="derivative")
@@ -105,8 +108,11 @@ def estimate_lipschitz(oracle, x0):
         u = oracle.rng.standard_normal(x0.size)
         u /= max(norm2(u), 1e-300)
         probe = oracle.sample(x0 + delta * u, want="derivative")
-        L = max(L, norm2(probe.g_bar - base.g_bar) / delta)
-        Gamma = max(Gamma, float(np.linalg.norm(probe.J_bar - base.J_bar, 2)) / delta)
+        dg, dJ = probe.g_bar - base.g_bar, probe.J_bar - base.J_bar
+        if not (all_finite(dg) and all_finite(dJ)):
+            return math.inf, math.inf
+        L = max(L, norm2(dg) / delta)
+        Gamma = max(Gamma, float(np.linalg.norm(dJ, 2)) / delta)
     return max(L, LIPSCHITZ_FLOOR), max(Gamma, LIPSCHITZ_FLOOR)
 
 

@@ -159,6 +159,7 @@ def _null_space_solution(H, J, g):
     return Z @ w
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def assert_trace_invariants(trace, params) -> list:
     """Re-check every recorded per-iteration invariant; empty list means pass.
 

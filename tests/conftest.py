@@ -8,7 +8,7 @@ import pytest
 
 try:
     from hypothesis import configuration
-except ImportError:  # only tests/test_properties.py needs hypothesis
+except ImportError:  # only tests/test_properties.py and tests/test_driver.py need hypothesis
     configuration = None
 
 if configuration is not None:

@@ -1,11 +1,14 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
 from noisy_sqp import verify
 from noisy_sqp.cli import main
+from noisy_sqp.harness import VariantSpec, run_single
 from noisy_sqp.problems import builtin_registry
+from test_driver import BIG_ROWS
 
 
 def test_solve_subcommand(capsys):
@@ -119,6 +122,30 @@ def test_solve_zero_iteration_budget_is_config_error(capsys):
     assert "max_iters must be" in one_error_line(capsys, "config error")
 
 
+def test_solve_noise_beyond_the_bound_is_config_error(capsys):
+    # U(-eps, eps) has no finite range 2 eps above EPS_MAX = 8.99e307
+    code = main(["solve", "--problem", "unit-circle", "--variant", "ada", "--optimism", "opt",
+                 "--eps-f", "1e308", "--eps-c", "1e308", "--seed", "0"])
+    assert code == 2
+    assert one_error_line(capsys, "config error") == \
+        "config error: eps_f must be a number in [0, 8.988465674311579e+307]"
+
+
+@pytest.mark.parametrize("scheme", ["ls", "ada"])
+def test_overflowing_gram_matrix_ends_in_a_status(tmp_path, capsys, scheme):
+    path = tmp_path / "big.qp.json"
+    path.write_text(json.dumps(BIG_ROWS))
+    record = run_single(str(path), VariantSpec(scheme, "pes"), 1e-2, 1e-2, 0, "original")
+    assert (record.status, record.solved) == ("nonfinite_evaluation", False)
+    assert math.isnan(record.best_stat_err)
+    code = main(["solve", "--problem", str(path), "--variant", scheme, "--optimism", "pes",
+                 "--eps-f", "1e-2", "--eps-c", "1e-2", "--seed", "0"])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    assert "status             nonfinite_evaluation" in captured.out
+    assert "solved             False" in captured.out
+
+
 GOOD_GRID = {"problems": ["unit-circle"], "noise_grid": [[1e-2, 1e-2]],
              "variants": [{"scheme": "ada", "optimism": "opt"}], "seeds": [0],
              "budgets": [20, 2000]}
@@ -130,6 +157,7 @@ GOOD_GRID = {"problems": ["unit-circle"], "noise_grid": [[1e-2, 1e-2]],
     ({"noise_grid": 5}, "noise_grid"),
     ({"noise_grid": [["a", 0.01]]}, "noise grid"),
     ({"noise_grid": [[0.01]]}, "noise grid"),
+    ({"noise_grid": [[1e308, 0.01]]}, "noise grid"),
     ({"seeds": [-1]}, "seeds"),
     ({"seeds": [0.5]}, "seeds"),
     ({"seeds": [True]}, "seeds"),
@@ -145,8 +173,8 @@ GOOD_GRID = {"problems": ["unit-circle"], "noise_grid": [[1e-2, 1e-2]],
     (lambda grid: [grid], "JSON object"),
     (lambda grid: {k: v for k, v in grid.items() if k != "problems"}, "'problems'"),
 ], ids=["misspelled-key", "kappa-string", "noise-grid-number", "noise-level-string",
-        "noise-level-missing", "negative-seed", "fractional-seed", "bool-seed",
-        "fractional-budget", "bool-budget", "one-budget", "unknown-top-level-keys",
+        "noise-level-missing", "noise-level-1e308", "negative-seed", "fractional-seed",
+        "bool-seed", "fractional-budget", "bool-budget", "one-budget", "unknown-top-level-keys",
         "string-problems", "number-problem", "list-problem", "number-variant",
         "bool-kappa", "list-config", "missing-problems"])
 def test_malformed_grid_config_is_config_error(tmp_path, capsys, change, named):

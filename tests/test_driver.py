@@ -1,8 +1,12 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from noisy_sqp.driver import (
     BUDGET_EVALS,
@@ -18,10 +22,10 @@ from noisy_sqp.driver import (
     solve,
 )
 from noisy_sqp.harness import VariantSpec, best_iterate
-from noisy_sqp.linalg import norm2, norm_inf
+from noisy_sqp.linalg import kkt_matrix, norm2, norm_inf
 from noisy_sqp.noise import NoiseSpec, NoisyOracle, derive_gradient_noise
 from noisy_sqp.merit import LAMBDA_U, SIGMA_U
-from noisy_sqp.problems import ExactEvaluation, ProblemSpec, registry_by_name
+from noisy_sqp.problems import ExactEvaluation, ProblemSpec, parse_problem_json, registry_by_name
 from noisy_sqp.stepsize import MAX_BACKTRACKS
 from noisy_sqp.verify import assert_trace_invariants
 
@@ -313,6 +317,14 @@ def circle_problem(name, f=None, g=None, J=None):
     return ProblemSpec(name, 2, 1, np.array([0.9, -0.3]), ev)
 
 
+def inf_jacobian_problem():
+    # every sample's constraint and Jacobian hold an Inf
+    def ev(x):
+        return ExactEvaluation(float(x @ x), 2 * x, np.array([np.inf]),
+                               np.array([[np.inf, 0.0]]))
+    return ProblemSpec("inf-J", 2, 1, np.array([1.0, 1.0]), ev)
+
+
 class TestNonFiniteEvaluation:
     """A NaN or Inf from the problem ends the run with a status, never an
     exception, and the trace stays auditable."""
@@ -349,6 +361,23 @@ class TestNonFiniteEvaluation:
             J=lambda x: np.array([[2.0 * x[0], 2.0 * x[1] if x[0] >= 0.5 else np.inf]]))
         trace, last = self.run(problem, "adaptive")
         assert np.isinf(last.noisy.J_bar[0, 1])
+
+    @pytest.mark.parametrize("eps", [0.0, 1e-2])
+    @pytest.mark.parametrize("problem, variant, records", [
+        (inf_jacobian_problem(), "adaptive", 0),
+        (inf_jacobian_problem(), "line_search", 1),
+        # finite gradient samples ~1e305 apart: their difference quotient overflows
+        (circle_problem("huge-gradient", g=lambda x: 1e307 * x), "adaptive", 0),
+    ], ids=["inf-J-adaptive", "inf-J-line_search", "huge-gradient-adaptive"])
+    def test_nonfinite_start_up(self, problem, variant, records, eps):
+        # the adaptive start-up differences derivative samples before any record
+        params = SolverParams.benchmark_defaults(noise_for(eps, eps), variant=variant)
+        trace = solve(problem, params, 0)
+        assert (trace.status, len(trace.records)) == (NONFINITE, records)
+        assert assert_trace_invariants(trace, params) == []
+        if records:
+            _, feas, stat, _, y_inf = best_iterate(trace, eps, eps)
+            assert np.isinf(feas) and np.isnan(stat) and np.isnan(y_inf)
 
     def test_nan_trial_merit_ends_the_line_search(self):
         # the objective is NaN left of x[0] = 0; the first trial point gets there
@@ -624,7 +653,6 @@ class TestCurvatureMatrix:
         with pytest.raises(ValueError, match="H must be a finite symmetric 3 x 3"):
             solve(self.line_problem(H), params, 0)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # MINRES overflows
     @pytest.mark.parametrize("variant", ["adaptive", "line_search"])
     def test_overflowing_step_is_nonfinite_evaluation(self, variant):
         # finite and symmetric, so accepted at entry, but the step overflows
@@ -637,7 +665,6 @@ class TestCurvatureMatrix:
         assert all(np.isfinite(r.x).all() for r in trace.records)
         assert assert_trace_invariants(trace, params) == []
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # u'Hu overflows
     def test_adaptive_step_size_is_capped_at_one(self):
         # tau collapses at k = 0, which lifts the safeguard interval above 1
         params = SolverParams.benchmark_defaults(NoiseSpec(), variant="adaptive")
@@ -647,3 +674,126 @@ class TestCurvatureMatrix:
         assert first.alpha == 1.0 < first.alpha_min
         assert all(r.alpha <= 1.0 for r in trace.records)
         assert assert_trace_invariants(trace, params) == []
+
+
+STATUSES = {BUDGET_ITERS, BUDGET_EVALS, EARLY_STATIONARY, EARLY_INFEASIBLE, DEGENERATE,
+            TEST_UNSATISFIABLE, LINE_SEARCH_FAILURE, NONFINITE}
+
+ENTRIES = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
+
+# a valid problem file whose Gram matrices J J' overflow: 1e400 > the largest double
+BIG_ROWS = {"name": "big-rows", "Q": np.eye(4).tolist(), "q": [0, 0, 0, 0],
+            "A": [[1e200, 2e200, 0, 0], [0, 1e200, 1e200, 0], [0, 0, 1e200, 3e200]],
+            "b": [1e200, 0, 0], "x0": [0.5, 0.5, 0.5, 0.5]}
+
+# the rows of an explicit hostile example whose H = A'A / 10 is singular on null(A)
+A_2x3 = np.array([[-1.9, -1.3, 1.0], [-1.7, -0.7, -1.0]])
+
+
+def exponents(low, high):
+    # half the draws near unit scale, where runs take many steps
+    return st.one_of(st.integers(-3, 3), st.integers(low, high))
+
+
+def scaled_problem(A, b, q, x0, H, sphere=False, f_scale=1.0, c_scale=1.0):
+    """min f_scale (x'x / 2 + q'x) s.t. c_scale (Ax - b) = 0, with the first row
+    c_scale (x'x - 1) instead when ``sphere``; the curvature matrix is (H + H') / 2."""
+    A, b, q, x0, H = (np.array(v, dtype=float) for v in (A, b, q, x0, H))
+    H = 0.5 * (H + H.T)  # symmetric bit for bit
+
+    def ev(x):
+        c, J = c_scale * (A @ x - b), c_scale * A
+        if sphere:
+            c[0], J[0] = c_scale * (x @ x - 1.0), c_scale * 2.0 * x
+        return ExactEvaluation(f_scale * (0.5 * float(x @ x) + float(q @ x)),
+                               f_scale * (x + q), c, J)
+
+    return ProblemSpec("scaled", x0.size, b.size, x0, ev, H=H)
+
+
+@st.composite
+def hostile_problems(draw):
+    """`scaled_problem` with f_scale and c_scale from 1e-200 to 1e300 and an H
+    that is SPD, indefinite or singular on null(A), scaled from 1e-300 to 1e300."""
+    n = draw(st.integers(2, 5))
+    m = draw(st.integers(1, n - 1))
+    A = draw(arrays(float, (m, n), elements=ENTRIES))
+    b = draw(arrays(float, m, elements=ENTRIES))
+    q = draw(arrays(float, n, elements=ENTRIES))
+    x0 = draw(arrays(float, n, elements=ENTRIES))
+    B = draw(arrays(float, (n, n), elements=ENTRIES))
+    kind = draw(st.sampled_from(["spd", "indefinite", "singular-on-null-J"]))
+    H = {"spd": B.T @ B + np.eye(n), "indefinite": B + B.T, "singular-on-null-J": A.T @ A}[kind]
+    H = 10.0 ** draw(exponents(-300, 300)) * H
+    f_scale, c_scale = (10.0 ** draw(exponents(-200, 300)) for _ in range(2))
+    return scaled_problem(A, b, q, x0, H, draw(st.booleans()), f_scale, c_scale)
+
+
+def hostile_runs(problem):
+    """Both controllers and both exactness modes at eps 0 and 1e-2, 40 iterations each."""
+    for variant in ("adaptive", "line_search"):
+        for exactness in ("exact", "inexact"):
+            for eps in (0.0, 1e-2):
+                params = SolverParams.benchmark_defaults(
+                    noise_for(eps, eps), variant=variant, exactness=exactness, max_iters=40)
+                yield params, eps, solve(problem, params, 0)
+
+
+def beyond_fallback_round_off(trace, params):
+    """The audit's complaints, less "fallback residual not at round-off level"
+    where that residual is within 1e-9 (1 + (n + m) max|K| max|z|) of the
+    saddle system K z = rhs: LU round-off grows with max|K| max|z|, a term the
+    audit's bound 1e-9 (1 + max|rhs|) leaves out (the strict xfail below)."""
+    left = []
+    for complaint in assert_trace_invariants(trace, params):
+        k, what = complaint.split(": ", 1)
+        if what == "fallback residual not at round-off level":
+            record = trace.records[int(k.removeprefix("k="))]
+            b = record.bundle
+            K = kkt_matrix(trace.H, record.noisy.J_bar)
+            scale = K.shape[0] * norm_inf(K) * norm_inf(np.concatenate((b.u, b.y)))
+            if max(norm_inf(b.rho), norm_inf(b.r)) <= 1e-9 * (1.0 + scale):
+                continue
+        left.append(complaint)
+    return left
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(problem=hostile_problems())
+@example(problem=inf_jacobian_problem())
+@example(problem=parse_problem_json(json.dumps(BIG_ROWS)))
+@example(problem=scaled_problem(  # H = A'A / 10 is singular on null(A)
+    A_2x3, [1.0, -0.6], [-1.7, -0.5, -0.7], [0.9, -0.7, 0.8], 0.1 * A_2x3.T @ A_2x3,
+    f_scale=1e7, c_scale=10.0))
+def test_hostile_problem_ends_in_a_status_without_a_warning(problem):
+    # pyproject.toml turns any RuntimeWarning into a failure
+    for params, eps, trace in hostile_runs(problem):
+        assert trace.status in STATUSES
+        if trace.records:
+            best_iterate(trace, eps, eps)
+        assert beyond_fallback_round_off(trace, params) == []
+
+
+@pytest.mark.xfail(strict=True, reason="the fallback audit's bound leaves out max|K| max|z|")
+def test_fallback_audit_allows_round_off_of_an_ill_conditioned_saddle_system():
+    # J ~ 1e7 against H ~ 1: dense residuals of 0.5 are LU round-off of
+    # max|K| max|z| ~ 1e16, but the audit allows 1e-9 (1 + max|g + Hv|) ~ 0.16
+    problem = scaled_problem(
+        [[-0.8, 1.3, -1.6]], [0.4], [0.9, -1.2, -1.8], [-0.9, 0.6, 0.2],
+        [[0.354, -0.001, -0.246], [-0.001, 0.15, 0.126], [-0.246, 0.126, 0.679]],
+        f_scale=1e8, c_scale=1e7)
+    assert [assert_trace_invariants(trace, params)
+            for params, _, trace in hostile_runs(problem)] == [[]] * 8
+
+
+@pytest.mark.xfail(strict=True, reason="TT2's round-off slack grows with ||g||; the audit's does not")
+@pytest.mark.parametrize("exactness", ["exact", "inexact"])
+def test_tt2_slack_at_a_large_gradient_passes_the_audit(exactness):
+    # ||g|| ~ 1e9 and ||c|| ~ 0.1: the slack 1e-13 ||g|| admits a TT2 step whose
+    # residual decrease the audit, with slack 1e-9, rejects
+    problem = scaled_problem(
+        [[1.8, -1.1, -1.2], [1.4, -0.7, 0.7]], [0.4, -0.4], [0.8, 0.7, 1.9], [1.6, 0.8, -0.6],
+        [[2.82, 0.7, 3.77], [0.7, 6.93, 0.34], [3.77, 0.34, 9.33]], f_scale=1e8, c_scale=0.1)
+    params = SolverParams.benchmark_defaults(
+        noise_for(0.0, 0.0), variant="adaptive", exactness=exactness, max_iters=40)
+    assert assert_trace_invariants(solve(problem, params, 0), params) == []

@@ -1,7 +1,10 @@
+import sys
+
 import numpy as np
 import pytest
 
 from noisy_sqp.noise import (
+    EPS_MAX,
     EvalCounters,
     NoiseSpec,
     NoisyOracle,
@@ -211,13 +214,22 @@ class TestOneDrawStream:
         assert oracle.rng.bit_generator.state == before
 
     def test_unbounded_range_raises_like_uniform(self):
-        p = registry_by_name()["unit-circle"]
-        oracle = make_oracle(p, NoiseSpec(eps_f=1e308))
+        # a bound whose range 2 eps overflows is refused when the spec is built;
+        # at the largest admitted bound, EPS_MAX, every sample is finite
         with pytest.raises(OverflowError):
             np.random.default_rng(0).uniform(-1e308, 1e308)
-        with pytest.raises(OverflowError):
-            oracle.sample(p.x0, "value")
-        oracle.sample(p.x0, "derivative")  # e_f is not drawn here
+        for name in ("eps_f", "eps_g", "eps_c", "eps_J"):
+            with pytest.raises(ValueError, match=f"{name} must be a number in \\[0, "):
+                NoiseSpec(**{name: 1e308})
+        assert EPS_MAX == sys.float_info.max / 2
+        p = registry_by_name()["unit-circle"]
+        widest = NoiseSpec(eps_f=EPS_MAX, eps_g=EPS_MAX, eps_c=EPS_MAX, eps_J=EPS_MAX)
+        oracle = make_oracle(p, widest)
+        for _ in range(20):
+            noisy = oracle.sample(p.x0, "both")
+            parts = (noisy.f_bar, noisy.g_bar, noisy.c_bar, noisy.J_bar)
+            assert all(np.isfinite(part).all() for part in parts)
+        np.random.default_rng(0).uniform(-EPS_MAX, EPS_MAX)
 
     def test_sample_keeps_its_exact_evaluation(self):
         p = registry_by_name()["quad-ellipse"]
