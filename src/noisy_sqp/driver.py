@@ -139,12 +139,6 @@ class RunTrace:
         return sum(r.bundle.cg_iters for r in self.records if r.bundle is not None)
 
 
-def _finite_sample(noisy) -> bool:
-    """True when a full oracle sample holds no NaN or Inf."""
-    return (math.isfinite(noisy.f_bar) and all_finite(noisy.g_bar)
-            and all_finite(noisy.c_bar) and all_finite(noisy.J_bar))
-
-
 @np.errstate(over="ignore", invalid="ignore")  # an overflow is a value the stop rules read
 def solve(problem: ProblemSpec, params: SolverParams, seed: int,
           oracle: NoisyOracle | None = None) -> RunTrace:
@@ -197,7 +191,8 @@ def solve(problem: ProblemSpec, params: SolverParams, seed: int,
         noisy = oracle.sample(x, want="both")
         exact = oracle.exact if own_oracle else evaluate(problem, x)
         tau_prev = tau
-        # built ahead of the finiteness test: that exit's record carries the branch
+        # built first: the finiteness test reads its norms, and round_off is finite once
+        # that test passes; that exit's record carries the branch
         lin = merit.Linearization(noisy.g_bar, noisy.c_bar, noisy.J_bar)
         feasible = lin.c_norm <= branch_gate
         branch = FEASIBLE_BRANCH if feasible else INFEASIBLE_BRANCH
@@ -205,8 +200,9 @@ def solve(problem: ProblemSpec, params: SolverParams, seed: int,
         # the controller's step records alpha = 0 and what was formed so far
         status = bundle = delta_l = None
         alpha, fields = 0.0, {}
-        if not (math.isfinite(lin.round_off) and _finite_sample(noisy)):
-            status = NONFINITE  # an overflowed ||g|| or ||c|| leaves no round-off scale
+        if not (math.isfinite(noisy.f_bar) and math.isfinite(lin.g_norm)
+                and math.isfinite(lin.c_norm) and all_finite(noisy.J_bar)):
+            status = NONFINITE  # a NaN, Inf or overflow in g or c makes its norm non-finite
         elif not feasible and lin.Jtc_inf <= lin.round_off \
                 and lin.Jtc_norm <= 1e-3 * norm2(lin.J) * lin.c_norm:
             # J'c at round-off and c nearly orthogonal to range(J); the latter

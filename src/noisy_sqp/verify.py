@@ -244,7 +244,11 @@ def _recheck_bundle(record, eps_o, H) -> str | None:
 
     test = b.test
     if test == EXACT_FALLBACK:
-        if max(nrm(rho), nrm(r)) > 1e-9 * (1.0 + np.max(np.abs(g + H @ v))):
+        # the dense solve of K z = -(g + Hv, 0), K = [[H, J'], [J, 0]], leaves at most
+        # its LU round-off: residual within 1e-9 + 1e-13 (n + m) max|K| max|z|
+        K_max = max(np.max(np.abs(H)), np.max(np.abs(J)))
+        z_max = np.max(np.abs(np.concatenate((u, b.y))))
+        if (max(nrm(rho), nrm(r)) - 1e-9) / sum(J.shape) / K_max > 1e-13 * z_max:  # divided: no overflow
             return "fallback residual not at round-off level"
         test = b.fallback_case
 

@@ -27,6 +27,7 @@ from noisy_sqp.noise import NoiseSpec, NoisyOracle, derive_gradient_noise
 from noisy_sqp.merit import LAMBDA_U, SIGMA_U
 from noisy_sqp.problems import ExactEvaluation, ProblemSpec, parse_problem_json, registry_by_name
 from noisy_sqp.stepsize import MAX_BACKTRACKS
+from noisy_sqp.steps import EXACT_FALLBACK
 from noisy_sqp.verify import assert_trace_invariants
 
 
@@ -361,6 +362,29 @@ class TestNonFiniteEvaluation:
             J=lambda x: np.array([[2.0 * x[0], 2.0 * x[1] if x[0] >= 0.5 else np.inf]]))
         trace, last = self.run(problem, "adaptive")
         assert np.isinf(last.noisy.J_bar[0, 1])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("part", ["f", "g", "c", "J"])
+    def test_nonfinite_sample_ends_the_run(self, part, bad):
+        # one entry of f, g, c or J turns bad once x[0] < 0.5; after its start-up
+        # the adaptive controller samples nothing but its iterates, so the sample
+        # rule (finite f, ||g||, ||c|| and J) is what stops the run
+        def ev(x):
+            e = {"f": x[0] + x[1], "g": np.array([1.0, 1.0]), "c": np.array([x @ x - 1.0]),
+                 "J": np.array([[2.0 * x[0], 2.0 * x[1]]])}
+            if x[0] < 0.5 and part == "f":
+                e["f"] = bad
+            elif x[0] < 0.5:
+                e[part].flat[-1] = bad
+            return ExactEvaluation(**e)
+
+        problem = ProblemSpec(f"{part}-turns-{bad}", 2, 1, np.array([0.9, -0.3]), ev)
+        trace, last = self.run(problem, "adaptive")
+        assert last.bundle is None and last.x[0] < 0.5
+        assert all(r.x[0] >= 0.5 for r in trace.records[:-1])
+        sample = {"f": last.noisy.f_bar, "g": last.noisy.g_bar[-1],
+                  "c": last.noisy.c_bar[-1], "J": last.noisy.J_bar[0, -1]}[part]
+        assert np.isnan(sample) if np.isnan(bad) else sample == bad
 
     @pytest.mark.parametrize("eps", [0.0, 1e-2])
     @pytest.mark.parametrize("problem, variant, records", [
@@ -774,16 +798,38 @@ def test_hostile_problem_ends_in_a_status_without_a_warning(problem):
         assert beyond_fallback_round_off(trace, params) == []
 
 
-@pytest.mark.xfail(strict=True, reason="the fallback audit's bound leaves out max|K| max|z|")
+# J ~ 1e7 against H ~ 1 (cond(K) ~ 1e8): dense residuals of 0.5, far above
+# 1e-9 max|g + Hv|, are LU round-off of max|K| max|z| ~ 5e15
+ILL_CONDITIONED_KKT = scaled_problem(
+    [[-0.8, 1.3, -1.6]], [0.4], [0.9, -1.2, -1.8], [-0.9, 0.6, 0.2],
+    [[0.354, -0.001, -0.246], [-0.001, 0.15, 0.126], [-0.246, 0.126, 0.679]],
+    f_scale=1e8, c_scale=1e7)
+
+
 def test_fallback_audit_allows_round_off_of_an_ill_conditioned_saddle_system():
-    # J ~ 1e7 against H ~ 1: dense residuals of 0.5 are LU round-off of
-    # max|K| max|z| ~ 1e16, but the audit allows 1e-9 (1 + max|g + Hv|) ~ 0.16
-    problem = scaled_problem(
-        [[-0.8, 1.3, -1.6]], [0.4], [0.9, -1.2, -1.8], [-0.9, 0.6, 0.2],
-        [[0.354, -0.001, -0.246], [-0.001, 0.15, 0.126], [-0.246, 0.126, 0.679]],
-        f_scale=1e8, c_scale=1e7)
     assert [assert_trace_invariants(trace, params)
-            for params, _, trace in hostile_runs(problem)] == [[]] * 8
+            for params, _, trace in hostile_runs(ILL_CONDITIONED_KKT)] == [[]] * 8
+
+
+def test_fallback_audit_flags_a_solution_off_by_a_thousandth():
+    # u and y scaled by 1 + 1e-3, with the residuals they leave (~1e5): within
+    # 1e-9 (n + m) max|K| max|z| ~ 2e7, but not within the audit's 1e-13 one
+    flagged = 0
+    for params, _, trace in hostile_runs(ILL_CONDITIONED_KKT):
+        for record in trace.records:
+            b = record.bundle
+            if b is None or b.test != EXACT_FALLBACK:
+                continue
+            J = record.noisy.J_bar
+            b.u, b.y = (1 + 1e-3) * b.u, (1 + 1e-3) * b.y
+            b.d = b.v + b.u
+            b.rho = trace.H @ b.d + J.T @ b.y + record.noisy.g_bar
+            b.r = J @ b.u
+            assert f"k={record.k}: fallback residual not at round-off level" \
+                in assert_trace_invariants(trace, params)
+            flagged += 1
+            break
+    assert flagged == 8  # every run takes a dense fallback
 
 
 @pytest.mark.xfail(strict=True, reason="TT2's round-off slack grows with ||g||; the audit's does not")
@@ -797,3 +843,42 @@ def test_tt2_slack_at_a_large_gradient_passes_the_audit(exactness):
     params = SolverParams.benchmark_defaults(
         noise_for(0.0, 0.0), variant="adaptive", exactness=exactness, max_iters=40)
     assert assert_trace_invariants(solve(problem, params, 0), params) == []
+
+
+# two hostile draws with f and c scaled decades apart; their eps-1e-2 runs end
+# after one record, each accepted by a test the audit rejects on recheck
+R1 = scaled_problem([[7.667067453837444e-260, 1.079231692206859, -0.766507672109128],
+                     [5.960464477539063e-08, -0.7579422640143105, -1.2675608498370616]],
+                    [2.2250738585072014e-308, -1.0817204922764831],
+                    [1.175494351e-38, -0.4395958468245138, -1.5507788955920097],
+                    [7.902974612759817e-237] * 3,
+                    [[0.057165912386411374, -0.013875254357775344, -0.01183843663729603],
+                     [-0.013875254357775344, 0.02925265340043911, 0.016426460481655886],
+                     [-0.01183843663729603, 0.016426460481655886, 0.05317321539313774]],
+                    f_scale=100.0, c_scale=1e70)
+R2 = scaled_problem([[1.9341077737928165, -0.6022687477275512, 1.7272840886896583,
+                      0.06210571594761349]],
+                    [3.885604276298116e-180],
+                    [0.6624801161413774, -1.9999999999999998, 0.7075815058917043,
+                     0.6204285036263282],
+                    [1.2567302920836871, 1e-15, 0.99, 1.7021327245206583],
+                    [[0.0037407728806458044, -0.0011648526668923216, 0.003340753583483309,
+                      0.00012011914801124777],
+                     [-0.0011648526668923216, 0.0003627276444893128, -0.001040289225064845,
+                      -3.740433177049219e-05],
+                     [0.003340753583483309, -0.001040289225064845, 0.0029835103230404637,
+                      0.00010727421497299235],
+                     [0.00012011914801124777, -3.740433177049219e-05, 0.00010727421497299235,
+                      3.857119953365653e-06]],
+                    sphere=True, f_scale=1e-177, c_scale=1e38)
+
+
+@pytest.mark.xfail(strict=True, reason="the solver's slack 1e-13 max(1, ||g||, ||c||) "
+                                       "dwarfs the round-off of the terms it compares")
+@pytest.mark.parametrize("problem", [R1, R2], ids=["R1", "R2"])
+def test_slack_with_f_and_c_scaled_apart_passes_the_audit(problem):
+    # R1 (c ~ 1e70, f ~ 1e2): all four eps-1e-2 runs flag "TT2 case-2 model
+    # reduction fails on recheck"; R2 (f ~ 1e-177, c ~ 1e38): both adaptive
+    # eps-1e-2 runs flag "TT2 dominance/curvature condition fails on recheck"
+    assert [assert_trace_invariants(trace, params)
+            for params, _, trace in hostile_runs(problem)] == [[]] * 8

@@ -269,6 +269,18 @@ class TestSuccess:
         assert success(0.0, 0.25, 0.5, eps)
         assert not success(0.0, 0.35, 0.5, eps)
 
+    @pytest.mark.parametrize("scheme", ["ada", "ls"])
+    def test_solved_reads_the_best_iterate_whatever_the_status(self, scheme):
+        # solved is early_stationary or the best iterate's errors within the
+        # noise-scaled gates, whatever the status: at eps 1e200 the first
+        # sample's ||c|| overflows, and the start's errors pass gates of order
+        # 1e200.  CHANGES.md lists this outcome as FOUND (`harness.success` gates
+        # feasibility at 2 max(eps_c, eps_f)); ROADMAP item 2's status review is
+        # where the rule may change, and this pin with it
+        row = run_single("unit-circle", VariantSpec(scheme, "opt"), 1e200, 1e200, 0, "original")
+        assert (row.status, row.iters, row.solved) == ("nonfinite_evaluation", 1, True), \
+            "the documented solved rule changed: see the FOUND entry on harness.success"
+
 
 class TestRunGrid:
     def _config(self, out_dir):

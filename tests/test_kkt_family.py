@@ -25,8 +25,8 @@ residual gate's coefficient is 0, so every inexact step is the dense
 import numpy as np
 import pytest
 
-from noisy_sqp.driver import (ADAPTIVE, EARLY_INFEASIBLE, EXACTNESS, LINE_SEARCH, SolverParams,
-                               solve)
+from noisy_sqp.driver import (ADAPTIVE, EARLY_INFEASIBLE, EXACTNESS, LINE_SEARCH,
+                               TEST_UNSATISFIABLE, SolverParams, solve)
 from noisy_sqp.harness import best_iterate
 from noisy_sqp.linalg import norm2
 from noisy_sqp.noise import NoiseSpec
@@ -102,6 +102,15 @@ def test_no_controller_steps_on_a_nonpositive_model_reduction(family_runs):
 def test_feasible_points_are_not_infeasible_stationary(family_runs):
     bad = [(label(p, s), norm2(t.records[-1].noisy.c_bar)) for p, s, t in family_runs
            if t.status == EARLY_INFEASIBLE and norm2(t.records[-1].noisy.c_bar) <= 1e-10]
+    assert bad == []
+
+
+@pytest.mark.xfail(strict=True, reason="the TT residual gate has no round-off floor")
+def test_feasible_runs_do_not_end_test_unsatisfiable(family_runs):
+    # at a feasible KKT point ||u|| and ||J'c|| sit at round-off, and the gate
+    # scaled by them rejects even the dense solve's residual (ROADMAP item 2)
+    bad = [label(p, s) for p, s, t in family_runs
+           if t.status == TEST_UNSATISFIABLE and norm2(t.records[-1].exact.c) <= 1e-10]
     assert bad == []
 
 

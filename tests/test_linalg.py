@@ -305,15 +305,3 @@ class TestFiniteness:
         J[2, 1] = np.nan
         assert not all_finite(J) and not all_finite(J.T)
 
-    def test_full_sample_check(self):
-        from noisy_sqp.driver import _finite_sample
-        from noisy_sqp.noise import NoisyEvaluation
-
-        def sample(f=1.0, g=1.0, c=1.0, J=1.0):
-            return NoisyEvaluation(f, np.full(3, g), np.full(2, c), np.full((2, 3), J))
-
-        assert _finite_sample(sample())
-        assert _finite_sample(sample(1e300, 1e200, 1.7e308, -1e200))
-        for bad in (np.nan, np.inf, -np.inf):
-            for part in ("f", "g", "c", "J"):
-                assert not _finite_sample(sample(**{part: bad}))
