@@ -317,8 +317,8 @@ def dense_kkt_solve(H: np.ndarray, J: np.ndarray, rhs_top: np.ndarray):
     rhs = np.concatenate([-rhs_top, np.zeros(m)])
 
     sigma = smallest_singular_value(J)
-    sigma_max = norm2(J)
-    rank_deficient = sigma <= 1e-10 * max(1.0, sigma_max)
+    J_fro = norm2(J)
+    rank_deficient = sigma <= 1e-10 * max(1.0, J_fro)
     if rank_deficient:
         K[n:, n:] -= (1e-12 * (1.0 + norm_inf(J @ J.T))) * np.eye(m)
     try:

@@ -87,23 +87,29 @@ def normal_step(lin: Linearization, coef: float) -> NormalStep:
     return NormalStep(v, c_v, norm2(c_v), iters)
 
 
-def check_tt1(H, lin: Linearization, normal: NormalStep, u, rho, r, tau_prev: float,
-              eps_o: float):
-    """Termination Test 1 (feasible branch, v = 0): `check_tt2`'s tuple or None."""
+def _measure(H, lin: Linearization, normal: NormalStep, u, rho, r, tau_prev: float):
+    """Both tests' measures of u: (u'Hu, u'u, ||u||, d = v + u, g'd, ||c + Jd||, model
+    reduction along d at tau_prev), or None when the residual gate fails."""
     uHu = float(u.dot(H.dot(u)))
-    u_nrm2 = float(u.dot(u))
-    slack = lin.round_off
-    res_gate = LAMBDA_RHO_R * min(max(norm2(u), lin.Jtc_norm), KAPPA_RHO_R)
-    if max(norm2(rho), norm2(r)) > res_gate:
-        return None
-    if uHu < LAMBDA_U * u_nrm2 - eps_o - slack:
+    uu = float(u.dot(u))
+    u_nrm = math.sqrt(uu)  # norm2's formula on the same dot
+    if max(norm2(rho), norm2(r)) > LAMBDA_RHO_R * min(max(u_nrm, lin.Jtc_norm), KAPPA_RHO_R):
         return None
     d = normal.v + u
     gd, cd_norm = lin.along(d)
-    if gd + 0.5 * uHu > eps_o + slack:
+    return uHu, uu, u_nrm, d, gd, cd_norm, model_reduction(tau_prev, lin.c_norm, gd, cd_norm)
+
+
+def check_tt1(H, lin: Linearization, normal: NormalStep, u, rho, r, tau_prev: float,
+              eps_o: float):
+    """Termination Test 1 (feasible branch, v = 0): `check_tt2`'s tuple or None."""
+    measured = _measure(H, lin, normal, u, rho, r, tau_prev)
+    if measured is None:
         return None
-    dl = model_reduction(tau_prev, lin.c_norm, gd, cd_norm)
-    if dl < tau_prev * SIGMA_U * max(uHu, LAMBDA_U * u_nrm2) - eps_o - slack:
+    uHu, uu, _, d, gd, cd_norm, dl = measured
+    slack = lin.round_off
+    if (uHu < LAMBDA_U * uu - eps_o - slack or gd + 0.5 * uHu > eps_o + slack
+            or dl < tau_prev * SIGMA_U * max(uHu, LAMBDA_U * uu) - eps_o - slack):
         return None
     return TT1, d, gd, cd_norm, None
 
@@ -116,29 +122,21 @@ def check_tt2(H, lin: Linearization, normal: NormalStep, u, rho, r, tau_prev: fl
     because it keeps the merit parameter unchanged; under TT2_COND1 ``trial``
     is `merit.tau_trial` of the check's values, which must be > 0, else None.
     """
-    v = normal.v
-    uHu = float(u.dot(H.dot(u)))
-    uu = float(u.dot(u))
-    u_nrm = math.sqrt(uu)  # norm2's formula on the same dot
-    v_nrm = norm2(v)
-    Jtc_norm = lin.Jtc_norm
+    measured = _measure(H, lin, normal, u, rho, r, tau_prev)
+    if measured is None:
+        return None
+    uHu, uu, u_nrm, d, gd, cd_norm, dl = measured
+    v_nrm = norm2(normal.v)
     c_norm = lin.c_norm
     slack = lin.round_off
-    res_gate = LAMBDA_RHO_R * min(max(u_nrm, Jtc_norm), KAPPA_RHO_R)
-    if max(norm2(rho), norm2(r)) > res_gate:
-        return None
-
     if u_nrm > LAMBDA_UV * v_nrm:
         curvature_ok = uHu >= LAMBDA_U * u_nrm * u_nrm - slack
-        slope = float((lin.g + H.dot(v)).dot(u))
-        weight = max(0.5, 1.0 - Jtc_norm)
+        slope = float((lin.g + H.dot(normal.v)).dot(u))
+        weight = max(0.5, 1.0 - lin.Jtc_norm)
         if not (curvature_ok and slope + weight * uHu <= LAMBDA_V * v_nrm + slack):
             return None
 
-    d = v + u
-    gd, cd_norm = lin.along(d)
     c_v_norm = normal.c_v_norm
-    dl = model_reduction(tau_prev, c_norm, gd, cd_norm)
     if dl >= tau_prev * SIGMA_U * max(uHu, LAMBDA_U * u_nrm * u_nrm) \
             + SIGMA_C * (c_norm - c_v_norm) - slack:
         return TT2_CASE2, d, gd, cd_norm, None

@@ -131,6 +131,13 @@ def test_solve_noise_beyond_the_bound_is_config_error(capsys):
         "config error: eps_f must be a number in [0, 8.988465674311579e+307]"
 
 
+def test_solve_negative_noise_is_config_error(capsys):
+    code = main(["solve", "--problem", "unit-circle", "--variant", "ada", "--optimism", "opt",
+                 "--eps-f", "-1", "--eps-c", "0.01", "--seed", "0"])
+    assert code == 2
+    assert one_error_line(capsys, "config error") == "config error: noise levels must be >= 0"
+
+
 @pytest.mark.parametrize("scheme", ["ls", "ada"])
 def test_overflowing_gram_matrix_ends_in_a_status(tmp_path, capsys, scheme):
     path = tmp_path / "big.qp.json"

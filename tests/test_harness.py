@@ -370,6 +370,11 @@ class TestPerformanceProfile:
         with pytest.raises(ValueError):
             performance_profile([make_record()])
 
+    def test_unknown_cost_field_rejected(self):
+        records = [make_record(variant="ada"), make_record(variant="ls")]
+        with pytest.raises(ValueError, match="bad cost_field 'iters'"):
+            performance_profile(records, cost_field="iters")
+
     def test_failure_caps_curve(self):
         records = [
             make_record(problem="p1", variant="ada", weighted_evals=2),

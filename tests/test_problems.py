@@ -59,6 +59,12 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="x has size 3, expected 2"):
             evaluate(p, np.zeros(3))
 
+    @pytest.mark.parametrize("n, m", [(0, 1), (2, 0)])
+    def test_empty_dimension_is_rejected(self, n, m):
+        ev = registry_by_name()["unit-circle"].eval_fn
+        with pytest.raises(ValueError, match="need n >= 1 and m >= 1"):
+            ProblemSpec("circle", n, m, np.zeros(n), ev)
+
     def test_start_point_of_the_wrong_length(self):
         ev = registry_by_name()["unit-circle"].eval_fn
         with pytest.raises(ValueError, match="x0 has size 3, expected 2"):

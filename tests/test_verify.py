@@ -60,6 +60,11 @@ class TestCauchyPerturbationScan:
         with pytest.raises(ValueError, match="Jacobian not full rank at the scan point"):
             cauchy_perturbation_scan(p, p.x0)
 
+    def test_vanishing_Jtc_rejected(self):
+        # quad-linear's constraints vanish at the origin, so J'c = 0 there
+        with pytest.raises(ValueError, match="not bounded away from zero"):
+            cauchy_perturbation_scan(registry_by_name()["quad-linear"], np.zeros(4))
+
 
 class TestTangentialGapScan:
     def test_quad_linear_feasible_point_passes(self):
