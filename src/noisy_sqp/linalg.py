@@ -5,9 +5,10 @@ solvers (a MINRES-style symmetric solver and a Steihaug-Toint trust-region
 CG) expose their iterates one step at a time so callers can run acceptance
 tests on intermediate candidates.  The dense routines at the bottom
 (`least_squares_multiplier`, `smallest_singular_value`, `dense_kkt_solve`)
-are total: rank deficiency is handled with a fixed relative ridge instead
-of raising.  `check_settings` holds a settings dataclass to the ranges its
-fields declare with `number`, `one_of`, `instance_of` or `list_of`.
+handle a rank-deficient J with a fixed relative ridge instead of raising;
+only a saddle matrix that stays singular makes `dense_kkt_solve` raise.
+`check_settings` holds a settings dataclass to the ranges its fields
+declare with `number`, `one_of`, `instance_of` or `list_of`.
 """
 
 from __future__ import annotations
@@ -307,25 +308,15 @@ def dense_kkt_solve(H: np.ndarray, J: np.ndarray, rhs_top: np.ndarray):
     """Exact solve of [[H, J'], [J, 0]] [u; y] = [-rhs_top; 0].
 
     Verification / fallback oracle.  When J is rank deficient the (2,2)
-    block is regularized with a diagonal of -1e-12 * (1 + max|(JJ')_ij|),
-    up front or after a failed first factorization; the u component stays
-    unique per the saddle-system structure.  A failure after the ridge
-    raises LinAlgError.
+    block is regularized up front with a diagonal of
+    -1e-12 * (1 + max|(JJ')_ij|); the u component stays unique per the
+    saddle-system structure.  A saddle matrix that is still singular, whatever
+    J's rank, raises LinAlgError: no other system is solved in its place.
     """
     m, n = J.shape
     K = kkt_matrix(H, J)
     rhs = np.concatenate([-rhs_top, np.zeros(m)])
-
-    sigma = smallest_singular_value(J)
-    J_fro = norm2(J)
-    rank_deficient = sigma <= 1e-10 * max(1.0, J_fro)
-    if rank_deficient:
+    if smallest_singular_value(J) <= 1e-10 * max(1.0, norm2(J)):  # ||J||_F
         K[n:, n:] -= (1e-12 * (1.0 + norm_inf(J @ J.T))) * np.eye(m)
-    try:
-        z = np.linalg.solve(K, rhs)
-    except np.linalg.LinAlgError:
-        if rank_deficient:
-            raise
-        K[n:, n:] -= (1e-12 * (1.0 + norm_inf(J @ J.T))) * np.eye(m)
-        z = np.linalg.solve(K, rhs)
+    z = np.linalg.solve(K, rhs)
     return z[:n], z[n:]

@@ -160,7 +160,8 @@ def tangential_step(H, lin: Linearization, normal: NormalStep, tau_prev: float,
     acceptance, the dense solve takes over and the test is re-checked on the
     exact solution (tag exact_fallback, with the passing test's tag in
     ``fallback_case``).  None when the exact solution fails the test or
-    cannot be formed (H singular on the null space of J).
+    cannot be formed: the dense solve raises LinAlgError when the saddle
+    matrix is singular, whatever J's rank.
     """
     J_bar = lin.J
     m, n = J_bar.shape
@@ -203,7 +204,7 @@ def tangential_step(H, lin: Linearization, normal: NormalStep, tau_prev: float,
         # dense fallback; residuals vanish up to round-off
         try:
             z = np.concatenate(dense_kkt_solve(H, J_bar, b[:n]))
-        except np.linalg.LinAlgError:  # H singular on null(J)
+        except np.linalg.LinAlgError:  # K singular
             return None
         resid = apply_K(z) + b
         passed = passed_test(z, resid)

@@ -22,7 +22,7 @@ from noisy_sqp.driver import (
     solve,
 )
 from noisy_sqp.harness import VariantSpec, best_iterate
-from noisy_sqp.linalg import dense_kkt_solve, kkt_matrix, norm2, norm_inf
+from noisy_sqp.linalg import kkt_matrix, norm2, norm_inf
 from noisy_sqp.noise import NoiseSpec, NoisyOracle, derive_gradient_noise
 from noisy_sqp.merit import LAMBDA_U, SIGMA_U
 from noisy_sqp.problems import ExactEvaluation, ProblemSpec, parse_problem_json, registry_by_name
@@ -136,6 +136,21 @@ class TestEarlyInfeasibleExit:
         kappa_J = float(np.linalg.norm(ex.J, 2))
         bound = kappa_c * eps_J + (kappa_J + eps_J) * eps_c
         assert norm2(ex.J.T @ ex.c) <= bound
+
+    @pytest.mark.parametrize("variant", ["adaptive", "line_search"])
+    def test_well_conditioned_jacobian_never_takes_the_exit(self, variant):
+        # sigma_min(J) = 5e-3 > 1e-3 ||J||_F; at x0, J'c = (0, 1e-14, 0) is at round-off
+        # and ||c|| = 2e-12 is above the branch gate, but ||J'c|| = 5e-3 ||c||
+        J = np.array([[1.0, 0.0, 0.0], [0.0, 5e-3, 0.0]])
+
+        def ev(x):
+            return ExactEvaluation(f=float(x[2]), g=np.array([0.0, 0.0, 1.0]),
+                                   c=J @ x + np.array([0.0, 2e-12]), J=J.copy())
+
+        params = SolverParams.benchmark_defaults(NoiseSpec(), variant=variant, max_iters=20)
+        trace = solve(ProblemSpec("well-conditioned-3", 3, 2, np.zeros(3), ev), params, 0)
+        assert trace.status == BUDGET_ITERS and len(trace.records) == 20
+        assert trace.records[0].bundle is not None
 
 
 class TestDegenerateDirection:
@@ -657,42 +672,26 @@ class TestCurvatureMatrix:
 
         return ProblemSpec("line-3", 3, 1, np.zeros(3), ev, H=H)
 
-    @pytest.mark.parametrize("variant", ["adaptive", "line_search"])
-    @pytest.mark.parametrize("H", [np.zeros((3, 3)), np.diag([1.0, 1.0, 0.0])],
-                             ids=["zero", "singular-on-null-J"])
-    def test_singular_dense_fallback_is_test_unsatisfiable(self, variant, H):
+    def check_one_bundle_less_record(self, variant, H):
+        # J has full rank and K = [[H, J'], [J, 0]] is singular, so the dense solve raises
         params = SolverParams.benchmark_defaults(NoiseSpec(), variant=variant, max_iters=50)
         trace = solve(self.line_problem(H), params, 0)
-        assert trace.status == TEST_UNSATISFIABLE
+        assert trace.status == TEST_UNSATISFIABLE and len(trace.records) == 1
         last = trace.records[-1]
         assert last.alpha == 0.0 and last.bundle is None
         assert assert_trace_invariants(trace, params) == []
 
     @pytest.mark.parametrize("variant", ["adaptive", "line_search"])
-    def test_ridged_dense_fallback_is_rechecked(self, variant, monkeypatch):
-        # J has full rank, but K = [[H, J'], [J, 0]] is singular: the dense solve's
-        # retry with a ridge returns |y| ~ 1e12, which the termination test rejects
-        A = np.array([[1.0, 0.0]])
+    @pytest.mark.parametrize("H", [np.zeros((3, 3)), np.diag([1.0, 1.0, 0.0])],
+                             ids=["zero", "singular-on-null-J"])
+    def test_singular_dense_fallback_is_test_unsatisfiable(self, variant, H):
+        self.check_one_bundle_less_record(variant, H)
 
-        def ev(x):
-            return ExactEvaluation(f=float(x[0] + 2.0 * x[1]), g=np.array([1.0, 2.0]),
-                                   c=A @ x - 1.0, J=A.copy())
-
-        solved = []
-
-        def dense(H, J, rhs_top):
-            solved.append(dense_kkt_solve(H, J, rhs_top))
-            return solved[-1]
-
-        monkeypatch.setattr("noisy_sqp.steps.dense_kkt_solve", dense)
-        params = SolverParams.benchmark_defaults(NoiseSpec(), variant=variant, max_iters=50)
-        H = np.array([[0.0, 1.0], [1.0, 0.0]])
-        trace = solve(ProblemSpec("swap-2", 2, 1, np.zeros(2), ev, H=H), params, 0)
-        assert trace.status == TEST_UNSATISFIABLE and len(trace.records) == 1
-        assert trace.records[0].bundle is None
-        [(_, y)] = solved
-        assert abs(y[0]) > 1e11
-        assert assert_trace_invariants(trace, params) == []
+    @pytest.mark.parametrize("variant", ["adaptive", "line_search"])
+    def test_indefinite_dense_fallback_is_unsatisfiable(self, variant):
+        # a ridge on K's (2,2) block would make K solvable, with |y| ~ 1e12
+        H = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0, 0.0]])
+        self.check_one_bundle_less_record(variant, H)
 
     @pytest.mark.parametrize("variant", ["adaptive", "line_search"])
     @pytest.mark.parametrize("H", [np.full((3, 3), np.nan), np.diag([1.0, np.inf, 1.0]),

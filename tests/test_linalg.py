@@ -239,17 +239,18 @@ class TestDenseKktSolve:
         assert np.allclose(u, [0.0, -1.0], atol=1e-8)
         assert norm2(J @ u) <= 1e-8
 
-    def test_singular_saddle_matrix_is_retried_with_the_ridge(self):
-        # J has full rank, but K = [[0, 1, 1], [1, 0, 0], [1, 0, 0]] is singular;
-        # the ridge -2e-12 on the (2,2) block then gives y = u_1 / 2e-12
-        u, y = dense_kkt_solve(np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([[1.0, 0.0]]),
-                               np.array([1.0, 2.0]))
-        assert [*u, *y] == pytest.approx([-2.0, 1e12 - 1.0, -1e12], rel=1e-12)
-
     def test_saddle_matrix_singular_after_the_ridge_raises(self):
-        # H = diag(1, 0) leaves K's second row zero, which no (2,2) ridge changes
+        # J has full rank, so K gets no ridge; H = diag(1, 0) leaves K's second row
+        # zero, which no (2,2) ridge would change either
         with pytest.raises(np.linalg.LinAlgError):
             dense_kkt_solve(np.diag([1.0, 0.0]), np.array([[1.0, 0.0]]), np.array([1.0, 2.0]))
+
+    def test_swapped_saddle_matrix_raises(self):
+        # J has full rank, so K = [[0, 1, 1], [1, 0, 0], [1, 0, 0]] gets no ridge and
+        # the solve raises; a ridge on its (2,2) block would make it solvable, |y| ~ 1e12
+        with pytest.raises(np.linalg.LinAlgError):
+            dense_kkt_solve(np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([[1.0, 0.0]]),
+                            np.array([1.0, 2.0]))
 
     def test_back_substitution_property(self):
         rng = np.random.default_rng(17)

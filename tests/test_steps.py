@@ -3,8 +3,8 @@ import pytest
 
 from noisy_sqp import steps
 from noisy_sqp.linalg import dense_kkt_solve, norm2, norm_inf
-from noisy_sqp.merit import (GAMMA_C, LAMBDA_U, SIGMA_C, SIGMA_JC, SIGMA_R, Linearization,
-                             model_reduction)
+from noisy_sqp.merit import (GAMMA_C, LAMBDA_U, LAMBDA_UV, SIGMA_C, SIGMA_JC, SIGMA_R,
+                             Linearization, model_reduction)
 from noisy_sqp.problems import evaluate, registry_by_name
 from noisy_sqp.steps import (
     EXACT_FALLBACK,
@@ -152,6 +152,21 @@ class TestTangentialStep:
                                  1.0, eps_o=0.0, coef=0.0, feasible=True)
         assert bundle is None
 
+    def test_accepted_candidate_meets_the_gate_at_its_lower_clip(self):
+        # u = 0 at MINRES's start and ||J'c||_inf = 1e-3, so the residual gate there is
+        # coef * 1e-2: the start's residual g + Hv = (0, 2e-4), under which TT2's case 2
+        # holds, passes it at coef = 4e-2 and fails it at 4e-3, where the first MINRES
+        # step is accepted instead
+        J, c = np.array([[1.0, 0.0]]), np.array([1e-3])
+        v = np.array([-1e-3, 0.0])
+        normal = NormalStep(v, c + J @ v, 0.0)
+        L = lin(c, J, np.array([1e-3, 2e-4]))
+        for coef, iters in ((4e-2, 0), (4e-3, 1)):
+            bundle = tangential_step(np.eye(2), L, normal, 1.0, eps_o=0.0, coef=coef,
+                                     feasible=False)
+            assert (bundle.test, bundle.minres_iters) == (TT2_CASE2, iters)
+            assert norm_inf(np.concatenate([bundle.rho, bundle.r])) <= coef * 1e-2
+
 
 class TestCheckTT1:
     def test_zero_step_passes(self):
@@ -185,12 +200,24 @@ class TestCheckTT1:
     def test_negative_curvature_rejected(self):
         # with H = -I, u'Hu = -1: the objective-model (g'u + u'Hu/2 = -3/2) and
         # model-reduction (1 >= 0.99 max(-1, LAMBDA_U)) conditions hold, so only the
-        # curvature condition rejects, and relaxing it by eps_o lets the step through
+        # curvature condition rejects, which u'Hu misses by 1 + LAMBDA_U: relaxing it
+        # by eps_o lets the step through when that miss is 0.67 eps_o, not 1.5 eps_o
         J, c = np.array([[1.0, 0.0]]), np.array([0.0])
         args = (-np.eye(2), lin(c, J, np.array([0.0, 1.0])), zero_normal(c, 2),
                 np.array([0.0, -1.0]), np.zeros(2), np.zeros(1), 1.0)
         assert check_tt1(*args, 0.0) is None
+        assert check_tt1(*args, (1.0 + LAMBDA_U) / 1.5) is None
         assert check_tt1(*args, 1.5) is not None
+
+    def test_objective_model_excess_beyond_eps_o_is_rejected(self):
+        # g'u + u'Hu/2 = 1.5 with u'Hu = 1 >= LAMBDA_U u'u, and tau_prev = 0.1 keeps the
+        # model reduction -0.1 above 0.099 - eps_o: an excess of 1.5 eps_o rejects,
+        # one of 0.5 eps_o passes
+        J, c = np.array([[1.0, 0.0]]), np.array([0.0])
+        args = (np.eye(2), lin(c, J, np.array([0.0, 1.0])), zero_normal(c, 2),
+                np.array([0.0, 1.0]), np.zeros(2), np.zeros(1), 0.1)
+        assert check_tt1(*args, 1.0) is None
+        assert check_tt1(*args, 3.0) is not None
 
     def test_exact_fixture_with_strictness_margin(self, monkeypatch):
         H = np.eye(2)
@@ -269,16 +296,30 @@ class TestCheckTT2:
     @pytest.mark.parametrize("H, g", [(-np.eye(2), [0.0, 1.0]), (np.eye(2), [0.0, -1.0])],
                              ids=["negative-curvature", "ascent"])
     def test_dominant_tangential_step_needs_curvature_and_descent(self, monkeypatch, H, g):
-        # ||u|| = 1 > LAMBDA_UV ||v|| = 1e-2, so the dominance condition applies: with
+        # ||u|| = 1 = 2 LAMBDA_UV ||v||, so the dominance condition applies: with
         # H = -I its curvature part fails, with g'u = 1 its slope part does
         c, J = np.array([1.0]), np.array([[1.0, 0.0]])
-        v, u = np.array([-1e-6, 0.0]), np.array([0.0, -1.0])
+        v, u = np.array([-0.5 / LAMBDA_UV, 0.0]), np.array([0.0, -1.0])
         c_v = c + J @ v
         args = (H, lin(c, J, np.array(g)), NormalStep(v, c_v, norm2(c_v)), u, np.zeros(2),
                 np.zeros(1), 1.0)
         assert check_tt2(*args) is None
         monkeypatch.setattr(steps, "LAMBDA_UV", 1e30)  # u never dominates: a reduction passes
         assert check_tt2(*args) is not None
+
+    def test_dominant_slope_weighs_curvature_by_one_minus_jtc_norm(self):
+        # ||u|| = 1 > LAMBDA_UV ||v|| = 1e-2 and ||J'c|| = 0.1, so the slope condition is
+        # (g + Hv)'u + 0.9 u'Hu <= LAMBDA_V ||v|| = 1e-2: a slope of -0.7 fails it (0.2),
+        # though a weight of 0.5 would pass (-0.2); a slope of -0.95 passes, and
+        # tau_prev = 1e-6 lets case 2 accept
+        c, J = np.array([0.1]), np.array([[1.0, 0.0]])
+        v, u = np.array([-1e-6, 0.0]), np.array([0.0, -1.0])
+        c_v = c + J @ v
+        normal = NormalStep(v, c_v, norm2(c_v))
+        for slope, accepted in ((-0.7, None), (-0.95, TT2_CASE2)):
+            L = lin(c, J, np.array([0.0, -slope]))  # (g + Hv)'u = -g_2
+            passed = check_tt2(np.eye(2), L, normal, u, np.zeros(2), np.zeros(1), 1e-6)
+            assert (passed[0] if passed else None) == accepted
 
     def test_cond1_needs_a_positive_trial(self):
         # the round-off slack lets ||c + Jv + r|| exceed ||c||, so the trial
