@@ -11,21 +11,25 @@ no bundle and ends the run as `test_unsatisfiable`.  Each iteration appends
 one `IterRecord`; the run stops at the first status, from an early exit, a
 non-finite sample or step, a budget or the controller.  Exact ground-truth
 snapshots are recorded next to every noisy sample for post-hoc error
-measurement; they never feed the solver path.
+measurement; they never feed the solver path.  A record copies the
+iteration's vectors into one packed row and hands out views into it.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
 from . import merit, steps, stepsize
 from .linalg import all_finite, norm2, norm_inf
 from .linalg import check_settings, instance_of, number, one_of
-from .noise import NoiseSpec, NoisyOracle
-from .problems import ProblemSpec, evaluate
+from .noise import NoiseSpec, NoisyEvaluation, NoisyOracle
+from .problems import ExactEvaluation, ProblemSpec, evaluate
 from .stepsize import LINE_SEARCH_FAILURE, NONFINITE
 
 BUDGET_ITERS = "budget_iters"
@@ -82,20 +86,25 @@ class SolverParams:
         return (self.noise.eps_o or self.noise.eps_c) if self.optimism == "optimistic" else 0.0
 
 
-@dataclass
+@dataclass(slots=True)
 class IterRecord:
-    """One loop iteration; alpha = 0 marks a terminal partial iteration."""
+    """One loop iteration; alpha = 0 marks a terminal partial iteration.
+
+    Scalars sit in slots, vectors in one float64 row (see `_layout`): ``x``,
+    ``noisy``, ``exact`` and ``bundle`` are views into it, built on access.  An
+    in-place write, or setting ``x`` or a bundle's vector, changes the record."""
 
     k: int
-    x: np.ndarray
-    noisy: object
-    exact: object
-    bundle: steps.StepBundle | None
     tau_prev: float
     tau: float
     alpha: float
     branch: str
     counters_delta: tuple
+    _row: np.ndarray
+    _at: tuple  # the row's `_layout`
+    _f_bar: float
+    _f: float
+    _bundle: tuple | None  # the bundle's BUNDLE_SCALARS, None without a bundle
     delta_l: float | None = None
     # adaptive controller snapshot
     chi: float | None = None
@@ -109,6 +118,45 @@ class IterRecord:
     phi_accept: float | None = None
     relax: float | None = None
     backtracks: int | None = None
+
+    @classmethod
+    def pack(cls, x, noisy, exact, bundle, **scalars):
+        vectors = () if bundle is None else (bundle.v, bundle.d, bundle.z, bundle.resid)
+        row = np.concatenate((x, noisy.g_bar, noisy.c_bar, noisy.J_bar, exact.g, exact.c,
+                              exact.J, *vectors), axis=None)
+        return cls(_row=row, _at=_layout(len(x), len(exact.c)), _f_bar=noisy.f_bar, _f=exact.f,
+                   _bundle=None if bundle is None else _bundle_scalars(bundle), **scalars)
+
+    def _parts(self, first, stop):
+        """The row's vectors ``first`` to ``stop - 1``, in their shapes."""
+        return [self._row[at].reshape(shape) for at, shape in self._at[first:stop]]
+
+    @property
+    def x(self):
+        return self._parts(0, 1)[0]
+
+    @x.setter
+    def x(self, value):
+        self.x[...] = value
+
+    noisy = property(lambda self: NoisyEvaluation(self._f_bar, *self._parts(1, 4)))
+    exact = property(lambda self: ExactEvaluation(self._f, *self._parts(4, 7)))
+    bundle = property(lambda self: None if self._bundle is None
+                      else steps.StepBundle(*self._parts(7, 11), *self._bundle))
+
+
+@functools.cache
+def _layout(n, m):
+    """(slice, shape) of a record row's x, noisy g, c, J, exact g, c, J, and v, d, z, resid."""
+    shapes = [(n,), (n,), (m,), (m, n), (n,), (m,), (m, n), (n,), (n,), (n + m,), (n + m,)]
+    ends = np.cumsum([math.prod(shape) for shape in shapes]).tolist()
+    return tuple((slice(end - math.prod(shape), end), shape) for shape, end in zip(shapes, ends))
+
+
+# a bundle's fields after v, d, z and resid
+BUNDLE_SCALARS = tuple(f.name for f in dataclasses.fields(steps.StepBundle)[4:])
+_bundle_scalars = attrgetter(*BUNDLE_SCALARS)
+_MINRES, _CG = BUNDLE_SCALARS.index("minres_iters"), BUNDLE_SCALARS.index("cg_iters")
 
 
 @dataclass
@@ -130,13 +178,14 @@ class RunTrace:
         """(-1, TAU0), then (k, tau) after each record's merit-parameter update."""
         return [(-1, merit.TAU0)] + [(r.k, r.tau) for r in self.records]
 
+    # summed over the records' stored bundle scalars: no bundle is built
     @property
     def minres_iters(self) -> int:
-        return sum(r.bundle.minres_iters for r in self.records if r.bundle is not None)
+        return sum(r._bundle[_MINRES] for r in self.records if r._bundle is not None)
 
     @property
     def cg_iters(self) -> int:
-        return sum(r.bundle.cg_iters for r in self.records if r.bundle is not None)
+        return sum(r._bundle[_CG] for r in self.records if r._bundle is not None)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow is a value the stop rules read
@@ -230,7 +279,7 @@ def solve(problem: ProblemSpec, params: SolverParams, seed: int,
             else:
                 alpha, x_next, fields, status = controller.step(x, noisy, bundle, tau, delta_l, dd)
         after = counters.snapshot()
-        records.append(IterRecord(
+        records.append(IterRecord.pack(
             k=k, x=x, noisy=noisy, exact=exact, bundle=bundle, tau_prev=tau_prev, tau=tau,
             alpha=alpha, branch=branch, delta_l=delta_l,
             counters_delta=(after[0] - before[0], after[1] - before[1]), **fields))

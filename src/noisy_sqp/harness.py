@@ -149,10 +149,10 @@ def best_iterate(trace, eps_c: float, eps_f: float):
     `least_squares_multiplier` calls over at most BEST_ITERATE_CHUNK
     iterates each, which bounds the memory the stacks take.
     """
-    exact = [r.exact for r in trace.records]
+    records = trace.records
     ys, feas, stat = [], [], []
-    for start in range(0, len(exact), BEST_ITERATE_CHUNK):
-        chunk = exact[start:start + BEST_ITERATE_CHUNK]
+    for start in range(0, len(records), BEST_ITERATE_CHUNK):
+        chunk = [r.exact for r in records[start:start + BEST_ITERATE_CHUNK]]
         J = np.stack([ex.J for ex in chunk])
         g = np.stack([ex.g for ex in chunk])
         y = least_squares_multiplier(J, g)
@@ -164,10 +164,10 @@ def best_iterate(trace, eps_c: float, eps_f: float):
     if qualified.size:
         key, among = stat[qualified], qualified
     else:
-        key, among = feas, np.arange(len(exact))
+        key, among = feas, np.arange(len(records))
     # argmin returns the first minimum
     idx = int(among[np.argmin(np.where(np.isnan(key), np.inf, key))])
-    best = exact[idx]
+    best = records[idx].exact
     y_best = ys[idx // BEST_ITERATE_CHUNK][idx % BEST_ITERATE_CHUNK]
     infeas_stat = norm_inf(best.J.T @ best.c)
     return idx, float(feas[idx]), float(stat[idx]), infeas_stat, norm_inf(y_best)

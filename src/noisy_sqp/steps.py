@@ -11,10 +11,11 @@ Each function reads the iteration's noisy linearization from one
 `merit.Linearization` (g, c and J with J'c, ||J'c||, max|J'c|, ||c||, ||g||
 and the round-off scale, each formed once), and the steps and tests read the
 normal step's v, c + Jv and ||c + Jv|| from its `NormalStep`.  The passing
-test's measurements ride in the `StepBundle` to the driver; no bundle means
-no test can pass.  The tests' and the trust region's constants are `merit`'s;
-their inequalities, stated for exact arithmetic, allow the round-off scale
-as slack.
+test's measurements ride in the `StepBundle` (the saddle system's solution
+and residual held once, u, y, rho and r views into them) to the driver; no
+bundle means no test can pass.  The tests' and the trust region's constants
+are `merit`'s; their inequalities, stated for exact arithmetic, allow the
+round-off scale as slack.
 """
 
 from __future__ import annotations
@@ -36,16 +37,38 @@ TT2_COND1 = "TT2_cond1"
 EXACT_FALLBACK = "exact_fallback"
 
 
+class _InPlace:
+    """A bundle vector, written in place once set; reads skip it (it has no __get__)."""
+
+    def __init__(self, name):
+        self.name = name
+
+    def __set__(self, bundle, value):
+        if self.name in bundle.__dict__:
+            bundle.__dict__[self.name][...] = value
+        else:
+            bundle.__dict__[self.name] = value
+
+
+def _part(whole, first):
+    """u, y, rho or r: the first len(v) entries of z or resid, or the rest; set in place."""
+    def get(bundle):
+        n = len(bundle.v)
+        return getattr(bundle, whole)[:n] if first else getattr(bundle, whole)[n:]
+    return property(get, lambda bundle, value: get(bundle).__setitem__(Ellipsis, value))
+
+
 @dataclass
 class StepBundle:
-    """Assembled search direction with the residuals that justified acceptance."""
+    """Assembled search direction with the residuals that justified acceptance.
+
+    The saddle system's z = (u, y) and resid = (rho, r) are held once.  Setting
+    a vector writes into it: into the trace, for a bundle read from one."""
 
     v: np.ndarray
-    u: np.ndarray
     d: np.ndarray
-    y: np.ndarray
-    rho: np.ndarray
-    r: np.ndarray
+    z: np.ndarray
+    resid: np.ndarray
     test: str
     minres_iters: int = 0
     cg_iters: int = 0
@@ -54,6 +77,13 @@ class StepBundle:
     gd: float = 0.0
     cd_norm: float = 0.0
     tau_trial: float | None = None
+
+    u, y = _part("z", True), _part("z", False)
+    rho, r = _part("resid", True), _part("resid", False)
+
+
+for _name in ("v", "d", "z", "resid"):  # after @dataclass, so that none reads as a default
+    setattr(StepBundle, _name, _InPlace(_name))
 
 
 class NormalStep(NamedTuple):
@@ -211,7 +241,7 @@ def tangential_step(H, lin: Linearization, normal: NormalStep, tau_prev: float,
         if passed is None:
             return None
     tag, d, gd, cd_norm, trial = passed
-    return StepBundle(v=v, u=z[:n], d=d, y=z[n:], rho=resid[:n], r=resid[n:],
+    return StepBundle(v=v, d=d, z=z, resid=resid,
                       test=EXACT_FALLBACK if fallback else tag, minres_iters=iters,
                       cg_iters=normal.cg_iters, fallback_case=tag if fallback else None,
                       gd=gd, cd_norm=cd_norm, tau_trial=trial)

@@ -62,6 +62,10 @@ MUTANTS = [
     Mutant("best-iterate-gate-3", "src/noisy_sqp/harness.py",
            "feas <= 2.0 * max(eps_c, eps_f)", "feas <= 3.0 * max(eps_c, eps_f)",
            "tests/test_metamorphic.py::test_optimism_solves_as_many_for_a_fraction_of_the_evaluations"),
+    Mutant("exact-g-from-noisy-row", "src/noisy_sqp/driver.py",
+           "ExactEvaluation(self._f, *self._parts(4, 7))",
+           "ExactEvaluation(self._f, *self._parts(1, 2), *self._parts(5, 7))",
+           "tests/test_driver.py::TestExactSnapshots::test_default_oracle_snapshot_equals_fresh_evaluation"),
 ]
 
 

@@ -503,7 +503,7 @@ class TestExactSnapshots:
         trace = solve(p, params, 2, oracle=oracle)
         assert len(calls) == len(trace.records) == 40
         for rec, x in zip(trace.records, calls):
-            assert x is rec.x
+            assert x.tobytes() == rec.x.tobytes()  # the record keeps a copy of x
             assert same_evaluation(rec.exact, evaluate(p, rec.x))
 
     @pytest.mark.parametrize("variant", ["adaptive", "line_search"])
