@@ -12,7 +12,8 @@ one `IterRecord`; the run stops at the first status, from an early exit, a
 non-finite sample or step, a budget or the controller.  Exact ground-truth
 snapshots are recorded next to every noisy sample for post-hoc error
 measurement; they never feed the solver path.  A record copies the
-iteration's vectors into one packed row and hands out views into it.
+iteration's vectors into one packed row and hands out views into it: a
+write into a view's array changes the trace, and nothing else does.
 """
 
 from __future__ import annotations
@@ -86,13 +87,14 @@ class SolverParams:
         return (self.noise.eps_o or self.noise.eps_c) if self.optimism == "optimistic" else 0.0
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class IterRecord:
     """One loop iteration; alpha = 0 marks a terminal partial iteration.
 
     Scalars sit in slots, vectors in one float64 row (see `_layout`): ``x``,
-    ``noisy``, ``exact`` and ``bundle`` are views into it, built on access.  An
-    in-place write, or setting ``x`` or a bundle's vector, changes the record."""
+    ``noisy``, ``exact`` and ``bundle`` are views into it, built on access.  A
+    write into a view's array changes the record; setting a view's attribute
+    changes only that view.  Records compare by identity."""
 
     k: int
     tau_prev: float
@@ -131,14 +133,7 @@ class IterRecord:
         """The row's vectors ``first`` to ``stop - 1``, in their shapes."""
         return [self._row[at].reshape(shape) for at, shape in self._at[first:stop]]
 
-    @property
-    def x(self):
-        return self._parts(0, 1)[0]
-
-    @x.setter
-    def x(self, value):
-        self.x[...] = value
-
+    x = property(lambda self: self._parts(0, 1)[0])
     noisy = property(lambda self: NoisyEvaluation(self._f_bar, *self._parts(1, 4)))
     exact = property(lambda self: ExactEvaluation(self._f, *self._parts(4, 7)))
     bundle = property(lambda self: None if self._bundle is None
@@ -159,7 +154,7 @@ _bundle_scalars = attrgetter(*BUNDLE_SCALARS)
 _MINRES, _CG = BUNDLE_SCALARS.index("minres_iters"), BUNDLE_SCALARS.index("cg_iters")
 
 
-@dataclass
+@dataclass(eq=False)
 class RunTrace:
     problem: str
     n: int

@@ -60,7 +60,7 @@ def derive_gradient_noise(eps_f: float, eps_c: float):
     return float(np.sqrt(eps_f)), float(np.sqrt(eps_c))
 
 
-@dataclass
+@dataclass(eq=False)
 class NoisyEvaluation:
     """One noisy oracle sample; unrequested parts are None."""
 

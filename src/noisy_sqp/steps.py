@@ -12,10 +12,11 @@ Each function reads the iteration's noisy linearization from one
 and the round-off scale, each formed once), and the steps and tests read the
 normal step's v, c + Jv and ||c + Jv|| from its `NormalStep`.  The passing
 test's measurements ride in the `StepBundle` (the saddle system's solution
-and residual held once, u, y, rho and r views into them) to the driver; no
-bundle means no test can pass.  The tests' and the trust region's constants
-are `merit`'s; their inequalities, stated for exact arithmetic, allow the
-round-off scale as slack.
+and residual held once, u, y, rho and r slices of them) to the driver, whose
+trace keeps its vectors in a record's row; no bundle means no test can pass.
+The tests' and the trust region's constants are `merit`'s; their
+inequalities, stated for exact arithmetic, allow the round-off scale as
+slack.
 """
 
 from __future__ import annotations
@@ -37,33 +38,20 @@ TT2_COND1 = "TT2_cond1"
 EXACT_FALLBACK = "exact_fallback"
 
 
-class _InPlace:
-    """A bundle vector, written in place once set; reads skip it (it has no __get__)."""
-
-    def __init__(self, name):
-        self.name = name
-
-    def __set__(self, bundle, value):
-        if self.name in bundle.__dict__:
-            bundle.__dict__[self.name][...] = value
-        else:
-            bundle.__dict__[self.name] = value
-
-
 def _part(whole, first):
-    """u, y, rho or r: the first len(v) entries of z or resid, or the rest; set in place."""
+    """u, y, rho or r: the first len(v) entries of z or resid, or the rest."""
     def get(bundle):
         n = len(bundle.v)
         return getattr(bundle, whole)[:n] if first else getattr(bundle, whole)[n:]
-    return property(get, lambda bundle, value: get(bundle).__setitem__(Ellipsis, value))
+    return property(get)
 
 
-@dataclass
+@dataclass(eq=False)
 class StepBundle:
     """Assembled search direction with the residuals that justified acceptance.
 
-    The saddle system's z = (u, y) and resid = (rho, r) are held once.  Setting
-    a vector writes into it: into the trace, for a bundle read from one."""
+    The saddle system's z = (u, y) and resid = (rho, r) are held once; u, y,
+    rho and r are views into them."""
 
     v: np.ndarray
     d: np.ndarray
@@ -80,10 +68,6 @@ class StepBundle:
 
     u, y = _part("z", True), _part("z", False)
     rho, r = _part("resid", True), _part("resid", False)
-
-
-for _name in ("v", "d", "z", "resid"):  # after @dataclass, so that none reads as a default
-    setattr(StepBundle, _name, _InPlace(_name))
 
 
 class NormalStep(NamedTuple):

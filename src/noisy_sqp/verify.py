@@ -1,8 +1,11 @@
 """Independent oracles: finite differences, perturbation scans, trace auditing.
 
 Nothing in this module shares code with the solver path it checks; it reads
-only the solver's constants.  The termination-test re-checks below are
-written out from scratch against the raw recorded data, and the
+only the solver's constants.  The trace audit re-checks the termination
+tests and the paper's invariants from scratch against the raw recorded
+data: `audit` evaluates every condition of every record and returns each as
+a `Condition` with its two sides, its slack and whether it held, and
+`assert_trace_invariants` lists the failing ones' messages.  The
 perturbation scans verify the scaling laws of the noisy step components
 (their formal constants are unobservable, so the testable content is linear
 scaling in the noise level plus exact collapse at zero noise).
@@ -12,6 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,6 +29,7 @@ from .problems import evaluate
 from .steps import EXACT_FALLBACK, TT1, TT2_CASE2
 
 FD_STEP = 1e-6  # fd_check's central-difference step
+TAU_INCREASED = "tau increased"  # the one complaint that also names its values
 
 
 @dataclass
@@ -159,143 +164,157 @@ def _null_space_solution(H, J, g):
     return Z @ w
 
 
+class Condition(NamedTuple):
+    """A condition the audit re-checked at record ``k``: the claim lhs <= rhs + slack.
+
+    A lower bound lhs >= rhs - slack is kept negated, so rhs + slack - lhs is
+    always the margin.  ``held`` is False when lhs > rhs + slack (a NaN never
+    shows that) or when the part that four conditions add fails: TT2's positive
+    residual decrease and slope, alpha_suff <= 1 and chi, zeta, xi > 0."""
+
+    k: int
+    name: str  # the complaint
+    lhs: float
+    rhs: float
+    slack: float
+    held: bool
+
+    @property
+    def message(self) -> str:
+        values = f" {self.rhs} -> {self.lhs}" if self.name == TAU_INCREASED else ""
+        return f"k={self.k}: {self.name}{values}"
+
+
+def _at_most(k, name, lhs, rhs, slack=0.0, given=True) -> Condition:
+    return Condition(k, name, float(lhs), float(rhs), float(slack),
+                     bool(given) and not lhs > rhs + slack)
+
+
+def _at_least(k, name, lhs, rhs, slack=0.0, given=True) -> Condition:
+    # -lhs > -rhs + slack is lhs < rhs - slack, bit for bit
+    return _at_most(k, name, -lhs, -rhs, slack, given)
+
+
 @np.errstate(over="ignore", invalid="ignore")
-def assert_trace_invariants(trace, params) -> list:
-    """Re-check every recorded per-iteration invariant; empty list means pass.
-
-    ``params`` is the run's `SolverParams`; the checks read only the trace and
-    the solver's constants, and the argument stays for the callers that pass it.
-    """
-    violations = []
-    eps_o = trace.eps_o
-
-    taus = [r.tau for r in trace.records]
-    for i in range(1, len(taus)):
-        if taus[i] > taus[i - 1] + 1e-15:
-            violations.append(f"k={i}: tau increased {taus[i - 1]} -> {taus[i]}")
+def audit(trace) -> list[Condition]:
+    """Re-check every recorded per-iteration invariant: one `Condition` per check
+    and record, each evaluated, read from the trace and the solver's constants."""
+    records = trace.records
+    found = [_at_most(r.k, TAU_INCREASED, r.tau, prev.tau, 1e-15)
+             for prev, r in zip(records, records[1:])]
 
     if trace.variant == ADAPTIVE:
-        seq = [(r.chi, r.zeta, r.xi) for r in trace.records if r.chi is not None]
-        for i in range(1, len(seq)):
-            if seq[i][0] < seq[i - 1][0] - 1e-15:
-                violations.append(f"k={i}: chi decreased")
-            if seq[i][1] > seq[i - 1][1] + 1e-15:
-                violations.append(f"k={i}: zeta increased")
-            if seq[i][2] > seq[i - 1][2] + 1e-15:
-                violations.append(f"k={i}: xi increased")
+        ctl = [r for r in records if r.chi is not None]
+        for prev, r in zip(ctl, ctl[1:]):
+            found += [_at_least(r.k, "chi decreased", r.chi, prev.chi, 1e-15),
+                      _at_most(r.k, "zeta increased", r.zeta, prev.zeta, 1e-15),
+                      _at_most(r.k, "xi increased", r.xi, prev.xi, 1e-15)]
         state = trace.adaptive_state
-        for r in trace.records:
-            if r.alpha_suff is None:
-                continue
-            if not (r.alpha <= r.alpha_suff + 1e-12 and r.alpha_suff <= 1.0 + 1e-12):
-                violations.append(f"k={r.k}: alpha ordering alpha <= alpha_suff <= 1 broken")
-            if r.alpha_min > r.alpha_max + 1e-12:
-                violations.append(f"k={r.k}: alpha_min > alpha_max")
-            if min(r.chi, r.zeta, r.xi) <= 0:
-                violations.append(f"k={r.k}: controller sequence not positive")
+        for r in [r for r in records if r.alpha_suff is not None]:
+            least = min(r.chi, r.zeta, r.xi)
+            found += [_at_most(r.k, "alpha ordering alpha <= alpha_suff <= 1 broken", r.alpha,
+                               r.alpha_suff, 1e-12, given=r.alpha_suff <= 1.0 + 1e-12),
+                      _at_most(r.k, "alpha_min > alpha_max", r.alpha_min, r.alpha_max, 1e-12),
+                      _at_least(r.k, "controller sequence not positive", least, 0.0,
+                                given=least > 0)]
             if state is not None and r.bundle is not None:
                 # Lipschitz estimates are held constant, so the sufficient
                 # step size is recomputable from raw recorded data
                 denom = r.tau * state.L_est + state.Gamma_est
                 dd = float(r.bundle.d @ r.bundle.d)
                 suff = min(2.0 * (1.0 - ETA) * BETA * r.delta_l / (denom * dd), 1.0)
-                if abs(suff - r.alpha_suff) > 1e-10 * max(1.0, suff):
-                    violations.append(f"k={r.k}: alpha_suff does not match recomputation")
+                found.append(_at_most(r.k, "alpha_suff does not match recomputation",
+                                      abs(suff - r.alpha_suff), 0.0, 1e-10 * max(1.0, suff)))
     else:
-        for r in trace.records:
-            if r.phi_accept is None:
-                continue
-            rhs = r.phi0 - LS_ETA * r.alpha * r.delta_l + r.relax
-            if r.phi_accept > rhs + 1e-10 * max(1.0, abs(r.phi0)):
-                violations.append(f"k={r.k}: accepted step violates relaxed Armijo")
+        found += [_at_most(r.k, "accepted step violates relaxed Armijo", r.phi_accept,
+                           r.phi0 - LS_ETA * r.alpha * r.delta_l + r.relax,
+                           1e-10 * max(1.0, abs(r.phi0)))
+                  for r in records if r.phi_accept is not None]
 
-    for i, r in enumerate(trace.records):
+    for r, after in zip(records, records[1:] + [None]):
         if r.bundle is None:
             continue
-        msg = _recheck_bundle(r, eps_o, trace.H)
-        if msg:
-            violations.append(f"k={r.k}: {msg}")
-        if i + 1 < len(trace.records):
-            x_next = trace.records[i + 1].x
-            drift = np.max(np.abs(x_next - (r.x + r.alpha * r.bundle.d)))
-            if drift > 1e-12 * max(1.0, float(np.max(np.abs(x_next)))):
-                violations.append(f"k={r.k}: iterate update identity broken")
-    return violations
+        found += _bundle_conditions(r, trace.eps_o, trace.H)
+        if after is not None:
+            drift = np.max(np.abs(after.x - (r.x + r.alpha * r.bundle.d)))
+            found.append(_at_most(r.k, "iterate update identity broken", drift, 0.0,
+                                  1e-12 * max(1.0, float(np.max(np.abs(after.x))))))
+    return found
 
 
-def _recheck_bundle(record, eps_o, H) -> str | None:
+def assert_trace_invariants(trace, params) -> list:
+    """The failing conditions' messages, empty when the trace passes; ``params``,
+    the run's `SolverParams`, stays for the callers that pass it."""
+    return [c.message for c in audit(trace) if not c.held]
+
+
+def _bundle_conditions(record, eps_o, H) -> list[Condition]:
     """From-scratch re-evaluation of the declared termination test and step bounds."""
-    b = record.bundle
-    noisy = record.noisy
-    g, c, J = noisy.g_bar, noisy.c_bar, noisy.J_bar
-    tau_prev = record.tau_prev
+    b, k, tau_prev = record.bundle, record.k, record.tau_prev
+    g, c, J = record.noisy.g_bar, record.noisy.c_bar, record.noisy.J_bar
     u, v, r, rho = b.u, b.v, b.r, b.rho
     nrm = np.linalg.norm
     slack = 1e-9
-
-    if nrm(b.d - (v + u)) > 1e-12 * max(1.0, nrm(b.d)):
-        return "d != v + u"
+    found = [_at_most(k, "d != v + u", nrm(b.d - (v + u)), 0.0, 1e-12 * max(1.0, nrm(b.d)))]
 
     uHu = float(u @ (H @ u))
     uu = float(u @ u)
     Jtc = nrm(J.T @ c)
     gate = LAMBDA_RHO_R * min(max(nrm(u), Jtc), KAPPA_RHO_R)
-    dl_prev_u = -tau_prev * float(g @ u) + nrm(c) - nrm(c + J @ u)
+    resid = max(nrm(rho), nrm(r))
 
     test = b.test
     if test == EXACT_FALLBACK:
-        # the dense solve of K z = -(g + Hv, 0), K = [[H, J'], [J, 0]], leaves at most
-        # its LU round-off: residual within 1e-9 + 1e-13 (n + m) max|K| max|z|
+        # the dense solve of K z = -(g + Hv, 0), K = [[H, J'], [J, 0]], leaves at most its
+        # LU round-off: residual within 1e-9 + 1e-13 (n + m) max|K| max|z|, here divided
+        # by (n + m) max|K| so that no product of maxima overflows
         K_max = max(np.max(np.abs(H)), np.max(np.abs(J)))
         z_max = np.max(np.abs(np.concatenate((u, b.y))))
-        if (max(nrm(rho), nrm(r)) - 1e-9) / sum(J.shape) / K_max > 1e-13 * z_max:  # divided: no overflow
-            return "fallback residual not at round-off level"
+        found.append(_at_most(k, "fallback residual not at round-off level",
+                              (resid - 1e-9) / sum(J.shape) / K_max, 1e-13 * z_max))
         test = b.fallback_case
 
     if test == TT1:
-        if nrm(v) != 0.0:
-            return "TT1 with nonzero normal component"
-        if max(nrm(rho), nrm(r)) > gate + slack:
-            return "TT1 residual gate fails on recheck"
-        if uHu < LAMBDA_U * uu - eps_o - slack:
-            return "TT1 curvature condition fails on recheck"
-        if float(g @ u) + 0.5 * uHu > eps_o + slack:
-            return "TT1 objective-model condition fails on recheck"
-        if dl_prev_u < tau_prev * SIGMA_U * max(uHu, LAMBDA_U * uu) - eps_o - slack:
-            return "TT1 model-reduction condition fails on recheck"
-        # unrelaxed forms plus the reduction lower bound on non-terminal iterations
-        if record.alpha > 0.0 and record.delta_l is not None:
-            dd = float(b.d @ b.d)
-            want = record.tau * SIGMA_U * LAMBDA_U / 2.0 * dd
-            if record.delta_l < want - 1e-10:
-                return "feasible-branch model reduction lower bound fails"
-    else:
-        if max(nrm(rho), nrm(r)) > gate + slack:
-            return "TT2 residual gate fails on recheck"
-        if nrm(u) > LAMBDA_UV * nrm(v) + slack:
-            slope = float((g + H @ v) @ u)
-            weight = max(0.5, 1.0 - Jtc)
-            if not (uHu >= LAMBDA_U * uu - slack
-                    and slope + weight * uHu <= LAMBDA_V * nrm(v) + slack):
-                return "TT2 dominance/curvature condition fails on recheck"
-        dec_v = nrm(c) - nrm(c + J @ v)
-        dec_vr = nrm(c) - nrm(c + J @ v + r)
+        dl_prev_u = -tau_prev * float(g @ u) + nrm(c) - nrm(c + J @ u)
+        found += [
+            _at_most(k, "TT1 with nonzero normal component", nrm(v), 0.0),
+            _at_most(k, "TT1 residual gate fails on recheck", resid, gate, slack),
+            _at_least(k, "TT1 curvature condition fails on recheck",
+                      uHu, LAMBDA_U * uu - eps_o, slack),
+            _at_most(k, "TT1 objective-model condition fails on recheck",
+                     float(g @ u) + 0.5 * uHu, eps_o, slack),
+            _at_least(k, "TT1 model-reduction condition fails on recheck",
+                      dl_prev_u, tau_prev * SIGMA_U * max(uHu, LAMBDA_U * uu) - eps_o, slack)]
+        if record.alpha > 0.0 and record.delta_l is not None:  # the unrelaxed lower bound
+            want = record.tau * SIGMA_U * LAMBDA_U / 2.0 * float(b.d @ b.d)
+            found.append(_at_least(k, "feasible-branch model reduction lower bound fails",
+                                   record.delta_l, want, 1e-10))
+        return found
+
+    found.append(_at_most(k, "TT2 residual gate fails on recheck", resid, gate, slack))
+    if nrm(u) > LAMBDA_UV * nrm(v) + slack:  # u dominates: curvature, given the slope
+        slope = float((g + H @ v) @ u)
+        weight = max(0.5, 1.0 - Jtc)
+        found.append(_at_least(k, "TT2 dominance/curvature condition fails on recheck",
+                               uHu, LAMBDA_U * uu, slack,
+                               given=slope + weight * uHu <= LAMBDA_V * nrm(v) + slack))
+    dec_v = nrm(c) - nrm(c + J @ v)
+    if test == TT2_CASE2:
         dl_prev_d = -tau_prev * float(g @ b.d) + nrm(c) - nrm(c + J @ b.d)
-        if test == TT2_CASE2:
-            if dl_prev_d < tau_prev * SIGMA_U * max(uHu, LAMBDA_U * uu) \
-                    + SIGMA_C * dec_v - slack:
-                return "TT2 case-2 model reduction fails on recheck"
-        else:
-            if not (dec_v > 0.0 and dec_vr >= SIGMA_R * dec_v - slack):
-                return "TT2 residual-decrease condition fails on recheck"
-        if nrm(v) > SIGMA_JC * Jtc * (1.0 + 1e-12) + slack:
-            return "normal trust region bound fails on recheck"
-        # Cauchy decrease, recomputed with an independently coded Cauchy point
-        step = _cauchy_step(c, J, SIGMA_JC)
-        target = GAMMA_C * (nrm(c) - nrm(c + J @ step))
-        if dec_v < target - 1e-9 * max(1.0, nrm(c)):
-            return "Cauchy decrease condition fails on recheck"
-    return None
+        found.append(_at_least(k, "TT2 case-2 model reduction fails on recheck", dl_prev_d,
+                               tau_prev * SIGMA_U * max(uHu, LAMBDA_U * uu) + SIGMA_C * dec_v,
+                               slack))
+    else:
+        found.append(_at_least(k, "TT2 residual-decrease condition fails on recheck",
+                               nrm(c) - nrm(c + J @ v + r), SIGMA_R * dec_v, slack,
+                               given=dec_v > 0.0))
+    # Cauchy decrease, recomputed with an independently coded Cauchy point
+    step = _cauchy_step(c, J, SIGMA_JC)
+    return found + [
+        _at_most(k, "normal trust region bound fails on recheck",
+                 nrm(v), SIGMA_JC * Jtc * (1.0 + 1e-12), slack),
+        _at_least(k, "Cauchy decrease condition fails on recheck",
+                  dec_v, GAMMA_C * (nrm(c) - nrm(c + J @ step)), 1e-9 * max(1.0, nrm(c)))]
 
 
 def trace_invariant_sweep(problems, params_list, seeds) -> PerturbationReport:

@@ -66,6 +66,11 @@ MUTANTS = [
            "ExactEvaluation(self._f, *self._parts(4, 7))",
            "ExactEvaluation(self._f, *self._parts(1, 2), *self._parts(5, 7))",
            "tests/test_driver.py::TestExactSnapshots::test_default_oracle_snapshot_equals_fresh_evaluation"),
+    Mutant("audit-first-failure-only", "src/noisy_sqp/verify.py",
+           "found += _bundle_conditions(r, trace.eps_o, trace.H)",
+           "found += (lambda cs: cs[:1 + next((i for i, c in enumerate(cs) if not c.held), "
+           "len(cs))])(_bundle_conditions(r, trace.eps_o, trace.H))",
+           "tests/test_verify.py::TestTraceCorruption::test_a_record_breaking_two_conditions_lists_both"),
 ]
 
 

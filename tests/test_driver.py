@@ -24,11 +24,11 @@ from noisy_sqp.driver import (
 from noisy_sqp.harness import VariantSpec, best_iterate
 from noisy_sqp.linalg import kkt_matrix, norm2, norm_inf
 from noisy_sqp.noise import NoiseSpec, NoisyOracle, derive_gradient_noise
-from noisy_sqp.merit import LAMBDA_U, SIGMA_U
+from noisy_sqp.merit import LAMBDA_U, SIGMA_R, SIGMA_U
 from noisy_sqp.problems import ExactEvaluation, ProblemSpec, parse_problem_json, registry_by_name
 from noisy_sqp.stepsize import MAX_BACKTRACKS
-from noisy_sqp.steps import EXACT_FALLBACK
-from noisy_sqp.verify import assert_trace_invariants
+from noisy_sqp.steps import EXACT_FALLBACK, TT2_COND1
+from noisy_sqp.verify import assert_trace_invariants, audit
 
 
 def kkt_start_problem():
@@ -788,22 +788,26 @@ def hostile_runs(problem):
                 yield params, eps, solve(problem, params, 0)
 
 
+FALLBACK_RESIDUAL = "fallback residual not at round-off level"
+
+
 def beyond_fallback_round_off(trace, params):
-    """The audit's complaints, less "fallback residual not at round-off level"
-    where that residual of the saddle system K z = rhs lies above the audit's
-    LU bound 1e-9 + 1e-13 (n + m) max|K| max|z| but within the looser
-    1e-9 (1 + (n + m) max|K| max|z|)."""
+    """The audit's failing conditions (``params`` as `assert_trace_invariants`
+    takes it), less FALLBACK_RESIDUAL where that residual of the saddle system
+    K z = rhs lies above the audit's LU bound 1e-9 + 1e-13 (n + m) max|K| max|z|
+    but within the looser 1e-9 (1 + (n + m) max|K| max|z|)."""
     left = []
-    for complaint in assert_trace_invariants(trace, params):
-        k, what = complaint.split(": ", 1)
-        if what == "fallback residual not at round-off level":
-            record = trace.records[int(k.removeprefix("k="))]
+    for condition in audit(trace):
+        if condition.held:
+            continue
+        if condition.name == FALLBACK_RESIDUAL:
+            record = trace.records[condition.k]
             b = record.bundle
             K = kkt_matrix(trace.H, record.noisy.J_bar)
             scale = K.shape[0] * norm_inf(K) * norm_inf(np.concatenate((b.u, b.y)))
             if max(norm_inf(b.rho), norm_inf(b.r)) <= 1e-9 * (1.0 + scale):
                 continue
-        left.append(complaint)
+        left.append(condition)
     return left
 
 
@@ -840,34 +844,58 @@ def test_fallback_audit_flags_a_solution_off_by_a_thousandth():
     # u and y scaled by 1 + 1e-3, with the residuals they leave (~1e5): within
     # 1e-9 (n + m) max|K| max|z| ~ 2e7, but not within the audit's 1e-13 one
     flagged = 0
-    for params, _, trace in hostile_runs(ILL_CONDITIONED_KKT):
+    for _, _, trace in hostile_runs(ILL_CONDITIONED_KKT):
         for record in trace.records:
             b = record.bundle
             if b is None or b.test != EXACT_FALLBACK:
                 continue
             J = record.noisy.J_bar
-            b.u, b.y = (1 + 1e-3) * b.u, (1 + 1e-3) * b.y
-            b.d = b.v + b.u
-            b.rho = trace.H @ b.d + J.T @ b.y + record.noisy.g_bar
-            b.r = J @ b.u
-            assert f"k={record.k}: fallback residual not at round-off level" \
-                in assert_trace_invariants(trace, params)
+            b.z[...] *= 1 + 1e-3  # u and y
+            b.d[...] = b.v + b.u
+            b.rho[...] = trace.H @ b.d + J.T @ b.y + record.noisy.g_bar
+            b.r[...] = J @ b.u
+            assert any(c.k == record.k and c.name == FALLBACK_RESIDUAL and not c.held
+                       for c in audit(trace))
             flagged += 1
             break
     assert flagged == 8  # every run takes a dense fallback
 
 
+# ||g|| ~ 1e9 and ||c|| ~ 0.1
+LARGE_GRADIENT = scaled_problem(
+    [[1.8, -1.1, -1.2], [1.4, -0.7, 0.7]], [0.4, -0.4], [0.8, 0.7, 1.9], [1.6, 0.8, -0.6],
+    [[2.82, 0.7, 3.77], [0.7, 6.93, 0.34], [3.77, 0.34, 9.33]], f_scale=1e8, c_scale=0.1)
+
+
 @pytest.mark.xfail(strict=True, reason="TT2's round-off slack grows with ||g||; the audit's does not")
 @pytest.mark.parametrize("exactness", ["exact", "inexact"])
 def test_tt2_slack_at_a_large_gradient_passes_the_audit(exactness):
-    # ||g|| ~ 1e9 and ||c|| ~ 0.1: the slack 1e-13 ||g|| admits a TT2 step whose
-    # residual decrease the audit, with slack 1e-9, rejects
-    problem = scaled_problem(
-        [[1.8, -1.1, -1.2], [1.4, -0.7, 0.7]], [0.4, -0.4], [0.8, 0.7, 1.9], [1.6, 0.8, -0.6],
-        [[2.82, 0.7, 3.77], [0.7, 6.93, 0.34], [3.77, 0.34, 9.33]], f_scale=1e8, c_scale=0.1)
+    # the slack 1e-13 ||g|| admits a TT2 step whose residual decrease the audit,
+    # with slack 1e-9, rejects
     params = SolverParams.benchmark_defaults(
         noise_for(0.0, 0.0), variant="adaptive", exactness=exactness, max_iters=40)
-    assert assert_trace_invariants(solve(problem, params, 0), params) == []
+    assert assert_trace_invariants(solve(LARGE_GRADIENT, params, 0), params) == []
+
+
+@pytest.mark.parametrize("exactness", ["exact", "inexact"])
+def test_large_gradient_run_misses_the_residual_decrease_by_3e_9(exactness):
+    # what the xfail above sees first, pinned as measured: at k = 3 a dense fallback
+    # behind TT2_cond1 decreases ||c|| by dec_v along v, and ||c|| - ||c + Jv + r||
+    # falls short of SIGMA_R dec_v by a few times the audit's slack 1e-9.  The
+    # figures depend on the BLAS kernel: dec_v 5.07e-9 and a miss of 2.97e-9 under
+    # OpenBLAS SkylakeX, 1.05e-8 and 5.9e-9 (Haswell) or 9.3e-9 (Prescott); only
+    # under SkylakeX does a TT2 case-2 record fail later, at k = 9
+    params = SolverParams.benchmark_defaults(
+        noise_for(0.0, 0.0), variant="adaptive", exactness=exactness, max_iters=40)
+    trace = solve(LARGE_GRADIENT, params, 0)
+    broken = [c for c in audit(trace) if not c.held]
+    assert (broken[0].k, broken[0].name) == (3, "TT2 residual-decrease condition fails on recheck")
+    b = trace.records[3].bundle
+    assert (b.test, b.fallback_case) == (EXACT_FALLBACK, TT2_COND1)
+    decrease = broken[0]  # kept negated: lhs = -(||c|| - ||c + Jv + r||), rhs = -SIGMA_R dec_v
+    assert 5e-9 < -decrease.rhs / SIGMA_R < 1.1e-8
+    assert decrease.slack == 1e-9
+    assert decrease.slack < decrease.lhs - decrease.rhs < 10 * decrease.slack
 
 
 # two hostile draws with f and c scaled decades apart; their eps-1e-2 runs end
@@ -907,3 +935,22 @@ def test_slack_with_f_and_c_scaled_apart_passes_the_audit(problem):
     # eps-1e-2 runs flag "TT2 dominance/curvature condition fails on recheck"
     assert [assert_trace_invariants(trace, params)
             for params, _, trace in hostile_runs(problem)] == [[]] * 8
+
+
+def test_r2_fails_only_dominance_curvature_at_its_first_record():
+    # what the xfail above sees of R2, pinned as measured: each adaptive eps-1e-2 run
+    # breaks one condition, the curvature half of TT2 dominance/curvature at k = 0,
+    # where u'Hu, a sum of cancelling terms whose value (|u'Hu| up to ~1e15) the
+    # BLAS kernel sets, falls short of LAMBDA_U u'u by 3.5e25 (OpenBLAS SkylakeX)
+    # or 4.0e25 (Haswell, Prescott); the dense fallback's residual condition holds
+    # there, and the other six runs are clean
+    for params, eps, trace in hostile_runs(R2):
+        conditions = audit(trace)
+        broken = [c for c in conditions if not c.held]
+        if params.variant == "line_search" or eps == 0.0:
+            assert broken == []
+            continue
+        assert [(c.k, c.name) for c in broken] == [
+            (0, "TT2 dominance/curvature condition fails on recheck")]
+        assert 3e25 < broken[0].lhs - broken[0].rhs < 5e25
+        assert [c.held for c in conditions if c.name == FALLBACK_RESIDUAL] == [True]

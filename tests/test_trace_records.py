@@ -3,9 +3,11 @@
 A record keeps its scalars in slots and its vectors in one float64 row;
 ``x``, ``noisy``, ``exact`` and ``bundle`` are views into that row, built on
 access.  These tests hold that contract: each field keeps the type that the
-hot-path digests hash, the views hold the bytes the loop made, a write
-through a view reaches what the trace audit reads, a deep copy is
-independent, and a record of a 1000-iteration run stays under 2 KB.
+hot-path digests hash, the views hold the bytes the loop made, a write into
+a view's array reaches what the trace audit reads while setting a view's
+attribute changes only that view, a deep copy is independent, records and
+traces compare by identity, and a record of a 1000-iteration run stays
+under 2 KB.
 
     PYTHONPATH=src python tests/test_trace_records.py
 
@@ -25,6 +27,7 @@ from noisy_sqp.noise import NoiseSpec, NoisyEvaluation, NoisyOracle, derive_grad
 from noisy_sqp.problems import ExactEvaluation, get_problem
 from noisy_sqp.steps import StepBundle
 from noisy_sqp.verify import assert_trace_invariants
+from test_verify import failing
 
 
 def noise_at(eps):
@@ -150,17 +153,15 @@ def test_views_hold_the_bytes_the_loop_made(monkeypatch):
                 assert np.asarray(kept).tobytes() == np.asarray(original).tobytes()
 
 
-def test_setting_x_or_a_bundle_vector_reaches_the_audit(runs):
-    trace, params = copy.deepcopy(runs[0])
-    rec = trace.records[2]
-    rec.x = rec.x + 0.5
-    assert any(v.startswith("k=1: iterate update identity")
-               for v in assert_trace_invariants(trace, params))
+def test_writing_into_x_or_a_bundle_vector_reaches_the_audit(runs):
+    trace, _ = copy.deepcopy(runs[0])
+    trace.records[2].x[...] += 0.5
+    assert (1, "iterate update identity broken") in failing(trace)
 
-    trace, params = copy.deepcopy(runs[0])
+    trace, _ = copy.deepcopy(runs[0])
     rec = next(r for r in trace.records if r.bundle is not None)
-    rec.bundle.v = rec.bundle.v + 1.0
-    assert f"k={rec.k}: d != v + u" in assert_trace_invariants(trace, params)
+    rec.bundle.v[...] += 1.0
+    assert (rec.k, "d != v + u") in failing(trace)
 
 
 @pytest.mark.parametrize("name", ["v", "u", "d", "y", "rho", "r"])
@@ -169,9 +170,26 @@ def test_each_bundle_vector_writes_into_the_record(runs, name):
     rec = trace.records[0]
     bundle = rec.bundle
     before = {other: getattr(bundle, other).copy() for other in ("v", "u", "d", "y", "rho", "r")}
-    setattr(bundle, name, getattr(bundle, name) + 1.0)
+    getattr(bundle, name)[...] += 1.0
     for other, old in before.items():
         assert np.array_equal(getattr(rec.bundle, other), old + 1.0 if other == name else old)
+
+
+def test_setting_a_views_attribute_changes_only_that_view(runs):
+    trace, params = copy.deepcopy(runs[0])
+    rec = next(r for r in trace.records if r.bundle is not None)
+    bundle, noisy, exact = rec.bundle, rec.noisy, rec.exact
+    bundle.v, bundle.d = bundle.v + 1.0, -bundle.d
+    noisy.g_bar, exact.c = noisy.g_bar + 1.0, exact.c + 1.0
+    assert not np.array_equal(rec.bundle.v, bundle.v)
+    assert not np.array_equal(rec.noisy.g_bar, noisy.g_bar)
+    assert not np.array_equal(rec.exact.c, exact.c)
+    assert assert_trace_invariants(trace, params) == []
+    for name in ("u", "rho"):  # a view into z or resid has no setter
+        with pytest.raises(AttributeError):
+            setattr(bundle, name, getattr(bundle, name))
+    with pytest.raises(AttributeError):
+        rec.x = rec.x + 1.0
 
 
 def test_an_in_place_write_into_a_view_changes_the_record(runs):
@@ -189,11 +207,21 @@ def test_a_deep_copy_is_independent(runs):
     clone = copy.deepcopy(trace)
     for rec in clone.records:
         assert not np.shares_memory(rec.x, trace.records[rec.k].x)
-        rec.x = rec.x + 1.0
+        rec.x[...] += 1.0
         if rec.bundle is not None:
-            rec.bundle.d = -rec.bundle.d
+            rec.bundle.d[...] *= -1.0
     assert assert_trace_invariants(trace, params) == []
     assert assert_trace_invariants(clone, params) != []
+
+
+def test_traces_and_records_compare_by_identity(runs):
+    trace, _ = runs[2]
+    clone = copy.deepcopy(trace)
+    assert trace == trace and trace.records[0] == trace.records[0]
+    assert not clone == trace and clone != trace
+    assert not clone.records[0] == trace.records[0]
+    rec = trace.records[0]  # each access builds a new view
+    assert rec.noisy != rec.noisy and rec.exact != rec.exact and rec.bundle != rec.bundle
 
 
 def test_iteration_totals_read_the_stored_scalars(runs):

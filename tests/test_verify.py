@@ -14,7 +14,9 @@ from noisy_sqp.problems import (
 )
 from noisy_sqp.steps import EXACT_FALLBACK, TT1, TT2_CASE2, TT2_COND1
 from noisy_sqp.verify import (
+    TAU_INCREASED,
     assert_trace_invariants,
+    audit,
     cauchy_perturbation_scan,
     fd_check,
     tangential_gap_scan,
@@ -150,16 +152,31 @@ class TestTraceInvariants:
 
     def test_corrupted_tau_flagged(self):
         trace, params = self._trace_and_params()
-        trace.records[3].tau = trace.records[2].tau * 2.0 + 1.0
-        bad = assert_trace_invariants(trace, params)
-        assert any("tau increased" in msg for msg in bad)
-        assert any("k=3" in msg or "k=4" in msg for msg in bad)
+        before, rec = trace.records[2:4]
+        rec.tau = before.tau * 2.0 + 1.0
+        assert (3, TAU_INCREASED) in failing(trace)
+        # the one complaint that names its values
+        assert f"k=3: tau increased {before.tau} -> {rec.tau}" \
+            in assert_trace_invariants(trace, params)
 
     def test_corrupted_step_identity_flagged(self):
-        trace, params = self._trace_and_params()
-        trace.records[2].x = trace.records[2].x + 0.5
-        bad = assert_trace_invariants(trace, params)
-        assert any("identity" in msg for msg in bad)
+        trace, _ = self._trace_and_params()
+        trace.records[2].x[...] += 0.5
+        name = "iterate update identity broken"
+        assert {(1, name), (2, name)} <= failing(trace)
+
+    def test_every_condition_is_a_claim_with_its_margin(self):
+        trace, _ = self._trace_and_params()
+        conditions = audit(trace)
+        assert conditions and all(c.held for c in conditions)
+        for c in conditions:
+            assert all(type(value) is float for value in (c.lhs, c.rhs, c.slack))
+            assert c.lhs <= c.rhs + c.slack
+
+
+def failing(trace):
+    """(k, name) of each condition of the trace's audit that did not hold."""
+    return {(c.k, c.name) for c in audit(trace) if not c.held}
 
 
 # runs whose traces the corruptions below start from, as (problem, eps, variant,
@@ -212,11 +229,15 @@ def first_accepted(trace):
 
 def setting(where, **changes):
     """Corrupt ``where(trace)``: set each field, in order, to its function of that object
-    (so a later change sees the earlier ones)."""
+    (so a later change sees the earlier ones); an array field is written in place."""
     def corrupt(trace):
         obj = where(trace)
         for name, change in changes.items():
-            setattr(obj, name, change(obj))
+            value = change(obj)
+            if isinstance(value, np.ndarray):
+                getattr(obj, name)[...] = value
+            else:
+                setattr(obj, name, value)
     return corrupt
 
 
@@ -233,8 +254,9 @@ def normal_step_off_range(trace):
     rec = stepped(trace, TT2_CASE2)
     z = np.array([rec.noisy.J_bar[0, 1], -rec.noisy.J_bar[0, 0]])
     z *= -np.sign(rec.noisy.g_bar @ z) * 1e3 / np.linalg.norm(z)
-    rec.bundle.v = rec.bundle.v + z
-    rec.bundle.d = rec.bundle.v + rec.bundle.u
+    b = rec.bundle
+    b.v[...] += z
+    b.d[...] = b.v + b.u
 
 
 CORRUPTIONS = [
@@ -289,11 +311,18 @@ class TestTraceCorruption:
         trace, params = audited_runs[run]
         assert assert_trace_invariants(trace, params) == []
 
-    @pytest.mark.parametrize("run, corrupt, message", CORRUPTIONS,
-                             ids=[message for _, _, message in CORRUPTIONS])
-    def test_corruption_is_flagged(self, audited_runs, run, corrupt, message):
-        trace, params = audited_runs[run]
+    @pytest.mark.parametrize("run, corrupt, name", CORRUPTIONS,
+                             ids=[name for _, _, name in CORRUPTIONS])
+    def test_corruption_is_flagged(self, audited_runs, run, corrupt, name):
+        trace, _ = audited_runs[run]
         trace = copy.deepcopy(trace)
         corrupt(trace)
-        violations = assert_trace_invariants(trace, params)
-        assert any(v.endswith(": " + message) for v in violations), violations
+        assert name in {name for _, name in failing(trace)}, failing(trace)
+
+    def test_a_record_breaking_two_conditions_lists_both(self, audited_runs):
+        trace = copy.deepcopy(audited_runs["adaptive"][0])
+        rec = stepped(trace, TT2_CASE2)
+        rec.bundle.r[...] += 10.0
+        rec.tau_prev *= 1e6
+        assert failing(trace) == {(rec.k, "TT2 residual gate fails on recheck"),
+                                  (rec.k, "TT2 case-2 model reduction fails on recheck")}
