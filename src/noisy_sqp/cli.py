@@ -42,19 +42,23 @@ def _build_parser():
     p_solve.add_argument("--duplicated", action="store_true")
     p_solve.add_argument("--max-iters", type=int, default=SolverParams.max_iters)
     p_solve.add_argument("--max-weighted-evals", type=int, default=SolverParams.max_weighted_evals)
+    p_solve.set_defaults(run=_cmd_solve)
 
     p_grid = sub.add_parser("grid", help="run an experiment grid from a config")
     p_grid.add_argument("--config", required=True)
     p_grid.add_argument("--out", required=True)
+    p_grid.set_defaults(run=_cmd_grid)
 
     p_prof = sub.add_parser("profile", help="performance profiles from a results CSV")
     p_prof.add_argument("--in", dest="infile", required=True)
     p_prof.add_argument("--cost", choices=["evals", "minres"], default="evals")
     p_prof.add_argument("--out", required=True)
+    p_prof.set_defaults(run=_cmd_profile)
 
     p_verify = sub.add_parser("verify", help="run the independent verification suite")
     p_verify.add_argument("--suite", choices=["all", *VERIFY_CHECKS], default="all")
     p_verify.add_argument("--out", default=None)
+    p_verify.set_defaults(run=_cmd_verify)
     return parser
 
 
@@ -172,15 +176,9 @@ def _cmd_verify(args) -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    handlers = {
-        "solve": _cmd_solve,
-        "grid": _cmd_grid,
-        "profile": _cmd_profile,
-        "verify": _cmd_verify,
-    }
     # numpy's warnings stay off for the command only, not for the caller's process
     with np.errstate(all="ignore"):
-        return handlers[args.command](args)
+        return args.run(args)
 
 
 if __name__ == "__main__":

@@ -150,16 +150,16 @@ def best_iterate(trace, eps_c: float, eps_f: float):
     iterates each, which bounds the memory the stacks take.
     """
     records = trace.records
-    ys, feas, stat = [], [], []
+    feas, stat, y_inf = [], [], []
     for start in range(0, len(records), BEST_ITERATE_CHUNK):
         chunk = [r.exact for r in records[start:start + BEST_ITERATE_CHUNK]]
         J = np.stack([ex.J for ex in chunk])
         g = np.stack([ex.g for ex in chunk])
         y = least_squares_multiplier(J, g)
-        ys.append(y)
         feas.append(abs(np.stack([ex.c for ex in chunk])).max(axis=1))
         stat.append(abs(g + (J.transpose(0, 2, 1) @ y[:, :, None])[:, :, 0]).max(axis=1))
-    feas, stat = np.concatenate(feas), np.concatenate(stat)
+        y_inf.append(abs(y).max(axis=1))
+    feas, stat, y_inf = np.concatenate(feas), np.concatenate(stat), np.concatenate(y_inf)
     qualified = np.flatnonzero(feas <= 2.0 * max(eps_c, eps_f))
     if qualified.size:
         key, among = stat[qualified], qualified
@@ -168,9 +168,8 @@ def best_iterate(trace, eps_c: float, eps_f: float):
     # argmin returns the first minimum
     idx = int(among[np.argmin(np.where(np.isnan(key), np.inf, key))])
     best = records[idx].exact
-    y_best = ys[idx // BEST_ITERATE_CHUNK][idx % BEST_ITERATE_CHUNK]
     infeas_stat = norm_inf(best.J.T @ best.c)
-    return idx, float(feas[idx]), float(stat[idx]), infeas_stat, norm_inf(y_best)
+    return idx, float(feas[idx]), float(stat[idx]), infeas_stat, float(y_inf[idx])
 
 
 def success(feas_err: float, stat_err: float, y_inf_norm: float,
@@ -300,10 +299,10 @@ class ProfileTable:
     tau_grid: np.ndarray
     curves: dict           # solver -> array of rho values on tau_grid
 
-    def rho(self, solver: str, tau: float) -> float:
-        hits = sum(1 for p in self.instances
-                   if self.ratios[(p, solver)] <= tau)
-        return hits / len(self.instances)
+    def rho(self, solver: str, tau):
+        """The share of instances whose ratio is at most ``tau`` (a scalar or an array)."""
+        ratios = np.sort([self.ratios[(p, solver)] for p in self.instances])
+        return np.searchsorted(ratios, tau, side="right") / len(self.instances)
 
 
 def performance_profile(records, cost_field: str = "weighted_evals") -> ProfileTable:
@@ -325,12 +324,10 @@ def performance_profile(records, cost_field: str = "weighted_evals") -> ProfileT
 
     ratios = {}
     for inst in instances:
-        finite = [costs.get((inst, s)) for s in solvers]
-        finite = [c for c in finite if c is not None]
-        best = min(finite) if finite else None
-        for s in solvers:
-            c = costs.get((inst, s))
-            if c is None or best is None:
+        row = [costs.get((inst, s)) for s in solvers]
+        best = min((c for c in row if c is not None), default=None)
+        for s, c in zip(solvers, row):
+            if c is None:
                 ratios[(inst, s)] = np.inf
             else:
                 ratios[(inst, s)] = 1.0 if c == best else c / best if best > 0 else np.inf
@@ -338,13 +335,10 @@ def performance_profile(records, cost_field: str = "weighted_evals") -> ProfileT
     finite_ratios = [r for r in ratios.values() if np.isfinite(r)]
     r_max = max(finite_ratios) if finite_ratios else 1.0
     r_max = max(r_max, 1.0 + 1e-12)
-    tau_grid = np.geomspace(1.0, r_max, 64)
-    curves = {}
-    for s in solvers:
-        vals = np.array(sorted(ratios[(inst, s)] for inst in instances))
-        curves[s] = np.searchsorted(vals, tau_grid, side="right") / len(instances)
-    return ProfileTable(solvers=solvers, instances=instances, costs=costs,
-                        ratios=ratios, tau_grid=tau_grid, curves=curves)
+    table = ProfileTable(solvers=solvers, instances=instances, costs=costs, ratios=ratios,
+                         tau_grid=np.geomspace(1.0, r_max, 64), curves={})
+    table.curves = {s: table.rho(s, table.tau_grid) for s in solvers}
+    return table
 
 
 def profile_to_tsv(table: ProfileTable) -> str:

@@ -18,7 +18,8 @@ A sample's errors all come from one ``rng.random(k)`` call, scaled entry by
 entry as ``low + (high - low) * u``.  ``Generator.uniform`` applies that
 same formula to each double it takes from the stream, so the one call gives
 the same numbers, and leaves the generator in the same state, as one
-``uniform`` call per error in the order (e_f, e_c, e_g, e_J).
+``uniform`` call per error in the order (e_f, e_c, e_g, e_J).  An oracle
+builds each request's draw layout once, when it is made.
 """
 
 from __future__ import annotations
@@ -87,7 +88,8 @@ class NoisyOracle:
     """Owns the rng and the counters for one run; not shared across runs.
 
     ``exact`` is the exact evaluation behind the latest sample, made at the
-    point whose shape and bytes ``_exact_at`` holds.
+    point whose shape and bytes ``_exact_at`` holds.  The draw layouts of the
+    ``value``, ``derivative`` and ``both`` requests are built once, here.
     """
 
     def __init__(self, problem, spec: NoiseSpec, rng: np.random.Generator):
@@ -97,7 +99,7 @@ class NoisyOracle:
         self.counters = EvalCounters()
         self.exact = None
         self._exact_at = None
-        self._layouts = {}  # want -> (low, span, slices), see _layout
+        self._layouts = {want: self._layout(want) for want in ("value", "derivative", "both")}
 
     def sample(self, x, want: str = "both") -> NoisyEvaluation:
         x = np.asarray(x, dtype=float)
@@ -147,10 +149,7 @@ class NoisyOracle:
         listed in the problem's shared_noise_rows receive the noise of the
         row they duplicate.
         """
-        layout = self._layouts.get(want)
-        if layout is None:
-            layout = self._layouts[want] = self._layout(want)
-        low, span, at = layout
+        low, span, at = self._layouts[want]
         if at:
             draws = low + span * self.rng.random(low.size)
         m, n = self.problem.m, self.problem.n

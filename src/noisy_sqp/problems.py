@@ -106,8 +106,8 @@ def duplicate_last_constraint(problem: ProblemSpec) -> ProblemSpec:
 def parse_problem_json(text) -> ProblemSpec:
     """Parse the on-disk quadratic problem format (extension ``.qp.json``).
 
-    Fields: name and the finite Q (n x n), q (n), A (m x n), b (m), x0 (n),
-    defining f = 1/2 x'Qx + q'x and c = Ax - b.  Q is symmetrized as (Q + Q')/2.
+    Fields: name and Q (n x n), q (n), A (m x n), b (m), x0 (n) of finite JSON
+    numbers, defining f = 1/2 x'Qx + q'x and c = Ax - b.  Q is symmetrized as (Q + Q')/2.
     """
     try:
         data = json.loads(text)
@@ -125,8 +125,14 @@ def parse_problem_json(text) -> ProblemSpec:
     for key in ("Q", "q", "A", "b", "x0"):
         try:
             arrays[key] = value = np.asarray(data[key], dtype=float)
+            # numpy also reads a numeric string and a bool as a number; JSON does not
+            reason = next((f"{json.dumps(e)} is not a number"
+                           for e in np.asarray(data[key], dtype=object).flat
+                           if type(e) not in (int, float)), None)
         except (TypeError, ValueError) as exc:
-            raise ParseError(f"non-numeric entry in '{key}': {exc}") from exc
+            reason = exc
+        if reason is not None:
+            raise ParseError(f"non-numeric entry in '{key}': {reason}")
         if not np.isfinite(value).all():  # json.loads reads NaN and Infinity
             raise ParseError(f"non-finite entry in '{key}'")
     Q, q, A, b, x0 = arrays.values()

@@ -38,14 +38,6 @@ TT2_COND1 = "TT2_cond1"
 EXACT_FALLBACK = "exact_fallback"
 
 
-def _part(whole, first):
-    """u, y, rho or r: the first len(v) entries of z or resid, or the rest."""
-    def get(bundle):
-        n = len(bundle.v)
-        return getattr(bundle, whole)[:n] if first else getattr(bundle, whole)[n:]
-    return property(get)
-
-
 @dataclass(eq=False)
 class StepBundle:
     """Assembled search direction with the residuals that justified acceptance.
@@ -66,8 +58,10 @@ class StepBundle:
     cd_norm: float = 0.0
     tau_trial: float | None = None
 
-    u, y = _part("z", True), _part("z", False)
-    rho, r = _part("resid", True), _part("resid", False)
+    u = property(lambda self: self.z[:len(self.v)])
+    y = property(lambda self: self.z[len(self.v):])
+    rho = property(lambda self: self.resid[:len(self.v)])
+    r = property(lambda self: self.resid[len(self.v):])
 
 
 class NormalStep(NamedTuple):

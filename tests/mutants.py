@@ -71,6 +71,12 @@ MUTANTS = [
            "found += (lambda cs: cs[:1 + next((i for i, c in enumerate(cs) if not c.held), "
            "len(cs))])(_bundle_conditions(r, trace.eps_o, trace.H))",
            "tests/test_verify.py::TestTraceCorruption::test_a_record_breaking_two_conditions_lists_both"),
+    Mutant("problem-file-takes-bools", "src/noisy_sqp/problems.py",
+           "if type(e) not in (int, float)", "if type(e) not in (int, float, bool)",
+           "tests/test_cli.py::test_malformed_problem_file_is_input_error[bool-in-b-solve]"),
+    Mutant("rho-strictly-below", "src/noisy_sqp/harness.py",
+           'np.searchsorted(ratios, tau, side="right")', 'np.searchsorted(ratios, tau, side="left")',
+           "tests/test_harness.py::TestPerformanceProfile::test_rho_counts_ties_and_inf_ratios"),
 ]
 
 

@@ -212,6 +212,12 @@ MALFORMED_PROBLEMS = {
     "number": (5, "a problem file must be a JSON object"),
     "null": (None, "a problem file must be a JSON object"),
     "not-UTF-8": (b'{"name": "\xff"}', "not utf-8 text: invalid start byte at byte 10"),
+    # numpy reads each of these as a number; a problem file takes JSON numbers only
+    "numeric-string-in-q": ({**TOY, "q": ["0", 0]},
+                            "non-numeric entry in 'q': \"0\" is not a number"),
+    "bool-in-b": ({**TOY, "b": [True]}, "non-numeric entry in 'b': true is not a number"),
+    "int-and-bool-in-x0": ({**TOY, "x0": [1, True]},
+                           "non-numeric entry in 'x0': true is not a number"),
 }
 
 

@@ -350,6 +350,15 @@ class TestRunGrid:
         assert not rec.solved and not rec.terminated_early
 
 
+def rho_by_count(table, solver, tau):
+    """The share of the table's instances whose ratio is at most tau, counted one at a time."""
+    hits = 0
+    for inst in table.instances:
+        if table.ratios[(inst, solver)] <= tau:
+            hits += 1
+    return hits / len(table.instances)
+
+
 class TestPerformanceProfile:
     def test_hand_computed_two_by_two(self):
         records = [
@@ -414,6 +423,59 @@ class TestPerformanceProfile:
         assert [table.ratios[(inst, s)] for s in table.solvers] == [1.0, np.inf, 1.0]
         assert table.rho("ls-opt-inexact", 1.0) == 0.0
         assert table.rho("ada-opt-inexact", 1.0) == table.rho("ls-pes-inexact", 1.0) == 1.0
+
+    def test_rho_is_the_share_at_most_tau_at_the_hand_computed_ratios(self):
+        records = [
+            make_record(problem="p1", variant="ada", weighted_evals=2),
+            make_record(problem="p2", variant="ada", weighted_evals=4),
+            make_record(problem="p1", variant="ls", weighted_evals=4),
+            make_record(problem="p2", variant="ls", weighted_evals=2),
+        ]
+        table = performance_profile(records)
+        for solver in table.solvers:
+            for tau in (0.5, 1.0, 1.5, 2.0, 3.0, np.inf):
+                assert table.rho(solver, tau) == rho_by_count(table, solver, tau)
+
+    def test_rho_counts_ties_and_inf_ratios(self):
+        # ratios ada (1, 1, 2, inf) and ls (1, 2, 1, inf): a ratio equal to tau counts,
+        # an inf ratio counts at tau = inf only
+        records = [
+            make_record(problem="p1", variant="ada", weighted_evals=3),
+            make_record(problem="p1", variant="ls", weighted_evals=3),
+            make_record(problem="p2", variant="ada", weighted_evals=2),
+            make_record(problem="p2", variant="ls", weighted_evals=4),
+            make_record(problem="p3", variant="ada", weighted_evals=8),
+            make_record(problem="p3", variant="ls", weighted_evals=4),
+            make_record(problem="p4", variant="ada", solved=False),
+            make_record(problem="p4", variant="ls", solved=False),
+        ]
+        table = performance_profile(records)
+        for solver in table.solvers:
+            for tau in (1.0, 2.0, 1e300, np.inf):
+                assert table.rho(solver, tau) == rho_by_count(table, solver, tau)
+        assert [table.rho(s, 1.0) for s in table.solvers] == [0.5, 0.5]
+        assert [table.rho(s, 2.0) for s in table.solvers] == [0.75, 0.75]
+        assert [table.rho(s, np.inf) for s in table.solvers] == [1.0, 1.0]
+
+    def test_rho_and_curves_match_a_count_on_random_cost_tables(self):
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            n_problems, n_solvers = int(rng.integers(1, 7)), int(rng.integers(2, 5))
+            records = [make_record(problem=f"p{i}", variant=f"v{j}",
+                                   weighted_evals=int(rng.integers(0, 6)),
+                                   solved=bool(rng.random() < 0.7))
+                       for i in range(n_problems) for j in range(n_solvers)]
+            table = performance_profile(records)
+            for solver in table.solvers:
+                ratios = [table.ratios[(p, solver)] for p in table.instances]
+                taus = [*ratios, *np.nextafter(ratios, 0.0), 0.0, 1.0, np.inf]
+                assert [table.rho(solver, t) for t in taus] == \
+                    [rho_by_count(table, solver, t) for t in taus]
+                assert list(table.rho(solver, np.array(taus))) == \
+                    [rho_by_count(table, solver, t) for t in taus]
+                assert list(table.curves[solver]) == \
+                    [rho_by_count(table, solver, t) for t in table.tau_grid]
+                assert np.array_equal(table.curves[solver], table.rho(solver, table.tau_grid))
 
     def test_tsv_outputs(self):
         records = [

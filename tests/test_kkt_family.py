@@ -25,10 +25,11 @@ residual gate's coefficient is 0, so every inexact step is the dense
 import numpy as np
 import pytest
 
+from noisy_sqp import steps
 from noisy_sqp.driver import (ADAPTIVE, EARLY_INFEASIBLE, EXACTNESS, LINE_SEARCH,
                                TEST_UNSATISFIABLE, SolverParams, solve)
 from noisy_sqp.harness import best_iterate
-from noisy_sqp.linalg import norm2
+from noisy_sqp.linalg import minres_iterate, norm2
 from noisy_sqp.noise import NoiseSpec
 from noisy_sqp.problems import ExactEvaluation, ProblemSpec
 from noisy_sqp.verify import assert_trace_invariants
@@ -112,6 +113,24 @@ def test_feasible_runs_do_not_end_test_unsatisfiable(family_runs):
     bad = [label(p, s) for p, s, t in family_runs
            if t.status == TEST_UNSATISFIABLE and norm2(t.records[-1].exact.c) <= 1e-10]
     assert bad == []
+
+
+@pytest.mark.xfail(strict=True, reason="an iteration whose tangential step passes no test "
+                                       "returns no bundle, so its Krylov steps go uncounted")
+def test_a_test_unsatisfiable_run_counts_every_minres_step(monkeypatch):
+    # seed 0 under the line search, inexact, ends test_unsatisfiable after 5 records:
+    # it takes 150 MINRES steps and its trace reports the 120 of its bundles
+    taken = []
+
+    def counted(*args):
+        taken.append(None)
+        return minres_iterate(*args)
+
+    monkeypatch.setattr(steps, "minres_iterate", counted)
+    params = SolverParams.benchmark_defaults(NoiseSpec(), variant=LINE_SEARCH,
+                                             exactness="inexact", max_iters=300)
+    trace = solve(kkt_problem(0), params, 0)
+    assert trace.minres_iters == len(taken)
 
 
 def test_traces_keep_the_invariants(family_runs):
