@@ -151,7 +151,6 @@ def _layout(n, m):
 # a bundle's fields after v, d, z and resid
 BUNDLE_SCALARS = tuple(f.name for f in dataclasses.fields(steps.StepBundle)[4:])
 _bundle_scalars = attrgetter(*BUNDLE_SCALARS)
-_MINRES, _CG = BUNDLE_SCALARS.index("minres_iters"), BUNDLE_SCALARS.index("cg_iters")
 
 
 @dataclass(eq=False)
@@ -166,21 +165,14 @@ class RunTrace:
     eps_o: float
     variant: str
     H: np.ndarray  # curvature matrix the solver used
+    minres_iters: int  # every iteration's MINRES and CG steps, accepted or not
+    cg_iters: int
     adaptive_state: stepsize.AdaptiveState | None = None
 
     @property
     def tau_history(self) -> list:
         """(-1, TAU0), then (k, tau) after each record's merit-parameter update."""
         return [(-1, merit.TAU0)] + [(r.k, r.tau) for r in self.records]
-
-    # summed over the records' stored bundle scalars: no bundle is built
-    @property
-    def minres_iters(self) -> int:
-        return sum(r._bundle[_MINRES] for r in self.records if r._bundle is not None)
-
-    @property
-    def cg_iters(self) -> int:
-        return sum(r._bundle[_CG] for r in self.records if r._bundle is not None)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow is a value the stop rules read
@@ -223,7 +215,7 @@ def solve(problem: ProblemSpec, params: SolverParams, seed: int,
     counters = oracle.counters
     x = problem.x0.copy()  # rebound every step, never mutated in place
     tau = merit.TAU0
-    k = 0
+    k = minres_iters = cg_iters = 0
     while status is None:
         if k >= params.max_iters:
             status = BUDGET_ITERS
@@ -255,7 +247,9 @@ def solve(problem: ProblemSpec, params: SolverParams, seed: int,
         else:
             normal = (steps.NormalStep(np.zeros(n), lin.c, lin.c_norm) if feasible
                       else steps.normal_step(lin, coef))
-            bundle = steps.tangential_step(H, lin, normal, tau, eps_o, coef, feasible=feasible)
+            bundle, taken = steps.tangential_step(H, lin, normal, tau, eps_o, coef,
+                                                  feasible=feasible)
+            minres_iters, cg_iters = minres_iters + taken, cg_iters + normal.cg_iters
             if bundle is None:
                 status = TEST_UNSATISFIABLE
         if status is None:
@@ -286,4 +280,5 @@ def solve(problem: ProblemSpec, params: SolverParams, seed: int,
     return RunTrace(
         problem=problem.name, n=problem.n, m=problem.m, records=records,
         status=status, counters=oracle.counters, seed=seed, eps_o=eps_o, variant=params.variant,
-        H=H, adaptive_state=controller if params.variant == ADAPTIVE else None)
+        H=H, minres_iters=minres_iters, cg_iters=cg_iters,
+        adaptive_state=controller if params.variant == ADAPTIVE else None)

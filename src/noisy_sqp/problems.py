@@ -110,7 +110,7 @@ def parse_problem_json(text) -> ProblemSpec:
     numbers, defining f = 1/2 x'Qx + q'x and c = Ax - b.  Q is symmetrized as (Q + Q')/2.
     """
     try:
-        data = json.loads(text)
+        data = json.loads(text, parse_int=float)  # an integer past the doubles reads as inf
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     except UnicodeDecodeError as exc:  # json.loads decodes bytes as UTF-8, -16 or -32
@@ -128,7 +128,7 @@ def parse_problem_json(text) -> ProblemSpec:
             # numpy also reads a numeric string and a bool as a number; JSON does not
             reason = next((f"{json.dumps(e)} is not a number"
                            for e in np.asarray(data[key], dtype=object).flat
-                           if type(e) not in (int, float)), None)
+                           if type(e) is not float), None)
         except (TypeError, ValueError) as exc:
             reason = exc
         if reason is not None:

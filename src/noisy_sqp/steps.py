@@ -158,7 +158,7 @@ def check_tt2(H, lin: Linearization, normal: NormalStep, u, rho, r, tau_prev: fl
 
 
 def tangential_step(H, lin: Linearization, normal: NormalStep, tau_prev: float,
-                    eps_o: float, coef: float, *, feasible: bool) -> StepBundle | None:
+                    eps_o: float, coef: float, *, feasible: bool) -> tuple[StepBundle | None, int]:
     """Inexact tangential component via the symmetric Krylov solver.
 
     Iterates of the saddle system are checked against the noise-scaled
@@ -167,9 +167,9 @@ def tangential_step(H, lin: Linearization, normal: NormalStep, tau_prev: float,
     When the solver breaks down (at the latest after 2(n+m) steps) without
     acceptance, the dense solve takes over and the test is re-checked on the
     exact solution (tag exact_fallback, with the passing test's tag in
-    ``fallback_case``).  None when the exact solution fails the test or
-    cannot be formed: the dense solve raises LinAlgError when the saddle
-    matrix is singular, whatever J's rank.
+    ``fallback_case``).  Returns (bundle, MINRES steps taken), the bundle None
+    when the exact solution fails the test or cannot be formed: the dense
+    solve raises LinAlgError when the saddle matrix is singular, whatever J's rank.
     """
     J_bar = lin.J
     m, n = J_bar.shape
@@ -185,10 +185,9 @@ def tangential_step(H, lin: Linearization, normal: NormalStep, tau_prev: float,
         return check_tt2(H, lin, normal, u, rho, r, tau_prev)
 
     minus_b = -b
-    state = None
+    state = passed = None
     z = np.zeros(n + m)
     iters = 0
-    passed = None
     # the residual gate is coef * clip(min(max|u|, ||J'c||_inf), 1e-2, 1e2);
     # most candidates fail it at the upper clip already, before max|u| is
     # needed ("not >" lets a NaN residual through, as "<=" would not)
@@ -213,13 +212,13 @@ def tangential_step(H, lin: Linearization, normal: NormalStep, tau_prev: float,
         try:
             z = np.concatenate(dense_kkt_solve(H, J_bar, b[:n]))
         except np.linalg.LinAlgError:  # K singular
-            return None
+            return None, iters
         resid = apply_K(z) + b
         passed = passed_test(z, resid)
         if passed is None:
-            return None
+            return None, iters
     tag, d, gd, cd_norm, trial = passed
     return StepBundle(v=v, d=d, z=z, resid=resid,
                       test=EXACT_FALLBACK if fallback else tag, minres_iters=iters,
                       cg_iters=normal.cg_iters, fallback_case=tag if fallback else None,
-                      gd=gd, cd_norm=cd_norm, tau_trial=trial)
+                      gd=gd, cd_norm=cd_norm, tau_trial=trial), iters

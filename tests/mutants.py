@@ -72,11 +72,20 @@ MUTANTS = [
            "len(cs))])(_bundle_conditions(r, trace.eps_o, trace.H))",
            "tests/test_verify.py::TestTraceCorruption::test_a_record_breaking_two_conditions_lists_both"),
     Mutant("problem-file-takes-bools", "src/noisy_sqp/problems.py",
-           "if type(e) not in (int, float)", "if type(e) not in (int, float, bool)",
+           "if type(e) is not float", "if type(e) not in (float, bool)",
            "tests/test_cli.py::test_malformed_problem_file_is_input_error[bool-in-b-solve]"),
+    Mutant("problem-file-lets-oversized-int-escape", "src/noisy_sqp/problems.py",
+           "parse_int=float", "parse_int=lambda s: float(int(s))",
+           "tests/test_cli.py::test_malformed_problem_file_is_input_error"
+           "[int-beyond-double-in-b-solve]"),
     Mutant("rho-strictly-below", "src/noisy_sqp/harness.py",
            'np.searchsorted(ratios, tau, side="right")', 'np.searchsorted(ratios, tau, side="left")',
            "tests/test_harness.py::TestPerformanceProfile::test_rho_counts_ties_and_inf_ratios"),
+    Mutant("krylov-counts-only-accepted-steps", "src/noisy_sqp/driver.py",
+           "minres_iters, cg_iters = minres_iters + taken, cg_iters + normal.cg_iters",
+           "minres_iters, cg_iters = ((minres_iters + taken, cg_iters + normal.cg_iters)"
+           " if bundle is not None else (minres_iters, cg_iters))",
+           "tests/test_kkt_family.py::test_a_test_unsatisfiable_run_counts_every_minres_step"),
 ]
 
 

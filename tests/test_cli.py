@@ -209,6 +209,7 @@ MALFORMED_PROBLEMS = {
                     "non-numeric entry in 'Q': could not convert string to float: 'one'"),
     "NaN-in-Q": ({**TOY, "Q": [[float("nan"), 0], [0, 1]]}, "non-finite entry in 'Q'"),
     "Infinity-in-A": ({**TOY, "A": [[float("inf"), 1]]}, "non-finite entry in 'A'"),
+    "int-beyond-double-in-b": ({**TOY, "b": [10**400]}, "non-finite entry in 'b'"),
     "number": (5, "a problem file must be a JSON object"),
     "null": (None, "a problem file must be a JSON object"),
     "not-UTF-8": (b'{"name": "\xff"}', "not utf-8 text: invalid start byte at byte 10"),

@@ -24,9 +24,9 @@ The digests are bits of one BLAS kernel: a 1-D dot product or a transposed
 matvec rounds differently under OpenBLAS's SkylakeX, Haswell and Prescott
 kernels, so each kernel has its own digest set, keyed by
 ``blas_fingerprint()``.  A kernel with no set fails.  To record its set, run
-``PYTHONPATH=src python tests/test_hot_path_identity.py`` on a tree whose
-results are known to be right (the merge base of a change) and add the
-printed line to ``DIGESTS``; ``OPENBLAS_CORETYPE`` selects the kernel.
+``PYTHONPATH=src python tests/outputs.py`` on a tree whose results are known
+to be right (the merge base of a change) and add its first line to
+``DIGESTS``; ``OPENBLAS_CORETYPE`` selects the kernel.
 """
 
 import ctypes
@@ -59,20 +59,22 @@ BUDGETS = (150, 10000)
 
 # the four digests per BLAS kernel, keyed by blas_fingerprint(); the SkylakeX
 # set was recorded before the hot path was slimmed, the others from the same
-# code under OPENBLAS_CORETYPE=Haswell and =Prescott
+# code under OPENBLAS_CORETYPE=Haswell and =Prescott.  The csv digests were
+# recorded again once a run's Krylov counts took in the steps of a last
+# iteration that no termination test accepted
 DIGESTS = {
     "5a30d829e2a0181a": {"kernel": "SkylakeX",
-          "csv": "47b89e3a8cebe48ea0edb3aa32dc328ef32698a179f9ea3f10a4f0497c64f0b5",
+          "csv": "a6a167104e5fd69dda8151770906f1df504f354d77507d3259c89bcf5e8a8ddc",
           "trace": "80b9ec25b6b501012231e4c9dec7c328b8efc24d8d605fdbceba1ae59bdad732",
           "exact": "30e10b810f39bde60acacb987f1caf9cb600e276b9a9b3ff03f2c9d15a1e0e2a",
           "controller": "a3c1448ee496c2c940370b72ea380ff2040ec8e24b864aa8c0a30de55e8f1166"},
     "c2be0c72a829e837": {"kernel": "Haswell",  # also what OPENBLAS_CORETYPE=Zen runs
-          "csv": "13b1eb04484c7bda6bda52972830a785305320eb092b38fe1f026e8b0f26cf12",
+          "csv": "c41b031471e70b03a094602fa582832e34658e4cda9945433df744e2d3e14470",
           "trace": "00a56bf6d6b7cb209b8b3c052a62303fd4ac1acd526ad62cb6dcdca69cc7ae64",
           "exact": "810cb270c33caede24518fb1fe112dc7563ea1f181c652942748dc4d7a32e613",
           "controller": "be7049124b32f11f1b13f614e017ada0c069675f51758abdbb79f01a38d21e3a"},
     "47628c2a7fb7cdca": {"kernel": "Katmai",  # what OPENBLAS_CORETYPE=Prescott runs
-          "csv": "9be94f84425b8912309aa2a1f90c9fff0764d0d856ca53b199e3920e1628ac44",
+          "csv": "8b3064fc18068c50bc150437425f6d30f907300fd96876b3ee1b0d6c67d6f0c7",
           "trace": "f61c7b9d4856201d8bf383e441c82d826c69ec47ab79b6bebee1cf37612e660e",
           "exact": "41f9cd9328d19ea424f08109140a11a9d68e14ccfa066f16a85ffd81e0d0d0ca",
           "controller": "55861685a97ac980f3f792a5be4817d25922b7af0d69c666f3e70010e484157a"},
@@ -193,7 +195,7 @@ def pinned(name: str) -> str:
     if fingerprint not in DIGESTS:
         pytest.fail(f"no digest set for BLAS kernel {blas_kernel()} (fingerprint "
                     f"{fingerprint}); record one with `PYTHONPATH=src python "
-                    f"tests/test_hot_path_identity.py` on the merge base and add it to DIGESTS")
+                    f"tests/outputs.py` on the merge base and add its first line to DIGESTS")
     return DIGESTS[fingerprint][name]
 
 
@@ -219,7 +221,3 @@ def test_exact_snapshots_are_byte_identical(digests):
 def test_controller_fields_are_byte_identical(digests):
     assert digests["controller"] == pinned("controller")
 
-
-if __name__ == "__main__":  # print this kernel's line for DIGESTS
-    print(f'    "{blas_fingerprint()}": {{"kernel": "{blas_kernel()}", '
-          + ", ".join(f'"{k}": "{v}"' for k, v in digest_set(*solve_runs()).items()) + "},")

@@ -26,12 +26,14 @@ import numpy as np
 import pytest
 
 from noisy_sqp import steps
-from noisy_sqp.driver import (ADAPTIVE, EARLY_INFEASIBLE, EXACTNESS, LINE_SEARCH,
-                               TEST_UNSATISFIABLE, SolverParams, solve)
-from noisy_sqp.harness import best_iterate
-from noisy_sqp.linalg import minres_iterate, norm2
+from noisy_sqp.driver import (ADAPTIVE, EARLY_INFEASIBLE, EXACTNESS, FEASIBLE_BRANCH,
+                               INFEASIBLE_BRANCH, LINE_SEARCH, TEST_UNSATISFIABLE,
+                               SolverParams, solve)
+from noisy_sqp.harness import VariantSpec, best_iterate
+from noisy_sqp.linalg import cg_steihaug, minres_iterate, norm2
 from noisy_sqp.noise import NoiseSpec
-from noisy_sqp.problems import ExactEvaluation, ProblemSpec
+from noisy_sqp.problems import (ExactEvaluation, ProblemSpec, duplicate_last_constraint,
+                                get_problem)
 from noisy_sqp.verify import assert_trace_invariants
 
 SEEDS = range(120)
@@ -115,22 +117,40 @@ def test_feasible_runs_do_not_end_test_unsatisfiable(family_runs):
     assert bad == []
 
 
-@pytest.mark.xfail(strict=True, reason="an iteration whose tangential step passes no test "
-                                       "returns no bundle, so its Krylov steps go uncounted")
-def test_a_test_unsatisfiable_run_counts_every_minres_step(monkeypatch):
-    # seed 0 under the line search, inexact, ends test_unsatisfiable after 5 records:
-    # it takes 150 MINRES steps and its trace reports the 120 of its bundles
-    taken = []
+def pinned_quad_ellipse():
+    """The pinned run (quad-ellipse, ls, pes, inexact, eps 0, duplicated rows, seed 11)
+    of `test_hot_path_identity.py`: its problem, params and seed."""
+    params = VariantSpec("ls", "pes", "inexact").solver_params(NoiseSpec(), (150, 10000))
+    return duplicate_last_constraint(get_problem("quad-ellipse")), params, 11
 
-    def counted(*args):
-        taken.append(None)
-        return minres_iterate(*args)
 
-    monkeypatch.setattr(steps, "minres_iterate", counted)
+def kkt_seed_0():
     params = SolverParams.benchmark_defaults(NoiseSpec(), variant=LINE_SEARCH,
                                              exactness="inexact", max_iters=300)
-    trace = solve(kkt_problem(0), params, 0)
-    assert trace.minres_iters == len(taken)
+    return kkt_problem(0), params, 0
+
+
+# each run's last tangential step passes no test, on the branch named
+@pytest.mark.parametrize("run, branch", [(kkt_seed_0, FEASIBLE_BRANCH),
+                                         (pinned_quad_ellipse, INFEASIBLE_BRANCH)],
+                         ids=["kkt-0", "quad-ellipse-11"])
+def test_a_test_unsatisfiable_run_counts_every_minres_step(monkeypatch, run, branch):
+    minres_taken, cg_taken = [], []
+
+    def minres_counted(*args):
+        minres_taken.append(None)
+        return minres_iterate(*args)
+
+    def cg_counted(*args, **kwargs):
+        v, hit_boundary, iters = cg_steihaug(*args, **kwargs)
+        cg_taken.append(iters)
+        return v, hit_boundary, iters
+
+    monkeypatch.setattr(steps, "minres_iterate", minres_counted)
+    monkeypatch.setattr(steps, "cg_steihaug", cg_counted)
+    trace = solve(*run())
+    assert (trace.status, trace.records[-1].branch) == (TEST_UNSATISFIABLE, branch)
+    assert (trace.minres_iters, trace.cg_iters) == (len(minres_taken), sum(cg_taken))
 
 
 def test_traces_keep_the_invariants(family_runs):

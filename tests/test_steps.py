@@ -93,8 +93,8 @@ class TestTangentialStep:
         J = np.array([[1.0, 0.0]])
         g = np.array([1.0, 1.0])
         c = np.array([0.05])
-        bundle = tangential_step(H, lin(c, J, g), zero_normal(c, 2), 1.0,
-                                 eps_o=0.1, coef=1e-2 * 1e-2, feasible=True)
+        bundle, _ = tangential_step(H, lin(c, J, g), zero_normal(c, 2), 1.0,
+                                    eps_o=0.1, coef=1e-2 * 1e-2, feasible=True)
         assert bundle.test in (TT1, EXACT_FALLBACK)
         assert np.allclose(bundle.d, bundle.v + bundle.u)
 
@@ -103,8 +103,8 @@ class TestTangentialStep:
         J = np.array([[1.0, 0.0]])
         g = np.array([0.0, 1.0])
         c = np.array([0.0])
-        bundle = tangential_step(H, lin(c, J, g), zero_normal(c, 2), 1.0,
-                                 eps_o=0.0, coef=EXACT, feasible=True)
+        bundle, _ = tangential_step(H, lin(c, J, g), zero_normal(c, 2), 1.0,
+                                    eps_o=0.0, coef=EXACT, feasible=True)
         u_oracle, _ = dense_kkt_solve(H, J, g)
         assert np.allclose(bundle.u, u_oracle, atol=1e-9)
         assert np.allclose(bundle.u, [0.0, -1.0], atol=1e-9)
@@ -116,8 +116,8 @@ class TestTangentialStep:
         H = np.eye(2)
         L = lin(ev.c, ev.J, ev.g)
         normal = normal_step(L, EXACT)
-        bundle = tangential_step(H, L, normal, 1.0,
-                                 eps_o=0.0, coef=EXACT, feasible=False)
+        bundle, _ = tangential_step(H, L, normal, 1.0,
+                                    eps_o=0.0, coef=EXACT, feasible=False)
         assert bundle.test in (TT2_CASE2, TT2_COND1, EXACT_FALLBACK)
         # direct recomputation of the residual-decrease condition
         dec_v = norm2(ev.c) - norm2(ev.c + ev.J @ bundle.v)
@@ -135,8 +135,8 @@ class TestTangentialStep:
         L = lin(c, J, g)
         normal = normal_step(L, EXACT)
         v = normal.v
-        bundle = tangential_step(H, L, normal, 1.0, eps_o=0.0,
-                                 coef=0.0, feasible=False)
+        bundle, _ = tangential_step(H, L, normal, 1.0, eps_o=0.0,
+                                    coef=0.0, feasible=False)
         assert bundle.test == EXACT_FALLBACK
         scale = 1 + norm_inf(g + H @ v)
         assert norm_inf(np.concatenate([bundle.rho, bundle.r])) <= 1e-9 * scale
@@ -148,9 +148,10 @@ class TestTangentialStep:
         H = np.zeros((3, 3))
         J = np.array([[1.0, 1.0, 0.0]])
         c = np.array([0.0])
-        bundle = tangential_step(H, lin(c, J, np.array([0.3, -0.2, 1.0])), zero_normal(c, 3),
-                                 1.0, eps_o=0.0, coef=0.0, feasible=True)
-        assert bundle is None
+        bundle, taken = tangential_step(H, lin(c, J, np.array([0.3, -0.2, 1.0])),
+                                        zero_normal(c, 3), 1.0, eps_o=0.0, coef=0.0,
+                                        feasible=True)
+        assert bundle is None and taken > 0  # MINRES ran to its breakdown first
 
     def test_accepted_candidate_meets_the_gate_at_its_lower_clip(self):
         # u = 0 at MINRES's start and ||J'c||_inf = 1e-3, so the residual gate there is
@@ -162,9 +163,9 @@ class TestTangentialStep:
         normal = NormalStep(v, c + J @ v, 0.0)
         L = lin(c, J, np.array([1e-3, 2e-4]))
         for coef, iters in ((4e-2, 0), (4e-3, 1)):
-            bundle = tangential_step(np.eye(2), L, normal, 1.0, eps_o=0.0, coef=coef,
-                                     feasible=False)
-            assert (bundle.test, bundle.minres_iters) == (TT2_CASE2, iters)
+            bundle, taken = tangential_step(np.eye(2), L, normal, 1.0, eps_o=0.0, coef=coef,
+                                            feasible=False)
+            assert (bundle.test, bundle.minres_iters, taken) == (TT2_CASE2, iters, iters)
             assert norm_inf(np.concatenate([bundle.rho, bundle.r])) <= coef * 1e-2
 
 
@@ -352,9 +353,9 @@ class TestBundleRepassesDeclaredTest:
             if norm_inf(J.T @ c) <= lin(c, J, g).round_off:
                 continue
             L = lin(c, J, g)
-            bundle = tangential_step(H, L, normal_step(L, 1e-2 * 1e-2),
-                                     1.0, eps_o=0.0, coef=1e-2 * 1e-2,
-                                     feasible=False)
+            bundle, _ = tangential_step(H, L, normal_step(L, 1e-2 * 1e-2),
+                                        1.0, eps_o=0.0, coef=1e-2 * 1e-2,
+                                        feasible=False)
             test = bundle.fallback_case or bundle.test
             c_v = c + J @ bundle.v
             normal = NormalStep(bundle.v, c_v, norm2(c_v))

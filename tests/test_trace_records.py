@@ -129,9 +129,9 @@ def test_views_hold_the_bytes_the_loop_made(monkeypatch):
         return noisy
 
     def keep_bundle(*args, **kwargs):
-        bundle = tangential_step(*args, **kwargs)
+        bundle, taken = tangential_step(*args, **kwargs)
         made[-1] += (bundle,)
-        return bundle
+        return bundle, taken
 
     monkeypatch.setattr(NoisyOracle, "sample", keep_sample)
     monkeypatch.setattr(driver.steps, "tangential_step", keep_bundle)
@@ -225,6 +225,7 @@ def test_traces_and_records_compare_by_identity(runs):
 
 
 def test_iteration_totals_read_the_stored_scalars(runs):
+    # each of these runs forms a bundle at every iteration that takes Krylov steps
     for trace, _ in runs:
         bundles = [r.bundle for r in trace.records if r.bundle is not None]
         assert trace.minres_iters == sum(b.minres_iters for b in bundles)
