@@ -92,9 +92,9 @@ class IterRecord:
     """One loop iteration; alpha = 0 marks a terminal partial iteration.
 
     Scalars sit in slots, vectors in one float64 row (see `_layout`): ``x``,
-    ``noisy``, ``exact`` and ``bundle`` are views into it, built on access.  A
-    write into a view's array changes the record; setting a view's attribute
-    changes only that view.  Records compare by identity."""
+    ``noisy``, ``exact`` and ``bundle`` (d = v + u formed on read) are views
+    into it, built on access.  A write into a view's array changes the record;
+    setting a view's attribute changes only that view.  Records compare by identity."""
 
     k: int
     tau_prev: float
@@ -123,7 +123,7 @@ class IterRecord:
 
     @classmethod
     def pack(cls, x, noisy, exact, bundle, **scalars):
-        vectors = () if bundle is None else (bundle.v, bundle.d, bundle.z, bundle.resid)
+        vectors = () if bundle is None else (bundle.v, bundle.z, bundle.resid)
         row = np.concatenate((x, noisy.g_bar, noisy.c_bar, noisy.J_bar, exact.g, exact.c,
                               exact.J, *vectors), axis=None)
         return cls(_row=row, _at=_layout(len(x), len(exact.c)), _f_bar=noisy.f_bar, _f=exact.f,
@@ -137,19 +137,19 @@ class IterRecord:
     noisy = property(lambda self: NoisyEvaluation(self._f_bar, *self._parts(1, 4)))
     exact = property(lambda self: ExactEvaluation(self._f, *self._parts(4, 7)))
     bundle = property(lambda self: None if self._bundle is None
-                      else steps.StepBundle(*self._parts(7, 11), *self._bundle))
+                      else steps.StepBundle(*self._parts(7, 10), *self._bundle))
 
 
 @functools.cache
 def _layout(n, m):
-    """(slice, shape) of a record row's x, noisy g, c, J, exact g, c, J, and v, d, z, resid."""
-    shapes = [(n,), (n,), (m,), (m, n), (n,), (m,), (m, n), (n,), (n,), (n + m,), (n + m,)]
+    """(slice, shape) of a record row's x, noisy g, c, J, exact g, c, J, and v, z, resid."""
+    shapes = [(n,), (n,), (m,), (m, n), (n,), (m,), (m, n), (n,), (n + m,), (n + m,)]
     ends = np.cumsum([math.prod(shape) for shape in shapes]).tolist()
     return tuple((slice(end - math.prod(shape), end), shape) for shape, end in zip(shapes, ends))
 
 
-# a bundle's fields after v, d, z and resid
-BUNDLE_SCALARS = tuple(f.name for f in dataclasses.fields(steps.StepBundle)[4:])
+# a bundle's fields after v, z and resid
+BUNDLE_SCALARS = tuple(f.name for f in dataclasses.fields(steps.StepBundle)[3:])
 _bundle_scalars = attrgetter(*BUNDLE_SCALARS)
 
 

@@ -11,9 +11,9 @@ Each function reads the iteration's noisy linearization from one
 `merit.Linearization` (g, c and J with J'c, ||J'c||, max|J'c|, ||c||, ||g||
 and the round-off scale, each formed once), and the steps and tests read the
 normal step's v, c + Jv and ||c + Jv|| from its `NormalStep`.  The passing
-test's measurements ride in the `StepBundle` (the saddle system's solution
-and residual held once, u, y, rho and r slices of them) to the driver, whose
-trace keeps its vectors in a record's row; no bundle means no test can pass.
+test's measurements ride in the `StepBundle` (v, the saddle system's solution
+and residual; d = v + u formed on read) to the driver, whose trace keeps
+its vectors in a record's row; no bundle means no test can pass.
 The tests' and the trust region's constants are `merit`'s; their
 inequalities, stated for exact arithmetic, allow the round-off scale as
 slack.
@@ -42,11 +42,10 @@ EXACT_FALLBACK = "exact_fallback"
 class StepBundle:
     """Assembled search direction with the residuals that justified acceptance.
 
-    The saddle system's z = (u, y) and resid = (rho, r) are held once; u, y,
-    rho and r are views into them."""
+    The saddle system's z = (u, y) and resid = (rho, r) are held once; u, y, rho
+    and r are views into them and d = v + u is formed on read, so d has no setter."""
 
     v: np.ndarray
-    d: np.ndarray
     z: np.ndarray
     resid: np.ndarray
     test: str
@@ -62,6 +61,7 @@ class StepBundle:
     y = property(lambda self: self.z[len(self.v):])
     rho = property(lambda self: self.resid[:len(self.v)])
     r = property(lambda self: self.resid[len(self.v):])
+    d = property(lambda self: self.v + self.u)
 
 
 class NormalStep(NamedTuple):
@@ -96,8 +96,8 @@ def normal_step(lin: Linearization, coef: float) -> NormalStep:
 
 
 def _measure(H, lin: Linearization, normal: NormalStep, u, rho, r, tau_prev: float):
-    """Both tests' measures of u: (u'Hu, u'u, ||u||, d = v + u, g'd, ||c + Jd||, model
-    reduction along d at tau_prev), or None when the residual gate fails."""
+    """Both tests' measures of u: (u'Hu, u'u, ||u||, g'd, ||c + Jd||, model reduction
+    along d at tau_prev) for d = v + u, or None when the residual gate fails."""
     uHu = float(u.dot(H.dot(u)))
     uu = float(u.dot(u))
     u_nrm = math.sqrt(uu)  # norm2's formula on the same dot
@@ -105,7 +105,7 @@ def _measure(H, lin: Linearization, normal: NormalStep, u, rho, r, tau_prev: flo
         return None
     d = normal.v + u
     gd, cd_norm = lin.along(d)
-    return uHu, uu, u_nrm, d, gd, cd_norm, model_reduction(tau_prev, lin.c_norm, gd, cd_norm)
+    return uHu, uu, u_nrm, gd, cd_norm, model_reduction(tau_prev, lin.c_norm, gd, cd_norm)
 
 
 def check_tt1(H, lin: Linearization, normal: NormalStep, u, rho, r, tau_prev: float,
@@ -114,18 +114,18 @@ def check_tt1(H, lin: Linearization, normal: NormalStep, u, rho, r, tau_prev: fl
     measured = _measure(H, lin, normal, u, rho, r, tau_prev)
     if measured is None:
         return None
-    uHu, uu, _, d, gd, cd_norm, dl = measured
+    uHu, uu, _, gd, cd_norm, dl = measured
     slack = lin.round_off
     if (uHu < LAMBDA_U * uu - eps_o - slack or gd + 0.5 * uHu > eps_o + slack
             or dl < tau_prev * SIGMA_U * max(uHu, LAMBDA_U * uu) - eps_o - slack):
         return None
-    return TT1, d, gd, cd_norm, None
+    return TT1, gd, cd_norm, None
 
 
 def check_tt2(H, lin: Linearization, normal: NormalStep, u, rho, r, tau_prev: float):
     """Termination Test 2 (infeasible branch) at the normal step and u.
 
-    Returns (tag, d, g'd, ||c + Jd||, trial) along d = v + u when the test
+    Returns (tag, g'd, ||c + Jd||, trial) along d = v + u when the test
     passes, tag TT2_CASE2 or TT2_COND1, else None.  Case 2 has priority
     because it keeps the merit parameter unchanged; under TT2_COND1 ``trial``
     is `merit.tau_trial` of the check's values, which must be > 0, else None.
@@ -133,7 +133,7 @@ def check_tt2(H, lin: Linearization, normal: NormalStep, u, rho, r, tau_prev: fl
     measured = _measure(H, lin, normal, u, rho, r, tau_prev)
     if measured is None:
         return None
-    uHu, uu, u_nrm, d, gd, cd_norm, dl = measured
+    uHu, uu, u_nrm, gd, cd_norm, dl = measured
     v_nrm = norm2(normal.v)
     c_norm = lin.c_norm
     slack = lin.round_off
@@ -147,13 +147,13 @@ def check_tt2(H, lin: Linearization, normal: NormalStep, u, rho, r, tau_prev: fl
     c_v_norm = normal.c_v_norm
     if dl >= tau_prev * SIGMA_U * max(uHu, LAMBDA_U * u_nrm * u_nrm) \
             + SIGMA_C * (c_norm - c_v_norm) - slack:
-        return TT2_CASE2, d, gd, cd_norm, None
+        return TT2_CASE2, gd, cd_norm, None
     c_vr_norm = norm2(normal.c_v + r)
     if (c_norm - c_v_norm > 0.0
             and c_norm - c_vr_norm >= SIGMA_R * (c_norm - c_v_norm) - slack):
         trial = merit.tau_trial(gd, uHu, uu, c_norm, c_vr_norm)
         if trial > 0.0:  # the slack can let ||c + Jv + r|| exceed ||c||
-            return TT2_COND1, d, gd, cd_norm, trial
+            return TT2_COND1, gd, cd_norm, trial
     return None
 
 
@@ -217,8 +217,7 @@ def tangential_step(H, lin: Linearization, normal: NormalStep, tau_prev: float,
         passed = passed_test(z, resid)
         if passed is None:
             return None, iters
-    tag, d, gd, cd_norm, trial = passed
-    return StepBundle(v=v, d=d, z=z, resid=resid,
-                      test=EXACT_FALLBACK if fallback else tag, minres_iters=iters,
-                      cg_iters=normal.cg_iters, fallback_case=tag if fallback else None,
-                      gd=gd, cd_norm=cd_norm, tau_trial=trial), iters
+    tag, gd, cd_norm, trial = passed
+    return StepBundle(v=v, z=z, resid=resid, test=EXACT_FALLBACK if fallback else tag,
+                      minres_iters=iters, cg_iters=normal.cg_iters, gd=gd, cd_norm=cd_norm,
+                      fallback_case=tag if fallback else None, tau_trial=trial), iters

@@ -67,9 +67,9 @@ MUTANTS = [
            "ExactEvaluation(self._f, *self._parts(1, 2), *self._parts(5, 7))",
            "tests/test_driver.py::TestExactSnapshots::test_default_oracle_snapshot_equals_fresh_evaluation"),
     Mutant("audit-first-failure-only", "src/noisy_sqp/verify.py",
-           "found += _bundle_conditions(r, trace.eps_o, trace.H)",
+           "found += _bundle_conditions(r, b, trace.eps_o, trace.H)",
            "found += (lambda cs: cs[:1 + next((i for i, c in enumerate(cs) if not c.held), "
-           "len(cs))])(_bundle_conditions(r, trace.eps_o, trace.H))",
+           "len(cs))])(_bundle_conditions(r, b, trace.eps_o, trace.H))",
            "tests/test_verify.py::TestTraceCorruption::test_a_record_breaking_two_conditions_lists_both"),
     Mutant("problem-file-takes-bools", "src/noisy_sqp/problems.py",
            "if type(e) is not float", "if type(e) not in (float, bool)",
@@ -86,6 +86,9 @@ MUTANTS = [
            "minres_iters, cg_iters = ((minres_iters + taken, cg_iters + normal.cg_iters)"
            " if bundle is not None else (minres_iters, cg_iters))",
            "tests/test_kkt_family.py::test_a_test_unsatisfiable_run_counts_every_minres_step"),
+    Mutant("bundle-d-minus-u", "src/noisy_sqp/steps.py",
+           "self.v + self.u", "self.v - self.u",
+           "tests/test_steps.py::TestBundleRepassesDeclaredTest::test_random_instances"),
 ]
 
 

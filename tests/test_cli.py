@@ -1,5 +1,7 @@
 import json
 import math
+import runpy
+import sys
 
 import numpy as np
 import pytest
@@ -353,3 +355,13 @@ def test_verify_unknown_suite_exits_2(capsys):
         main(["verify", "--suite", "nope"])
     assert exc.value.code == 2
     assert "invalid choice: 'nope'" in capsys.readouterr().err
+
+
+def test_the_module_runs_as_a_script(capsys, monkeypatch):
+    # python -m noisy_sqp.cli runs the command line from a source tree without an install
+    monkeypatch.setattr(sys, "argv", ["noisy_sqp.cli", "verify", "--suite", "fd"])
+    monkeypatch.delitem(sys.modules, "noisy_sqp.cli")  # runpy warns about an imported module
+    with pytest.raises(SystemExit) as exit_:
+        runpy.run_module("noisy_sqp.cli", run_name="__main__")
+    assert exit_.value.code == 0
+    assert "fd_check" in capsys.readouterr().out

@@ -851,7 +851,6 @@ def test_fallback_audit_flags_a_solution_off_by_a_thousandth():
                 continue
             J = record.noisy.J_bar
             b.z[...] *= 1 + 1e-3  # u and y
-            b.d[...] = b.v + b.u
             b.rho[...] = trace.H @ b.d + J.T @ b.y + record.noisy.g_bar
             b.r[...] = J @ b.u
             assert any(c.k == record.k and c.name == FALLBACK_RESIDUAL and not c.held

@@ -261,10 +261,9 @@ class TestCheckTT2:
     def test_returns_d_and_its_model_reduction(self):
         ev, L, normal = self._fixture()
         u = np.zeros(2)
-        case, d, gd, cd_norm, _ = check_tt2(np.eye(2), L, normal, u, np.zeros(2),
-                                            np.zeros(1), 1.0)
+        case, gd, cd_norm, _ = check_tt2(np.eye(2), L, normal, u, np.zeros(2), np.zeros(1), 1.0)
         assert case in (TT2_CASE2, TT2_COND1)
-        assert np.array_equal(d, normal.v + u)
+        d = normal.v + u
         assert gd == float(ev.g.dot(d)) and cd_norm == norm2(ev.c + ev.J.dot(d))
         assert model_reduction(1.0, L.c_norm, gd, cd_norm) == \
             -1.0 * float(ev.g.dot(d)) + norm2(ev.c) - norm2(ev.c + ev.J.dot(d))
@@ -277,10 +276,10 @@ class TestCheckTT2:
         rho = H @ u + ev.J.T @ y + ev.g + v
         r = ev.J @ u
         # a large tau_prev fails case 2, so the residual condition accepts
-        case, d, _, _, trial = check_tt2(H, L, normal, u, rho, r, 10.0)
+        case, _, _, trial = check_tt2(H, L, normal, u, rho, r, 10.0)
         assert case == TT2_COND1
         # the trial written out from the vectors
-        denom = float(ev.g @ d) + max(float(u @ (H @ u)), LAMBDA_U * float(u @ u))
+        denom = float(ev.g @ (v + u)) + max(float(u @ (H @ u)), LAMBDA_U * float(u @ u))
         decrease = norm2(ev.c) - norm2(ev.c + ev.J @ v + r)
         expected = (1.0 - SIGMA_C / SIGMA_R) * decrease / denom
         assert denom > 0.0 and trial.hex() == expected.hex()
@@ -363,6 +362,6 @@ class TestBundleRepassesDeclaredTest:
                                  bundle.rho, bundle.r, 1.0)
             assert case is not None
             assert test == case
-            # the bundle keeps the accepting check's d, g'd and ||c + Jd||
+            # d = v + u, and the bundle keeps the accepting check's g'd and ||c + Jd||
             assert np.array_equal(bundle.d, bundle.v + bundle.u)
             assert (bundle.gd, bundle.cd_norm) == L.along(bundle.d)
