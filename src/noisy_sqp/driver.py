@@ -7,13 +7,13 @@ decreases) from the trial value the accepting TT2_cond1 check formed, form
 the model reduction from the check's g'd and ||c + Jd||, and make one `step`
 call on the run's step-size controller (`stepsize.AdaptiveState` or
 `stepsize.LineSearch`).  A step that no termination test accepts arrives as
-no bundle and ends the run as `test_unsatisfiable`.  Each iteration appends
-one `IterRecord`; the run stops at the first status, from an early exit, a
-non-finite sample or step, a budget or the controller.  Exact ground-truth
-snapshots are recorded next to every noisy sample for post-hoc error
-measurement; they never feed the solver path.  A record copies the
-iteration's vectors into one packed row and hands out views into it: a
-write into a view's array changes the trace, and nothing else does.
+no bundle and ends the run as `test_unsatisfiable`.  Each iteration writes
+one row of the run's `RunTrace` table; the run stops at the first status,
+from an early exit, a non-finite sample or step, a budget or the controller.
+Exact ground-truth snapshots are recorded next to every noisy sample for
+post-hoc error measurement; they never feed the solver path.  A trace's
+records are views of its rows: a write into a view's array or a record's
+scalar changes the trace, and nothing else does.
 """
 
 from __future__ import annotations
@@ -21,8 +21,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-from dataclasses import dataclass
-from operator import attrgetter
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -82,92 +81,118 @@ class SolverParams:
     def benchmark_defaults(cls, noise: NoiseSpec, **settings):
         return cls(noise=noise, **settings)
 
-    def resolved_eps_o(self) -> float:
-        """Optimistic: ``noise.eps_o``, or eps_c when that is 0.  Pessimistic: 0."""
-        return (self.noise.eps_o or self.noise.eps_c) if self.optimism == "optimistic" else 0.0
 
-
-@dataclass(slots=True, eq=False)
-class IterRecord:
-    """One loop iteration; alpha = 0 marks a terminal partial iteration.
-
-    Scalars sit in slots, vectors in one float64 row (see `_layout`): ``x``,
-    ``noisy``, ``exact`` and ``bundle`` (d = v + u formed on read) are views
-    into it, built on access.  A write into a view's array changes the record;
-    setting a view's attribute changes only that view.  Records compare by identity."""
-
-    k: int
-    tau_prev: float
-    tau: float
-    alpha: float
-    branch: str
-    counters_delta: tuple
-    _row: np.ndarray
-    _at: tuple  # the row's `_layout`
-    _f_bar: float
-    _f: float
-    _bundle: tuple | None  # the bundle's BUNDLE_SCALARS, None without a bundle
-    delta_l: float | None = None
-    # adaptive controller snapshot
-    chi: float | None = None
-    zeta: float | None = None
-    xi: float | None = None
-    alpha_suff: float | None = None
-    alpha_min: float | None = None
-    alpha_max: float | None = None
-    # line search snapshot (cached merit values used for acceptance)
-    phi0: float | None = None
-    phi_accept: float | None = None
-    relax: float | None = None
-    backtracks: int | None = None
-
-    @classmethod
-    def pack(cls, x, noisy, exact, bundle, **scalars):
-        vectors = () if bundle is None else (bundle.v, bundle.z, bundle.resid)
-        row = np.concatenate((x, noisy.g_bar, noisy.c_bar, noisy.J_bar, exact.g, exact.c,
-                              exact.J, *vectors), axis=None)
-        return cls(_row=row, _at=_layout(len(x), len(exact.c)), _f_bar=noisy.f_bar, _f=exact.f,
-                   _bundle=None if bundle is None else _bundle_scalars(bundle), **scalars)
-
-    def _parts(self, first, stop):
-        """The row's vectors ``first`` to ``stop - 1``, in their shapes."""
-        return [self._row[at].reshape(shape) for at, shape in self._at[first:stop]]
-
-    x = property(lambda self: self._parts(0, 1)[0])
-    noisy = property(lambda self: NoisyEvaluation(self._f_bar, *self._parts(1, 4)))
-    exact = property(lambda self: ExactEvaluation(self._f, *self._parts(4, 7)))
-    bundle = property(lambda self: None if self._bundle is None
-                      else steps.StepBundle(*self._parts(7, 10), *self._bundle))
+# rows per block of a trace's table; `harness.best_iterate` stacks a block per call
+BEST_ITERATE_CHUNK = 256
+_BUNDLE = dataclasses.fields(steps.StepBundle)[3:]  # a bundle's fields after v, z and resid
+# a row's scalar columns and the type each reads as: a record's settable fields, its counter
+# deltas, the noisy and exact f and the bundle's fields; a string is kept as its _NAMES index
+_FIELDS = dict(tau_prev=float, tau=float, alpha=float, branch=str, delta_l=float, chi=float,
+               zeta=float, xi=float, alpha_suff=float, alpha_min=float, alpha_max=float,
+               phi0=float, phi_accept=float, relax=float, backtracks=int)
+_COLUMNS = dict(_FIELDS, function_evals=int, gradient_evals=int, f_bar=float, f=float,
+                **{f.name: {"str": str, "int": int, "float": float}[f.type.split()[0]]
+                   for f in _BUNDLE})
+_COL = {name: j for j, name in enumerate(_COLUMNS)}
+_NAMES = (None, FEASIBLE_BRANCH, INFEASIBLE_BRANCH, steps.TT1, steps.TT2_CASE2, steps.TT2_COND1,
+          steps.EXACT_FALLBACK)
+_CODES = {name: code for code, name in enumerate(_NAMES)}
 
 
 @functools.cache
 def _layout(n, m):
-    """(slice, shape) of a record row's x, noisy g, c, J, exact g, c, J, and v, z, resid."""
-    shapes = [(n,), (n,), (m,), (m, n), (n,), (m,), (m, n), (n,), (n + m,), (n + m,)]
+    """(slice, shape) of a row's scalars, x, noisy g, c, J, exact g, c, J, and v, z, resid."""
+    shapes = [(len(_COLUMNS),), (n,), *[(n,), (m,), (m, n)] * 2, (n,), (n + m,), (n + m,)]
     ends = np.cumsum([math.prod(shape) for shape in shapes]).tolist()
     return tuple((slice(end - math.prod(shape), end), shape) for shape, end in zip(shapes, ends))
 
 
-# a bundle's fields after v, z and resid
-BUNDLE_SCALARS = tuple(f.name for f in dataclasses.fields(steps.StepBundle)[3:])
-_bundle_scalars = attrgetter(*BUNDLE_SCALARS)
+class IterRecord:
+    """Row k of a trace's table: one loop iteration; alpha = 0 marks a terminal partial one.
+
+    A scalar field reads as its Python type (None where the row's mask says absent) and
+    setting it writes the table.  ``x``, ``noisy``, ``exact`` and ``bundle`` (d = v + u
+    formed on read) are views into the row, built on access, that cannot be set: a write
+    into a view's array changes the record, setting a view's attribute only that view."""
+
+    __slots__ = ("k", "_block", "_mask", "_i", "_at")
+
+    def __init__(self, trace, k):
+        self.k, (b, self._i), self._at = k, divmod(k, trace.block_rows), trace.layout
+        self._block, self._mask = trace.blocks[b], trace.present[b]
+
+    def _read(self, name):
+        if self._mask.item(self._i, _COL[name]):
+            cell, kind = self._block.item(self._i, _COL[name]), _COLUMNS[name]
+            return cell if kind is float else int(cell) if kind is int else _NAMES[int(cell)]
+
+    def _write(self, name, value):
+        self._block[self._i, _COL[name]] = _CODES.get(value, value)
+        self._mask[self._i, _COL[name]] = value is not None
+
+    def _parts(self, first, stop):
+        """The row's vectors ``first`` to ``stop - 1``, in their shapes."""
+        row = self._block[self._i]
+        return [row[at].reshape(shape) for at, shape in self._at[first:stop]]
+
+    x = property(lambda self: self._parts(1, 2)[0])
+    noisy = property(lambda self: NoisyEvaluation(self._read("f_bar"), *self._parts(2, 5)))
+    exact = property(lambda self: ExactEvaluation(self._read("f"), *self._parts(5, 8)))
+    bundle = property(lambda self: None if self._read("test") is None else steps.StepBundle(
+        *self._parts(8, 11), *(self._read(f.name) for f in _BUNDLE)))
+    counters_delta = property(lambda self: (self._read("function_evals"),
+                                            self._read("gradient_evals")))
+
+
+for _name in _FIELDS:
+    setattr(IterRecord, _name, property(lambda self, name=_name: self._read(name),
+                                        lambda self, value, name=_name: self._write(name, value)))
 
 
 @dataclass(eq=False)
 class RunTrace:
+    """A run's settings, outcome and table: record k is row k % block_rows of the float64
+    array ``blocks[k // block_rows]`` (rows of `_layout`), whose mask in ``present`` marks
+    the scalars it holds.  A run adds blocks as it grows, so no written row is ever copied;
+    `records` views the rows, built on first read.  Traces and records compare by identity."""
+
     problem: str
     n: int
     m: int
-    records: list
-    status: str
-    counters: object
     seed: int
     eps_o: float
     variant: str
     H: np.ndarray  # curvature matrix the solver used
-    minres_iters: int  # every iteration's MINRES and CG steps, accepted or not
-    cg_iters: int
+    block_rows: int
+    status: str | None = None
+    counters: object = None
+    minres_iters: int = 0  # every iteration's MINRES and CG steps, accepted or not
+    cg_iters: int = 0
     adaptive_state: stepsize.AdaptiveState | None = None
+    blocks: list = field(default_factory=list, repr=False)
+    present: list = field(default_factory=list, repr=False)
+    size: int = 0  # records written
+
+    layout = property(lambda self: _layout(self.n, self.m))
+
+    @functools.cached_property
+    def records(self) -> list:
+        return [IterRecord(self, k) for k in range(self.size)]
+
+    def append(self, x, noisy, exact, bundle, counters_delta, **scalars):
+        """Write one iteration into the next row, in a new block when the last is full."""
+        b, i = divmod(self.size, self.block_rows)
+        if i == 0:
+            self.blocks.append(np.empty((self.block_rows, self.layout[-1][0].stop)))
+            self.present.append(np.empty((self.block_rows, len(_COLUMNS)), bool))
+        vectors = () if bundle is None else (bundle.v, bundle.z, bundle.resid)
+        cells = [*map(scalars.get, _FIELDS), *counters_delta, noisy.f_bar, exact.f,
+                 *(None if bundle is None else getattr(bundle, f.name) for f in _BUNDLE)]
+        self.present[b][i] = [cell is not None for cell in cells]
+        np.concatenate(([_CODES.get(cell, cell) for cell in cells], x, noisy.g_bar, noisy.c_bar,
+                        noisy.J_bar, exact.g, exact.c, exact.J, *vectors), axis=None,
+                       out=self.blocks[b][i, :self.layout[7 + len(vectors)][0].stop])
+        self.size += 1
 
     @property
     def tau_history(self) -> list:
@@ -190,12 +215,13 @@ def solve(problem: ProblemSpec, params: SolverParams, seed: int,
     own_oracle = oracle is None
     if own_oracle:
         oracle = NoisyOracle(problem, params.noise, np.random.default_rng(seed))
-    eps_o = params.resolved_eps_o()
+    noise = params.noise
+    # optimistic: noise.eps_o, or eps_c when that is 0; pessimistic: 0
+    eps_o = (noise.eps_o or noise.eps_c) if params.optimism == "optimistic" else 0.0
     # numerical meaning of "||c|| <= eps_o" at eps_o = 0: the branch gate gets
     # an absolute floor so machine-precision-feasible iterates take the
     # tangential-only branch instead of the infeasible-stationary exit
     branch_gate = max(eps_o, TOL_FEAS)
-    noise = params.noise
     # the coefficient of both step solvers' residual gates
     coef = (1e-10 if params.exactness == "exact"
             else params.kappa * min(noise.eps_c, noise.eps_f))
@@ -211,13 +237,15 @@ def solve(problem: ProblemSpec, params: SolverParams, seed: int,
     else:
         controller = stepsize.LineSearch(oracle, noise)
 
-    records: list[IterRecord] = []
     counters = oracle.counters
+    trace = RunTrace(problem.name, n, problem.m, seed, eps_o, params.variant, H,
+                     BEST_ITERATE_CHUNK, counters=counters,
+                     adaptive_state=controller if params.variant == ADAPTIVE else None)
     x = problem.x0.copy()  # rebound every step, never mutated in place
     tau = merit.TAU0
-    k = minres_iters = cg_iters = 0
+    minres_iters = cg_iters = 0
     while status is None:
-        if k >= params.max_iters:
+        if trace.size >= params.max_iters:
             status = BUDGET_ITERS
             break
         if counters.weighted_total >= params.max_weighted_evals:
@@ -266,19 +294,15 @@ def solve(problem: ProblemSpec, params: SolverParams, seed: int,
             elif delta_l <= 0.0 or norm_inf(d) <= lin.round_off / 10:
                 status = DEGENERATE
             else:
-                alpha, x_next, fields, status = controller.step(x, noisy, bundle, tau, delta_l, dd)
+                alpha, x_next, fields, status = controller.step(
+                    x, noisy, bundle, d, tau, delta_l, dd)
         after = counters.snapshot()
-        records.append(IterRecord.pack(
-            k=k, x=x, noisy=noisy, exact=exact, bundle=bundle, tau_prev=tau_prev, tau=tau,
-            alpha=alpha, branch=branch, delta_l=delta_l,
-            counters_delta=(after[0] - before[0], after[1] - before[1]), **fields))
+        trace.append(x, noisy, exact, bundle, (after[0] - before[0], after[1] - before[1]),
+                     tau_prev=tau_prev, tau=tau, alpha=alpha, branch=branch, delta_l=delta_l,
+                     **fields)
         if status is not None:
             break
         x = x_next  # the line search's accepted trial: the oracle reuses its evaluation
-        k += 1
 
-    return RunTrace(
-        problem=problem.name, n=problem.n, m=problem.m, records=records,
-        status=status, counters=oracle.counters, seed=seed, eps_o=eps_o, variant=params.variant,
-        H=H, minres_iters=minres_iters, cg_iters=cg_iters,
-        adaptive_state=controller if params.variant == ADAPTIVE else None)
+    trace.status, trace.minres_iters, trace.cg_iters = status, minres_iters, cg_iters
+    return trace

@@ -21,6 +21,7 @@ from .driver import (
     EXACTNESS,
     OPTIMISMS,
     SCHEMES,
+    IterRecord,
     SolverParams,
     solve,
 )
@@ -33,9 +34,6 @@ EARLY_STATUSES = (EARLY_STATIONARY, EARLY_INFEASIBLE)
 
 # status of a grid cell whose run raised; its counts are 0 and its errors inf
 ERROR = "error"
-
-# exact snapshots stacked per least_squares_multiplier call in best_iterate
-BEST_ITERATE_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -145,18 +143,17 @@ def best_iterate(trace, eps_c: float, eps_f: float):
     wins; with no qualifying iterate, the lowest feasibility error wins.
     Iterates after an early termination never participate; ties break to
     the smallest index, and a NaN error (from a non-finite evaluation)
-    never beats a number.  The multipliers come from stacked
-    `least_squares_multiplier` calls over at most BEST_ITERATE_CHUNK
-    iterates each, which bounds the memory the stacks take.
+    never beats a number.  The multipliers come from one stacked
+    `least_squares_multiplier` call per block of the trace's table, on the
+    block's exact g, c and J columns in place.
     """
-    records = trace.records
+    g_at, c_at, J_at = (at for at, _ in trace.layout[5:8])
     feas, stat, y_inf = [], [], []
-    for start in range(0, len(records), BEST_ITERATE_CHUNK):
-        chunk = [r.exact for r in records[start:start + BEST_ITERATE_CHUNK]]
-        J = np.stack([ex.J for ex in chunk])
-        g = np.stack([ex.g for ex in chunk])
+    for b, block in enumerate(trace.blocks):
+        rows = block[:trace.size - b * trace.block_rows]  # the rows written
+        g, c, J = rows[:, g_at], rows[:, c_at], rows[:, J_at].reshape(len(rows), trace.m, trace.n)
         y = least_squares_multiplier(J, g)
-        feas.append(abs(np.stack([ex.c for ex in chunk])).max(axis=1))
+        feas.append(abs(c).max(axis=1))
         stat.append(abs(g + (J.transpose(0, 2, 1) @ y[:, :, None])[:, :, 0]).max(axis=1))
         y_inf.append(abs(y).max(axis=1))
     feas, stat, y_inf = np.concatenate(feas), np.concatenate(stat), np.concatenate(y_inf)
@@ -164,10 +161,10 @@ def best_iterate(trace, eps_c: float, eps_f: float):
     if qualified.size:
         key, among = stat[qualified], qualified
     else:
-        key, among = feas, np.arange(len(records))
+        key, among = feas, np.arange(trace.size)
     # argmin returns the first minimum
     idx = int(among[np.argmin(np.where(np.isnan(key), np.inf, key))])
-    best = records[idx].exact
+    best = IterRecord(trace, idx).exact
     infeas_stat = norm_inf(best.J.T @ best.c)
     return idx, float(feas[idx]), float(stat[idx]), infeas_stat, float(y_inf[idx])
 
@@ -190,7 +187,7 @@ def run_single(problem_name: str, variant: VariantSpec, eps_f: float,
     noise = NoiseSpec(eps_f=eps_f, eps_g=eps_g, eps_c=eps_c, eps_J=eps_J)
     params = variant.solver_params(noise, budgets)
     trace = solve(problem, params, seed)
-    if trace.records:
+    if trace.size:
         _, feas, stat, infeas_stat, y_inf = best_iterate(trace, eps_c, eps_f)
     else:
         # budget exhausted before the first full iteration
@@ -198,7 +195,7 @@ def run_single(problem_name: str, variant: VariantSpec, eps_f: float,
         y_inf = 0.0
     return _cell_row(
         problem_name, variant, eps_f, eps_c, seed, licq_mode, status=trace.status,
-        iters=len(trace.records), weighted_evals=trace.counters.weighted_total,
+        iters=trace.size, weighted_evals=trace.counters.weighted_total,
         minres_iters=trace.minres_iters, cg_iters=trace.cg_iters, best_feas_err=feas,
         best_stat_err=stat, best_infeas_stat_err=infeas_stat,
         terminated_early=trace.status in EARLY_STATUSES,

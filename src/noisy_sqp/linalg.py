@@ -117,6 +117,16 @@ def norm_inf(x) -> float:
     return float(a.item(a.argmax()))
 
 
+def hypot(a: float, b: float) -> float:
+    """libm's hypot, bit for bit as np.hypot gives it, without a ufunc call: a complex abs
+    calls hypot, but raises on overflow and returns its own NaN, where np.hypot's are taken."""
+    try:
+        h = abs(complex(a, b))
+    except OverflowError:
+        return math.inf
+    return h if h == h else float(np.hypot(a, b))
+
+
 @dataclass
 class SymSolveReport:
     """Result of driving the symmetric solver to a residual target."""
@@ -186,8 +196,7 @@ def minres_iterate(apply_A, b: np.ndarray, state: MinresState | None = None):
     gbar = sn * dbar - cs * alfa
     state.epsln = sn * beta
     state.dbar = -cs * beta
-    # np.hypot, not math.hypot: the two differ in the last bit on some pairs
-    gamma = max(float(np.hypot(gbar, beta)), 1e-300)
+    gamma = max(hypot(gbar, beta), 1e-300)  # not math.hypot: it differs in the last bit
     cs = gbar / gamma
     sn = beta / gamma
     phi = cs * state.phibar

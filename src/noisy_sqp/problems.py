@@ -10,7 +10,7 @@ KKT point when that point is known in closed form.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -78,7 +78,6 @@ def duplicate_last_constraint(problem: ProblemSpec) -> ProblemSpec:
     The new row shares its noise draw with the row it copies, matching the
     protocol of duplicating the constraint after noise is added.
     """
-    m_new = problem.m + 1
     inner = problem.eval_fn
 
     def eval_dup(x):
@@ -90,17 +89,8 @@ def duplicate_last_constraint(problem: ProblemSpec) -> ProblemSpec:
         return ExactEvaluation(ev.f, ev.g, c2, J2)
 
     shared = problem.shared_noise_rows + ((problem.m - 1, problem.m),)
-    return ProblemSpec(
-        name=problem.name + "+dup",
-        n=problem.n,
-        m=m_new,
-        x0=problem.x0,
-        eval_fn=eval_dup,
-        known_kkt=None,
-        full_rank=False,
-        shared_noise_rows=shared,
-        H=problem.H,
-    )
+    return replace(problem, name=problem.name + "+dup", m=problem.m + 1, eval_fn=eval_dup,
+                   known_kkt=None, full_rank=False, shared_noise_rows=shared)
 
 
 def parse_problem_json(text) -> ProblemSpec:

@@ -1,8 +1,8 @@
 """The two step-size controllers: adaptive (Option I) and relaxed line search (Option II).
 
 Each controller is built once per run and has one ``step`` method with the
-same signature: given the iterate, its noisy sample, the step bundle, the
-merit parameter tau, the model reduction and d'd, it returns
+same signature: given the iterate, its noisy sample, the step bundle and its
+d = v + u, the merit parameter tau, the model reduction and d'd, it returns
 (alpha, next iterate, the record's controller fields, terminal status or
 None).  The adaptive controller is objective-function-free but needs
 Lipschitz estimates, formed once when it is built; it tracks three
@@ -60,9 +60,9 @@ class AdaptiveState:
         """Tangential dominance u'u >= chi v'v at the current chi."""
         return uu >= self.chi * vv
 
-    def step(self, x, noisy, bundle, tau: float, delta_l: float, dd: float):
+    def step(self, x, noisy, bundle, d, tau: float, delta_l: float, dd: float):
         """Update chi, zeta and xi, then take the projected step size."""
-        u, v, d = bundle.u, bundle.v, bundle.d
+        u, v = bundle.u, bundle.v
         uu, vv = float(u.dot(u)), float(v.dot(v))
         update_chi_zeta(self, uu, vv, float(d.dot(self.H.dot(d))))
         xi_update(self, delta_l, tau, uu, vv, dd)
@@ -78,14 +78,14 @@ class LineSearch:
     def __init__(self, oracle, noise):
         self.oracle, self.noise = oracle, noise
 
-    def step(self, x, noisy, bundle, tau: float, delta_l: float, dd: float):
+    def step(self, x, noisy, bundle, d, tau: float, delta_l: float, dd: float):
         """Search from alpha_u; alpha = 0 with a status when the search fails."""
         noise = self.noise
         phi0 = merit_value(tau, noisy.f_bar, noisy.c_bar)
         relax = epsilon_Ak(tau, noise.eps_f, noise.eps_c, noise.eps_g, noise.eps_J,
                            math.sqrt(dd))
         alpha, x_next, phi_accept, backtracks, status = line_search_alpha(
-            self.oracle, x, bundle.d, tau, phi0, delta_l, relax)
+            self.oracle, x, d, tau, phi0, delta_l, relax)
         fields = dict(phi0=phi0, phi_accept=phi_accept, relax=relax, backtracks=backtracks)
         return alpha, x_next, fields, status
 

@@ -63,8 +63,8 @@ MUTANTS = [
            "feas <= 2.0 * max(eps_c, eps_f)", "feas <= 3.0 * max(eps_c, eps_f)",
            "tests/test_metamorphic.py::test_optimism_solves_as_many_for_a_fraction_of_the_evaluations"),
     Mutant("exact-g-from-noisy-row", "src/noisy_sqp/driver.py",
-           "ExactEvaluation(self._f, *self._parts(4, 7))",
-           "ExactEvaluation(self._f, *self._parts(1, 2), *self._parts(5, 7))",
+           'ExactEvaluation(self._read("f"), *self._parts(5, 8))',
+           'ExactEvaluation(self._read("f"), *self._parts(2, 3), *self._parts(6, 8))',
            "tests/test_driver.py::TestExactSnapshots::test_default_oracle_snapshot_equals_fresh_evaluation"),
     Mutant("audit-first-failure-only", "src/noisy_sqp/verify.py",
            "found += _bundle_conditions(r, b, trace.eps_o, trace.H)",
@@ -89,6 +89,17 @@ MUTANTS = [
     Mutant("bundle-d-minus-u", "src/noisy_sqp/steps.py",
            "self.v + self.u", "self.v - self.u",
            "tests/test_steps.py::TestBundleRepassesDeclaredTest::test_random_instances"),
+    Mutant("best-iterate-reads-unwritten-rows", "src/noisy_sqp/harness.py",
+           "rows = block[:trace.size - b * trace.block_rows]", "rows = block",
+           "tests/test_harness.py::TestChunkedBestIterate::test_trace_longer_than_the_default_chunk"),
+    Mutant("record-set-keeps-the-mask", "src/noisy_sqp/driver.py",
+           "self._mask[self._i, _COL[name]] = value is not None",
+           "self._mask[self._i, _COL[name]] = True",
+           "tests/test_trace_records.py::"
+           "test_setting_a_scalar_writes_the_table_and_a_nan_keeps_its_bits"),
+    Mutant("hypot-drops-the-nan-sign", "src/noisy_sqp/linalg.py",
+           "return h if h == h else float(np.hypot(a, b))", "return h",
+           "tests/test_linalg.py::TestHypot::test_bitwise_equal_to_np_hypot"),
 ]
 
 

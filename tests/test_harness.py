@@ -7,8 +7,8 @@ import sys
 import numpy as np
 import pytest
 
-from noisy_sqp import harness
-from noisy_sqp.driver import SolverParams, solve
+from noisy_sqp import driver, harness
+from noisy_sqp.driver import BEST_ITERATE_CHUNK, FEASIBLE_BRANCH, RunTrace, SolverParams, solve
 from noisy_sqp.harness import (
     ExperimentConfig,
     RunRecord,
@@ -24,8 +24,8 @@ from noisy_sqp.harness import (
     success,
 )
 from noisy_sqp.linalg import least_squares_multiplier, norm_inf
-from noisy_sqp.noise import NoiseSpec, derive_gradient_noise
-from noisy_sqp.problems import duplicate_last_constraint, registry_by_name
+from noisy_sqp.noise import NoiseSpec, NoisyEvaluation, derive_gradient_noise
+from noisy_sqp.problems import ExactEvaluation, duplicate_last_constraint, registry_by_name
 
 
 def make_record(**kw):
@@ -39,20 +39,25 @@ def make_record(**kw):
     return RunRecord(**base)
 
 
+def table_trace(exacts, block_rows=BEST_ITERATE_CHUNK):
+    """A trace whose records hold the exact snapshots ``exacts``, written into its table
+    the way `solve` writes an iteration that stopped before its step."""
+    n, m = exacts[0].g.size, exacts[0].c.size
+    trace = RunTrace("synthetic", n, m, 0, 0.0, "adaptive", np.eye(n), block_rows)
+    for ex in exacts:
+        trace.append(np.zeros(n), NoisyEvaluation(ex.f, ex.g, ex.c, ex.J), ex, None, (0, 0),
+                     tau_prev=1.0, tau=1.0, alpha=0.0, branch=FEASIBLE_BRANCH)
+    return trace
+
+
 class TestBestIterateRule:
     """Rule-application checks on synthetic traces with hand-set errors."""
 
     def _fake_trace(self, rows):
         # rows: (feas, stat); J = [[1, 0]] and g = (0, stat) realize the
         # stationarity error exactly under least-squares multipliers
-        from types import SimpleNamespace
-        records = []
-        for k, (feas, stat) in enumerate(rows):
-            exact = SimpleNamespace(c=np.array([feas]),
-                                    g=np.array([0.0, stat]),
-                                    J=np.array([[1.0, 0.0]]))
-            records.append(SimpleNamespace(k=k, exact=exact))
-        return SimpleNamespace(records=records)
+        return table_trace([ExactEvaluation(0.0, np.array([0.0, stat]), np.array([feas]),
+                                            np.array([[1.0, 0.0]])) for feas, stat in rows])
 
     def test_both_qualified_lowest_stationarity_wins(self):
         trace = self._fake_trace([(0.0, 0.5), (0.0, 0.2)])
@@ -172,20 +177,19 @@ class TestStackedBestIterate:
         assert got[1] > 0.0
 
     def test_exact_stationarity_tie_goes_to_smaller_index(self):
-        from types import SimpleNamespace
         trace = self._trace()
         base = trace.records[5].exact
         # records 1 and 3 qualify with bitwise-equal stationarity errors
-        unqualified = SimpleNamespace(c=base.c + 10.0, g=base.g, J=base.J)
-        records = [SimpleNamespace(exact=e) for e in (unqualified, base, unqualified, base)]
-        tie = SimpleNamespace(records=records)
+        unqualified = dataclasses.replace(base, c=base.c + 10.0)
+        tie = table_trace([unqualified, base, unqualified, base])
         got = best_iterate(tie, 1.0, 1.0)
         assert got == per_record_best_iterate(tie, 1.0, 1.0)
         assert got[0] == 1
 
 
 class TestChunkedBestIterate:
-    """Stacking in chunks selects exactly what one stack of the whole trace does."""
+    """Stacking each chunk (block of the table) selects exactly what one stack of the
+    whole trace does, whatever the block size."""
 
     def _trace(self, max_iters):
         p = duplicate_last_constraint(registry_by_name()["quad-ellipse"])
@@ -194,34 +198,29 @@ class TestChunkedBestIterate:
             noise, variant="adaptive", optimism="pessimistic", max_iters=max_iters)
         return solve(p, params, 8)
 
-    def _both(self, monkeypatch, trace, eps, chunk):
-        monkeypatch.setattr(harness, "BEST_ITERATE_CHUNK", len(trace.records))
-        one_stack = best_iterate(trace, eps, eps)
-        monkeypatch.setattr(harness, "BEST_ITERATE_CHUNK", chunk)
-        return best_iterate(trace, eps, eps), one_stack
-
     def test_trace_longer_than_the_default_chunk(self):
-        trace = self._trace(harness.BEST_ITERATE_CHUNK + 50)
-        assert len(trace.records) > harness.BEST_ITERATE_CHUNK
+        trace = self._trace(2 * BEST_ITERATE_CHUNK + 50)
+        assert len(trace.blocks) == 3
         for eps in (1e-2, 0.0):
             got = best_iterate(trace, eps, eps)
             assert got == per_record_best_iterate(trace, eps, eps)
 
     @pytest.mark.parametrize("eps", [1e-2, 0.0])
     def test_small_chunks_equal_one_stack(self, monkeypatch, eps):
+        monkeypatch.setattr(driver, "BEST_ITERATE_CHUNK", 60)
+        one_stack = best_iterate(self._trace(60), eps, eps)
+        monkeypatch.setattr(driver, "BEST_ITERATE_CHUNK", 7)
         trace = self._trace(60)
-        got, one_stack = self._both(monkeypatch, trace, eps, chunk=7)
-        assert got == one_stack
+        assert len(trace.blocks) == 9
+        assert best_iterate(trace, eps, eps) == one_stack
 
-    def test_tie_across_a_chunk_boundary_goes_to_smaller_index(self, monkeypatch):
-        from types import SimpleNamespace
+    def test_tie_across_a_chunk_boundary_goes_to_smaller_index(self):
         base = self._trace(10).records[5].exact
-        unqualified = SimpleNamespace(c=base.c + 10.0, g=base.g, J=base.J)
-        # with chunks of 4, the tied records 2 and 6 lie in different chunks
+        unqualified = dataclasses.replace(base, c=base.c + 10.0)
+        # in blocks of 4, the tied records 2 and 6 lie in different blocks
         exact = [unqualified] * 2 + [base] + [unqualified] * 3 + [base, unqualified]
-        tie = SimpleNamespace(records=[SimpleNamespace(exact=e) for e in exact])
-        got, one_stack = self._both(monkeypatch, tie, 1.0, chunk=4)
-        assert got == one_stack
+        got = best_iterate(table_trace(exact, block_rows=4), 1.0, 1.0)
+        assert got == best_iterate(table_trace(exact, block_rows=len(exact)), 1.0, 1.0)
         assert got[0] == 2
 
 

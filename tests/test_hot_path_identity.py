@@ -5,8 +5,8 @@ the best-iterate selection) are written for speed, but every rewrite must
 keep each floating-point operation and its order.  These runs pin two
 digests recorded before the hot path was slimmed: one over the grid CSV
 rows, one over every iterate, step size, merit parameter, accepting test
-and step vector.  A one-ulp change anywhere (say ``math.hypot`` for
-``np.hypot`` in MINRES) changes them.  A third digest, recorded before the
+and step vector.  A one-ulp change anywhere (say ``math.hypot`` for the
+libm ``hypot`` that MINRES calls, as ``np.hypot`` does) changes them.  A third digest, recorded before the
 exact snapshots were taken from the oracle's own evaluation, covers every
 record's ground-truth ``f``, ``g``, ``c`` and ``J``.  A fourth, recorded
 before the step-size controllers moved behind one ``step`` call, covers

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from noisy_sqp.linalg import (
     as_vector,
     cg_steihaug,
     dense_kkt_solve,
+    hypot,
     kkt_matrix,
     least_squares_multiplier,
     minres_iterate,
@@ -293,6 +296,28 @@ class TestNormInf:
     def test_integer_matrix_input(self):
         # an integer matrix: its max-abs entry, as a float
         assert norm_inf(np.array([[1, -4], [2, 3]])) == 4.0
+
+
+class TestHypot:
+    """MINRES's hypot keeps np.hypot's bits (libm's hypot), overflow and NaN signs included."""
+
+    def _pairs(self):
+        rng = np.random.default_rng(6)
+        a = rng.standard_normal(20000) * 10.0 ** rng.integers(-320, 300, 20000)
+        b = rng.standard_normal(20000) * 10.0 ** rng.integers(-320, 300, 20000)
+        yield from zip(a.tolist(), b.tolist())
+        nan = float("nan")
+        specials = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1.0, -3.0, 1.5e308, -1.5e308,
+                    math.inf, -math.inf, nan, -nan, math.inf - math.inf]
+        yield from ((x, y) for x in specials for y in specials)
+
+    def test_bitwise_equal_to_np_hypot(self):
+        assert math.copysign(1.0, math.inf - math.inf) == -1.0  # the sign that must be kept
+        with np.errstate(over="ignore"):  # 1.5e308 twice overflows
+            for a, b in self._pairs():
+                got, ref = hypot(a, b), np.hypot(a, b)
+                assert type(got) is float
+                assert np.float64(got).tobytes() == ref.tobytes(), (a, b)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

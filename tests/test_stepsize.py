@@ -74,11 +74,11 @@ class TestAdaptiveStart:
     def test_step_records_the_controller_fields(self):
         s = make_state()
         u, v = np.array([1.0, 0.0, 0.0, 0.0]), np.array([0.0, 0.5, 0.0, 0.0])
-        bundle = SimpleNamespace(u=u, v=v, d=u + v)
+        bundle, d = SimpleNamespace(u=u, v=v), u + v
         x = np.ones(4)
-        alpha, x_next, fields, status = s.step(x, None, bundle, 1.0, 0.6, 1.25)
+        alpha, x_next, fields, status = s.step(x, None, bundle, d, 1.0, 0.6, 1.25)
         assert status is None and 0.0 < alpha <= 1.0
-        assert np.array_equal(x_next, x + alpha * bundle.d)
+        assert np.array_equal(x_next, x + alpha * d)
         assert (fields["chi"], fields["zeta"], fields["xi"]) == (s.chi, s.zeta, s.xi)
         assert alpha == min(max(fields["alpha_suff"], fields["alpha_min"]), fields["alpha_max"])
 

@@ -1,13 +1,19 @@
-"""A run trace's records: what each keeps, how its views read and write, its size.
+"""A run trace's table and its records: what each keeps, how views read and write, its size.
 
-A record keeps its scalars in slots and its vectors in one float64 row;
-``x``, ``noisy``, ``exact`` and ``bundle`` are views into that row, built on
+A trace is one table: record k is row k of a list of float64 blocks of
+``BEST_ITERATE_CHUNK`` rows, which holds the record's scalars, one column
+each, ahead of its vectors, next to a bool block marking the scalars a row
+holds.  ``trace.records`` is a list of views of the rows, built on first
+read: a scalar field reads the table and setting it writes there, and
+``x``, ``noisy``, ``exact`` and ``bundle`` are views into the row, built on
 access.  These tests hold that contract: each field keeps the type that the
-hot-path digests hash, the views hold the bytes the loop made, a write into
-a view's array reaches what the trace audit reads while setting a view's
-attribute changes only that view, a deep copy is independent, records and
-traces compare by identity, and a record of a 1000-iteration run stays
-under 2 KB.
+hot-path digests hash and a NaN keeps its bits, the views hold the bytes
+the loop made on both sides of each block boundary, a write into a view's
+array or a record's scalar reaches what the trace audit and
+``best_iterate`` read while setting a view's attribute changes only that
+view, a deep copy is independent, records and traces compare by identity,
+a record of a 1000-iteration run stays under 1.4 KB, and the allocations a
+trace holds grow with its blocks, not its records.
 
     PYTHONPATH=src python tests/test_trace_records.py
 
@@ -16,13 +22,16 @@ prints the bytes per record of that run.
 
 import copy
 import gc
+import math
+import struct
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from noisy_sqp import driver
-from noisy_sqp.driver import SolverParams, solve
+from noisy_sqp.driver import BEST_ITERATE_CHUNK, SolverParams, solve
+from noisy_sqp.harness import best_iterate
 from noisy_sqp.noise import NoiseSpec, NoisyEvaluation, NoisyOracle, derive_gradient_noise
 from noisy_sqp.problems import ExactEvaluation, get_problem
 from noisy_sqp.steps import StepBundle
@@ -35,29 +44,45 @@ def noise_at(eps):
     return NoiseSpec(eps_f=eps, eps_g=eps_g, eps_c=eps, eps_J=eps_J)
 
 
-def bytes_per_record() -> float:
-    """What a warmed-up 1000-iteration quad-linear-10 run (line search, pessimistic,
-    eps 1e-2, seed 0) keeps per record, as tracemalloc counts it."""
+def kept_by_a_run(iters: int) -> tuple:
+    """(bytes, allocations) that tracemalloc counts as held by a warmed-up quad-linear-10
+    run of ``iters`` iterations (line search, pessimistic, eps 1e-2, seed 0), before its
+    records are read; tracemalloc's own snapshots are left out."""
     problem = get_problem("quad-linear-10")
     params = SolverParams.benchmark_defaults(noise_at(1e-2), variant="line_search",
-                                             optimism="pessimistic", max_iters=1000)
+                                             optimism="pessimistic", max_iters=iters)
     solve(problem, params, 0)  # warm-up: caches and first-call allocations
     gc.collect()
     tracemalloc.start()
     try:
-        before = tracemalloc.get_traced_memory()[0]
+        before = tracemalloc.take_snapshot()
         trace = solve(problem, params, 0)
         gc.collect()
-        kept = tracemalloc.get_traced_memory()[0] - before
+        after = tracemalloc.take_snapshot()
     finally:
         tracemalloc.stop()
-    assert len(trace.records) == 1000
-    return kept / len(trace.records)
+    assert trace.size == iters and "records" not in vars(trace)
+    own = [tracemalloc.Filter(False, tracemalloc.__file__)]
+    diff = after.filter_traces(own).compare_to(before.filter_traces(own), "filename")
+    return sum(s.size_diff for s in diff), sum(s.count_diff for s in diff)
 
 
-def test_a_record_of_a_long_run_keeps_at_most_2_kb():
-    # 3.6 KB while each vector was its own array and each view a dataclass
-    assert bytes_per_record() <= 2.0 * 1024
+def bytes_per_record() -> float:
+    """What the 1000-iteration run of `kept_by_a_run` keeps per record."""
+    return kept_by_a_run(1000)[0] / 1000
+
+
+def test_a_record_of_a_long_run_keeps_at_most_1_4_kb():
+    # 3.6 KB while each vector was its own array and each view a dataclass, 1.76 KB
+    # while each record was an object with its own packed row; the row is 1056 B
+    assert bytes_per_record() <= 1.4 * 1024
+
+
+def test_a_trace_holds_no_allocation_per_record():
+    # 4,283 and 14,778 while each record was its own object; a block of 256 rows
+    # brings two arrays, each an object and its data
+    fewer, more = kept_by_a_run(300)[1], kept_by_a_run(1000)[1]
+    assert more - fewer <= (1000 - 300) // 32, (fewer, more)
 
 
 # (problem, eps, variant, optimism): TT1 and TT2 steps under both controllers,
@@ -67,15 +92,26 @@ RUNS = [("unit-circle", 1e-2, "adaptive", "optimistic"),
         ("quad-ellipse", 0.0, "adaptive", "pessimistic")]
 
 
-def run(name, eps, variant, optimism):
+# more than two blocks of rows, the last one partial
+LONG_RUN = ("quad-linear-10", 1e-2, "line_search", "pessimistic", 600)
+
+
+def run(name, eps, variant, optimism, max_iters=40):
     params = SolverParams.benchmark_defaults(noise_at(eps), variant=variant, optimism=optimism,
-                                             max_iters=40)
+                                             max_iters=max_iters)
     return solve(get_problem(name), params, 0), params
 
 
 @pytest.fixture(scope="module")
 def runs():
     return [run(*spec) for spec in RUNS]
+
+
+@pytest.fixture(scope="module")
+def long_run():
+    trace, params = run(*LONG_RUN)
+    assert trace.size == 600 and len(trace.blocks) == 3
+    return trace, params
 
 
 def is_float_or_none(value):
@@ -135,10 +171,13 @@ def test_views_hold_the_bytes_the_loop_made(monkeypatch):
 
     monkeypatch.setattr(NoisyOracle, "sample", keep_sample)
     monkeypatch.setattr(driver.steps, "tangential_step", keep_bundle)
-    for spec in RUNS:
+    for spec in RUNS + [LONG_RUN]:
         made.clear()
         trace, _ = run(*spec)
         assert len(made) == len(trace.records)
+        # every record is compared: those of the long run lie on both sides of two block
+        # boundaries and in a last, partial block
+        assert trace.size < 2 * BEST_ITERATE_CHUNK or trace.size % BEST_ITERATE_CHUNK
         for rec, (x, noisy, exact, *bundle) in zip(trace.records, made):
             pairs = [(rec.x, x), (rec.noisy.f_bar, noisy.f_bar), (rec.exact.f, exact.f)]
             pairs += [(getattr(rec.noisy, name), getattr(noisy, name))
@@ -205,16 +244,53 @@ def test_an_in_place_write_into_a_view_changes_the_record(runs):
     assert rec.exact.g[-1] == -g[-1] - 1.0
 
 
-def test_a_deep_copy_is_independent(runs):
-    trace, params = runs[0]
-    clone = copy.deepcopy(trace)
-    for rec in clone.records:
-        assert not np.shares_memory(rec.x, trace.records[rec.k].x)
-        rec.x[...] += 1.0
-        if rec.bundle is not None:
-            rec.bundle.u[...] *= -1.0
-    assert assert_trace_invariants(trace, params) == []
-    assert assert_trace_invariants(clone, params) != []
+def bits(value):
+    return struct.pack("<d", value)
+
+
+def test_setting_a_scalar_writes_the_table_and_a_nan_keeps_its_bits(runs):
+    trace, _ = copy.deepcopy(runs[0])
+    rec = trace.records[1]
+    # the quiet NaN, its negative (what inf - inf gives) and one with a payload
+    nans = [struct.unpack("<d", struct.pack("<Q", word))[0]
+            for word in (0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000123)]
+    for name, value in [("tau", nans[0]), ("delta_l", nans[1]), ("chi", nans[2]),
+                        ("alpha", -0.0), ("relax", math.inf)]:
+        setattr(rec, name, value)
+        fresh = driver.IterRecord(trace, rec.k)  # a new view of the same row reads the table
+        assert bits(getattr(rec, name)) == bits(getattr(fresh, name)) == bits(value)
+    rec.delta_l, rec.backtracks, rec.branch = None, 3, driver.INFEASIBLE_BRANCH
+    fresh = driver.IterRecord(trace, rec.k)
+    assert (fresh.delta_l, fresh.backtracks, fresh.branch) == (None, 3, driver.INFEASIBLE_BRANCH)
+    assert type(fresh.backtracks) is int and type(fresh.branch) is str
+
+
+def test_a_write_into_an_exact_view_reaches_best_iterate(long_run):
+    trace, _ = copy.deepcopy(long_run)
+    k = 2 * BEST_ITERATE_CHUNK + 5  # in the last, partial block
+    assert best_iterate(trace, 1e-2, 1e-2)[0] != k
+    exact = trace.records[k].exact
+    exact.g[...], exact.c[...] = 0.0, 0.0  # stationary and feasible: the best iterate
+    assert best_iterate(trace, 1e-2, 1e-2)[:3] == (k, 0.0, 0.0)
+
+
+def test_a_deep_copy_is_independent(long_run):
+    long_run[0].records  # the long run is copied with its views built, the short one without
+    for trace, params in (run(*RUNS[0]), long_run):
+        clone = copy.deepcopy(trace)
+        for rec in clone.records:
+            assert not np.shares_memory(rec.x, trace.records[rec.k].x)
+            rec.x[...] += 1.0
+            if rec.bundle is not None:
+                rec.bundle.u[...] *= -1.0
+        assert assert_trace_invariants(trace, params) == []
+        assert assert_trace_invariants(clone, params) != []
+    # in the long run's clone, the records on both sides of each block boundary and the
+    # last one, in a partial block, moved
+    edges = [BEST_ITERATE_CHUNK - 1, BEST_ITERATE_CHUNK, 2 * BEST_ITERATE_CHUNK - 1,
+             2 * BEST_ITERATE_CHUNK, trace.size - 1]
+    for k in edges:
+        assert np.array_equal(clone.records[k].x, trace.records[k].x + 1.0)
 
 
 def test_traces_and_records_compare_by_identity(runs):
