@@ -86,25 +86,27 @@ class SolverParams:
 BEST_ITERATE_CHUNK = 256
 _BUNDLE = dataclasses.fields(steps.StepBundle)[3:]  # a bundle's fields after v, z and resid
 # a row's scalar columns and the type each reads as: a record's settable fields, its counter
-# deltas, the noisy and exact f and the bundle's fields; a string is kept as its _NAMES index
+# deltas, the noisy and exact f and the bundle's fields; a string is kept as its _NAMES code
 _FIELDS = dict(tau_prev=float, tau=float, alpha=float, branch=str, delta_l=float, chi=float,
                zeta=float, xi=float, alpha_suff=float, alpha_min=float, alpha_max=float,
                phi0=float, phi_accept=float, relax=float, backtracks=int)
 _COLUMNS = dict(_FIELDS, function_evals=int, gradient_evals=int, f_bar=float, f=float,
                 **{f.name: {"str": str, "int": int, "float": float}[f.type.split()[0]]
                    for f in _BUNDLE})
-_COL = {name: j for j, name in enumerate(_COLUMNS)}
 _NAMES = (None, FEASIBLE_BRANCH, INFEASIBLE_BRANCH, steps.TT1, steps.TT2_CASE2, steps.TT2_COND1,
           steps.EXACT_FALLBACK)
 _CODES = {name: code for code, name in enumerate(_NAMES)}
+_PRESENT = np.dtype([(name, bool) for name in _COLUMNS])  # a row's mask: which scalars it holds
 
 
 @functools.cache
-def _layout(n, m):
-    """(slice, shape) of a row's scalars, x, noisy g, c, J, exact g, c, J, and v, z, resid."""
-    shapes = [(len(_COLUMNS),), (n,), *[(n,), (m,), (m, n)] * 2, (n,), (n + m,), (n + m,)]
-    ends = np.cumsum([math.prod(shape) for shape in shapes]).tolist()
-    return tuple((slice(end - math.prod(shape), end), shape) for shape, end in zip(shapes, ends))
+def _row(n, m):
+    """A trace row: an int64 or float64 field per scalar column, then x, the noisy and exact
+    g, c and J, and a bundle's v, z and resid, each a float64 array in its shape."""
+    vectors = dict(x=n, g_bar=n, c_bar=m, J_bar=(m, n), g=n, c=m, J=(m, n), v=n, z=n + m,
+                   resid=n + m)
+    scalars = [(name, float if kind is float else np.int64) for name, kind in _COLUMNS.items()]
+    return np.dtype(scalars + [(name, float, shape) for name, shape in vectors.items()])
 
 
 class IterRecord:
@@ -115,31 +117,30 @@ class IterRecord:
     formed on read) are views into the row, built on access, that cannot be set: a write
     into a view's array changes the record, setting a view's attribute only that view."""
 
-    __slots__ = ("k", "_block", "_mask", "_i", "_at")
+    __slots__ = ("k", "_block", "_mask", "_i")
 
     def __init__(self, trace, k):
-        self.k, (b, self._i), self._at = k, divmod(k, trace.block_rows), trace.layout
+        self.k, (b, self._i) = k, divmod(k, trace.block_rows)
         self._block, self._mask = trace.blocks[b], trace.present[b]
 
     def _read(self, name):
-        if self._mask.item(self._i, _COL[name]):
-            cell, kind = self._block.item(self._i, _COL[name]), _COLUMNS[name]
-            return cell if kind is float else int(cell) if kind is int else _NAMES[int(cell)]
+        if self._mask[name][self._i]:
+            value = self._block[name].item(self._i)
+            return _NAMES[value] if _COLUMNS[name] is str else value
 
     def _write(self, name, value):
-        self._block[self._i, _COL[name]] = _CODES.get(value, value)
-        self._mask[self._i, _COL[name]] = value is not None
+        self._block[name][self._i] = _CODES.get(value, value)
+        self._mask[name][self._i] = value is not None
 
-    def _parts(self, first, stop):
-        """The row's vectors ``first`` to ``stop - 1``, in their shapes."""
-        row = self._block[self._i]
-        return [row[at].reshape(shape) for at, shape in self._at[first:stop]]
+    def _parts(self, *names):
+        return [self._block[name][self._i] for name in names]
 
-    x = property(lambda self: self._parts(1, 2)[0])
-    noisy = property(lambda self: NoisyEvaluation(self._read("f_bar"), *self._parts(2, 5)))
-    exact = property(lambda self: ExactEvaluation(self._read("f"), *self._parts(5, 8)))
+    x = property(lambda self: self._parts("x")[0])
+    noisy = property(lambda self: NoisyEvaluation(self._read("f_bar"),
+                                                  *self._parts("g_bar", "c_bar", "J_bar")))
+    exact = property(lambda self: ExactEvaluation(self._read("f"), *self._parts("g", "c", "J")))
     bundle = property(lambda self: None if self._read("test") is None else steps.StepBundle(
-        *self._parts(8, 11), *(self._read(f.name) for f in _BUNDLE)))
+        *self._parts("v", "z", "resid"), *(self._read(f.name) for f in _BUNDLE)))
     counters_delta = property(lambda self: (self._read("function_evals"),
                                             self._read("gradient_evals")))
 
@@ -151,9 +152,9 @@ for _name in _FIELDS:
 
 @dataclass(eq=False)
 class RunTrace:
-    """A run's settings, outcome and table: record k is row k % block_rows of the float64
-    array ``blocks[k // block_rows]`` (rows of `_layout`), whose mask in ``present`` marks
-    the scalars it holds.  A run adds blocks as it grows, so no written row is ever copied;
+    """A run's settings, outcome and table: record k is row k % block_rows of the `_row`
+    array ``blocks[k // block_rows]``, whose `_PRESENT` array in ``present`` marks the
+    scalars it holds.  A run adds blocks as it grows, so no written row is ever copied;
     `records` views the rows, built on first read.  Traces and records compare by identity."""
 
     problem: str
@@ -173,8 +174,6 @@ class RunTrace:
     present: list = field(default_factory=list, repr=False)
     size: int = 0  # records written
 
-    layout = property(lambda self: _layout(self.n, self.m))
-
     @functools.cached_property
     def records(self) -> list:
         return [IterRecord(self, k) for k in range(self.size)]
@@ -183,15 +182,14 @@ class RunTrace:
         """Write one iteration into the next row, in a new block when the last is full."""
         b, i = divmod(self.size, self.block_rows)
         if i == 0:
-            self.blocks.append(np.empty((self.block_rows, self.layout[-1][0].stop)))
-            self.present.append(np.empty((self.block_rows, len(_COLUMNS)), bool))
-        vectors = () if bundle is None else (bundle.v, bundle.z, bundle.resid)
+            self.blocks.append(np.empty(self.block_rows, _row(self.n, self.m)))
+            self.present.append(np.empty(self.block_rows, _PRESENT))
         cells = [*map(scalars.get, _FIELDS), *counters_delta, noisy.f_bar, exact.f,
                  *(None if bundle is None else getattr(bundle, f.name) for f in _BUNDLE)]
-        self.present[b][i] = [cell is not None for cell in cells]
-        np.concatenate(([_CODES.get(cell, cell) for cell in cells], x, noisy.g_bar, noisy.c_bar,
-                        noisy.J_bar, exact.g, exact.c, exact.J, *vectors), axis=None,
-                       out=self.blocks[b][i, :self.layout[7 + len(vectors)][0].stop])
+        vectors = (0.0,) * 3 if bundle is None else (bundle.v, bundle.z, bundle.resid)
+        self.present[b][i] = tuple(cell is not None for cell in cells)
+        self.blocks[b][i] = (*[_CODES.get(cell, cell) for cell in cells], x, noisy.g_bar,
+                             noisy.c_bar, noisy.J_bar, exact.g, exact.c, exact.J, *vectors)
         self.size += 1
 
     @property

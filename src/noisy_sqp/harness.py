@@ -145,13 +145,12 @@ def best_iterate(trace, eps_c: float, eps_f: float):
     the smallest index, and a NaN error (from a non-finite evaluation)
     never beats a number.  The multipliers come from one stacked
     `least_squares_multiplier` call per block of the trace's table, on the
-    block's exact g, c and J columns in place.
+    block's exact ``g``, ``c`` and ``J`` fields in place.
     """
-    g_at, c_at, J_at = (at for at, _ in trace.layout[5:8])
     feas, stat, y_inf = [], [], []
     for b, block in enumerate(trace.blocks):
         rows = block[:trace.size - b * trace.block_rows]  # the rows written
-        g, c, J = rows[:, g_at], rows[:, c_at], rows[:, J_at].reshape(len(rows), trace.m, trace.n)
+        g, c, J = rows["g"], rows["c"], rows["J"]
         y = least_squares_multiplier(J, g)
         feas.append(abs(c).max(axis=1))
         stat.append(abs(g + (J.transpose(0, 2, 1) @ y[:, :, None])[:, :, 0]).max(axis=1))

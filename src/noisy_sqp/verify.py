@@ -50,17 +50,11 @@ class PerturbationReport:
 
 def fd_check(problem, x):
     """Max-abs discrepancy of analytic (g, J) against central differences with step FD_STEP."""
-    h = FD_STEP
     base = evaluate(problem, x)
-    g_fd = np.zeros(problem.n)
-    J_fd = np.zeros((problem.m, problem.n))
-    for i in range(problem.n):
-        e = np.zeros(problem.n)
-        e[i] = h
-        plus = evaluate(problem, x + e)
-        minus = evaluate(problem, x - e)
-        g_fd[i] = (plus.f - minus.f) / (2 * h)
-        J_fd[:, i] = (plus.c - minus.c) / (2 * h)
+    pairs = [(evaluate(problem, x + e), evaluate(problem, x - e))
+             for e in FD_STEP * np.eye(problem.n)]  # the central differences along each axis
+    g_fd = np.array([(plus.f - minus.f) / (2 * FD_STEP) for plus, minus in pairs])
+    J_fd = np.array([(plus.c - minus.c) / (2 * FD_STEP) for plus, minus in pairs]).T
     return float(np.max(np.abs(g_fd - base.g))), float(np.max(np.abs(J_fd - base.J)))
 
 
@@ -90,8 +84,8 @@ def fd_scan(problems) -> PerturbationReport:
 def cauchy_perturbation_scan(problem, x, n_seeds: int = 20) -> PerturbationReport:
     """Scaling law of the noisy vs exact Cauchy step under eps_c = eps_J = eps.
 
-    Scans eps = 1e-2, 1e-3, ..., 1e-8 with seeds 0..n_seeds-1 and
-    sigma_Jc = 1e2.  Pass criterion: the max ratio ||noisy step - exact
+    Scans eps = 1e-2, ..., 1e-8 with seeds 0..n_seeds-1 and sigma_Jc =
+    `merit.SIGMA_JC`.  Pass criterion: the max ratio ||noisy step - exact
     step|| / eps stays within 10x of its value at the anchor eps = 1e-5.
     """
     ex = evaluate(problem, x)
@@ -100,25 +94,9 @@ def cauchy_perturbation_scan(problem, x, n_seeds: int = 20) -> PerturbationRepor
     if np.linalg.norm(ex.J.T @ ex.c) < 1e-6:
         raise ValueError("||J'c|| not bounded away from zero at the scan point")
 
-    sigma_Jc = 1e2
-    exact_step = _cauchy_step(ex.c, ex.J, sigma_Jc)
-    observations = []
-    for eps in [10.0 ** (-p) for p in range(2, 9)]:
-        worst = 0.0
-        for s in range(n_seeds):
-            rng = np.random.default_rng(s)
-            spec = NoiseSpec(eps_f=0.0, eps_g=0.0, eps_c=eps, eps_J=eps)
-            noisy = sample_noisy(problem, spec, x, rng, want="both")
-            noisy_step = _cauchy_step(noisy.c_bar, noisy.J_bar, sigma_Jc)
-            worst = max(worst, float(np.linalg.norm(noisy_step - exact_step)))
-        observations.append({"eps": eps, "max_error": worst, "ratio": worst / eps})
-    ratios = {o["eps"]: o["ratio"] for o in observations}
-    passed = all(r <= 10.0 * ratios[1e-5] for r in ratios.values())
-    return PerturbationReport(
-        check="cauchy_perturbation_scan",
-        params={"problem": problem.name, "x": list(map(float, x)),
-                "n_seeds": n_seeds, "seed0": 0, "sigma_Jc": sigma_Jc},
-        observations=observations, passed=passed)
+    return _scaling_scan("cauchy_perturbation_scan", problem, x, n_seeds, ("eps_c", "eps_J"),
+                         "both", lambda g, c, J: _cauchy_step(c, J, SIGMA_JC), range(2, 9),
+                         anchor=1e-5, scale=1.0, sigma_Jc=SIGMA_JC)
 
 
 def tangential_gap_scan(problem, x, n_seeds: int = 20) -> PerturbationReport:
@@ -130,28 +108,35 @@ def tangential_gap_scan(problem, x, n_seeds: int = 20) -> PerturbationReport:
     (eps_g + eps_J) ratio to stay within 10x of its value at the anchor
     eps = 1e-2, the largest.
     """
-    ex = evaluate(problem, x)
     if problem.m >= problem.n:
         raise ValueError("null space of J must be nontrivial (need m < n)")
     H = np.eye(problem.n)
-    u_exact = _null_space_solution(H, ex.J, ex.g)
+    return _scaling_scan("tangential_gap_scan", problem, x, n_seeds, ("eps_g", "eps_J"),
+                         "derivative", lambda g, c, J: _null_space_solution(H, J, g), range(2, 7),
+                         anchor=1e-2, scale=2.0)
+
+
+def _scaling_scan(check, problem, x, n_seeds, bounds, want, step, powers, anchor, scale,
+                  **params) -> PerturbationReport:
+    """At each eps = 10^-p, the largest ||step(noisy g, c, J) - step(exact g, c, J)|| over
+    seeds 0..n_seeds-1 with the noise ``bounds`` at eps, and its ratio to scale * eps; the
+    scan passes when every ratio is within 10x of the anchor eps's."""
+    ex = evaluate(problem, x)
+    exact = step(ex.g, ex.c, ex.J)
     observations = []
-    for eps in [10.0 ** (-p) for p in range(2, 7)]:
+    for eps in [10.0 ** (-p) for p in powers]:
+        spec = NoiseSpec(**dict.fromkeys(bounds, eps))
         worst = 0.0
         for s in range(n_seeds):
-            rng = np.random.default_rng(s)
-            spec = NoiseSpec(eps_f=0.0, eps_g=eps, eps_c=0.0, eps_J=eps)
-            noisy = sample_noisy(problem, spec, x, rng, want="derivative")
-            u_noisy = _null_space_solution(H, noisy.J_bar, noisy.g_bar)
-            worst = max(worst, float(np.linalg.norm(u_noisy - u_exact)))
-        observations.append({"eps": eps, "max_error": worst, "ratio": worst / (2.0 * eps)})
+            noisy = sample_noisy(problem, spec, x, np.random.default_rng(s), want=want)
+            error = np.linalg.norm(step(noisy.g_bar, noisy.c_bar, noisy.J_bar) - exact)
+            worst = max(worst, float(error))
+        observations.append({"eps": eps, "max_error": worst, "ratio": worst / (scale * eps)})
     ratios = {o["eps"]: o["ratio"] for o in observations}
-    passed = all(r <= 10.0 * ratios[1e-2] for r in ratios.values())
     return PerturbationReport(
-        check="tangential_gap_scan",
-        params={"problem": problem.name, "x": list(map(float, x)),
-                "n_seeds": n_seeds, "seed0": 0},
-        observations=observations, passed=passed)
+        check=check, params={"problem": problem.name, "x": list(map(float, x)),
+                             "n_seeds": n_seeds, "seed0": 0, **params},
+        observations=observations, passed=all(r <= 10.0 * ratios[anchor] for r in ratios.values()))
 
 
 def _null_space_solution(H, J, g):
@@ -321,13 +306,10 @@ def _bundle_conditions(record, b, eps_o, H) -> list[Condition]:
 def trace_invariant_sweep(problems, params_list, seeds) -> PerturbationReport:
     """Solve every (problem, params, seed) and collect all trace-invariant violations."""
     observations = []
-    total = 0
     for problem in problems:
         for params in params_list:
             for seed in seeds:
-                trace = solve(problem, params, seed)
-                bad = assert_trace_invariants(trace, params)
-                total += len(bad)
+                bad = assert_trace_invariants(solve(problem, params, seed), params)
                 observations.append({
                     "problem": problem.name,
                     "variant": params.variant,
@@ -338,4 +320,4 @@ def trace_invariant_sweep(problems, params_list, seeds) -> PerturbationReport:
         check="trace_invariant_sweep",
         params={"runs": len(observations)},
         observations=observations,
-        passed=total == 0)
+        passed=not any(o["violations"] for o in observations))

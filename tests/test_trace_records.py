@@ -1,19 +1,20 @@
 """A run trace's table and its records: what each keeps, how views read and write, its size.
 
-A trace is one table: record k is row k of a list of float64 blocks of
-``BEST_ITERATE_CHUNK`` rows, which holds the record's scalars, one column
-each, ahead of its vectors, next to a bool block marking the scalars a row
-holds.  ``trace.records`` is a list of views of the rows, built on first
-read: a scalar field reads the table and setting it writes there, and
-``x``, ``noisy``, ``exact`` and ``bundle`` are views into the row, built on
-access.  These tests hold that contract: each field keeps the type that the
-hot-path digests hash and a NaN keeps its bits, the views hold the bytes
-the loop made on both sides of each block boundary, a write into a view's
-array or a record's scalar reaches what the trace audit and
-``best_iterate`` read while setting a view's attribute changes only that
-view, a deep copy is independent, records and traces compare by identity,
-a record of a 1000-iteration run stays under 1.4 KB, and the allocations a
-trace holds grow with its blocks, not its records.
+A trace is one table: record k is row k of a list of blocks of
+``BEST_ITERATE_CHUNK`` rows of one numpy structured dtype, whose named
+float64 and int64 scalar fields come ahead of its float64 vector fields,
+next to a structured bool block marking the scalars a row holds.
+``trace.records`` is a list of views of the rows, built on first read: a
+scalar field reads the table and setting it writes there, and ``x``,
+``noisy``, ``exact`` and ``bundle`` are views into the row, built on access.
+These tests hold that contract: each field keeps the type that the hot-path
+digests hash and a NaN keeps its bits, the views hold the bytes the loop
+made on both sides of each block boundary, a write into a view's array or a
+record's scalar reaches what the trace audit and ``best_iterate`` read while
+setting a view's attribute changes only that view, a deep copy is
+independent, records and traces compare by identity, a record of a
+1000-iteration run stays under 1.4 KB, and the allocations a trace holds
+grow with its blocks, not its records.
 
     PYTHONPATH=src python tests/test_trace_records.py
 
