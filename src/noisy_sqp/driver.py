@@ -95,7 +95,7 @@ _COLUMNS = dict(_FIELDS, function_evals=int, gradient_evals=int, f_bar=float, f=
                    for f in _BUNDLE})
 _NAMES = (None, FEASIBLE_BRANCH, INFEASIBLE_BRANCH, steps.TT1, steps.TT2_CASE2, steps.TT2_COND1,
           steps.EXACT_FALLBACK)
-_CODES = {name: code for code, name in enumerate(_NAMES)}
+CODES = {name: code for code, name in enumerate(_NAMES)}
 _PRESENT = np.dtype([(name, bool) for name in _COLUMNS])  # a row's mask: which scalars it holds
 
 
@@ -129,7 +129,7 @@ class IterRecord:
             return _NAMES[value] if _COLUMNS[name] is str else value
 
     def _write(self, name, value):
-        self._block[name][self._i] = _CODES.get(value, value)
+        self._block[name][self._i] = CODES.get(value, value)
         self._mask[name][self._i] = value is not None
 
     def _parts(self, *names):
@@ -188,7 +188,7 @@ class RunTrace:
                  *(None if bundle is None else getattr(bundle, f.name) for f in _BUNDLE)]
         vectors = (0.0,) * 3 if bundle is None else (bundle.v, bundle.z, bundle.resid)
         self.present[b][i] = tuple(cell is not None for cell in cells)
-        self.blocks[b][i] = (*[_CODES.get(cell, cell) for cell in cells], x, noisy.g_bar,
+        self.blocks[b][i] = (*[CODES.get(cell, cell) for cell in cells], x, noisy.g_bar,
                              noisy.c_bar, noisy.J_bar, exact.g, exact.c, exact.J, *vectors)
         self.size += 1
 

@@ -278,9 +278,16 @@ def records_to_csv(records) -> str:
     return buf.getvalue()
 
 
+def _cell(f, text: str):
+    if f.type == "bool" and text not in ("true", "false"):  # "True", "1" or ""
+        raise ValueError(f"{f.name} must be true or false, got {text!r}")
+    return _PARSE[f.type](text)
+
+
 def records_from_csv(text: str):
-    """RunRecords from ``records_to_csv`` text; a missing column raises KeyError."""
-    return [RunRecord(**{f.name: _PARSE[f.type](row[f.name]) for f in fields(RunRecord)})
+    """RunRecords from ``records_to_csv`` text; a missing column raises KeyError, and a
+    cell its field's type cannot read (a bool other than true or false) ValueError."""
+    return [RunRecord(**{f.name: _cell(f, row[f.name]) for f in fields(RunRecord)})
             for row in csv.DictReader(io.StringIO(text))]
 
 

@@ -30,13 +30,15 @@ def all_finite(a: np.ndarray) -> bool:
     return math.isfinite(sum(a.ravel().tolist())) or bool(np.isfinite(a).all())
 
 
-def as_vector(x, name: str = "vector") -> np.ndarray:
-    """Return a 1-D float64 copy of ``x``; reject NaN/Inf entries."""
+def as_vector(x, name: str = "vector", size: int | None = None) -> np.ndarray:
+    """Return a 1-D float64 copy of ``x`` (``size`` long, if given); reject NaN/Inf entries."""
     v = np.asarray(x, dtype=float)
     if v.ndim != 1:
         raise ValueError(f"{name} must be 1-D, got shape {v.shape}")
     if not all_finite(v):
         raise ValueError(f"{name} has non-finite entries")
+    if size is not None and v.size != size:
+        raise ValueError(f"{name} has size {v.size}, expected {size}")
     return v.copy()
 
 

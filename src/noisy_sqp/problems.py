@@ -53,16 +53,12 @@ class ProblemSpec:
     def __post_init__(self):
         if self.n < 1 or self.m < 1:
             raise ValueError("need n >= 1 and m >= 1")
-        self.x0 = as_vector(self.x0, "x0")
-        if self.x0.size != self.n:
-            raise ValueError(f"x0 has size {self.x0.size}, expected {self.n}")
+        self.x0 = as_vector(self.x0, "x0", self.n)
 
 
 def evaluate(problem: ProblemSpec, x) -> ExactEvaluation:
     """Exact (f, g, c, J) at x.  No counters; counting lives in the noisy oracle."""
-    x = as_vector(x, "x")
-    if x.size != problem.n:
-        raise ValueError(f"x has size {x.size}, expected {problem.n}")
+    x = as_vector(x, "x", problem.n)
     ev = problem.eval_fn(x)
     g = np.asarray(ev.g, dtype=float)
     c = np.asarray(ev.c, dtype=float).reshape(-1)

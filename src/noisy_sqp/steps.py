@@ -42,8 +42,9 @@ EXACT_FALLBACK = "exact_fallback"
 class StepBundle:
     """Assembled search direction with the residuals that justified acceptance.
 
-    The saddle system's z = (u, y) and resid = (rho, r) are held once; u, y, rho
-    and r are views into them and d = v + u is formed on read, so d has no setter."""
+    The saddle system's z = (u, y) and resid = (rho, r) are held once; u, y, rho and
+    r are views into their last axis and d = v + u is formed on read, so d has no
+    setter and a bundle over stacked rows of v, z and resid gives every row's."""
 
     v: np.ndarray
     z: np.ndarray
@@ -57,10 +58,10 @@ class StepBundle:
     cd_norm: float = 0.0
     tau_trial: float | None = None
 
-    u = property(lambda self: self.z[:len(self.v)])
-    y = property(lambda self: self.z[len(self.v):])
-    rho = property(lambda self: self.resid[:len(self.v)])
-    r = property(lambda self: self.resid[len(self.v):])
+    u = property(lambda self: self.z[..., :self.v.shape[-1]])
+    y = property(lambda self: self.z[..., self.v.shape[-1]:])
+    rho = property(lambda self: self.resid[..., :self.v.shape[-1]])
+    r = property(lambda self: self.resid[..., self.v.shape[-1]:])
     d = property(lambda self: self.v + self.u)
 
 

@@ -1,11 +1,11 @@
 """Independent oracles: finite differences, perturbation scans, trace auditing.
 
-Nothing in this module shares code with the solver path it checks; it reads
-only the solver's constants.  The trace audit re-checks the termination
-tests and the paper's invariants from scratch against the raw recorded
-data: `audit` evaluates every condition of every record and returns each as
-a `Condition` with its two sides, its slack and whether it held, and
-`assert_trace_invariants` lists the failing ones' messages.  The
+Nothing in this module shares code with the solver path it checks; it reads only
+the solver's constants and the trace table's layout (`driver.CODES`, `StepBundle`'s
+views).  The trace audit re-checks the termination tests and the paper's invariants
+from scratch against the raw recorded data: `audit` evaluates each condition over the
+table's columns and returns it as a `Condition` per record, with its two sides, its
+slack and whether it held; `assert_trace_invariants` lists the failing ones.  The
 perturbation scans verify the scaling laws of the noisy step components
 (their formal constants are unobservable, so the testable content is linear
 scaling in the noise level plus exact collapse at zero noise).
@@ -19,14 +19,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .driver import ADAPTIVE, solve
+from .driver import CODES, solve
 from .linalg import smallest_singular_value
 from .merit import (GAMMA_C, KAPPA_RHO_R, LAMBDA_RHO_R, LAMBDA_U, LAMBDA_UV, LAMBDA_V, SIGMA_C,
                     SIGMA_JC, SIGMA_R, SIGMA_U)
 from .stepsize import BETA, ETA, LS_ETA
 from .noise import NoiseSpec, sample_noisy
 from .problems import evaluate
-from .steps import EXACT_FALLBACK, TT1, TT2_CASE2
+from .steps import EXACT_FALLBACK, TT1, TT2_CASE2, StepBundle
 
 FD_STEP = 1e-6  # fd_check's central-difference step
 TAU_INCREASED = "tau increased"  # the one complaint that also names its values
@@ -58,14 +58,24 @@ def fd_check(problem, x):
     return float(np.max(np.abs(g_fd - base.g))), float(np.max(np.abs(J_fd - base.J)))
 
 
+# each row's a @ b and A @ x by stacked @, which keeps the bits of its 1-D product, and its
+# norm; _max and _min are Python's max and min: a unless b > a (b < a), so a NaN b never wins
+_dot = lambda a, b: (a[..., None, :] @ b[..., None])[..., 0, 0]
+_mv = lambda A, x: (A @ x[..., None])[..., 0]
+_nrm = lambda a: np.sqrt(_dot(a, a))
+_max = lambda a, b: np.where(b > a, b, a)
+_min = lambda a, b: np.where(b < a, b, a)
+
+
 def _cauchy_step(c, J, sigma_Jc):
-    # the Cauchy point, coded apart from the normal step's CG on purpose
-    Jtc = J.T @ c
-    direction = -Jtc
-    JJtc = J @ Jtc
-    denom = float(JJtc @ JJtc)
-    alpha = sigma_Jc if denom == 0.0 else min(sigma_Jc, float(Jtc @ Jtc) / denom)
-    return alpha * direction
+    # the Cauchy point, coded apart from the normal step's CG on purpose; of each row
+    # when c and J are stacks of rows
+    Jtc = _mv(J.swapaxes(-1, -2), c)
+    JJtc = _mv(J, Jtc)
+    denom = _dot(JJtc, JJtc)
+    zero = denom == 0.0  # no division there
+    alpha = np.where(zero, sigma_Jc, _min(sigma_Jc, _dot(Jtc, Jtc) / np.where(zero, 1.0, denom)))
+    return alpha[..., None] * -Jtc
 
 
 def fd_scan(problems) -> PerturbationReport:
@@ -170,137 +180,122 @@ class Condition(NamedTuple):
         return f"k={self.k}: {self.name}{values}"
 
 
-def _at_most(k, name, lhs, rhs, slack=0.0, given=True) -> Condition:
-    return Condition(k, name, float(lhs), float(rhs), float(slack),
-                     bool(given) and not lhs > rhs + slack)
-
-
-def _at_least(k, name, lhs, rhs, slack=0.0, given=True) -> Condition:
-    # -lhs > -rhs + slack is lhs < rhs - slack, bit for bit
-    return _at_most(k, name, -lhs, -rhs, slack, given)
+def _conditions(name, k, lhs, rhs, slack=0.0, given=True) -> list[Condition]:
+    """The conditions lhs <= rhs + slack at the records ``k``, each held unless
+    lhs > rhs + slack or ``given`` fails there; a lower bound arrives negated."""
+    columns = np.broadcast_arrays(lhs, rhs, slack, given & ~(lhs > rhs + slack))
+    return list(map(Condition, k.tolist(), [name] * len(k), *(a.tolist() for a in columns)))
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def audit(trace) -> list[Condition]:
-    """Re-check every recorded per-iteration invariant: one `Condition` per check
-    and record, each evaluated, read from the trace and the solver's constants."""
-    records = trace.records
-    bundles = [r.bundle for r in records]  # each view built once
-    found = [_at_most(r.k, TAU_INCREASED, r.tau, prev.tau, 1e-15)
-             for prev, r in zip(records, records[1:])]
+    """Re-check every recorded per-iteration invariant: one `Condition` per check and
+    record that carries it, ordered check by check.  A check is one expression over the
+    rows that a presence mask or text code selects, formed from their raw recorded data."""
+    if not trace.size:
+        return []
+    rows, has = (np.concatenate(arrays)[:trace.size] for arrays in (trace.blocks, trace.present))
+    tau = rows["tau"]
+    found = _conditions(TAU_INCREASED, np.arange(1, trace.size), tau[1:], tau[:-1], 1e-15)
 
-    if trace.variant == ADAPTIVE:
-        ctl = [(r, b) for r, b in zip(records, bundles) if r.chi is not None]  # controlled steps
-        for (prev, _), (r, _) in zip(ctl, ctl[1:]):
-            found += [_at_least(r.k, "chi decreased", r.chi, prev.chi, 1e-15),
-                      _at_most(r.k, "zeta increased", r.zeta, prev.zeta, 1e-15),
-                      _at_most(r.k, "xi increased", r.xi, prev.xi, 1e-15)]
-        state = trace.adaptive_state
-        for r, b in ctl:
-            least = min(r.chi, r.zeta, r.xi)
-            found += [_at_most(r.k, "alpha ordering alpha <= alpha_suff <= 1 broken", r.alpha,
-                               r.alpha_suff, 1e-12, given=r.alpha_suff <= 1.0 + 1e-12),
-                      _at_most(r.k, "alpha_min > alpha_max", r.alpha_min, r.alpha_max, 1e-12),
-                      _at_least(r.k, "controller sequence not positive", least, 0.0,
-                                given=least > 0)]
-            if state is not None and b is not None:
-                # Lipschitz estimates are held constant, so the sufficient
-                # step size is recomputable from raw recorded data
-                denom = r.tau * state.L_est + state.Gamma_est
-                dd = float(b.d @ b.d)
-                suff = min(2.0 * (1.0 - ETA) * BETA * r.delta_l / (denom * dd), 1.0)
-                found.append(_at_most(r.k, "alpha_suff does not match recomputation",
-                                      abs(suff - r.alpha_suff), 0.0, 1e-10 * max(1.0, suff)))
-    else:
-        found += [_at_most(r.k, "accepted step violates relaxed Armijo", r.phi_accept,
-                           r.phi0 - LS_ETA * r.alpha * r.delta_l + r.relax,
-                           1e-10 * max(1.0, abs(r.phi0)))
-                  for r in records if r.phi_accept is not None]
+    ks = np.flatnonzero(has["chi"])  # the controlled steps
+    rec = rows[ks]
+    chi, zeta, xi, alpha_suff = rec["chi"], rec["zeta"], rec["xi"], rec["alpha_suff"]
+    least = _min(_min(chi, zeta), xi)
+    found += (_conditions("chi decreased", ks[1:], -chi[1:], -chi[:-1], 1e-15)
+              + _conditions("zeta increased", ks[1:], zeta[1:], zeta[:-1], 1e-15)
+              + _conditions("xi increased", ks[1:], xi[1:], xi[:-1], 1e-15)
+              + _conditions("alpha ordering alpha <= alpha_suff <= 1 broken", ks, rec["alpha"],
+                            alpha_suff, 1e-12, given=alpha_suff <= 1.0 + 1e-12)
+              + _conditions("alpha_min > alpha_max", ks, rec["alpha_min"], rec["alpha_max"], 1e-12)
+              + _conditions("controller sequence not positive", ks, -least, -0.0, given=least > 0))
 
-    for r, b, after in zip(records, bundles, records[1:] + [None]):
-        if b is None:
-            continue
-        found += _bundle_conditions(r, b, trace.eps_o, trace.H)
-        if after is not None:
-            drift = np.max(np.abs(after.x - (r.x + r.alpha * b.d)))
-            found.append(_at_most(r.k, "iterate update identity broken", drift, 0.0,
-                                  1e-12 * max(1.0, float(np.max(np.abs(after.x))))))
-    return found
+    ks = np.flatnonzero(has["phi_accept"])  # the accepted line searches
+    rec = rows[ks]
+    found += _conditions("accepted step violates relaxed Armijo", ks, rec["phi_accept"],
+                         rec["phi0"] - LS_ETA * rec["alpha"] * rec["delta_l"] + rec["relax"],
+                         1e-10 * _max(1.0, abs(rec["phi0"])))
+
+    # the records with a step bundle: its declared termination test and step bounds
+    ks = np.flatnonzero(has["test"])
+    rec = rows[ks]
+    b = StepBundle(rec["v"], rec["z"], rec["resid"], rec["test"])
+    g, c, J, u, v, d, r = rec["g_bar"], rec["c_bar"], rec["J_bar"], b.u, b.v, b.d, b.r
+    H, eps_o, state, slack = trace.H, trace.eps_o, trace.adaptive_state, 1e-9
+    if state is not None:  # Lipschitz estimates held constant: alpha_suff is recomputable
+        t = has["chi"][ks]
+        suff = _min(2.0 * (1.0 - ETA) * BETA * rec["delta_l"][t]
+                    / ((rec["tau"][t] * state.L_est + state.Gamma_est) * _dot(d[t], d[t])), 1.0)
+        found += _conditions("alpha_suff does not match recomputation", ks[t],
+                             abs(suff - rec["alpha_suff"][t]), 0.0, 1e-10 * _max(1.0, suff))
+    t = ks < trace.size - 1  # x_{k+1} = x_k + alpha_k d_k
+    x_next = rows["x"][ks[t] + 1]
+    drift = np.max(abs(x_next - (rec["x"][t] + rec["alpha"][t, None] * d[t])), axis=1)
+    found += _conditions("iterate update identity broken", ks[t], drift, 0.0,
+                         1e-12 * _max(1.0, np.max(abs(x_next), axis=1)))
+    uHu, uu, v_nrm, c_nrm = _dot(u, _mv(H, u)), _dot(u, u), _nrm(v), _nrm(c)
+    Jtc = _nrm(_mv(J.swapaxes(1, 2), c))
+    gate = LAMBDA_RHO_R * _min(_max(np.sqrt(uu), Jtc), KAPPA_RHO_R)
+    resid = _max(_nrm(b.rho), _nrm(r))
+    t = b.test == CODES[EXACT_FALLBACK]
+    # the dense solve of K z = -(g + Hv, 0), K = [[H, J'], [J, 0]], leaves at most its
+    # LU round-off: residual within 1e-9 + 1e-13 (n + m) max|K| max|z|, here divided
+    # by (n + m) max|K| so that no product of maxima overflows
+    K_max = _max(np.max(abs(H)), np.max(abs(J[t]), axis=(1, 2)))
+    found += _conditions("fallback residual not at round-off level", ks[t],
+                         (resid[t] - 1e-9) / sum(J.shape[1:]) / K_max,
+                         1e-13 * np.max(abs(b.z[t]), axis=1))
+    case = np.where(t, rec["fallback_case"], b.test)  # the test each bundle passed
+
+    t = case == CODES[TT1]
+    k1, tau_prev, gu, uHu1, uu1 = ks[t], rec["tau_prev"][t], _dot(g[t], u[t]), uHu[t], uu[t]
+    dl_prev_u = -tau_prev * gu + c_nrm[t] - _nrm(c[t] + _mv(J[t], u[t]))
+    found += (_conditions("TT1 with nonzero normal component", k1, v_nrm[t], 0.0)
+              + _conditions("TT1 residual gate fails on recheck", k1, resid[t], gate[t], slack)
+              + _conditions("TT1 curvature condition fails on recheck", k1, -uHu1,
+                            -(LAMBDA_U * uu1 - eps_o), slack)
+              + _conditions("TT1 objective-model condition fails on recheck", k1,
+                            gu + 0.5 * uHu1, eps_o, slack)
+              + _conditions("TT1 model-reduction condition fails on recheck", k1, -dl_prev_u,
+                            -(tau_prev * SIGMA_U * _max(uHu1, LAMBDA_U * uu1) - eps_o), slack))
+    t &= (rec["alpha"] > 0.0) & has["delta_l"][ks]  # the unrelaxed lower bound
+    found += _conditions("feasible-branch model reduction lower bound fails", ks[t],
+                         -rec["delta_l"][t],
+                         -(rec["tau"][t] * SIGMA_U * LAMBDA_U / 2.0 * _dot(d[t], d[t])), 1e-10)
+
+    # TT2, case 2 or condition 1, from here on: each name keeps its TT2 records' values
+    t = case != CODES[TT1]
+    ks, g, c, J, u, v, d, r, uHu, uu, v_nrm, c_nrm, Jtc, gate, resid, case, tau_prev = (
+        a[t] for a in (ks, g, c, J, u, v, d, r, uHu, uu, v_nrm, c_nrm, Jtc, gate, resid, case,
+                       rec["tau_prev"]))
+    found += _conditions("TT2 residual gate fails on recheck", ks, resid, gate, slack)
+    t = np.sqrt(uu) > LAMBDA_UV * v_nrm + slack  # u dominates: curvature, given the slope
+    descent = _dot(g[t] + _mv(H, v[t]), u[t]) + _max(0.5, 1.0 - Jtc[t]) * uHu[t]
+    found += _conditions("TT2 dominance/curvature condition fails on recheck", ks[t], -uHu[t],
+                         -(LAMBDA_U * uu[t]), slack, given=descent <= LAMBDA_V * v_nrm[t] + slack)
+    c_v = c + _mv(J, v)
+    dec_v = c_nrm - _nrm(c_v)
+    t = case != CODES[TT2_CASE2]
+    found += _conditions("TT2 residual-decrease condition fails on recheck", ks[t],
+                         -(c_nrm[t] - _nrm(c_v[t] + r[t])), -(SIGMA_R * dec_v[t]), slack,
+                         given=dec_v[t] > 0.0)
+    t = ~t
+    dl_prev_d = -tau_prev[t] * _dot(g[t], d[t]) + c_nrm[t] - _nrm(c[t] + _mv(J[t], d[t]))
+    found += _conditions("TT2 case-2 model reduction fails on recheck", ks[t], -dl_prev_d,
+                         -(tau_prev[t] * SIGMA_U * _max(uHu[t], LAMBDA_U * uu[t])
+                           + SIGMA_C * dec_v[t]), slack)
+    step = _cauchy_step(c, J, SIGMA_JC)  # an independently coded Cauchy point
+    return found + (
+        _conditions("normal trust region bound fails on recheck", ks, v_nrm,
+                    SIGMA_JC * Jtc * (1.0 + 1e-12), slack)
+        + _conditions("Cauchy decrease condition fails on recheck", ks, -dec_v,
+                      -(GAMMA_C * (c_nrm - _nrm(c + _mv(J, step)))), 1e-9 * _max(1.0, c_nrm)))
 
 
 def assert_trace_invariants(trace, params) -> list:
     """The failing conditions' messages, empty when the trace passes; ``params``,
     the run's `SolverParams`, stays for the callers that pass it."""
     return [c.message for c in audit(trace) if not c.held]
-
-
-def _bundle_conditions(record, b, eps_o, H) -> list[Condition]:
-    """From-scratch re-evaluation of the declared termination test and step bounds."""
-    k, tau_prev, noisy = record.k, record.tau_prev, record.noisy
-    g, c, J = noisy.g_bar, noisy.c_bar, noisy.J_bar
-    u, v, d, r, rho = b.u, b.v, b.d, b.r, b.rho
-    nrm = np.linalg.norm
-    slack = 1e-9
-    found = []
-
-    uHu = float(u @ (H @ u))
-    uu = float(u @ u)
-    Jtc = nrm(J.T @ c)
-    gate = LAMBDA_RHO_R * min(max(nrm(u), Jtc), KAPPA_RHO_R)
-    resid = max(nrm(rho), nrm(r))
-
-    test = b.test
-    if test == EXACT_FALLBACK:
-        # the dense solve of K z = -(g + Hv, 0), K = [[H, J'], [J, 0]], leaves at most its
-        # LU round-off: residual within 1e-9 + 1e-13 (n + m) max|K| max|z|, here divided
-        # by (n + m) max|K| so that no product of maxima overflows
-        K_max = max(np.max(np.abs(H)), np.max(np.abs(J)))
-        z_max = np.max(np.abs(np.concatenate((u, b.y))))
-        found.append(_at_most(k, "fallback residual not at round-off level",
-                              (resid - 1e-9) / sum(J.shape) / K_max, 1e-13 * z_max))
-        test = b.fallback_case
-
-    if test == TT1:
-        dl_prev_u = -tau_prev * float(g @ u) + nrm(c) - nrm(c + J @ u)
-        found += [
-            _at_most(k, "TT1 with nonzero normal component", nrm(v), 0.0),
-            _at_most(k, "TT1 residual gate fails on recheck", resid, gate, slack),
-            _at_least(k, "TT1 curvature condition fails on recheck",
-                      uHu, LAMBDA_U * uu - eps_o, slack),
-            _at_most(k, "TT1 objective-model condition fails on recheck",
-                     float(g @ u) + 0.5 * uHu, eps_o, slack),
-            _at_least(k, "TT1 model-reduction condition fails on recheck",
-                      dl_prev_u, tau_prev * SIGMA_U * max(uHu, LAMBDA_U * uu) - eps_o, slack)]
-        if record.alpha > 0.0 and record.delta_l is not None:  # the unrelaxed lower bound
-            want = record.tau * SIGMA_U * LAMBDA_U / 2.0 * float(d @ d)
-            found.append(_at_least(k, "feasible-branch model reduction lower bound fails",
-                                   record.delta_l, want, 1e-10))
-        return found
-
-    found.append(_at_most(k, "TT2 residual gate fails on recheck", resid, gate, slack))
-    if nrm(u) > LAMBDA_UV * nrm(v) + slack:  # u dominates: curvature, given the slope
-        slope = float((g + H @ v) @ u)
-        weight = max(0.5, 1.0 - Jtc)
-        found.append(_at_least(k, "TT2 dominance/curvature condition fails on recheck",
-                               uHu, LAMBDA_U * uu, slack,
-                               given=slope + weight * uHu <= LAMBDA_V * nrm(v) + slack))
-    dec_v = nrm(c) - nrm(c + J @ v)
-    if test == TT2_CASE2:
-        dl_prev_d = -tau_prev * float(g @ d) + nrm(c) - nrm(c + J @ d)
-        found.append(_at_least(k, "TT2 case-2 model reduction fails on recheck", dl_prev_d,
-                               tau_prev * SIGMA_U * max(uHu, LAMBDA_U * uu) + SIGMA_C * dec_v,
-                               slack))
-    else:
-        found.append(_at_least(k, "TT2 residual-decrease condition fails on recheck",
-                               nrm(c) - nrm(c + J @ v + r), SIGMA_R * dec_v, slack,
-                               given=dec_v > 0.0))
-    # Cauchy decrease, recomputed with an independently coded Cauchy point
-    step = _cauchy_step(c, J, SIGMA_JC)
-    return found + [
-        _at_most(k, "normal trust region bound fails on recheck",
-                 nrm(v), SIGMA_JC * Jtc * (1.0 + 1e-12), slack),
-        _at_least(k, "Cauchy decrease condition fails on recheck",
-                  dec_v, GAMMA_C * (nrm(c) - nrm(c + J @ step)), 1e-9 * max(1.0, nrm(c)))]
 
 
 def trace_invariant_sweep(problems, params_list, seeds) -> PerturbationReport:

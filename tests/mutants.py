@@ -69,10 +69,14 @@ MUTANTS = [
            'ExactEvaluation(self._read("f"), *self._parts("g_bar", "c", "J"))',
            "tests/test_driver.py::TestExactSnapshots::test_default_oracle_snapshot_equals_fresh_evaluation"),
     Mutant("audit-first-failure-only", "src/noisy_sqp/verify.py",
-           "found += _bundle_conditions(r, b, trace.eps_o, trace.H)",
-           "found += (lambda cs: cs[:1 + next((i for i, c in enumerate(cs) if not c.held), "
-           "len(cs))])(_bundle_conditions(r, b, trace.eps_o, trace.H))",
+           "    return found + (",
+           "    found = (lambda first: [c for c in found if c.held or first.setdefault(c.k, c) is c])"
+           "({})\n    return found + (",
            "tests/test_verify.py::TestTraceCorruption::test_a_record_breaking_two_conditions_lists_both"),
+    Mutant("audit-check-first-failing-row-only", "src/noisy_sqp/verify.py",
+           "given & ~(lhs > rhs + slack)",
+           "(lambda held: held | (np.cumsum(~held) > 1))(given & ~(lhs > rhs + slack))",
+           "tests/test_verify.py::TestTraceInvariants::test_a_check_lists_every_record_that_breaks_it"),
     Mutant("problem-file-takes-bools", "src/noisy_sqp/problems.py",
            "if type(e) is not float", "if type(e) not in (float, bool)",
            "tests/test_cli.py::test_malformed_problem_file_is_input_error[bool-in-b-solve]"),
@@ -102,6 +106,10 @@ MUTANTS = [
     Mutant("hypot-drops-the-nan-sign", "src/noisy_sqp/linalg.py",
            "return h if h == h else float(np.hypot(a, b))", "return h",
            "tests/test_linalg.py::TestHypot::test_bitwise_equal_to_np_hypot"),
+    Mutant("csv-bool-reads-any-text", "src/noisy_sqp/harness.py",
+           'if f.type == "bool" and text not in ("true", "false"):', "if False:",
+           "tests/test_harness.py::TestRunGrid::"
+           "test_a_bool_cell_other_than_true_or_false_is_rejected[True]"),
     Mutant("scaling-law-100x", "src/noisy_sqp/verify.py",
            "r <= 10.0 * ratios[anchor]", "r <= 1e3 * ratios[anchor]",
            "tests/test_scaling_scans.py::"

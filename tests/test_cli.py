@@ -267,6 +267,18 @@ def test_profile_of_one_variant_is_input_error(tmp_path, capsys):
     assert not (tmp_path / "profile.tsv").exists()
 
 
+def test_profile_of_a_csv_with_a_bad_bool_cell_is_input_error(tmp_path, capsys):
+    path = small_grid_csv(tmp_path, capsys, "ada", "ls")
+    header, first, *rows = open(path).read().splitlines()
+    with open(path, "w") as fh:  # solved, the last column, written as Python prints it
+        fh.write("\n".join([header, first.rsplit(",", 1)[0] + ",True", *rows]) + "\n")
+    code = main(["profile", "--in", path, "--out", str(tmp_path / "profile.tsv")])
+    assert code == 2
+    assert one_error_line(capsys, "input error") == \
+        "input error: solved must be true or false, got 'True'"
+    assert not (tmp_path / "profile.tsv").exists()
+
+
 def test_profile_unwritable_out_is_config_error(tmp_path, capsys):
     out = tmp_path / "missing" / "p.tsv"
     code = main(["profile", "--in", small_grid_csv(tmp_path, capsys, "ada", "ls"),

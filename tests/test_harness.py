@@ -319,6 +319,16 @@ class TestRunGrid:
         with pytest.raises(KeyError, match="solved"):
             records_from_csv(missing)
 
+    @pytest.mark.parametrize("cell", ["True", "1", "yes", ""])
+    def test_a_bool_cell_other_than_true_or_false_is_rejected(self, tmp_path, cell):
+        # records_to_csv writes true or false; any other text is an error, never a false
+        records, path = run_grid(self._config(tmp_path), max_workers=1)
+        header, *rows = open(path).read().splitlines()
+        rows[0] = rows[0].rsplit(",", 1)[0] + "," + cell  # the solved column is the last
+        with pytest.raises(ValueError) as raised:
+            records_from_csv("\n".join([header] + rows) + "\n")
+        assert str(raised.value) == f"solved must be true or false, got {cell!r}"
+
     def test_default_workers_follow_the_usable_cpus(self, tmp_path, monkeypatch):
         # one usable CPU: the grid runs serially, so every cell passes through here
         seen = []

@@ -12,6 +12,7 @@ from noisy_sqp.steps import (
     TT2_CASE2,
     TT2_COND1,
     NormalStep,
+    StepBundle,
     check_tt1,
     check_tt2,
     normal_step,
@@ -365,3 +366,16 @@ class TestBundleRepassesDeclaredTest:
             # d = v + u, and the bundle keeps the accepting check's g'd and ||c + Jd||
             assert np.array_equal(bundle.d, bundle.v + bundle.u)
             assert (bundle.gd, bundle.cd_norm) == L.along(bundle.d)
+
+
+def test_a_bundle_over_stacked_rows_gives_each_rows_views_bit_for_bit():
+    # the trace audit reads u, y, rho, r and d of every record from one bundle over the
+    # stacked v, z and resid columns of the trace's table
+    rng = np.random.default_rng(7)
+    n, m = 4, 2
+    v, z, resid = (rng.standard_normal((5, size)) for size in (n, n + m, n + m))
+    stacked = StepBundle(v, z, resid, TT1)
+    for i in range(5):
+        row = StepBundle(v[i], z[i], resid[i], TT1)
+        for name in ("u", "y", "rho", "r", "d"):
+            assert getattr(stacked, name)[i].tobytes() == getattr(row, name).tobytes(), name

@@ -167,6 +167,18 @@ class TestTraceInvariants:
         name = "iterate update identity broken"
         assert {(1, name), (2, name)} <= failing(trace)
 
+    def test_the_audit_reads_the_table_without_record_views(self):
+        trace, _ = self._trace_and_params()
+        assert audit(trace)
+        assert "records" not in vars(trace)
+
+    def test_a_check_lists_every_record_that_breaks_it(self):
+        # tau raised at two records: the check lists both, not only its first failing row
+        trace, _ = self._trace_and_params()
+        for k in (3, 7):
+            trace.records[k].tau = trace.records[k - 1].tau * 2.0 + 1.0
+        assert {k for k, name in failing(trace) if name == TAU_INCREASED} == {3, 7}
+
     def test_every_condition_is_a_claim_with_its_margin(self):
         trace, _ = self._trace_and_params()
         conditions = audit(trace)
