@@ -293,27 +293,29 @@ def records_from_csv(text: str):
 
 @dataclass
 class ProfileTable:
-    """Dolan-More data: per-instance costs, ratios, and sampled rho curves."""
+    """Dolan-More data: costs and ratios as instances x solvers matrices (NaN and inf
+    for a failed or missing run) and one rho curve per solver, sampled on ``tau_grid``."""
 
     solvers: list
     instances: list
-    costs: dict            # (instance, solver) -> cost or None for failures
-    ratios: dict           # (instance, solver) -> ratio (may be inf)
+    costs: np.ndarray
+    ratios: np.ndarray
     tau_grid: np.ndarray
-    curves: dict           # solver -> array of rho values on tau_grid
+    curves: np.ndarray
 
     def rho(self, solver: str, tau):
         """The share of instances whose ratio is at most ``tau`` (a scalar or an array)."""
-        ratios = np.sort([self.ratios[(p, solver)] for p in self.instances])
+        ratios = np.sort(self.ratios[:, self.solvers.index(solver)])
         return np.searchsorted(ratios, tau, side="right") / len(self.instances)
 
 
 def performance_profile(records, cost_field: str = "weighted_evals") -> ProfileTable:
     """Build Dolan-More performance profiles over the run records.
 
-    A failed run, or a cost above an instance's best cost of 0, has ratio inf;
-    a curve never exceeds its solver's solved fraction.  Each curve is sampled at 64
-    ratios from 1 to the largest finite ratio.  Needs 2 solvers.
+    A failed or missing run, or a cost above an instance's best cost of 0, has ratio
+    inf; a curve never exceeds its solver's solved fraction.  Each curve is sampled at
+    64 ratios from 1 to the largest finite ratio.  Needs 2 solvers, and at most one
+    record per instance and solver.
     """
     if cost_field not in ("weighted_evals", "minres_iters"):
         raise ValueError(f"bad cost_field {cost_field!r}")
@@ -322,46 +324,42 @@ def performance_profile(records, cost_field: str = "weighted_evals") -> ProfileT
         raise ValueError("performance profile needs >= 2 solvers")
     instances = sorted({r.instance for r in records})
 
-    costs = {(r.instance, r.solver): float(getattr(r, cost_field)) if r.solved else None
-             for r in records}
+    row = {inst: i for i, inst in enumerate(instances)}
+    col = {s: j for j, s in enumerate(solvers)}
+    costs = np.full((len(instances), len(solvers)), np.nan)
+    ran = np.zeros(costs.shape, dtype=bool)
+    for r in records:
+        i, j = row[r.instance], col[r.solver]
+        if ran[i, j]:
+            raise ValueError(f"two records for solver {r.solver} on instance {r.instance}")
+        ran[i, j] = True
+        if r.solved:
+            costs[i, j] = getattr(r, cost_field)
 
-    ratios = {}
-    for inst in instances:
-        row = [costs.get((inst, s)) for s in solvers]
-        best = min((c for c in row if c is not None), default=None)
-        for s, c in zip(solvers, row):
-            if c is None:
-                ratios[(inst, s)] = np.inf
-            else:
-                ratios[(inst, s)] = 1.0 if c == best else c / best if best > 0 else np.inf
+    best = np.fmin.reduce(costs, axis=1, keepdims=True)  # NaN only where a row has no cost
+    ratios = np.divide(costs, best, out=np.full(costs.shape, np.inf), where=best > 0)
+    ratios[costs == best] = 1.0
+    ratios[np.isnan(costs)] = np.inf
 
-    finite_ratios = [r for r in ratios.values() if np.isfinite(r)]
-    r_max = max(finite_ratios) if finite_ratios else 1.0
-    r_max = max(r_max, 1.0 + 1e-12)
+    r_max = max(ratios[np.isfinite(ratios)].max(initial=1.0), 1.0 + 1e-12)
     table = ProfileTable(solvers=solvers, instances=instances, costs=costs, ratios=ratios,
-                         tau_grid=np.geomspace(1.0, r_max, 64), curves={})
-    table.curves = {s: table.rho(s, table.tau_grid) for s in solvers}
+                         tau_grid=np.geomspace(1.0, r_max, 64), curves=None)
+    table.curves = np.array([table.rho(s, table.tau_grid) for s in solvers])
     return table
 
 
 def profile_to_tsv(table: ProfileTable) -> str:
     """Plot-ready rho curves: one tau column plus one column per solver."""
     lines = ["\t".join(["tau"] + table.solvers)]
-    for i, tau in enumerate(table.tau_grid):
-        row = [format(float(tau), ".17g")]
-        row += [format(float(table.curves[s][i]), ".17g") for s in table.solvers]
-        lines.append("\t".join(row))
+    for tau, rhos in zip(table.tau_grid, table.curves.T):
+        lines.append("\t".join(format(float(v), ".17g") for v in (tau, *rhos)))
     return "\n".join(lines) + "\n"
 
 
 def costs_to_tsv(table: ProfileTable) -> str:
     """Per-instance cost table; failures serialize as empty cells, not sentinels."""
     lines = ["\t".join(["instance"] + table.solvers)]
-    for inst in table.instances:
-        label = "|".join(str(part) for part in inst)
-        row = [label]
-        for s in table.solvers:
-            c = table.costs.get((inst, s))
-            row.append("" if c is None else format(c, ".17g"))
-        lines.append("\t".join(row))
+    for inst, costs in zip(table.instances, table.costs):
+        cells = ["" if np.isnan(c) else format(c, ".17g") for c in costs]
+        lines.append("\t".join(["|".join(str(part) for part in inst)] + cells))
     return "\n".join(lines) + "\n"

@@ -87,6 +87,18 @@ MUTANTS = [
     Mutant("rho-strictly-below", "src/noisy_sqp/harness.py",
            'np.searchsorted(ratios, tau, side="right")', 'np.searchsorted(ratios, tau, side="left")',
            "tests/test_harness.py::TestPerformanceProfile::test_rho_counts_ties_and_inf_ratios"),
+    Mutant("profile-best-per-solver-column", "src/noisy_sqp/harness.py",
+           "np.fmin.reduce(costs, axis=1, keepdims=True)",
+           "np.fmin.reduce(costs, axis=0, keepdims=True)",
+           "tests/test_harness.py::TestPerformanceProfile::"
+           "test_costs_and_ratios_are_instances_by_solvers_matrices"),
+    Mutant("profile-failure-ratio-one", "src/noisy_sqp/harness.py",
+           "ratios[np.isnan(costs)] = np.inf", "ratios[np.isnan(costs)] = 1.0",
+           "tests/test_harness.py::TestPerformanceProfile::test_failure_caps_curve"),
+    Mutant("profile-duplicate-replaces-the-first", "src/noisy_sqp/harness.py",
+           "if ran[i, j]:", "if False:",
+           "tests/test_harness.py::TestPerformanceProfile::"
+           "test_a_second_record_for_an_instance_and_solver_is_rejected"),
     Mutant("krylov-counts-only-accepted-steps", "src/noisy_sqp/driver.py",
            "minres_iters, cg_iters = minres_iters + taken, cg_iters + normal.cg_iters",
            "minres_iters, cg_iters = ((minres_iters + taken, cg_iters + normal.cg_iters)"

@@ -279,6 +279,20 @@ def test_profile_of_a_csv_with_a_bad_bool_cell_is_input_error(tmp_path, capsys):
     assert not (tmp_path / "profile.tsv").exists()
 
 
+def test_profile_of_a_csv_with_a_duplicate_run_is_input_error(tmp_path, capsys):
+    # rows of two grids in one CSV: the same run again, this time unsolved
+    path = small_grid_csv(tmp_path, capsys, "ada", "ls")
+    header, first, *rows = open(path).read().splitlines()
+    with open(path, "w") as fh:
+        fh.write("\n".join([header, first, *rows, first.rsplit(",", 1)[0] + ",false"]) + "\n")
+    code = main(["profile", "--in", path, "--out", str(tmp_path / "profile.tsv")])
+    assert code == 2
+    assert one_error_line(capsys, "input error") == (
+        "input error: two records for solver ada-opt-inexact on instance "
+        "('unit-circle', 0.01, 0.01, 0, 'original')")
+    assert not (tmp_path / "profile.tsv").exists()
+
+
 def test_profile_unwritable_out_is_config_error(tmp_path, capsys):
     out = tmp_path / "missing" / "p.tsv"
     code = main(["profile", "--in", small_grid_csv(tmp_path, capsys, "ada", "ls"),

@@ -362,8 +362,8 @@ class TestRunGrid:
 def rho_by_count(table, solver, tau):
     """The share of the table's instances whose ratio is at most tau, counted one at a time."""
     hits = 0
-    for inst in table.instances:
-        if table.ratios[(inst, solver)] <= tau:
+    for ratio in table.ratios[:, table.solvers.index(solver)]:
+        if ratio <= tau:
             hits += 1
     return hits / len(table.instances)
 
@@ -413,11 +413,9 @@ class TestPerformanceProfile:
                     weighted_evals=int(rng.integers(1, 50)),
                     solved=bool(rng.random() < 0.8)))
         table = performance_profile(records)
-        for solver in table.solvers:
-            curve = table.curves[solver]
+        for curve, costs in zip(table.curves, table.costs.T):
             assert np.all(np.diff(curve) >= -1e-12)
-            solved_frac = np.mean([1 if table.costs[(p, solver)] is not None else 0
-                                   for p in table.instances])
+            solved_frac = np.mean(~np.isnan(costs))
             assert curve[-1] <= solved_frac + 1e-12
 
     def test_zero_best_cost_ties_only_the_zero_costs(self):
@@ -428,8 +426,7 @@ class TestPerformanceProfile:
             make_record(problem="p1", variant="ls", optimism="pes", minres_iters=0),
         ]
         table = performance_profile(records, cost_field="minres_iters")
-        [inst] = table.instances
-        assert [table.ratios[(inst, s)] for s in table.solvers] == [1.0, np.inf, 1.0]
+        assert table.ratios.tolist() == [[1.0, np.inf, 1.0]]
         assert table.rho("ls-opt-inexact", 1.0) == 0.0
         assert table.rho("ada-opt-inexact", 1.0) == table.rho("ls-pes-inexact", 1.0) == 1.0
 
@@ -475,16 +472,14 @@ class TestPerformanceProfile:
                                    solved=bool(rng.random() < 0.7))
                        for i in range(n_problems) for j in range(n_solvers)]
             table = performance_profile(records)
-            for solver in table.solvers:
-                ratios = [table.ratios[(p, solver)] for p in table.instances]
+            for solver, ratios, curve in zip(table.solvers, table.ratios.T, table.curves):
                 taus = [*ratios, *np.nextafter(ratios, 0.0), 0.0, 1.0, np.inf]
                 assert [table.rho(solver, t) for t in taus] == \
                     [rho_by_count(table, solver, t) for t in taus]
                 assert list(table.rho(solver, np.array(taus))) == \
                     [rho_by_count(table, solver, t) for t in taus]
-                assert list(table.curves[solver]) == \
-                    [rho_by_count(table, solver, t) for t in table.tau_grid]
-                assert np.array_equal(table.curves[solver], table.rho(solver, table.tau_grid))
+                assert list(curve) == [rho_by_count(table, solver, t) for t in table.tau_grid]
+                assert np.array_equal(curve, table.rho(solver, table.tau_grid))
 
     def test_tsv_outputs(self):
         records = [
@@ -500,6 +495,46 @@ class TestPerformanceProfile:
         # failures serialize as empty cells, never sentinel floats
         line = [l for l in costs.splitlines() if l.startswith("p1")][0]
         assert line.split("\t")[2] == ""
+
+    def test_costs_and_ratios_are_instances_by_solvers_matrices(self):
+        # each cost is divided by its own row's best, never by its column's
+        records = [
+            make_record(problem="p1", variant="ada", weighted_evals=2),
+            make_record(problem="p1", variant="ls", weighted_evals=4),
+            make_record(problem="p2", variant="ada", weighted_evals=10),
+            make_record(problem="p2", variant="ls", weighted_evals=5),
+            make_record(problem="p3", variant="ada", weighted_evals=7, solved=False),
+            make_record(problem="p3", variant="ls", weighted_evals=3),
+        ]
+        table = performance_profile(records)
+        assert np.array_equal(table.costs, [[2.0, 4.0], [10.0, 5.0], [np.nan, 3.0]],
+                              equal_nan=True)
+        assert table.ratios.tolist() == [[1.0, 2.0], [2.0, 1.0], [np.inf, 1.0]]
+        assert table.curves.shape == (2, 64)
+        assert np.array_equal(table.curves, [table.rho(s, table.tau_grid) for s in table.solvers])
+
+    def test_a_solver_that_never_ran_an_instance_fails_it(self):
+        records = [
+            make_record(problem="p1", variant="ada", weighted_evals=2),
+            make_record(problem="p1", variant="ls", weighted_evals=4),
+            make_record(problem="p2", variant="ada", weighted_evals=3),
+        ]
+        table = performance_profile(records)
+        line = [l for l in costs_to_tsv(table).splitlines() if l.startswith("p2")][0]
+        assert line.split("\t")[1:] == ["3", ""]
+        taus = (1.0, 2.0, 1e300, np.finfo(float).max, np.inf)
+        assert [table.rho("ls-opt-inexact", tau) for tau in taus] == [0.0, 0.5, 0.5, 0.5, 1.0]
+
+    def test_a_second_record_for_an_instance_and_solver_is_rejected(self):
+        # an unsolved duplicate must not erase the solved run's cost
+        records = [
+            make_record(problem="p1", variant="ada", weighted_evals=2),
+            make_record(problem="p1", variant="ls", weighted_evals=4),
+            make_record(problem="p1", variant="ls", weighted_evals=4, solved=False),
+        ]
+        with pytest.raises(ValueError, match=r"two records for solver ls-opt-inexact on "
+                                             r"instance \('p1', 0.01, 0.01, 0, 'original'\)"):
+            performance_profile(records)
 
 
 class TestConfigJson:
