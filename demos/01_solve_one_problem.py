@@ -23,7 +23,7 @@ noise = NoiseSpec(eps_f=eps_f, eps_g=eps_g, eps_c=eps_c, eps_J=eps_J)
 print(f"noise:   eps_f={eps_f:.0e} eps_g={eps_g:.0e} eps_c={eps_c:.0e} eps_J={eps_J:.0e}")
 
 for variant in ("adaptive", "line_search"):
-    params = SolverParams.benchmark_defaults(
+    params = SolverParams(
         noise, variant=variant, optimism="optimistic", exactness="inexact")
     trace = solve(problem, params, seed=0)
     idx, feas, stat, infeas_stat, _ = best_iterate(trace, eps_c, eps_f)

@@ -20,7 +20,7 @@ print(f"{'variant':<14} {'optimism':<12} {'status':<28} {'iters':>5} "
       f"{'evals':>6} {'feas':>10} {'stat':>10}")
 for variant in ("adaptive", "line_search"):
     for optimism in ("optimistic", "pessimistic"):
-        params = SolverParams.benchmark_defaults(
+        params = SolverParams(
             noise, variant=variant, optimism=optimism, exactness="inexact")
         trace = solve(problem, params, seed=3)
         _, feas, stat, _, _ = best_iterate(trace, eps_c, eps_f)

@@ -25,7 +25,7 @@ eps_f = eps_c = 1e-4
 eps_g, eps_J = derive_gradient_noise(eps_f, eps_c)
 noise = NoiseSpec(eps_f=eps_f, eps_g=eps_g, eps_c=eps_c, eps_J=eps_J)
 for variant in ("adaptive", "line_search"):
-    params = SolverParams.benchmark_defaults(
+    params = SolverParams(
         noise, variant=variant, optimism="optimistic", exactness="inexact")
     trace = solve(dup, params, seed=0)
     _, feas, stat, infeas_stat, _ = best_iterate(trace, eps_c, eps_f)

@@ -138,8 +138,7 @@ def _cmd_profile(args) -> int:
 def _invariant_sweep(registry):
     eps_g, eps_J = derive_gradient_noise(1e-4, 1e-4)
     noise = NoiseSpec(eps_f=1e-4, eps_g=eps_g, eps_c=1e-4, eps_J=eps_J)
-    params = [SolverParams.benchmark_defaults(noise, variant=v, max_iters=60)
-              for v in SCHEMES.values()]
+    params = [SolverParams(noise, variant=v, max_iters=60) for v in SCHEMES.values()]
     full_rank = [p for p in registry if p.full_rank]
     return verify_mod.trace_invariant_sweep(full_rank[:4], params, range(3))
 

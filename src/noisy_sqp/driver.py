@@ -59,12 +59,11 @@ TOL_FEAS = 1e-12
 class SolverParams:
     """Everything `solve` needs besides the problem and the seed (H is the problem's, else I).
 
-    These are the settings the CLI and grid configs set; the defaults are the
-    benchmark preset that ``benchmark_defaults`` loads.  The solver's fixed
-    constants are module constants next to the code that reads them: the
-    termination tests', the normal step's and tau's in `merit`, the two
-    step-size controllers' in `stepsize`.  Frozen, as every settings class
-    is: each field's declared range is checked once, when it is built.
+    These are the settings the CLI and grid configs set, each defaulting to the
+    benchmark's value.  The solver's fixed constants are module constants next to the
+    code that reads them: the termination tests', the normal step's and tau's in
+    `merit`, the two step-size controllers' in `stepsize`.  Frozen, as every settings
+    class is: each field's declared range is checked once, when it is built.
     """
 
     noise: NoiseSpec = instance_of(NoiseSpec)
@@ -76,10 +75,6 @@ class SolverParams:
     max_weighted_evals: int = number(10000, "[1, inf)", integer=True)
 
     __post_init__ = check_settings
-
-    @classmethod
-    def benchmark_defaults(cls, noise: NoiseSpec, **settings):
-        return cls(noise=noise, **settings)
 
 
 # rows per block of a trace's table; `harness.best_iterate` stacks a block per call
@@ -96,17 +91,18 @@ _COLUMNS = dict(_FIELDS, function_evals=int, gradient_evals=int, f_bar=float, f=
 _NAMES = (None, FEASIBLE_BRANCH, INFEASIBLE_BRANCH, steps.TT1, steps.TT2_CASE2, steps.TT2_COND1,
           steps.EXACT_FALLBACK)
 CODES = {name: code for code, name in enumerate(_NAMES)}
-_PRESENT = np.dtype([(name, bool) for name in _COLUMNS])  # a row's mask: which scalars it holds
 
 
 @functools.cache
 def _row(n, m):
     """A trace row: an int64 or float64 field per scalar column, then x, the noisy and exact
-    g, c and J, and a bundle's v, z and resid, each a float64 array in its shape."""
+    g, c and J, and a bundle's v, z and resid, each a float64 array in its shape, and last
+    ``has``, which marks the scalars it holds; aligned, so every row's floats are 8-byte aligned."""
     vectors = dict(x=n, g_bar=n, c_bar=m, J_bar=(m, n), g=n, c=m, J=(m, n), v=n, z=n + m,
                    resid=n + m)
     scalars = [(name, float if kind is float else np.int64) for name, kind in _COLUMNS.items()]
-    return np.dtype(scalars + [(name, float, shape) for name, shape in vectors.items()])
+    return np.dtype(scalars + [(name, float, shape) for name, shape in vectors.items()]
+                    + [("has", [(name, bool) for name in _COLUMNS])], align=True)
 
 
 class IterRecord:
@@ -117,20 +113,20 @@ class IterRecord:
     formed on read) are views into the row, built on access, that cannot be set: a write
     into a view's array changes the record, setting a view's attribute only that view."""
 
-    __slots__ = ("k", "_block", "_mask", "_i")
+    __slots__ = ("k", "_block", "_i")
 
     def __init__(self, trace, k):
-        self.k, (b, self._i) = k, divmod(k, trace.block_rows)
-        self._block, self._mask = trace.blocks[b], trace.present[b]
+        self.k, (b, self._i) = k, divmod(k, BEST_ITERATE_CHUNK)
+        self._block = trace.blocks[b]
 
     def _read(self, name):
-        if self._mask[name][self._i]:
+        if self._block["has"][name][self._i]:
             value = self._block[name].item(self._i)
             return _NAMES[value] if _COLUMNS[name] is str else value
 
     def _write(self, name, value):
         self._block[name][self._i] = CODES.get(value, value)
-        self._mask[name][self._i] = value is not None
+        self._block["has"][name][self._i] = value is not None
 
     def _parts(self, *names):
         return [self._block[name][self._i] for name in names]
@@ -152,10 +148,10 @@ for _name in _FIELDS:
 
 @dataclass(eq=False)
 class RunTrace:
-    """A run's settings, outcome and table: record k is row k % block_rows of the `_row`
-    array ``blocks[k // block_rows]``, whose `_PRESENT` array in ``present`` marks the
-    scalars it holds.  A run adds blocks as it grows, so no written row is ever copied;
-    `records` views the rows, built on first read.  Traces and records compare by identity."""
+    """A run's settings, outcome and table: record k is row k % BEST_ITERATE_CHUNK of the
+    `_row` array ``blocks[k // BEST_ITERATE_CHUNK]``.  A run adds blocks as it grows, so no
+    written row is ever copied; `chunks` views each block's written rows and `records` the
+    rows one by one, built on first read.  Traces and records compare by identity."""
 
     problem: str
     n: int
@@ -164,32 +160,33 @@ class RunTrace:
     eps_o: float
     variant: str
     H: np.ndarray  # curvature matrix the solver used
-    block_rows: int
     status: str | None = None
     counters: object = None
     minres_iters: int = 0  # every iteration's MINRES and CG steps, accepted or not
     cg_iters: int = 0
     adaptive_state: stepsize.AdaptiveState | None = None
     blocks: list = field(default_factory=list, repr=False)
-    present: list = field(default_factory=list, repr=False)
     size: int = 0  # records written
 
     @functools.cached_property
     def records(self) -> list:
         return [IterRecord(self, k) for k in range(self.size)]
 
+    def chunks(self) -> list:
+        """Each block's written rows, as views."""
+        return [block[:self.size - b * BEST_ITERATE_CHUNK] for b, block in enumerate(self.blocks)]
+
     def append(self, x, noisy, exact, bundle, counters_delta, **scalars):
         """Write one iteration into the next row, in a new block when the last is full."""
-        b, i = divmod(self.size, self.block_rows)
+        b, i = divmod(self.size, BEST_ITERATE_CHUNK)
         if i == 0:
-            self.blocks.append(np.empty(self.block_rows, _row(self.n, self.m)))
-            self.present.append(np.empty(self.block_rows, _PRESENT))
+            self.blocks.append(np.empty(BEST_ITERATE_CHUNK, _row(self.n, self.m)))
         cells = [*map(scalars.get, _FIELDS), *counters_delta, noisy.f_bar, exact.f,
                  *(None if bundle is None else getattr(bundle, f.name) for f in _BUNDLE)]
         vectors = (0.0,) * 3 if bundle is None else (bundle.v, bundle.z, bundle.resid)
-        self.present[b][i] = tuple(cell is not None for cell in cells)
         self.blocks[b][i] = (*[CODES.get(cell, cell) for cell in cells], x, noisy.g_bar,
-                             noisy.c_bar, noisy.J_bar, exact.g, exact.c, exact.J, *vectors)
+                             noisy.c_bar, noisy.J_bar, exact.g, exact.c, exact.J, *vectors,
+                             tuple(cell is not None for cell in cells))
         self.size += 1
 
     @property
@@ -237,7 +234,7 @@ def solve(problem: ProblemSpec, params: SolverParams, seed: int,
 
     counters = oracle.counters
     trace = RunTrace(problem.name, n, problem.m, seed, eps_o, params.variant, H,
-                     BEST_ITERATE_CHUNK, counters=counters,
+                     counters=counters,
                      adaptive_state=controller if params.variant == ADAPTIVE else None)
     x = problem.x0.copy()  # rebound every step, never mutated in place
     tau = merit.TAU0

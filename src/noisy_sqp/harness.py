@@ -50,7 +50,7 @@ class VariantSpec:
         return f"{self.scheme}-{self.optimism}-{self.exactness}"
 
     def solver_params(self, noise: NoiseSpec, budgets) -> SolverParams:
-        return SolverParams.benchmark_defaults(
+        return SolverParams(
             noise=noise,
             variant=SCHEMES[self.scheme],
             optimism=OPTIMISMS[self.optimism],
@@ -144,12 +144,11 @@ def best_iterate(trace, eps_c: float, eps_f: float):
     Iterates after an early termination never participate; ties break to
     the smallest index, and a NaN error (from a non-finite evaluation)
     never beats a number.  The multipliers come from one stacked
-    `least_squares_multiplier` call per block of the trace's table, on the
-    block's exact ``g``, ``c`` and ``J`` fields in place.
+    `least_squares_multiplier` call per chunk of the trace's table
+    (`RunTrace.chunks`), on the chunk's exact ``g``, ``c`` and ``J`` fields in place.
     """
     feas, stat, y_inf = [], [], []
-    for b, block in enumerate(trace.blocks):
-        rows = block[:trace.size - b * trace.block_rows]  # the rows written
+    for rows in trace.chunks():
         g, c, J = rows["g"], rows["c"], rows["J"]
         y = least_squares_multiplier(J, g)
         feas.append(abs(c).max(axis=1))
@@ -286,12 +285,20 @@ def _cell(f, text: str):
 
 def records_from_csv(text: str):
     """RunRecords from ``records_to_csv`` text; a missing column raises KeyError, and a
-    cell its field's type cannot read (a bool other than true or false) ValueError."""
-    return [RunRecord(**{f.name: _cell(f, row[f.name]) for f in fields(RunRecord)})
-            for row in csv.DictReader(io.StringIO(text))]
+    row with more or fewer cells than the header or a cell its field's type cannot read
+    (a bool other than true or false) ValueError."""
+    lines = csv.reader(io.StringIO(text))
+    header = next(lines, [])
+    records = []
+    for cells in filter(None, lines):  # a blank line holds no row
+        if len(cells) != len(header):
+            raise ValueError(f"line {lines.line_num} has {len(cells)} cells, not {len(header)}")
+        row = dict(zip(header, cells))
+        records.append(RunRecord(**{f.name: _cell(f, row[f.name]) for f in fields(RunRecord)}))
+    return records
 
 
-@dataclass
+@dataclass(eq=False)
 class ProfileTable:
     """Dolan-More data: costs and ratios as instances x solvers matrices (NaN and inf
     for a failed or missing run) and one rho curve per solver, sampled on ``tau_grid``."""

@@ -311,10 +311,6 @@ def builtin_registry() -> list[ProblemSpec]:
     return [build(name) for name, build in _BUILTINS.items()]
 
 
-def registry_by_name() -> dict:
-    return {p.name: p for p in builtin_registry()}
-
-
 def get_problem(name: str) -> ProblemSpec:
     """Build one registry problem by name, or load a ``.qp.json`` file path."""
     build = _BUILTINS.get(name)

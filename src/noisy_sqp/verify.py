@@ -194,11 +194,11 @@ def audit(trace) -> list[Condition]:
     rows that a presence mask or text code selects, formed from their raw recorded data."""
     if not trace.size:
         return []
-    rows, has = (np.concatenate(arrays)[:trace.size] for arrays in (trace.blocks, trace.present))
+    rows = np.concatenate(trace.chunks())
     tau = rows["tau"]
     found = _conditions(TAU_INCREASED, np.arange(1, trace.size), tau[1:], tau[:-1], 1e-15)
 
-    ks = np.flatnonzero(has["chi"])  # the controlled steps
+    ks = np.flatnonzero(rows["has"]["chi"])  # the controlled steps
     rec = rows[ks]
     chi, zeta, xi, alpha_suff = rec["chi"], rec["zeta"], rec["xi"], rec["alpha_suff"]
     least = _min(_min(chi, zeta), xi)
@@ -210,20 +210,20 @@ def audit(trace) -> list[Condition]:
               + _conditions("alpha_min > alpha_max", ks, rec["alpha_min"], rec["alpha_max"], 1e-12)
               + _conditions("controller sequence not positive", ks, -least, -0.0, given=least > 0))
 
-    ks = np.flatnonzero(has["phi_accept"])  # the accepted line searches
+    ks = np.flatnonzero(rows["has"]["phi_accept"])  # the accepted line searches
     rec = rows[ks]
     found += _conditions("accepted step violates relaxed Armijo", ks, rec["phi_accept"],
                          rec["phi0"] - LS_ETA * rec["alpha"] * rec["delta_l"] + rec["relax"],
                          1e-10 * _max(1.0, abs(rec["phi0"])))
 
     # the records with a step bundle: its declared termination test and step bounds
-    ks = np.flatnonzero(has["test"])
+    ks = np.flatnonzero(rows["has"]["test"])
     rec = rows[ks]
     b = StepBundle(rec["v"], rec["z"], rec["resid"], rec["test"])
     g, c, J, u, v, d, r = rec["g_bar"], rec["c_bar"], rec["J_bar"], b.u, b.v, b.d, b.r
     H, eps_o, state, slack = trace.H, trace.eps_o, trace.adaptive_state, 1e-9
     if state is not None:  # Lipschitz estimates held constant: alpha_suff is recomputable
-        t = has["chi"][ks]
+        t = rows["has"]["chi"][ks]
         suff = _min(2.0 * (1.0 - ETA) * BETA * rec["delta_l"][t]
                     / ((rec["tau"][t] * state.L_est + state.Gamma_est) * _dot(d[t], d[t])), 1.0)
         found += _conditions("alpha_suff does not match recomputation", ks[t],
@@ -258,7 +258,7 @@ def audit(trace) -> list[Condition]:
                             gu + 0.5 * uHu1, eps_o, slack)
               + _conditions("TT1 model-reduction condition fails on recheck", k1, -dl_prev_u,
                             -(tau_prev * SIGMA_U * _max(uHu1, LAMBDA_U * uu1) - eps_o), slack))
-    t &= (rec["alpha"] > 0.0) & has["delta_l"][ks]  # the unrelaxed lower bound
+    t &= (rec["alpha"] > 0.0) & rows["has"]["delta_l"][ks]  # the unrelaxed lower bound
     found += _conditions("feasible-branch model reduction lower bound fails", ks[t],
                          -rec["delta_l"][t],
                          -(rec["tau"][t] * SIGMA_U * LAMBDA_U / 2.0 * _dot(d[t], d[t])), 1e-10)

@@ -107,17 +107,24 @@ MUTANTS = [
     Mutant("bundle-d-minus-u", "src/noisy_sqp/steps.py",
            "self.v + self.u", "self.v - self.u",
            "tests/test_steps.py::TestBundleRepassesDeclaredTest::test_random_instances"),
-    Mutant("best-iterate-reads-unwritten-rows", "src/noisy_sqp/harness.py",
-           "rows = block[:trace.size - b * trace.block_rows]", "rows = block",
+    Mutant("best-iterate-reads-unwritten-rows", "src/noisy_sqp/driver.py",
+           "block[:self.size - b * BEST_ITERATE_CHUNK]", "block",
            "tests/test_harness.py::TestChunkedBestIterate::test_trace_longer_than_the_default_chunk"),
     Mutant("record-set-keeps-the-mask", "src/noisy_sqp/driver.py",
-           "self._mask[name][self._i] = value is not None",
-           "self._mask[name][self._i] = True",
+           'self._block["has"][name][self._i] = value is not None',
+           'self._block["has"][name][self._i] = True',
            "tests/test_trace_records.py::"
            "test_setting_a_scalar_writes_the_table_and_a_nan_keeps_its_bits"),
+    Mutant("trace-row-packed", "src/noisy_sqp/driver.py",
+           "for name in _COLUMNS])], align=True)", "for name in _COLUMNS])])",
+           "tests/test_trace_records.py::"
+           "test_every_row_and_its_float_fields_start_at_a_multiple_of_8_bytes[quad-linear-10]"),
     Mutant("hypot-drops-the-nan-sign", "src/noisy_sqp/linalg.py",
            "return h if h == h else float(np.hypot(a, b))", "return h",
            "tests/test_linalg.py::TestHypot::test_bitwise_equal_to_np_hypot"),
+    Mutant("csv-row-length-unchecked", "src/noisy_sqp/harness.py",
+           "if len(cells) != len(header):", "if False:",
+           "tests/test_harness.py::TestRunGrid::test_a_row_with_too_few_or_too_many_cells_is_rejected"),
     Mutant("csv-bool-reads-any-text", "src/noisy_sqp/harness.py",
            'if f.type == "bool" and text not in ("true", "false"):', "if False:",
            "tests/test_harness.py::TestRunGrid::"

@@ -25,7 +25,7 @@ from noisy_sqp.problems import (
     ProblemSpec,
     builtin_registry,
     duplicate_last_constraint,
-    registry_by_name,
+    get_problem,
 )
 from noisy_sqp.verify import (
     assert_trace_invariants,
@@ -62,8 +62,8 @@ def test_criterion_1_zero_noise_convergence():
     misses = []
     for variant in ("adaptive", "line_search"):
         for name in FULL_RANK:
-            problem = registry_by_name()[name]
-            params = SolverParams.benchmark_defaults(
+            problem = get_problem(name)
+            params = SolverParams(
                 NoiseSpec(), variant=variant, exactness="exact", max_iters=500)
             trace = solve(problem, params, 0)
             idx, feas, stat, _, _ = best_iterate(trace, 5e-9, 5e-9)
@@ -114,7 +114,7 @@ def test_criterion_3_early_termination_feasibility():
     for eps_c in (1e-2, 1e-4):
         noise = noise_for(eps_c, eps_c)
         for seed in range(20):
-            params = SolverParams.benchmark_defaults(
+            params = SolverParams(
                 noise, variant="adaptive", optimism="optimistic", exactness="exact")
             trace = solve(problem, params, seed)
             if trace.status != EARLY_STATIONARY:
@@ -148,7 +148,7 @@ def test_criterion_4_infeasible_stationary_exit_bound():
                 return e_f, e_g, e_c, e_J
 
         for seed in range(20):
-            params = SolverParams.benchmark_defaults(
+            params = SolverParams(
                 noise, variant="adaptive", optimism="optimistic", exactness="exact")
             oracle = ZeroJacobianOracle(problem, noise, np.random.default_rng(seed))
             trace = solve(problem, params, seed, oracle=oracle)
@@ -165,13 +165,12 @@ def test_criterion_4_infeasible_stationary_exit_bound():
 
 
 def test_criterion_5_monotonicity_suite():
-    table = registry_by_name()
     problems = [
-        table["unit-circle"],
-        table["quad-ellipse"],
-        table["parabola-ridge"],
-        table["sphere-dup"],
-        duplicate_last_constraint(table["rosenbrock-sphere"]),
+        get_problem("unit-circle"),
+        get_problem("quad-ellipse"),
+        get_problem("parabola-ridge"),
+        get_problem("sphere-dup"),
+        duplicate_last_constraint(get_problem("rosenbrock-sphere")),
     ]
     total_runs = 0
     violations = []
@@ -180,7 +179,7 @@ def test_criterion_5_monotonicity_suite():
             noise = noise_for(eps, eps)
             for variant in ("adaptive", "line_search"):
                 for seed in range(5):
-                    params = SolverParams.benchmark_defaults(
+                    params = SolverParams(
                         noise, variant=variant, max_iters=60)
                     trace = solve(problem, params, seed)
                     bad = assert_trace_invariants(trace, params)
@@ -223,7 +222,7 @@ def test_criterion_6_solver_vs_oracle_equivalence():
 
 def test_criterion_7_perturbation_scaling():
     import json as json_mod
-    quad = registry_by_name()["quad-linear"]
+    quad = get_problem("quad-linear")
     # the scans are consumed through their machine-readable JSON reports
     cauchy = json_mod.loads(
         cauchy_perturbation_scan(quad, quad.x0, n_seeds=20).to_json())

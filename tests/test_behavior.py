@@ -28,7 +28,7 @@ def test_optimistic_never_costs_more_at_high_noise():
         for seed in (0, 1):
             costs = {}
             for optimism in ("optimistic", "pessimistic"):
-                params = SolverParams.benchmark_defaults(
+                params = SolverParams(
                     noise, variant="adaptive", optimism=optimism,
                     exactness="inexact", max_iters=300, max_weighted_evals=3000)
                 trace = solve(p, params, seed)
@@ -51,7 +51,7 @@ def test_feasibility_error_tracks_constraint_noise():
         vals = []
         for p in PROBLEMS:
             for seed in (0, 1):
-                params = SolverParams.benchmark_defaults(
+                params = SolverParams(
                     noise, variant="adaptive", optimism="optimistic",
                     exactness="inexact", max_iters=300, max_weighted_evals=3000)
                 trace = solve(p, params, seed)

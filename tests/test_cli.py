@@ -293,6 +293,21 @@ def test_profile_of_a_csv_with_a_duplicate_run_is_input_error(tmp_path, capsys):
     assert not (tmp_path / "profile.tsv").exists()
 
 
+@pytest.mark.parametrize("cut", [True, False], ids=["five-cells", "one-cell-more"])
+def test_profile_of_a_csv_with_a_row_of_the_wrong_length_is_input_error(tmp_path, capsys, cut):
+    # the second run's row cut to its first 5 cells, or kept whole with one cell added
+    path = small_grid_csv(tmp_path, capsys, "ada", "ls")
+    header, first, second, *rows = open(path).read().splitlines()
+    cells = second.split(",")[:5] if cut else second.split(",") + ["x"]
+    with open(path, "w") as fh:
+        fh.write("\n".join([header, first, ",".join(cells), *rows]) + "\n")
+    code = main(["profile", "--in", path, "--out", str(tmp_path / "profile.tsv")])
+    assert code == 2
+    assert one_error_line(capsys, "input error") == \
+        f"input error: line 3 has {len(cells)} cells, not 18"
+    assert not (tmp_path / "profile.tsv").exists()
+
+
 def test_profile_unwritable_out_is_config_error(tmp_path, capsys):
     out = tmp_path / "missing" / "p.tsv"
     code = main(["profile", "--in", small_grid_csv(tmp_path, capsys, "ada", "ls"),

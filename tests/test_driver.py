@@ -25,7 +25,7 @@ from noisy_sqp.harness import VariantSpec, best_iterate
 from noisy_sqp.linalg import kkt_matrix, norm2, norm_inf
 from noisy_sqp.noise import NoiseSpec, NoisyOracle, derive_gradient_noise
 from noisy_sqp.merit import LAMBDA_U, SIGMA_R, SIGMA_U
-from noisy_sqp.problems import ExactEvaluation, ProblemSpec, parse_problem_json, registry_by_name
+from noisy_sqp.problems import ExactEvaluation, ProblemSpec, get_problem, parse_problem_json
 from noisy_sqp.stepsize import MAX_BACKTRACKS
 from noisy_sqp.steps import EXACT_FALLBACK, TT2_COND1
 from noisy_sqp.verify import assert_trace_invariants, audit
@@ -65,8 +65,8 @@ class CountingOracle(NoisyOracle):
 class TestZeroNoiseConvergence:
     @pytest.mark.parametrize("variant", ["adaptive", "line_search"])
     def test_quad_linear_reaches_kkt(self, variant):
-        p = registry_by_name()["quad-linear"]
-        params = SolverParams.benchmark_defaults(
+        p = get_problem("quad-linear")
+        params = SolverParams(
             NoiseSpec(), variant=variant, exactness="exact", max_iters=100)
         trace = solve(p, params, 0)
         best = min(trace.records,
@@ -85,7 +85,7 @@ class TestEarlyStationaryExit:
         p = kkt_start_problem()
         eps_c = 1e-2
         noise = noise_for(eps_c, eps_c)
-        params = SolverParams.benchmark_defaults(
+        params = SolverParams(
             noise, variant="adaptive", optimism="optimistic", exactness="exact")
         trace = solve(p, params, 7)
         assert trace.status == EARLY_STATIONARY
@@ -96,7 +96,7 @@ class TestEarlyStationaryExit:
     def test_status_invariant(self):
         p = kkt_start_problem()
         noise = noise_for(1e-2, 1e-2)
-        params = SolverParams.benchmark_defaults(
+        params = SolverParams(
             noise, variant="adaptive", optimism="optimistic", exactness="exact")
         trace = solve(p, params, 3)
         assert trace.status == EARLY_STATIONARY
@@ -126,7 +126,7 @@ class TestEarlyInfeasibleExit:
                     e_J = -exact.J  # within bounds: ||J||_F <= eps_J by construction
                 return e_f, e_g, e_c, e_J
 
-        params = SolverParams.benchmark_defaults(
+        params = SolverParams(
             noise, variant="adaptive", optimism="optimistic", exactness="exact")
         oracle = ZeroJacobianOracle(p, noise, np.random.default_rng(1))
         trace = solve(p, params, 1, oracle=oracle)
@@ -147,7 +147,7 @@ class TestEarlyInfeasibleExit:
             return ExactEvaluation(f=float(x[2]), g=np.array([0.0, 0.0, 1.0]),
                                    c=J @ x + np.array([0.0, 2e-12]), J=J.copy())
 
-        params = SolverParams.benchmark_defaults(NoiseSpec(), variant=variant, max_iters=20)
+        params = SolverParams(NoiseSpec(), variant=variant, max_iters=20)
         trace = solve(ProblemSpec("well-conditioned-3", 3, 2, np.zeros(3), ev), params, 0)
         assert trace.status == BUDGET_ITERS and len(trace.records) == 20
         assert trace.records[0].bundle is not None
@@ -164,7 +164,7 @@ class TestDegenerateDirection:
                                    c=np.array([x[0]]), J=J)
 
         p = ProblemSpec("near-degenerate", 2, 1, np.zeros(2), ev)
-        params = SolverParams.benchmark_defaults(
+        params = SolverParams(
             NoiseSpec(), variant="adaptive", optimism="pessimistic",
             exactness="exact", max_iters=10)
         trace = solve(p, params, 0)
@@ -181,7 +181,7 @@ class TestDegenerateDirection:
             return ExactEvaluation(f=float(x[1]), g=np.array([0.0, 1.0]), c=A @ x, J=A)
 
         p = ProblemSpec("tiny-step", 2, 1, np.zeros(2), ev, H=1e170 * np.eye(2))
-        params = SolverParams.benchmark_defaults(
+        params = SolverParams(
             NoiseSpec(), variant=variant, optimism="pessimistic", max_iters=5)
         trace = solve(p, params, 0)
         assert trace.status == DEGENERATE
@@ -195,10 +195,10 @@ class TestDegenerateDirection:
 
 class TestLoopMechanics:
     def test_iterate_update_identity(self):
-        p = registry_by_name()["unit-circle"]
+        p = get_problem("unit-circle")
         noise = noise_for(1e-2, 1e-2)
-        params = SolverParams.benchmark_defaults(noise, variant="line_search",
-                                             max_iters=40)
+        params = SolverParams(noise, variant="line_search",
+                              max_iters=40)
         trace = solve(p, params, 5)
         recs = trace.records
         for prev, cur in zip(recs, recs[1:]):
@@ -206,18 +206,18 @@ class TestLoopMechanics:
             assert np.array_equal(cur.x, prev.x + prev.alpha * prev.bundle.d)
 
     def test_budget_iters(self):
-        p = registry_by_name()["unit-circle"]
+        p = get_problem("unit-circle")
         noise = noise_for(1e-2, 1e-2)
-        params = SolverParams.benchmark_defaults(noise, variant="adaptive",
-                                             optimism="pessimistic", max_iters=15)
+        params = SolverParams(noise, variant="adaptive",
+                              optimism="pessimistic", max_iters=15)
         trace = solve(p, params, 0)
         assert trace.status == BUDGET_ITERS
         assert len(trace.records) == 15
 
     def test_budget_evals_with_slack_of_one_iteration(self):
-        p = registry_by_name()["unit-circle"]
+        p = get_problem("unit-circle")
         noise = noise_for(1e-2, 1e-2)
-        params = SolverParams.benchmark_defaults(
+        params = SolverParams(
             noise, variant="line_search", optimism="pessimistic",
             max_iters=10000, max_weighted_evals=200)
         trace = solve(p, params, 0)
@@ -226,10 +226,10 @@ class TestLoopMechanics:
         assert trace.counters.weighted_total <= 200 + per_iter
 
     def test_counters_match_instrumented_wrapper(self):
-        p = registry_by_name()["quad-ellipse"]
+        p = get_problem("quad-ellipse")
         noise = noise_for(1e-2, 1e-2)
-        params = SolverParams.benchmark_defaults(noise, variant="line_search",
-                                             max_iters=30)
+        params = SolverParams(noise, variant="line_search",
+                              max_iters=30)
         oracle = CountingOracle(p, noise, np.random.default_rng(11))
         trace = solve(p, params, 11, oracle=oracle)
         assert trace.counters.function_evals == oracle.tally["value"]
@@ -239,7 +239,7 @@ class TestLoopMechanics:
 
     def test_line_search_failure_status(self):
         # adversarial oracle: the merit increases at every trial point
-        p = registry_by_name()["unit-circle"]
+        p = get_problem("unit-circle")
         noise = NoiseSpec(eps_f=1e-3, eps_g=1e-2, eps_c=1e-3, eps_J=1e-2)
 
         class HostileOracle(NoisyOracle):
@@ -249,17 +249,17 @@ class TestLoopMechanics:
                     out = type(out)(out.f_bar + 1e6, out.g_bar, out.c_bar, out.J_bar)
                 return out
 
-        params = SolverParams.benchmark_defaults(noise, variant="line_search",
-                                             optimism="pessimistic", max_iters=5)
+        params = SolverParams(noise, variant="line_search",
+                              optimism="pessimistic", max_iters=5)
         oracle = HostileOracle(p, noise, np.random.default_rng(0))
         trace = solve(p, params, 0, oracle=oracle)
         assert trace.status == LINE_SEARCH_FAILURE
 
     def test_tau_history_non_increasing(self):
-        p = registry_by_name()["circle-shifted"]
+        p = get_problem("circle-shifted")
         noise = noise_for(1e-2, 1e-2)
         for variant in ("adaptive", "line_search"):
-            params = SolverParams.benchmark_defaults(noise, variant=variant, max_iters=60)
+            params = SolverParams(noise, variant=variant, max_iters=60)
             trace = solve(p, params, 2)
             taus = [t for _, t in trace.tau_history]
             assert all(b <= a + 1e-15 for a, b in zip(taus, taus[1:]))
@@ -289,16 +289,16 @@ class TestLoopMechanics:
                 "q": rng.standard_normal(n).tolist(), "A": A.tolist(),
                 "b": b.tolist(), "x0": rng.standard_normal(n).tolist()}))
             for variant in ("adaptive", "line_search"):
-                params = SolverParams.benchmark_defaults(
+                params = SolverParams(
                     noise_for(1e-2, 1e-2), variant=variant, max_iters=40,
                     max_weighted_evals=600)
                 trace = solve(p, params, trial)
                 assert trace.status in valid
 
     def test_tau_unchanged_on_tt1_and_case2(self):
-        p = registry_by_name()["circle-shifted"]
+        p = get_problem("circle-shifted")
         noise = noise_for(1e-2, 1e-2)
-        params = SolverParams.benchmark_defaults(noise, variant="adaptive", max_iters=60)
+        params = SolverParams(noise, variant="adaptive", max_iters=60)
         trace = solve(p, params, 4)
         for rec in trace.records:
             if rec.bundle is None:
@@ -312,7 +312,7 @@ class TestLoopMechanics:
         # delta_l >= tau sigma_u lambda_u / 2 * ||d||^2
         p = kkt_start_problem()
         noise = noise_for(1e-4, 1e-2)  # loose eps_o, tight objective noise
-        params = SolverParams.benchmark_defaults(
+        params = SolverParams(
             noise, variant="adaptive", optimism="optimistic", max_iters=50)
         trace = solve(p, params, 13)
         for rec in trace.records:
@@ -352,7 +352,7 @@ class TestNonFiniteEvaluation:
             g=lambda x: np.array([1.0, 1.0]) if x[0] >= 0.5 else np.array([np.nan, 1.0]))
 
     def run(self, problem, variant):
-        params = SolverParams.benchmark_defaults(noise_for(1e-3, 1e-2), variant=variant)
+        params = SolverParams(noise_for(1e-3, 1e-2), variant=variant)
         trace = solve(problem, params, 0)
         assert trace.status == NONFINITE
         assert assert_trace_invariants(trace, params) == []
@@ -410,7 +410,7 @@ class TestNonFiniteEvaluation:
     ], ids=["inf-J-adaptive", "inf-J-line_search", "huge-gradient-adaptive"])
     def test_nonfinite_start_up(self, problem, variant, records, eps):
         # the adaptive start-up differences derivative samples before any record
-        params = SolverParams.benchmark_defaults(noise_for(eps, eps), variant=variant)
+        params = SolverParams(noise_for(eps, eps), variant=variant)
         trace = solve(problem, params, 0)
         assert (trace.status, len(trace.records)) == (NONFINITE, records)
         assert assert_trace_invariants(trace, params) == []
@@ -450,7 +450,7 @@ class TestNonFiniteEvaluation:
                                    c=c_scale * (A @ x - 1.0), J=c_scale * A)
 
         problem = ProblemSpec("scaled-line-3", 3, 1, np.zeros(3), ev)
-        params = SolverParams.benchmark_defaults(noise_for(eps, eps), variant=variant)
+        params = SolverParams(noise_for(eps, eps), variant=variant)
         trace = solve(problem, params, 0)
         assert trace.status == NONFINITE
         [last] = trace.records
@@ -483,8 +483,8 @@ class TestExactSnapshots:
     def test_default_oracle_snapshot_equals_fresh_evaluation(self, variant, monkeypatch):
         from noisy_sqp.problems import duplicate_last_constraint, evaluate
         calls = self._count_driver_evaluate(monkeypatch)
-        p = duplicate_last_constraint(registry_by_name()["quad-ellipse"])
-        params = SolverParams.benchmark_defaults(
+        p = duplicate_last_constraint(get_problem("quad-ellipse"))
+        params = SolverParams(
             noise_for(1e-2, 1e-2), variant=variant, optimism="pessimistic", max_iters=80)
         trace = solve(p, params, 4)
         assert len(trace.records) == 80
@@ -495,10 +495,10 @@ class TestExactSnapshots:
     def test_caller_oracle_snapshot_is_evaluated_by_the_driver(self, monkeypatch):
         from noisy_sqp.problems import evaluate
         calls = self._count_driver_evaluate(monkeypatch)
-        p = registry_by_name()["unit-circle"]
+        p = get_problem("unit-circle")
         noise = noise_for(1e-2, 1e-2)
-        params = SolverParams.benchmark_defaults(noise, variant="line_search",
-                                                 optimism="pessimistic", max_iters=40)
+        params = SolverParams(noise, variant="line_search",
+                              optimism="pessimistic", max_iters=40)
         oracle = CountingOracle(p, noise, np.random.default_rng(2))
         trace = solve(p, params, 2, oracle=oracle)
         assert len(calls) == len(trace.records) == 40
@@ -509,10 +509,10 @@ class TestExactSnapshots:
     @pytest.mark.parametrize("variant", ["adaptive", "line_search"])
     def test_nan_snapshots_never_feed_the_solver(self, variant, monkeypatch):
         from noisy_sqp import driver
-        p = registry_by_name()["unit-circle"]
+        p = get_problem("unit-circle")
         noise = noise_for(1e-2, 1e-2)
-        params = SolverParams.benchmark_defaults(noise, variant=variant,
-                                                 optimism="pessimistic", max_iters=25)
+        params = SolverParams(noise, variant=variant,
+                              optimism="pessimistic", max_iters=25)
 
         def run():
             oracle = NoisyOracle(p, noise, np.random.default_rng(9))
@@ -547,7 +547,7 @@ class TestExactSnapshots:
         from noisy_sqp import noise
         from noisy_sqp.problems import duplicate_last_constraint
         name, optimism, eps, seed = run
-        p = registry_by_name()[name.removesuffix("+dup")]
+        p = get_problem(name.removesuffix("+dup"))
         if name.endswith("+dup"):
             p = duplicate_last_constraint(p)
         evaluated = []
@@ -558,7 +558,7 @@ class TestExactSnapshots:
             return evaluate(problem, x)
 
         monkeypatch.setattr(noise, "evaluate", counted)
-        params = SolverParams.benchmark_defaults(
+        params = SolverParams(
             noise_for(eps, eps), variant="line_search", optimism=optimism, max_iters=80)
         trace = solve(p, params, seed)
         monkeypatch.undo()
@@ -575,9 +575,9 @@ class TestExactSnapshots:
         assert all(a != b for a, b in zip(evaluated, evaluated[1:]))
 
     def test_delta_l_is_the_model_reduction_at_the_final_tau(self):
-        p = registry_by_name()["quad-linear-10"]
+        p = get_problem("quad-linear-10")
         for variant in ("adaptive", "line_search"):
-            params = SolverParams.benchmark_defaults(
+            params = SolverParams(
                 noise_for(1e-2, 1e-2), variant=variant, optimism="pessimistic",
                 max_iters=120)
             trace = solve(p, params, 5)
@@ -589,12 +589,12 @@ class TestExactSnapshots:
 
 class TestEpsO:
     def test_optimistic_runs_use_noise_eps_o(self):
-        p = registry_by_name()["unit-circle"]
+        p = get_problem("unit-circle")
         for eps_o, expected in ((1e-3, 1e-3), (0.0, 1e-2)):
             noise = NoiseSpec(eps_f=1e-2, eps_c=1e-2, eps_o=eps_o)
-            params = SolverParams.benchmark_defaults(noise, max_iters=3)
+            params = SolverParams(noise, max_iters=3)
             assert solve(p, params, 0).eps_o == expected
-        params = SolverParams.benchmark_defaults(
+        params = SolverParams(
             NoiseSpec(eps_f=1e-2, eps_c=1e-2, eps_o=1e-3), optimism="pessimistic", max_iters=3)
         assert solve(p, params, 0).eps_o == 0.0
 
@@ -602,12 +602,12 @@ class TestEpsO:
 class TestParamsValidation:
     def test_misspelled_setting_raises(self):
         with pytest.raises(TypeError, match="max_iter"):
-            SolverParams.benchmark_defaults(NoiseSpec(), max_iter=5)
+            SolverParams(NoiseSpec(), max_iter=5)
 
     @pytest.mark.parametrize("name", ["max_iters", "max_weighted_evals"])
     def test_nan_setting_is_rejected(self, name):
         with pytest.raises(ValueError, match="must be"):
-            SolverParams.benchmark_defaults(NoiseSpec(), **{name: float("nan")})
+            SolverParams(NoiseSpec(), **{name: float("nan")})
 
     @pytest.mark.parametrize("setting", [dict(kappa=float("nan")), dict(kappa=-1.0),
                                          dict(kappa=float("inf")), dict(kappa=0.0),
@@ -618,7 +618,7 @@ class TestParamsValidation:
 
     @pytest.mark.parametrize("name", ["kappa_u", "kappa_v", "H", "tol_d", "tol_feas", "tests",
                                       "adaptive", "ls", "tau0", "sigma_tau"])
-    @pytest.mark.parametrize("make", [SolverParams, SolverParams.benchmark_defaults])
+    @pytest.mark.parametrize("make", [SolverParams])
     def test_removed_setting_raises(self, make, name):
         with pytest.raises(TypeError, match=f"'{name}'"):
             make(noise=NoiseSpec(), **{name: 1e-2})
@@ -674,7 +674,7 @@ class TestCurvatureMatrix:
 
     def check_one_bundle_less_record(self, variant, H):
         # J has full rank and K = [[H, J'], [J, 0]] is singular, so the dense solve raises
-        params = SolverParams.benchmark_defaults(NoiseSpec(), variant=variant, max_iters=50)
+        params = SolverParams(NoiseSpec(), variant=variant, max_iters=50)
         trace = solve(self.line_problem(H), params, 0)
         assert trace.status == TEST_UNSATISFIABLE and len(trace.records) == 1
         last = trace.records[-1]
@@ -698,14 +698,14 @@ class TestCurvatureMatrix:
                                    np.triu(np.ones((3, 3))), np.eye(2)],
                              ids=["nan", "inf", "asymmetric", "wrong-shape"])
     def test_invalid_H_is_rejected_at_entry(self, variant, H):
-        params = SolverParams.benchmark_defaults(NoiseSpec(), variant=variant, max_iters=50)
+        params = SolverParams(NoiseSpec(), variant=variant, max_iters=50)
         with pytest.raises(ValueError, match="H must be a finite symmetric 3 x 3"):
             solve(self.line_problem(H), params, 0)
 
     @pytest.mark.parametrize("variant", ["adaptive", "line_search"])
     def test_overflowing_step_is_nonfinite_evaluation(self, variant):
         # finite and symmetric, so accepted at entry, but the step overflows
-        params = SolverParams.benchmark_defaults(noise_for(1e-2, 1e-2), variant=variant)
+        params = SolverParams(noise_for(1e-2, 1e-2), variant=variant)
         trace = solve(self.line_problem(1e300 * np.eye(3)), params, 0)
         assert trace.status == NONFINITE
         last = trace.records[-1]
@@ -716,7 +716,7 @@ class TestCurvatureMatrix:
 
     def test_adaptive_step_size_is_capped_at_one(self):
         # tau collapses at k = 0, which lifts the safeguard interval above 1
-        params = SolverParams.benchmark_defaults(NoiseSpec(), variant="adaptive")
+        params = SolverParams(NoiseSpec(), variant="adaptive")
         trace = solve(self.line_problem(1e300 * np.eye(3)), params, 0)
         assert trace.status == EARLY_STATIONARY
         first = trace.records[0]
@@ -783,7 +783,7 @@ def hostile_runs(problem):
     for variant in ("adaptive", "line_search"):
         for exactness in ("exact", "inexact"):
             for eps in (0.0, 1e-2):
-                params = SolverParams.benchmark_defaults(
+                params = SolverParams(
                     noise_for(eps, eps), variant=variant, exactness=exactness, max_iters=40)
                 yield params, eps, solve(problem, params, 0)
 
@@ -871,7 +871,7 @@ LARGE_GRADIENT = scaled_problem(
 def test_tt2_slack_at_a_large_gradient_passes_the_audit(exactness):
     # the slack 1e-13 ||g|| admits a TT2 step whose residual decrease the audit,
     # with slack 1e-9, rejects
-    params = SolverParams.benchmark_defaults(
+    params = SolverParams(
         noise_for(0.0, 0.0), variant="adaptive", exactness=exactness, max_iters=40)
     assert assert_trace_invariants(solve(LARGE_GRADIENT, params, 0), params) == []
 
@@ -884,7 +884,7 @@ def test_large_gradient_run_misses_the_residual_decrease_by_3e_9(exactness):
     # figures depend on the BLAS kernel: dec_v 5.07e-9 and a miss of 2.97e-9 under
     # OpenBLAS SkylakeX, 1.05e-8 and 5.9e-9 (Haswell) or 9.3e-9 (Prescott); only
     # under SkylakeX does a TT2 case-2 record fail later, at k = 9
-    params = SolverParams.benchmark_defaults(
+    params = SolverParams(
         noise_for(0.0, 0.0), variant="adaptive", exactness=exactness, max_iters=40)
     trace = solve(LARGE_GRADIENT, params, 0)
     broken = [c for c in audit(trace) if not c.held]

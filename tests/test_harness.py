@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import json
 import os
@@ -25,7 +26,7 @@ from noisy_sqp.harness import (
 )
 from noisy_sqp.linalg import least_squares_multiplier, norm_inf
 from noisy_sqp.noise import NoiseSpec, NoisyEvaluation, derive_gradient_noise
-from noisy_sqp.problems import ExactEvaluation, duplicate_last_constraint, registry_by_name
+from noisy_sqp.problems import ExactEvaluation, duplicate_last_constraint, get_problem
 
 
 def make_record(**kw):
@@ -39,11 +40,14 @@ def make_record(**kw):
     return RunRecord(**base)
 
 
-def table_trace(exacts, block_rows=BEST_ITERATE_CHUNK):
+def table_trace(exacts, monkeypatch=None, block_rows=None):
     """A trace whose records hold the exact snapshots ``exacts``, written into its table
-    the way `solve` writes an iteration that stopped before its step."""
+    the way `solve` writes an iteration that stopped before its step; in blocks of
+    ``block_rows`` rows, set through ``monkeypatch`` and kept for the rest of the test."""
+    if block_rows is not None:
+        monkeypatch.setattr(driver, "BEST_ITERATE_CHUNK", block_rows)
     n, m = exacts[0].g.size, exacts[0].c.size
-    trace = RunTrace("synthetic", n, m, 0, 0.0, "adaptive", np.eye(n), block_rows)
+    trace = RunTrace("synthetic", n, m, 0, 0.0, "adaptive", np.eye(n))
     for ex in exacts:
         trace.append(np.zeros(n), NoisyEvaluation(ex.f, ex.g, ex.c, ex.J), ex, None, (0, 0),
                      tau_prev=1.0, tau=1.0, alpha=0.0, branch=FEASIBLE_BRANCH)
@@ -78,9 +82,9 @@ class TestBestIterateRule:
 
     def test_zero_noise_converged_run_selects_final_iterate(self):
         # dense-KKT-oracle comparison: the converged run ends exactly at x*
-        p = registry_by_name()["quad-linear"]
-        params = SolverParams.benchmark_defaults(NoiseSpec(), variant="adaptive",
-                                             exactness="exact", max_iters=100)
+        p = get_problem("quad-linear")
+        params = SolverParams(NoiseSpec(), variant="adaptive",
+                              exactness="exact", max_iters=100)
         trace = solve(p, params, 0)
         idx, feas, stat, _, _ = best_iterate(trace, 0.0, 0.0)
         assert idx == len(trace.records) - 1
@@ -91,10 +95,10 @@ class TestBestIterateRule:
 
 class TestBestIterate:
     def _trace(self, eps=1e-1):
-        p = registry_by_name()["unit-circle"]
+        p = get_problem("unit-circle")
         eps_g, eps_J = derive_gradient_noise(eps, eps)
         noise = NoiseSpec(eps_f=eps, eps_g=eps_g, eps_c=eps, eps_J=eps_J)
-        params = SolverParams.benchmark_defaults(noise, variant="adaptive", max_iters=40)
+        params = SolverParams(noise, variant="adaptive", max_iters=40)
         return solve(p, params, 0)
 
     def test_qualified_iterates_pick_min_stationarity(self):
@@ -132,7 +136,7 @@ class TestBestIterate:
 
         p = ProblemSpec("kkt-start", 2, 1, np.zeros(2), ev)
         noise = NoiseSpec(eps_f=1e-2, eps_g=1e-1, eps_c=1e-2, eps_J=1e-1)
-        params = SolverParams.benchmark_defaults(
+        params = SolverParams(
             noise, variant="adaptive", optimism="optimistic", exactness="exact")
         trace = solve(p, params, 0)
         assert trace.status == "early_stationary"
@@ -159,9 +163,9 @@ class TestStackedBestIterate:
 
     def _trace(self):
         # duplicated constraint: every Gram matrix takes the ridge path
-        p = duplicate_last_constraint(registry_by_name()["unit-circle"])
+        p = duplicate_last_constraint(get_problem("unit-circle"))
         noise = NoiseSpec(eps_f=1e-2, eps_g=1e-1, eps_c=1e-2, eps_J=1e-1)
-        params = SolverParams.benchmark_defaults(noise, variant="adaptive", max_iters=60)
+        params = SolverParams(noise, variant="adaptive", max_iters=60)
         return solve(p, params, 3)
 
     def test_qualified_winner(self):
@@ -192,9 +196,9 @@ class TestChunkedBestIterate:
     whole trace does, whatever the block size."""
 
     def _trace(self, max_iters):
-        p = duplicate_last_constraint(registry_by_name()["quad-ellipse"])
+        p = duplicate_last_constraint(get_problem("quad-ellipse"))
         noise = NoiseSpec(eps_f=1e-2, eps_g=1e-1, eps_c=1e-2, eps_J=1e-1)
-        params = SolverParams.benchmark_defaults(
+        params = SolverParams(
             noise, variant="adaptive", optimism="pessimistic", max_iters=max_iters)
         return solve(p, params, 8)
 
@@ -214,14 +218,18 @@ class TestChunkedBestIterate:
         assert len(trace.blocks) == 9
         assert best_iterate(trace, eps, eps) == one_stack
 
-    def test_tie_across_a_chunk_boundary_goes_to_smaller_index(self):
+    def test_tie_across_a_chunk_boundary_goes_to_smaller_index(self, monkeypatch):
         base = self._trace(10).records[5].exact
         unqualified = dataclasses.replace(base, c=base.c + 10.0)
-        # in blocks of 4, the tied records 2 and 6 lie in different blocks
         exact = [unqualified] * 2 + [base] + [unqualified] * 3 + [base, unqualified]
-        got = best_iterate(table_trace(exact, block_rows=4), 1.0, 1.0)
-        assert got == best_iterate(table_trace(exact, block_rows=len(exact)), 1.0, 1.0)
-        assert got[0] == 2
+        one_block = table_trace(exact, monkeypatch, block_rows=len(exact))
+        assert len(one_block.blocks) == 1
+        want = best_iterate(one_block, 1.0, 1.0)
+        # in blocks of 4, the tied records 2 and 6 lie in different blocks
+        trace = table_trace(exact, monkeypatch, block_rows=4)
+        assert len(trace.blocks) == 2
+        got = best_iterate(trace, 1.0, 1.0)
+        assert got == want and got[0] == 2
 
 
 class TestGridCellIsolation:
@@ -329,6 +337,17 @@ class TestRunGrid:
             records_from_csv("\n".join([header] + rows) + "\n")
         assert str(raised.value) == f"solved must be true or false, got {cell!r}"
 
+    def test_a_row_with_too_few_or_too_many_cells_is_rejected(self, tmp_path):
+        records, path = run_grid(self._config(tmp_path), max_workers=1)
+        header, *rows = open(path).read().splitlines()
+        for cells, row in [(5, ",".join(rows[1].split(",")[:5])), (19, rows[1] + ",x")]:
+            text = "\n".join([header, rows[0], row, *rows[2:]]) + "\n"
+            with pytest.raises(ValueError) as raised:
+                records_from_csv(text)
+            assert str(raised.value) == f"line 3 has {cells} cells, not 18"
+        # a blank line holds no row
+        assert records_from_csv("\n".join([header, rows[0], "", *rows[1:]]) + "\n") == records
+
     def test_default_workers_follow_the_usable_cpus(self, tmp_path, monkeypatch):
         # one usable CPU: the grid runs serially, so every cell passes through here
         seen = []
@@ -387,6 +406,12 @@ class TestPerformanceProfile:
     def test_single_solver_rejected(self):
         with pytest.raises(ValueError):
             performance_profile([make_record()])
+
+    def test_tables_compare_by_identity(self):
+        # a field-by-field == would compare the arrays and raise on their truth value
+        table = performance_profile([make_record(variant="ada"), make_record(variant="ls")])
+        clone = copy.deepcopy(table)
+        assert table == table and not clone == table and clone != table
 
     def test_unknown_cost_field_rejected(self):
         records = [make_record(variant="ada"), make_record(variant="ls")]

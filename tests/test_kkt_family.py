@@ -79,8 +79,8 @@ def family_runs():
         problem = kkt_problem(seed)
         for variant in (ADAPTIVE, LINE_SEARCH):
             for exactness in EXACTNESS:
-                params = SolverParams.benchmark_defaults(NoiseSpec(), variant=variant,
-                                                         exactness=exactness, max_iters=300)
+                params = SolverParams(NoiseSpec(), variant=variant,
+                                      exactness=exactness, max_iters=300)
                 runs.append((problem, params, solve(problem, params, 0)))
     return runs
 
@@ -125,8 +125,8 @@ def pinned_quad_ellipse():
 
 
 def kkt_seed_0():
-    params = SolverParams.benchmark_defaults(NoiseSpec(), variant=LINE_SEARCH,
-                                             exactness="inexact", max_iters=300)
+    params = SolverParams(NoiseSpec(), variant=LINE_SEARCH,
+                          exactness="inexact", max_iters=300)
     return kkt_problem(0), params, 0
 
 

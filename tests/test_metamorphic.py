@@ -59,8 +59,8 @@ def reversed_rows(problem: ProblemSpec) -> ProblemSpec:
 
 
 def run(problem, variant):
-    params = SolverParams.benchmark_defaults(NoiseSpec(), variant=variant,
-                                             exactness="exact", max_iters=300)
+    params = SolverParams(NoiseSpec(), variant=variant,
+                          exactness="exact", max_iters=300)
     trace = solve(problem, params, 0)
     _, feas, stat, _, _ = best_iterate(trace, GATE_EPS, GATE_EPS)
     return trace.status, feas, stat

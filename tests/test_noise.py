@@ -10,7 +10,7 @@ from noisy_sqp.noise import (
     NoisyOracle,
     derive_gradient_noise,
 )
-from noisy_sqp.problems import duplicate_last_constraint, evaluate, registry_by_name
+from noisy_sqp.problems import duplicate_last_constraint, evaluate, get_problem
 
 
 def make_oracle(problem, spec, seed=0):
@@ -42,7 +42,7 @@ class TestDeriveGradientNoise:
 
 class TestSampling:
     def test_zero_noise_is_exact(self):
-        p = registry_by_name()["unit-circle"]
+        p = get_problem("unit-circle")
         oracle = make_oracle(p, NoiseSpec())
         noisy = oracle.sample(p.x0)
         exact = evaluate(p, p.x0)
@@ -52,7 +52,7 @@ class TestSampling:
         assert np.array_equal(noisy.J_bar, exact.J)
 
     def test_monte_carlo_objective_bound(self):
-        p = registry_by_name()["unit-circle"]
+        p = get_problem("unit-circle")
         oracle = make_oracle(p, NoiseSpec(eps_f=0.1), seed=42)
         exact = evaluate(p, p.x0)
         errs = np.array([abs(oracle.sample(p.x0, "value").f_bar - exact.f)
@@ -61,7 +61,7 @@ class TestSampling:
         assert errs.max() >= 0.09
 
     def test_deterministic_streams(self):
-        p = registry_by_name()["quad-linear"]
+        p = get_problem("quad-linear")
         spec = NoiseSpec(eps_f=0.1, eps_g=0.1, eps_c=0.1, eps_J=0.1)
         a = make_oracle(p, spec, seed=42)
         b = make_oracle(p, spec, seed=42)
@@ -72,14 +72,14 @@ class TestSampling:
             assert np.array_equal(na.J_bar, nb.J_bar)
 
     def test_fresh_draws_per_call(self):
-        p = registry_by_name()["quad-linear"]
+        p = get_problem("quad-linear")
         oracle = make_oracle(p, NoiseSpec(eps_f=0.1), seed=1)
         f1 = oracle.sample(p.x0, "value").f_bar
         f2 = oracle.sample(p.x0, "value").f_bar
         assert f1 != f2
 
     def test_norm_bounds_hold_exactly(self):
-        p = registry_by_name()["quad-ellipse"]
+        p = get_problem("quad-ellipse")
         spec = NoiseSpec(eps_f=0.3, eps_g=0.2, eps_c=0.1, eps_J=0.05)
         oracle = make_oracle(p, spec, seed=2)
         exact = evaluate(p, p.x0)
@@ -92,7 +92,7 @@ class TestSampling:
             assert np.linalg.norm(noisy.J_bar - exact.J) <= spec.eps_J
 
     def test_counters_semantics(self):
-        p = registry_by_name()["unit-circle"]
+        p = get_problem("unit-circle")
         oracle = make_oracle(p, NoiseSpec())
         oracle.sample(p.x0, "value")
         oracle.sample(p.x0, "derivative")
@@ -102,7 +102,7 @@ class TestSampling:
         assert oracle.counters.weighted_total == 2 + 2 * 2
 
     def test_value_request_leaves_derivatives_none(self):
-        p = registry_by_name()["unit-circle"]
+        p = get_problem("unit-circle")
         oracle = make_oracle(p, NoiseSpec())
         noisy = oracle.sample(p.x0, "value")
         assert noisy.g_bar is None and noisy.J_bar is None
@@ -116,7 +116,7 @@ class TestSampling:
 
 class TestDuplicatedNoiseSharing:
     def test_duplicated_rows_share_noise(self):
-        p = duplicate_last_constraint(registry_by_name()["unit-circle"])
+        p = duplicate_last_constraint(get_problem("unit-circle"))
         spec = NoiseSpec(eps_f=0.1, eps_g=0.1, eps_c=0.1, eps_J=0.1)
         oracle = make_oracle(p, spec, seed=3)
         for _ in range(20):
@@ -125,7 +125,7 @@ class TestDuplicatedNoiseSharing:
             assert np.array_equal(noisy.J_bar[0], noisy.J_bar[1])
 
     def test_shared_noise_still_within_bounds(self):
-        p = duplicate_last_constraint(registry_by_name()["unit-circle"])
+        p = duplicate_last_constraint(get_problem("unit-circle"))
         spec = NoiseSpec(eps_c=0.1, eps_J=0.1)
         oracle = make_oracle(p, spec, seed=4)
         exact = evaluate(p, p.x0)
@@ -180,9 +180,9 @@ class TestOneDrawStream:
     @pytest.mark.parametrize("spec_index", range(len(SPECS)))
     def test_bitwise_equal_to_four_uniform_calls(self, name, spec_index):
         if name.endswith("+dup"):
-            problem = duplicate_last_constraint(registry_by_name()[name[:-4]])
+            problem = duplicate_last_constraint(get_problem(name[:-4]))
         else:
-            problem = registry_by_name()[name]
+            problem = get_problem(name)
         spec = self.SPECS[spec_index]
         exact = evaluate(problem, problem.x0)
         for seed in range(5):
@@ -198,7 +198,7 @@ class TestOneDrawStream:
                 assert (oracle.rng.bit_generator.state == rng.bit_generator.state)
 
     def test_shared_rows_are_copies(self):
-        problem = duplicate_last_constraint(registry_by_name()["quad-linear"])
+        problem = duplicate_last_constraint(get_problem("quad-linear"))
         oracle = make_oracle(problem, self.SPECS[0], seed=7)
         _, _, e_c, e_J = oracle._perturbations(evaluate(problem, problem.x0), "both")
         (src, dst), = problem.shared_noise_rows
@@ -207,7 +207,7 @@ class TestOneDrawStream:
         assert e_c[0] != e_c[src]
 
     def test_zero_noise_takes_no_draw(self):
-        p = registry_by_name()["quad-linear"]
+        p = get_problem("quad-linear")
         oracle = make_oracle(p, NoiseSpec(), seed=3)
         before = oracle.rng.bit_generator.state
         oracle.sample(p.x0)
@@ -222,7 +222,7 @@ class TestOneDrawStream:
             with pytest.raises(ValueError, match=f"{name} must be a number in \\[0, "):
                 NoiseSpec(**{name: 1e308})
         assert EPS_MAX == sys.float_info.max / 2
-        p = registry_by_name()["unit-circle"]
+        p = get_problem("unit-circle")
         widest = NoiseSpec(eps_f=EPS_MAX, eps_g=EPS_MAX, eps_c=EPS_MAX, eps_J=EPS_MAX)
         oracle = make_oracle(p, widest)
         for _ in range(20):
@@ -232,7 +232,7 @@ class TestOneDrawStream:
         np.random.default_rng(0).uniform(-EPS_MAX, EPS_MAX)
 
     def test_sample_keeps_its_exact_evaluation(self):
-        p = registry_by_name()["quad-ellipse"]
+        p = get_problem("quad-ellipse")
         oracle = make_oracle(p, self.SPECS[0], seed=1)
         x = p.x0 + 0.5
         oracle.sample(x)
@@ -261,7 +261,7 @@ class TestExactReuse:
 
     def test_byte_equal_point_reuses_the_evaluation(self, monkeypatch):
         calls = self._counting(monkeypatch)
-        p = registry_by_name()["quad-ellipse"]
+        p = get_problem("quad-ellipse")
         oracle = make_oracle(p, TestOneDrawStream.SPECS[0], seed=2)
         x = p.x0 + 0.25
         first = oracle.sample(x, "value")
@@ -275,7 +275,7 @@ class TestExactReuse:
 
     def test_point_mutated_in_place_is_evaluated_again(self, monkeypatch):
         calls = self._counting(monkeypatch)
-        p = registry_by_name()["quad-ellipse"]
+        p = get_problem("quad-ellipse")
         oracle = make_oracle(p, TestOneDrawStream.SPECS[0], seed=2)
         x = p.x0.copy()
         oracle.sample(x)
@@ -287,7 +287,7 @@ class TestExactReuse:
         assert oracle.exact.g.tobytes() == ex.g.tobytes()
 
     def test_other_shape_is_evaluated_again(self):
-        p = registry_by_name()["quad-ellipse"]
+        p = get_problem("quad-ellipse")
         oracle = make_oracle(p, NoiseSpec(), seed=2)
         oracle.sample(p.x0)
         with pytest.raises(ValueError, match="1-D"):

@@ -13,7 +13,6 @@ from noisy_sqp.problems import (
     evaluate,
     get_problem,
     parse_problem_json,
-    registry_by_name,
 )
 
 
@@ -33,7 +32,7 @@ def central_diff(problem, x, h=1e-6):
 class TestEvaluate:
     def test_unit_circle_closed_form(self):
         # symbolic differentiation by hand, cross-checked below by differences
-        p = registry_by_name()["unit-circle"]
+        p = get_problem("unit-circle")
         ev = evaluate(p, np.array([1.0, 0.0]))
         assert ev.f == pytest.approx(1.0)
         assert np.allclose(ev.g, [1.0, 1.0])
@@ -41,7 +40,7 @@ class TestEvaluate:
         assert np.allclose(ev.J, [[2.0, 0.0]])
 
     def test_quad_linear_at_origin(self):
-        p = registry_by_name()["quad-linear"]
+        p = get_problem("quad-linear")
         ev = evaluate(p, np.zeros(p.n))
         assert np.allclose(ev.c, 0.0)
         assert np.allclose(ev.g, 0.0)
@@ -55,18 +54,18 @@ class TestEvaluate:
             assert np.all(np.isfinite(ev.J))
 
     def test_dimension_mismatch(self):
-        p = registry_by_name()["unit-circle"]
+        p = get_problem("unit-circle")
         with pytest.raises(ValueError, match="x has size 3, expected 2"):
             evaluate(p, np.zeros(3))
 
     @pytest.mark.parametrize("n, m", [(0, 1), (2, 0)])
     def test_empty_dimension_is_rejected(self, n, m):
-        ev = registry_by_name()["unit-circle"].eval_fn
+        ev = get_problem("unit-circle").eval_fn
         with pytest.raises(ValueError, match="need n >= 1 and m >= 1"):
             ProblemSpec("circle", n, m, np.zeros(n), ev)
 
     def test_start_point_of_the_wrong_length(self):
-        ev = registry_by_name()["unit-circle"].eval_fn
+        ev = get_problem("unit-circle").eval_fn
         with pytest.raises(ValueError, match="x0 has size 3, expected 2"):
             ProblemSpec("circle", 2, 1, np.zeros(3), ev)
 
@@ -92,7 +91,7 @@ class TestEvaluate:
 
 class TestDuplicateLastConstraint:
     def test_rows_identical_and_rank_drops(self):
-        dup = duplicate_last_constraint(registry_by_name()["unit-circle"])
+        dup = duplicate_last_constraint(get_problem("unit-circle"))
         assert dup.m == 2
         ev = evaluate(dup, dup.x0)
         assert np.allclose(ev.J[0], ev.J[1])
@@ -101,7 +100,7 @@ class TestDuplicateLastConstraint:
         assert not dup.full_rank
 
     def test_feasible_region_unchanged(self):
-        p = registry_by_name()["quad-linear"]
+        p = get_problem("quad-linear")
         dup = duplicate_last_constraint(p)
         rng = np.random.default_rng(0)
         for _ in range(100):
@@ -111,7 +110,7 @@ class TestDuplicateLastConstraint:
             assert feas_orig == feas_dup
 
     def test_composed_twice(self):
-        p = registry_by_name()["circle-shifted"]
+        p = get_problem("circle-shifted")
         dd = duplicate_last_constraint(duplicate_last_constraint(p))
         assert dd.m == p.m + 2
         x = p.x0 + 0.3
@@ -196,11 +195,10 @@ class TestLookup:
 
     def test_registry_order(self):
         assert [p.name for p in builtin_registry()] == BUILTIN_NAMES
-        assert list(registry_by_name()) == BUILTIN_NAMES
 
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
     def test_lookup_equals_the_registry_entry(self, name):
-        got, ref = get_problem(name), registry_by_name()[name]
+        got, ref = get_problem(name), builtin_registry()[BUILTIN_NAMES.index(name)]
         assert (got.name, got.n, got.m, got.full_rank, got.shared_noise_rows) == (
             ref.name, ref.n, ref.m, ref.full_rank, ref.shared_noise_rows)
         assert same_bits(got.x0, ref.x0) and same_bits(got.H, ref.H)

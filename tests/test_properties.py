@@ -68,7 +68,7 @@ def test_generated_qps_keep_the_solver_invariants(problem):
     for variant in (driver.ADAPTIVE, driver.LINE_SEARCH):
         for optimism in ("optimistic", "pessimistic"):
             for eps in (0.0, 1e-3):
-                params = SolverParams.benchmark_defaults(
+                params = SolverParams(
                     noise_for(eps), variant=variant, optimism=optimism, max_iters=40)
                 trace = solve(problem, params, 0)
                 label = (variant, optimism, eps)

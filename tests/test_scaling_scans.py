@@ -15,7 +15,7 @@ import pytest
 
 from noisy_sqp import verify
 from noisy_sqp.noise import NoisyEvaluation
-from noisy_sqp.problems import evaluate, registry_by_name
+from noisy_sqp.problems import evaluate, get_problem
 
 
 @pytest.mark.parametrize("floor, growth", [(1.0, 1e4), (1e-4, 1e2)], ids=["constant", "1e-4"])
@@ -25,7 +25,7 @@ def test_an_error_that_stops_shrinking_fails_the_tangential_scan(monkeypatch, fl
         return NoisyEvaluation(exact.f, exact.g + (spec.eps_g + floor), exact.c, exact.J)
 
     monkeypatch.setattr(verify, "sample_noisy", shifted_sample)
-    p = registry_by_name()["quad-linear"]
+    p = get_problem("quad-linear")
     report = verify.tangential_gap_scan(p, np.zeros(p.n), n_seeds=2)
     ratios = [o["ratio"] for o in report.observations]
     assert [o["eps"] for o in report.observations] == [1e-2, 1e-3, 1e-4, 1e-5, 1e-6]

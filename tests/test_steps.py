@@ -5,7 +5,7 @@ from noisy_sqp import steps
 from noisy_sqp.linalg import dense_kkt_solve, norm2, norm_inf
 from noisy_sqp.merit import (GAMMA_C, LAMBDA_U, LAMBDA_UV, SIGMA_C, SIGMA_JC, SIGMA_R,
                              Linearization, model_reduction)
-from noisy_sqp.problems import evaluate, registry_by_name
+from noisy_sqp.problems import evaluate, get_problem
 from noisy_sqp.steps import (
     EXACT_FALLBACK,
     TT1,
@@ -112,7 +112,7 @@ class TestTangentialStep:
         assert norm2(bundle.rho) <= 1e-9 and norm2(bundle.r) <= 1e-9
 
     def test_unit_circle_tt2_with_residual_condition(self):
-        p = registry_by_name()["unit-circle"]
+        p = get_problem("unit-circle")
         ev = evaluate(p, p.x0)
         H = np.eye(2)
         L = lin(ev.c, ev.J, ev.g)
@@ -236,7 +236,7 @@ class TestCheckTT1:
 
 class TestCheckTT2:
     def _fixture(self):
-        p = registry_by_name()["unit-circle"]
+        p = get_problem("unit-circle")
         ev = evaluate(p, p.x0)
         L = lin(ev.c, ev.J, ev.g)
         return ev, L, normal_step(L, EXACT)

@@ -6,7 +6,7 @@ import pytest
 
 from noisy_sqp import stepsize
 from noisy_sqp.noise import NoiseSpec, NoisyOracle
-from noisy_sqp.problems import registry_by_name
+from noisy_sqp.problems import get_problem
 from noisy_sqp.stepsize import (
     CHI0,
     LINE_SEARCH_FAILURE,
@@ -31,7 +31,7 @@ from noisy_sqp.stepsize import (
 
 def make_state(L_est=1.0, Gamma_est=1.0, chi=CHI0, xi=XI0):
     # the Lipschitz estimates and the start values of chi and xi are set after start-up
-    p = registry_by_name()["quad-linear"]
+    p = get_problem("quad-linear")
     oracle = NoisyOracle(p, NoiseSpec(), np.random.default_rng(0))
     s = AdaptiveState(oracle, p.x0, np.eye(p.n))
     s.L_est, s.Gamma_est = L_est, Gamma_est
@@ -62,7 +62,7 @@ class TestUpdateChiZeta:
 
 class TestAdaptiveStart:
     def test_holds_the_seeds_and_the_clamped_estimates(self):
-        p = registry_by_name()["unit-circle"]
+        p = get_problem("unit-circle")
         oracle = NoisyOracle(p, NoiseSpec(), np.random.default_rng(4))
         s = AdaptiveState(oracle, p.x0, np.eye(p.n))
         assert (s.chi, s.zeta, s.xi) == (CHI0, ZETA0, XI0)

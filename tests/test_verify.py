@@ -12,7 +12,6 @@ from noisy_sqp.problems import (
     ProblemSpec,
     duplicate_last_constraint,
     get_problem,
-    registry_by_name,
 )
 from noisy_sqp.steps import EXACT_FALLBACK, TT1, TT2_CASE2, TT2_COND1
 from noisy_sqp.verify import (
@@ -27,21 +26,21 @@ from noisy_sqp.verify import (
 
 class TestFdCheck:
     def test_quadratic_exactness(self):
-        p = registry_by_name()["quad-linear"]
+        p = get_problem("quad-linear")
         grad_err, jac_err = fd_check(p, p.x0 + 0.3)
         # central differences are exact on quadratics up to round-off
         assert grad_err <= 1e-9
         assert jac_err <= 1e-9
 
     def test_unit_circle(self):
-        p = registry_by_name()["unit-circle"]
+        p = get_problem("unit-circle")
         grad_err, jac_err = fd_check(p, np.array([1.0, 0.0]))
         assert jac_err <= 1e-5
 
 
 class TestCauchyPerturbationScan:
     def test_quad_linear_fixture_passes(self):
-        p = registry_by_name()["quad-linear"]
+        p = get_problem("quad-linear")
         report = cauchy_perturbation_scan(p, p.x0, n_seeds=20)
         assert report.passed
         parsed = json.loads(report.to_json())
@@ -52,7 +51,7 @@ class TestCauchyPerturbationScan:
         from noisy_sqp.noise import sample_noisy
         from noisy_sqp.problems import evaluate
         from noisy_sqp.verify import _cauchy_step
-        p = registry_by_name()["quad-linear"]
+        p = get_problem("quad-linear")
         ex = evaluate(p, p.x0)
         noisy = sample_noisy(p, NoiseSpec(), p.x0, np.random.default_rng(0))
         exact_step = _cauchy_step(ex.c, ex.J, 1e2)
@@ -60,26 +59,26 @@ class TestCauchyPerturbationScan:
         assert np.array_equal(exact_step, noisy_step)
 
     def test_rank_deficient_fixture_rejected(self):
-        p = duplicate_last_constraint(registry_by_name()["unit-circle"])
+        p = duplicate_last_constraint(get_problem("unit-circle"))
         with pytest.raises(ValueError, match="Jacobian not full rank at the scan point"):
             cauchy_perturbation_scan(p, p.x0)
 
     def test_vanishing_Jtc_rejected(self):
         # quad-linear's constraints vanish at the origin, so J'c = 0 there
         with pytest.raises(ValueError, match="not bounded away from zero"):
-            cauchy_perturbation_scan(registry_by_name()["quad-linear"], np.zeros(4))
+            cauchy_perturbation_scan(get_problem("quad-linear"), np.zeros(4))
 
 
 class TestTangentialGapScan:
     def test_quad_linear_feasible_point_passes(self):
-        p = registry_by_name()["quad-linear"]
+        p = get_problem("quad-linear")
         report = tangential_gap_scan(p, np.zeros(p.n), n_seeds=20)
         assert report.passed
 
     def test_zero_noise_identical(self):
         from noisy_sqp.problems import evaluate
         from noisy_sqp.verify import _null_space_solution
-        p = registry_by_name()["quad-linear"]
+        p = get_problem("quad-linear")
         ex = evaluate(p, np.zeros(p.n))
         u1 = _null_space_solution(np.eye(p.n), ex.J, ex.g)
         u2 = _null_space_solution(np.eye(p.n), ex.J.copy(), ex.g.copy())
@@ -92,7 +91,7 @@ class TestTangentialGapScan:
         from noisy_sqp.linalg import dense_kkt_solve
         from noisy_sqp.noise import NoiseSpec, sample_noisy
         from noisy_sqp.problems import evaluate
-        p = registry_by_name()["quad-linear"]
+        p = get_problem("quad-linear")
         x = np.zeros(p.n)
         ex = evaluate(p, x)
         H = np.eye(p.n)  # zeta_H = 1
@@ -121,8 +120,8 @@ class TestTraceInvariants:
     def _trace_and_params(self, variant="adaptive", seed=0):
         eps_g, eps_J = derive_gradient_noise(1e-2, 1e-2)
         noise = NoiseSpec(eps_f=1e-2, eps_g=eps_g, eps_c=1e-2, eps_J=eps_J)
-        params = SolverParams.benchmark_defaults(noise, variant=variant, max_iters=40)
-        p = registry_by_name()["unit-circle"]
+        params = SolverParams(noise, variant=variant, max_iters=40)
+        p = get_problem("unit-circle")
         return solve(p, params, seed), params
 
     def test_clean_trace_has_no_violations(self):
@@ -146,7 +145,7 @@ class TestTraceInvariants:
         noise = NoiseSpec(eps_f=1e-4, eps_g=eps_g, eps_c=1e-4, eps_J=eps_J)
         for variant in ("adaptive", "line_search"):
             for optimism in ("optimistic", "pessimistic"):
-                params = SolverParams.benchmark_defaults(
+                params = SolverParams(
                     noise, variant=variant, optimism=optimism, max_iters=40)
                 trace = solve(p, params, 0)
                 assert assert_trace_invariants(trace, params) == []
@@ -209,8 +208,8 @@ def audited_runs():
     for key, (name, eps, variant, optimism) in AUDITED_RUNS.items():
         eps_g, eps_J = derive_gradient_noise(eps, eps)
         noise = NoiseSpec(eps_f=eps, eps_g=eps_g, eps_c=eps, eps_J=eps_J)
-        params = SolverParams.benchmark_defaults(noise, variant=variant, optimism=optimism)
-        runs[key] = solve(registry_by_name()[name], params, 0), params
+        params = SolverParams(noise, variant=variant, optimism=optimism)
+        runs[key] = solve(get_problem(name), params, 0), params
     return runs
 
 
@@ -347,8 +346,8 @@ def audit_cost():
     conditions = failed = 0
     for name in ("quad-linear-10", "quad-ellipse", "rosenbrock-sphere-4", "unit-circle"):
         for variant in ("adaptive", "line_search"):
-            params = SolverParams.benchmark_defaults(noise, variant=variant,
-                                                     optimism="pessimistic", max_iters=1000)
+            params = SolverParams(noise, variant=variant,
+                                  optimism="pessimistic", max_iters=1000)
             for seed in range(3):
                 t0 = time.perf_counter()
                 trace = solve(get_problem(name), params, seed)
