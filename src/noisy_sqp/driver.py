@@ -80,28 +80,24 @@ class SolverParams:
 # rows per block of a trace's table; `harness.best_iterate` stacks a block per call
 BEST_ITERATE_CHUNK = 256
 _BUNDLE = dataclasses.fields(steps.StepBundle)[3:]  # a bundle's fields after v, z and resid
-# a row's scalar columns and the type each reads as: a record's settable fields, its counter
-# deltas, the noisy and exact f and the bundle's fields; a string is kept as its _NAMES code
-_FIELDS = dict(tau_prev=float, tau=float, alpha=float, branch=str, delta_l=float, chi=float,
+# a row's scalar columns and their numpy types: a record's settable fields, its counter
+# deltas, the noisy and exact f and the bundle's fields; a text field holds its name
+_FIELDS = dict(tau_prev=float, tau=float, alpha=float, branch=object, delta_l=float, chi=float,
                zeta=float, xi=float, alpha_suff=float, alpha_min=float, alpha_max=float,
-               phi0=float, phi_accept=float, relax=float, backtracks=int)
-_COLUMNS = dict(_FIELDS, function_evals=int, gradient_evals=int, f_bar=float, f=float,
-                **{f.name: {"str": str, "int": int, "float": float}[f.type.split()[0]]
+               phi0=float, phi_accept=float, relax=float, backtracks=np.int64)
+_COLUMNS = dict(_FIELDS, function_evals=np.int64, gradient_evals=np.int64, f_bar=float, f=float,
+                **{f.name: {"str": object, "int": np.int64, "float": float}[f.type.split()[0]]
                    for f in _BUNDLE})
-_NAMES = (None, FEASIBLE_BRANCH, INFEASIBLE_BRANCH, steps.TT1, steps.TT2_CASE2, steps.TT2_COND1,
-          steps.EXACT_FALLBACK)
-CODES = {name: code for code, name in enumerate(_NAMES)}
 
 
 @functools.cache
 def _row(n, m):
-    """A trace row: an int64 or float64 field per scalar column, then x, the noisy and exact
-    g, c and J, and a bundle's v, z and resid, each a float64 array in its shape, and last
+    """A trace row: a float64, int64 or object field per scalar column, then x, the noisy and
+    exact g, c and J, and a bundle's v, z and resid, each a float64 array in its shape, and last
     ``has``, which marks the scalars it holds; aligned, so every row's floats are 8-byte aligned."""
     vectors = dict(x=n, g_bar=n, c_bar=m, J_bar=(m, n), g=n, c=m, J=(m, n), v=n, z=n + m,
                    resid=n + m)
-    scalars = [(name, float if kind is float else np.int64) for name, kind in _COLUMNS.items()]
-    return np.dtype(scalars + [(name, float, shape) for name, shape in vectors.items()]
+    return np.dtype([*_COLUMNS.items()] + [(name, float, shape) for name, shape in vectors.items()]
                     + [("has", [(name, bool) for name in _COLUMNS])], align=True)
 
 
@@ -121,11 +117,10 @@ class IterRecord:
 
     def _read(self, name):
         if self._block["has"][name][self._i]:
-            value = self._block[name].item(self._i)
-            return _NAMES[value] if _COLUMNS[name] is str else value
+            return self._block[name].item(self._i)
 
     def _write(self, name, value):
-        self._block[name][self._i] = CODES.get(value, value)
+        self._block[name][self._i] = 0 if value is None else value
         self._block["has"][name][self._i] = value is not None
 
     def _parts(self, *names):
@@ -184,7 +179,7 @@ class RunTrace:
         cells = [*map(scalars.get, _FIELDS), *counters_delta, noisy.f_bar, exact.f,
                  *(None if bundle is None else getattr(bundle, f.name) for f in _BUNDLE)]
         vectors = (0.0,) * 3 if bundle is None else (bundle.v, bundle.z, bundle.resid)
-        self.blocks[b][i] = (*[CODES.get(cell, cell) for cell in cells], x, noisy.g_bar,
+        self.blocks[b][i] = (*[0 if cell is None else cell for cell in cells], x, noisy.g_bar,
                              noisy.c_bar, noisy.J_bar, exact.g, exact.c, exact.J, *vectors,
                              tuple(cell is not None for cell in cells))
         self.size += 1
@@ -211,8 +206,8 @@ def solve(problem: ProblemSpec, params: SolverParams, seed: int,
     if own_oracle:
         oracle = NoisyOracle(problem, params.noise, np.random.default_rng(seed))
     noise = params.noise
-    # optimistic: noise.eps_o, or eps_c when that is 0; pessimistic: 0
-    eps_o = (noise.eps_o or noise.eps_c) if params.optimism == "optimistic" else 0.0
+    # the feasibility threshold: the constraint noise level when optimistic, else 0
+    eps_o = noise.eps_c if params.optimism == "optimistic" else 0.0
     # numerical meaning of "||c|| <= eps_o" at eps_o = 0: the branch gate gets
     # an absolute floor so machine-precision-feasible iterates take the
     # tangential-only branch instead of the infeasible-stationary exit

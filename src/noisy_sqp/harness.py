@@ -63,11 +63,15 @@ class VariantSpec:
 
 @dataclass
 class ExperimentConfig:
-    problems: list = list_of(Rule(lambda v: isinstance(v, str), "a string"))
+    """One run per problem, noise pair, variant and seed: a repeated entry, or two variants
+    of one label (the CSV has no kappa), would write two rows for one instance and solver."""
+
+    problems: list = list_of(Rule(lambda v: isinstance(v, str), "a string"), key=str)
     noise_grid: list = list_of(entries(interval(f"(0, {EPS_MAX!r}]"), 2),
-                               what="noise grid entries (eps_f, eps_c)")
-    variants: list = list_of(Rule(lambda v: isinstance(v, VariantSpec), "a VariantSpec"))
-    seeds: list = list_of(interval("[0, inf)", integer=True))
+                               what="noise grid entries (eps_f, eps_c)", key=tuple)
+    variants: list = list_of(Rule(lambda v: isinstance(v, VariantSpec),
+                                  "a VariantSpec of its own label"), key=lambda v: v.label)
+    seeds: list = list_of(interval("[0, inf)", integer=True), key=int)
     budgets: tuple = list_of(interval("[1, inf)", integer=True), 2,
                              default=(SolverParams.max_iters, SolverParams.max_weighted_evals))
     licq_mode: str = one_of("original", ("original", "duplicated"))

@@ -79,16 +79,19 @@ def instance_of(cls):
     return field(default_factory=cls, metadata={"rule": rule})
 
 
-def entries(rule: Rule, length: int = 0, what: str = "entries") -> Rule:
-    """The rule of a non-empty list or tuple (``length`` long, if given) of ``rule``s."""
+def entries(rule: Rule, length: int = 0, what: str = "entries", key=None) -> Rule:
+    """The rule of a non-empty list or tuple (``length`` long, if given) of ``rule``s; with
+    a ``key`` function, no two of them alike, that is of one key."""
     count = f"a list of {length}" if length else "a non-empty list of"
     return Rule(lambda v: (isinstance(v, (list, tuple)) and len(v) == (length or len(v)) > 0
-                           and all(map(rule.holds, v))), f"{count} {what}, each {rule.text}")
+                           and all(map(rule.holds, v))
+                           and (key is None or len(set(map(key, v))) == len(v))),
+                f"{count} {what}, each {rule.text}" + ("" if key is None else ", no two alike"))
 
 
-def list_of(rule: Rule, length: int = 0, what: str = "entries", **default):
-    """A dataclass field holding ``entries(rule, length, what)``."""
-    return field(metadata={"rule": entries(rule, length, what)}, **default)
+def list_of(rule: Rule, length: int = 0, what: str = "entries", key=None, **default):
+    """A dataclass field holding ``entries(rule, length, what, key)``."""
+    return field(metadata={"rule": entries(rule, length, what, key)}, **default)
 
 
 def check_settings(obj):

@@ -37,21 +37,17 @@ EPS_MAX = float(np.finfo(float).max) / 2  # the largest eps whose draw range 2 e
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Noise bounds, each in [0, EPS_MAX]; eps_o in [0, eps_c] is the optimistic
-    feasibility threshold (0 means eps_c)."""
+    """Noise bounds, each in [0, EPS_MAX]."""
 
     eps_f: float = number(0.0, f"[0, {EPS_MAX!r}]")
     eps_g: float = number(0.0, f"[0, {EPS_MAX!r}]")
     eps_c: float = number(0.0, f"[0, {EPS_MAX!r}]")
     eps_J: float = number(0.0, f"[0, {EPS_MAX!r}]")
-    eps_o: float = number(0.0, f"[0, {EPS_MAX!r}]")
 
     def __post_init__(self):
         check_settings(self)
         for f in fields(self):
             object.__setattr__(self, f.name, float(getattr(self, f.name)))
-        if not self.eps_o <= self.eps_c:
-            raise ValueError("eps_o must be in [0, eps_c]")
 
 
 def derive_gradient_noise(eps_f: float, eps_c: float):

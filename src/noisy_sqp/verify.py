@@ -1,14 +1,14 @@
 """Independent oracles: finite differences, perturbation scans, trace auditing.
 
 Nothing in this module shares code with the solver path it checks; it reads only
-the solver's constants and the trace table's layout (`driver.CODES`, `StepBundle`'s
-views).  The trace audit re-checks the termination tests and the paper's invariants
-from scratch against the raw recorded data: `audit` evaluates each condition over the
-table's columns and returns it as a `Condition` per record, with its two sides, its
-slack and whether it held; `assert_trace_invariants` lists the failing ones.  The
-perturbation scans verify the scaling laws of the noisy step components
-(their formal constants are unobservable, so the testable content is linear
-scaling in the noise level plus exact collapse at zero noise).
+the solver's constants and the trace table's columns (a text field holds a name such
+as `steps.TT1`; `StepBundle`'s views).  The trace audit re-checks the termination
+tests and the paper's invariants from scratch against the raw recorded data: `audit`
+evaluates each condition over the table's columns and returns it as a `Condition` per
+record, with its two sides, its slack and whether it held; `assert_trace_invariants`
+lists the failing ones.  The perturbation scans verify the scaling laws of the noisy
+step components (their formal constants are unobservable, so the testable content is
+linear scaling in the noise level plus exact collapse at zero noise).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .driver import CODES, solve
+from .driver import solve
 from .linalg import smallest_singular_value
 from .merit import (GAMMA_C, KAPPA_RHO_R, LAMBDA_RHO_R, LAMBDA_U, LAMBDA_UV, LAMBDA_V, SIGMA_C,
                     SIGMA_JC, SIGMA_R, SIGMA_U)
@@ -191,7 +191,7 @@ def _conditions(name, k, lhs, rhs, slack=0.0, given=True) -> list[Condition]:
 def audit(trace) -> list[Condition]:
     """Re-check every recorded per-iteration invariant: one `Condition` per check and
     record that carries it, ordered check by check.  A check is one expression over the
-    rows that a presence mask or text code selects, formed from their raw recorded data."""
+    rows that a presence mask or test name selects, formed from their raw recorded data."""
     if not trace.size:
         return []
     rows = np.concatenate(trace.chunks())
@@ -237,7 +237,7 @@ def audit(trace) -> list[Condition]:
     Jtc = _nrm(_mv(J.swapaxes(1, 2), c))
     gate = LAMBDA_RHO_R * _min(_max(np.sqrt(uu), Jtc), KAPPA_RHO_R)
     resid = _max(_nrm(b.rho), _nrm(r))
-    t = b.test == CODES[EXACT_FALLBACK]
+    t = b.test == EXACT_FALLBACK
     # the dense solve of K z = -(g + Hv, 0), K = [[H, J'], [J, 0]], leaves at most its
     # LU round-off: residual within 1e-9 + 1e-13 (n + m) max|K| max|z|, here divided
     # by (n + m) max|K| so that no product of maxima overflows
@@ -247,7 +247,7 @@ def audit(trace) -> list[Condition]:
                          1e-13 * np.max(abs(b.z[t]), axis=1))
     case = np.where(t, rec["fallback_case"], b.test)  # the test each bundle passed
 
-    t = case == CODES[TT1]
+    t = case == TT1
     k1, tau_prev, gu, uHu1, uu1 = ks[t], rec["tau_prev"][t], _dot(g[t], u[t]), uHu[t], uu[t]
     dl_prev_u = -tau_prev * gu + c_nrm[t] - _nrm(c[t] + _mv(J[t], u[t]))
     found += (_conditions("TT1 with nonzero normal component", k1, v_nrm[t], 0.0)
@@ -264,7 +264,7 @@ def audit(trace) -> list[Condition]:
                          -(rec["tau"][t] * SIGMA_U * LAMBDA_U / 2.0 * _dot(d[t], d[t])), 1e-10)
 
     # TT2, case 2 or condition 1, from here on: each name keeps its TT2 records' values
-    t = case != CODES[TT1]
+    t = case != TT1
     ks, g, c, J, u, v, d, r, uHu, uu, v_nrm, c_nrm, Jtc, gate, resid, case, tau_prev = (
         a[t] for a in (ks, g, c, J, u, v, d, r, uHu, uu, v_nrm, c_nrm, Jtc, gate, resid, case,
                        rec["tau_prev"]))
@@ -275,7 +275,7 @@ def audit(trace) -> list[Condition]:
                          -(LAMBDA_U * uu[t]), slack, given=descent <= LAMBDA_V * v_nrm[t] + slack)
     c_v = c + _mv(J, v)
     dec_v = c_nrm - _nrm(c_v)
-    t = case != CODES[TT2_CASE2]
+    t = case != TT2_CASE2
     found += _conditions("TT2 residual-decrease condition fails on recheck", ks[t],
                          -(c_nrm[t] - _nrm(c_v[t] + r[t])), -(SIGMA_R * dec_v[t]), slack,
                          given=dec_v[t] > 0.0)

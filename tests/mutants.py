@@ -133,6 +133,19 @@ MUTANTS = [
            "r <= 10.0 * ratios[anchor]", "r <= 1e3 * ratios[anchor]",
            "tests/test_scaling_scans.py::"
            "test_an_error_that_stops_shrinking_fails_the_tangential_scan[1e-4]"),
+    Mutant("optimistic-gate-reads-eps-f", "src/noisy_sqp/driver.py",
+           'eps_o = noise.eps_c if params.optimism == "optimistic" else 0.0',
+           'eps_o = noise.eps_f if params.optimism == "optimistic" else 0.0',
+           "tests/test_driver.py::TestEpsO::"
+           "test_optimistic_runs_gate_at_eps_c_and_pessimistic_runs_at_zero"),
+    Mutant("audit-fallback-misspelled", "src/noisy_sqp/verify.py",
+           "t = b.test == EXACT_FALLBACK", 't = b.test == "exact-fallback"',
+           "tests/test_verify.py::TestTraceCorruption::"
+           "test_corruption_is_flagged[fallback residual not at round-off level]"),
+    Mutant("grid-entries-may-repeat", "src/noisy_sqp/linalg.py",
+           "len(set(map(key, v))) == len(v)", "True",
+           "tests/test_harness.py::TestConfigJson::"
+           "test_a_repeated_entry_is_rejected[problems-repeated0]"),
 ]
 
 

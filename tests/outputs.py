@@ -21,6 +21,7 @@ are hashed either way.
 
 import ast
 import contextlib
+import dataclasses
 import hashlib
 import importlib
 import io
@@ -30,7 +31,7 @@ import tokenize
 from pathlib import Path
 
 import noisy_sqp
-from noisy_sqp import cli
+from noisy_sqp import NoiseSpec, SolverParams, cli
 
 import test_acceptance
 import test_hot_path_identity as identity
@@ -82,6 +83,13 @@ def code_lines() -> int:
                 code.update(range(tok.start[0], tok.end[0] + 1))
         total += len(code - docs)
     return total
+
+
+def settings() -> int:
+    """The settable solver values, the figure the roadmap tracks: the fields of
+    `SolverParams` other than ``noise``, and those of `NoiseSpec`."""
+    solver = [f for f in dataclasses.fields(SolverParams) if f.name != "noise"]
+    return len(solver) + len(dataclasses.fields(NoiseSpec))
 
 
 def files(work: Path) -> list:

@@ -42,9 +42,9 @@ def report(criterion, passed, detail=""):
     assert passed, line
 
 
-def noise_for(eps_f, eps_c, eps_o=0.0):
+def noise_for(eps_f, eps_c):
     eps_g, eps_J = derive_gradient_noise(eps_f, eps_c)
-    return NoiseSpec(eps_f=eps_f, eps_g=eps_g, eps_c=eps_c, eps_J=eps_J, eps_o=eps_o)
+    return NoiseSpec(eps_f=eps_f, eps_g=eps_g, eps_c=eps_c, eps_J=eps_J)
 
 
 def kkt_start_problem():

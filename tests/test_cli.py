@@ -181,11 +181,17 @@ GOOD_GRID = {"problems": ["unit-circle"], "noise_grid": [[1e-2, 1e-2]],
     ({"variants": [{"scheme": "ada", "optimism": "opt", "kappa": True}]}, "kappa"),
     (lambda grid: [grid], "JSON object"),
     (lambda grid: {k: v for k, v in grid.items() if k != "problems"}, "'problems'"),
+    ({"problems": ["unit-circle", "unit-circle"]}, "problems must be"),
+    ({"noise_grid": [[1e-2, 1e-2], [1e-4, 1e-4], [1e-2, 1e-2]]}, "noise_grid must be"),
+    ({"seeds": [0, 0]}, "seeds must be"),
+    ({"variants": [{"scheme": "ada", "optimism": "opt"},
+                   {"scheme": "ada", "optimism": "opt", "kappa": 1e-3}]}, "of its own label"),
 ], ids=["misspelled-key", "kappa-string", "noise-grid-number", "noise-level-string",
         "noise-level-missing", "noise-level-1e308", "negative-seed", "fractional-seed",
         "bool-seed", "fractional-budget", "bool-budget", "one-budget", "unknown-top-level-keys",
         "string-problems", "number-problem", "list-problem", "number-variant",
-        "bool-kappa", "list-config", "missing-problems"])
+        "bool-kappa", "list-config", "missing-problems", "repeated-problem",
+        "repeated-noise-pair", "repeated-seed", "variants-of-one-label"])
 def test_malformed_grid_config_is_config_error(tmp_path, capsys, change, named):
     # a change is merged into GOOD_GRID, or maps it to the whole config
     config = change(GOOD_GRID) if callable(change) else {**GOOD_GRID, **change}

@@ -588,15 +588,13 @@ class TestExactSnapshots:
 
 
 class TestEpsO:
-    def test_optimistic_runs_use_noise_eps_o(self):
+    def test_optimistic_runs_gate_at_eps_c_and_pessimistic_runs_at_zero(self):
+        # eps_f != eps_c, so a gate read from eps_f shows
         p = get_problem("unit-circle")
-        for eps_o, expected in ((1e-3, 1e-3), (0.0, 1e-2)):
-            noise = NoiseSpec(eps_f=1e-2, eps_c=1e-2, eps_o=eps_o)
-            params = SolverParams(noise, max_iters=3)
+        noise = NoiseSpec(eps_f=1e-4, eps_c=1e-2)
+        for optimism, expected in (("optimistic", 1e-2), ("pessimistic", 0.0)):
+            params = SolverParams(noise, optimism=optimism, max_iters=3)
             assert solve(p, params, 0).eps_o == expected
-        params = SolverParams(
-            NoiseSpec(eps_f=1e-2, eps_c=1e-2, eps_o=1e-3), optimism="pessimistic", max_iters=3)
-        assert solve(p, params, 0).eps_o == 0.0
 
 
 class TestParamsValidation:
@@ -632,7 +630,7 @@ class TestParamsValidation:
 # one out-of-range value per numeric setting, written here rather than read from
 # the declared ranges; NaN, +-inf and True are tried on every such field as well
 OUT_OF_RANGE = {
-    NoiseSpec: dict(eps_f=-1e-3, eps_g=-1.0, eps_c=-1e-3, eps_J=-1.0, eps_o=-1e-3),
+    NoiseSpec: dict(eps_f=-1e-3, eps_g=-1.0, eps_c=-1e-3, eps_J=-1.0),
     SolverParams: dict(kappa=0.0, max_iters=0, max_weighted_evals=0),
     VariantSpec: dict(kappa=-1.0),
 }

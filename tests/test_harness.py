@@ -612,6 +612,21 @@ class TestConfigJson:
         with pytest.raises(ValueError, match="noise grid"):
             cfg.validate()
 
+    @pytest.mark.parametrize("name, repeated", [
+        ("problems", ["unit-circle", "quad-linear", "unit-circle"]),
+        ("noise_grid", [(1e-2, 1e-2), [1e-2, 1e-2]]),
+        ("variants", [VariantSpec(), VariantSpec(kappa=1e-3)]),  # one label, ada-opt-inexact
+        ("seeds", [0, 1, 0]),
+    ])
+    def test_a_repeated_entry_is_rejected(self, name, repeated):
+        # it would run a cell twice, and its CSV would hold two records for one profile instance
+        cfg = ExperimentConfig(**{**dict(problems=["unit-circle"], noise_grid=[(1e-2, 1e-2)],
+                                         variants=[VariantSpec()], seeds=[0]), name: repeated})
+        with pytest.raises(ValueError, match=f"^{name} must be .*, no two "):
+            cfg.validate()
+        cfg = dataclasses.replace(cfg, **{name: repeated[1:]})
+        assert cfg.validate() is cfg
+
     def test_bad_noise_rejected(self):
         cfg = ExperimentConfig(problems=["unit-circle"], noise_grid=[(0.0, 1e-2)],
                                variants=[VariantSpec()], seeds=[0])

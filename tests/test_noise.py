@@ -18,9 +18,10 @@ def make_oracle(problem, spec, seed=0):
 
 
 class TestNoiseSpec:
-    def test_eps_o_must_not_exceed_eps_c(self):
-        with pytest.raises(ValueError):
-            NoiseSpec(eps_c=0.01, eps_o=0.02)
+    def test_eps_o_is_not_a_noise_bound(self):
+        # the optimistic threshold is the run's: eps_c when optimistic, else 0
+        with pytest.raises(TypeError, match="eps_o"):
+            NoiseSpec(eps_c=0.01, eps_o=0.001)
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):

@@ -2,8 +2,9 @@
 
 A trace is one table: record k is row k of a list of blocks of
 ``BEST_ITERATE_CHUNK`` rows of one aligned numpy structured dtype, whose
-named float64 and int64 scalar fields come ahead of its float64 vector
-fields and its last field, ``has``, marks the scalars a row holds.
+named float64, int64 and object scalar fields (a text field holds its
+name) come ahead of its float64 vector fields and its last field, ``has``,
+marks the scalars a row holds.
 ``trace.chunks()`` views each block's written rows, and
 ``trace.records`` is a list of views of the rows, built on first read: a
 scalar field reads the table and setting it writes there, and ``x``,
@@ -38,7 +39,7 @@ from noisy_sqp.harness import best_iterate
 from noisy_sqp.noise import NoiseSpec, NoisyEvaluation, NoisyOracle, derive_gradient_noise
 from noisy_sqp.problems import (ExactEvaluation, builtin_registry, duplicate_last_constraint,
                                  get_problem)
-from noisy_sqp.steps import StepBundle
+from noisy_sqp.steps import EXACT_FALLBACK, TT1, StepBundle
 from noisy_sqp.verify import assert_trace_invariants
 from test_verify import failing
 
@@ -155,6 +156,22 @@ def test_each_record_field_keeps_its_type(runs):
             assert is_float_or_none(b.tau_trial)
             for vector, size in ((b.v, n), (b.u, n), (b.d, n), (b.y, m), (b.rho, n), (b.r, m)):
                 assert is_vector(vector, (size,))
+
+
+def test_a_rows_text_fields_hold_the_names_the_records_report(runs):
+    # the names themselves, which the audit compares with steps.TT1 and the others
+    seen = set()
+    for trace, _ in runs:
+        for rec, row in zip(trace.records, np.concatenate(trace.chunks())):
+            texts = {"branch": rec.branch}
+            if rec.bundle is not None:
+                texts.update(test=rec.bundle.test, fallback_case=rec.bundle.fallback_case)
+            for name in ("branch", "test", "fallback_case"):
+                assert row["has"][name] == (texts.get(name) is not None)
+                if texts.get(name) is not None:
+                    assert type(row[name]) is str and row[name] == texts[name]
+                    seen.add(row[name])
+    assert {driver.FEASIBLE_BRANCH, driver.INFEASIBLE_BRANCH, TT1, EXACT_FALLBACK} <= seen
 
 
 def test_views_hold_the_bytes_the_loop_made(monkeypatch):
